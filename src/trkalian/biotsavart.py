@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import bessel_j, fd_derivative_oracle, fd_field
+from .core import (bessel_j, fd_derivative_oracle, fd_field, gauss_legendre, gauss_tensor_rule,
+                   plane_basis, sphere_quadrature)
 
 TAIL_RESIDUAL_TOL = 1e-7
 
@@ -76,29 +77,12 @@ def box_quadrature(half_width: float, n_per_axis: int = 48,
 
 
 def _ball_nodes(quad: VolumeQuadrature):
-    """Relative offsets r*n_hat, radial weights w_r and angular weights w_omega."""
-    r, wr = np.polynomial.legendre.leggauss(quad.n_radial)
+    """Radii r, radial weights w_r, unit directions n_hat and angular weights w_omega."""
+    r, wr = gauss_legendre(quad.n_radial)
     r = 0.5 * quad.extent * (r + 1.0)
     wr = 0.5 * quad.extent * wr
-    u, wu = np.polynomial.legendre.leggauss(quad.n_polar)
-    phi = 2.0 * np.pi * np.arange(quad.n_azimuth) / quad.n_azimuth
-    st = np.sqrt(1.0 - u * u)
-    nhat = np.empty((quad.n_polar, quad.n_azimuth, 3))
-    nhat[:, :, 0] = st[:, None] * np.cos(phi)
-    nhat[:, :, 1] = st[:, None] * np.sin(phi)
-    nhat[:, :, 2] = u[:, None]
-    womega = (wu[:, None] * (2.0 * np.pi / quad.n_azimuth)) * np.ones_like(phi)
-    return r, wr, nhat.reshape(-1, 3), womega.reshape(-1)
-
-
-def _box_nodes(quad: VolumeQuadrature):
-    x, w = np.polynomial.legendre.leggauss(quad.n_per_axis)
-    x = quad.extent * x
-    w = quad.extent * w
-    xx, yy, zz = np.meshgrid(x, x, x, indexing="ij")
-    nodes = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
-    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
-    return nodes, weights
+    sphere = sphere_quadrature(quad.n_polar, quad.n_azimuth)
+    return r, wr, sphere.nodes, sphere.weights
 
 
 def _warn_boundary(fn, quad: VolumeQuadrature, x: np.ndarray, result_norm: float) -> None:
@@ -148,7 +132,7 @@ def riesz_potential(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         # smooth singularity split: the locally constant part under a
         # Gaussian bump of scale eps integrates to (1/4 pi) 2 pi eps^2 F(x)
         # exactly, and the compensated integrand is bounded at y = x
-        nodes, weights = _box_nodes(quad)
+        nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
         eps = quad.exclusion_radius
         d = x[None, :] - nodes
         dist = np.linalg.norm(d, axis=-1)
@@ -183,7 +167,7 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         # bounded and the result smooth in x; the suppressed ball carries no
         # contribution for locally constant fields (odd kernel) and
         # -(eps^2/4) curl F(x) for locally linear ones
-        nodes, weights = _box_nodes(quad)
+        nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
         eps = quad.exclusion_radius
         d = x[None, :] - nodes
         dist = np.linalg.norm(d, axis=-1)
@@ -216,13 +200,12 @@ def ampere_fluxes(fn, radius: float, nu: float, n_radial: int = 48,
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    from .core import plane_basis
     center = np.asarray(center, dtype=float)
     n_hat = np.asarray(normal, dtype=float)
     n_hat = n_hat / np.linalg.norm(n_hat)
     e1, e2 = plane_basis(n_hat)
 
-    r, wr = np.polynomial.legendre.leggauss(n_radial)
+    r, wr = gauss_legendre(n_radial)
     r = 0.5 * radius * (r + 1.0)
     wr = 0.5 * radius * wr
     phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
@@ -319,7 +302,7 @@ class LundquistBSTerms:
 
 
 def _gauss_panels(a: float, b: float, n_panels: int, n_nodes: int = 16):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = gauss_legendre(n_nodes)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -121,19 +121,8 @@ def ck_transform_potential_check(choice: DebyeChoice) -> tuple[float, float]:
     """
     g_full = ck_transform_solution(choice, include_poloidal=True)
     curl_h = gamma_apply(ck_transform_potential(choice), "cross")
-    curl_res = _profile_distance(curl_h, g_full)
-    rbs_g = rbs_apply(g_full)
-    rbs_res = 0.0
-    for a, b in zip(g_full.atoms, rbs_g.atoms):
-        rbs_res = max(rbs_res, float(np.max(np.abs(b.amplitude - a.amplitude / choice.nu))))
-    return curl_res, rbs_res
-
-
-def _profile_distance(p1: AnalyticProfile, p2: AnalyticProfile) -> float:
-    worst = 0.0
-    for a, b in zip(p1.atoms, p2.atoms):
-        worst = max(worst, float(np.max(np.abs(a.amplitude - b.amplitude))))
-    return worst
+    return (curl_h.amplitude_distance(g_full),
+            rbs_apply(g_full).amplitude_distance(g_full, 1.0 / choice.nu))
 
 
 # ---------------------------------------------------------------------------

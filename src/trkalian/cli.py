@@ -87,6 +87,12 @@ def build_field(name: str, params: dict):
             nu=float(params.get("nu", 1.0)),
             amplitude=float(params.get("amplitude", 1.0))))
     if name == "modes":
+        return fields.mode_sampled_field(_mode_field_from_params(params))
+    raise click.ClickException(f"unknown field name {name!r}")
+
+
+def _mode_field_from_params(params: dict) -> fields.ModeField:
+    try:
         g = float(params.get("g", 1.0))
         modes = []
         for rec in params["modes"]:
@@ -94,19 +100,9 @@ def build_field(name: str, params: dict):
             modes.append(fields.HelicityMode(
                 lam=int(rec["lam"]), nu=float(rec["nu"]), kappa0=np.asarray(rec["kappa0"]),
                 amplitude=amp, mu=int(rec.get("mu", 1)), g=g))
-        return fields.mode_sampled_field(fields.ModeField(modes=tuple(modes)))
-    raise click.ClickException(f"unknown field name {name!r}")
-
-
-def _mode_field_from_params(params: dict) -> fields.ModeField:
-    g = float(params.get("g", 1.0))
-    modes = []
-    for rec in params["modes"]:
-        amp = complex(rec.get("amplitude_re", 1.0), rec.get("amplitude_im", 0.0))
-        modes.append(fields.HelicityMode(
-            lam=int(rec["lam"]), nu=float(rec["nu"]), kappa0=np.asarray(rec["kappa0"]),
-            amplitude=amp, mu=int(rec.get("mu", 1)), g=g))
-    return fields.ModeField(modes=tuple(modes))
+        return fields.ModeField(modes=tuple(modes))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"invalid mode parameters: {type(exc).__name__}: {exc}") from exc
 
 
 @click.group()
@@ -181,11 +177,10 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
         p0, p1, n_p = float(pieces[0]), float(pieces[1]), int(pieces[2])
         p = p0 + (p1 - p0) * np.arange(n_p) / n_p
         plane = PlaneQuadrature(half_width=8.0 * width, n_per_axis=40)
-        threads = max(1, int(os.environ.get("TRK_THREADS", "1")))
         truncation_warned = False
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", radon.TruncationWarning)
-            grid = radon.radon_forward_grid(f, p, sphere, plane, threads=threads)
+            grid = radon.radon_forward_grid(f, p, sphere, plane)
             truncation_warned = any(issubclass(w.category, radon.TruncationWarning)
                                     for w in caught)
         if truncation_warned:
@@ -219,7 +214,11 @@ def cmd_verify(out_path, only_filter, tol_overrides) -> None:
         if "=" not in item:
             raise click.UsageError("tolerance override must be NAME=VALUE")
         name, value = item.split("=", 1)
-        overrides[name] = float(value)
+        overrides[name] = value
+    try:
+        verify.select_checks(only_filter, overrides)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     report = verify.run_verify(only=only_filter, tolerances=overrides)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path is not None:

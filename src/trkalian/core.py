@@ -4,11 +4,20 @@ Everything downstream (frames, fields, transforms) builds on the helpers
 here: unit directions on S^2, product quadratures on the sphere and on
 truncated planes, integer-order Bessel functions, and high-order central
 difference oracles for curl / divergence / gradient / Laplacian.
+
+Each numerical primitive has exactly one implementation, owned here:
+
+- Gauss-Legendre rule: :func:`gauss_legendre` (1-D on [-1, 1], built once
+  per order) and :func:`gauss_tensor_rule` (3-D tensor rule on a cube);
+- sphere product rule: :func:`sphere_quadrature`;
+- 4th-order central-difference stencils: :func:`fd_field`, of which
+  :func:`fd_derivative_oracle` is the one-point call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -25,15 +34,46 @@ def unit(v: np.ndarray) -> np.ndarray:
 def as_direction(v, tol: float = DIRECTION_TOL) -> np.ndarray:
     """Validate that ``v`` is a unit 3-vector (or batch thereof) and return it.
 
-    Raises ValueError if any norm deviates from 1 by more than ``tol``.
+    Raises ValueError if any norm deviates from 1 by more than ``tol`` or is
+    not finite.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != 3:
         raise ValueError(f"direction must have 3 components, got shape {v.shape}")
     n = np.linalg.norm(v, axis=-1)
-    if np.any(np.abs(n - 1.0) > tol):
+    if not np.all(np.abs(n - 1.0) <= tol):
         raise ValueError(f"direction not unit: |norm - 1| = {np.max(np.abs(n - 1.0)):.3e}")
     return v
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rules
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order.
+
+    The arrays are shared by every caller and therefore read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_tensor_rule(half_width: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre rule on the cube [-half_width, half_width]^3.
+
+    Returns nodes (n^3, 3) and weights (n^3,).
+    """
+    x, w = gauss_legendre(n)
+    x = half_width * x
+    w = half_width * w
+    xx, yy, zz = np.meshgrid(x, x, x, indexing="ij")
+    nodes = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
+    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +118,7 @@ def sphere_quadrature(n_polar: int, n_azimuth: int, antipodal: bool = False) -> 
     if antipodal and n_azimuth % 2 != 0:
         raise ValueError("antipodal closure requires an even azimuth count")
 
-    u, wu = np.polynomial.legendre.leggauss(n_polar)
+    u, wu = gauss_legendre(n_polar)
     # enforce exact +/- symmetry of the Legendre nodes
     u = 0.5 * (u - u[::-1])
     wu = 0.5 * (wu + wu[::-1])
@@ -152,7 +192,7 @@ class PlaneQuadrature:
 
     def nodes_1d(self) -> tuple[np.ndarray, np.ndarray]:
         if self.rule == "gauss-legendre":
-            x, w = np.polynomial.legendre.leggauss(self.n_per_axis)
+            x, w = gauss_legendre(self.n_per_axis)
             return self.half_width * x, self.half_width * w
         x = np.linspace(-self.half_width, self.half_width, self.n_per_axis)
         w = np.full(self.n_per_axis, x[1] - x[0])
@@ -198,85 +238,53 @@ def bessel_j1_first_zero() -> float:
 
 FD_DEFAULT_STEP = 1e-3
 
-_D1_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
-_D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-_D2_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-_D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
-
-def _fd_first_derivatives(fn, x: np.ndarray, h: float) -> np.ndarray:
-    """All first partials by 4th-order central differences.
-
-    Returns d[i] = dF/dx_i, each entry shaped like fn's output.
-    """
-    x = np.asarray(x, dtype=float)
-    pts = x[None, None, :] + h * _D1_OFFSETS[:, None, None] * np.eye(3)[None, :, :]
-    vals = np.asarray(fn(pts.reshape(-1, 3)))
-    vals = vals.reshape((4, 3) + vals.shape[1:])
-    return np.tensordot(_D1_WEIGHTS, vals, axes=(0, 0)) / h
+# (offsets, weights) of the 4th-order first and second derivative stencils
+_FD_STENCILS = {
+    1: (np.array([-2.0, -1.0, 1.0, 2.0]), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0),
+    2: (np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0),
+}
 
 
 def fd_derivative_oracle(fn, x, kind: str, h: float = FD_DEFAULT_STEP):
-    """4th-order central-difference derivative of a smooth field at a point.
+    """4th-order central-difference derivative of a smooth field at one point.
 
-    ``fn`` must accept a batch of positions (n, 3).  ``kind`` is one of
-    "curl" / "divergence" (vector fields), "gradient" (scalar fields) or
-    "laplacian" (either; acts componentwise).  Error is O(h^4).
+    The one-point call of :func:`fd_field`; ``fn`` must accept a batch of
+    positions (n, 3).  Error is O(h^4).
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    x = np.asarray(x, dtype=float)
-
-    if kind in ("curl", "divergence", "gradient"):
-        d = _fd_first_derivatives(fn, x, h)
-        if kind == "gradient":
-            return d
-        if d.ndim != 2 or d.shape[1] != 3:
-            raise ValueError("curl/divergence need a 3-vector field")
-        if kind == "divergence":
-            return d[0, 0] + d[1, 1] + d[2, 2]
-        return np.array([
-            d[1, 2] - d[2, 1],
-            d[2, 0] - d[0, 2],
-            d[0, 1] - d[1, 0],
-        ])
-
-    if kind == "laplacian":
-        pts = x[None, None, :] + h * _D2_OFFSETS[:, None, None] * np.eye(3)[None, :, :]
-        vals = np.asarray(fn(pts.reshape(-1, 3)))
-        vals = vals.reshape((5, 3) + vals.shape[1:])
-        second = np.tensordot(_D2_WEIGHTS, vals, axes=(0, 0)) / h**2
-        return second[0] + second[1] + second[2]
-
-    raise ValueError(f"unknown derivative kind {kind!r}")
+    return fd_field(fn, kind, h)(x)
 
 
 def fd_field(fn, kind: str, h: float = FD_DEFAULT_STEP):
     """Vectorized field of finite-difference derivatives of ``fn``.
 
-    Returns a callable accepting positions (..., 3); all stencil evaluations
-    for a batch are fused into a single call of ``fn``.
+    ``kind`` is one of "curl" / "divergence" (vector fields), "gradient"
+    (Jacobian rows d/dx_i, for scalar or vector fields) or "laplacian"
+    (either; acts componentwise).  Returns a callable accepting positions
+    (..., 3); all stencil evaluations for a batch are fused into a single
+    call of ``fn``.  Error is O(h^4).
     """
     if kind not in ("curl", "divergence", "gradient", "laplacian"):
         raise ValueError(f"unknown derivative kind {kind!r}")
+    if not h > 0:
+        raise ValueError("step h must be positive")
+    order = 2 if kind == "laplacian" else 1
+    offsets, weights = _FD_STENCILS[order]
 
     def derived(x):
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, 3)
-        if kind == "laplacian":
-            offsets, weights, denom = _D2_OFFSETS, _D2_WEIGHTS, h**2
-        else:
-            offsets, weights, denom = _D1_OFFSETS, _D1_WEIGHTS, h
         pts = (flat[:, None, None, :]
                + h * offsets[None, :, None, None] * np.eye(3)[None, None, :, :])
         vals = np.asarray(fn(pts.reshape(-1, 3)))
         vals = vals.reshape((flat.shape[0], offsets.size, 3) + vals.shape[1:])
-        d = np.tensordot(vals, weights, axes=(1, 0)) / denom  # (n, 3[, comps])
+        d = np.tensordot(vals, weights, axes=(1, 0)) / h**order  # (n, 3[, comps])
         if kind == "laplacian":
             out = d[:, 0] + d[:, 1] + d[:, 2]
             return out.reshape(x.shape[:-1] + out.shape[1:])
         if kind == "gradient":
-            return d.reshape(x.shape[:-1] + (3,))
+            return d.reshape(x.shape[:-1] + d.shape[1:])
+        if d.shape[2:] != (3,):
+            raise ValueError("curl/divergence need a 3-vector field")
         if kind == "divergence":
             out = d[:, 0, 0] + d[:, 1, 1] + d[:, 2, 2]
             return out.reshape(x.shape[:-1])

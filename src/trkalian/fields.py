@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_direction, bessel_j, fd_derivative_oracle, FD_DEFAULT_STEP
+from .core import as_direction, bessel_j, fd_field, FD_DEFAULT_STEP
 from .moses import frame_index_of, moses_frame
 
 _INV_TWO_PI_32 = (2.0 * np.pi) ** -1.5
@@ -240,9 +240,7 @@ def abc_field(a: float, b: float, c: float, nu: float = 1.0) -> SampledField:
 def _scalar_gradient(psi: ScalarField, x: np.ndarray, h: float) -> np.ndarray:
     if psi.gradient is not None:
         return np.asarray(psi.gradient(x))
-    flat = x.reshape(-1, 3)
-    grads = np.stack([fd_derivative_oracle(psi.evaluator, p, "gradient", h) for p in flat])
-    return grads.reshape(x.shape[:-1] + (3,))
+    return fd_field(psi.evaluator, "gradient", h)(x)
 
 
 def ck_field(psi: ScalarField, omega, nu: float, h: float = FD_DEFAULT_STEP,
@@ -262,29 +260,22 @@ def ck_field(psi: ScalarField, omega, nu: float, h: float = FD_DEFAULT_STEP,
     if certify:
         rng = np.random.default_rng(1742)
         pts = rng.uniform(-1.0, 1.0, size=(6, 3))
-        for p in pts:
-            lap = fd_derivative_oracle(psi.evaluator, p, "laplacian", h)
-            val = psi(p)
-            if abs(lap + nu**2 * val) > 1e-6 * max(1.0, abs(val)):
-                raise ValueError("psi does not satisfy the Helmholtz equation with this nu")
+        lap = fd_field(psi.evaluator, "laplacian", h)(pts)
+        val = psi(pts)
+        if np.any(np.abs(lap + nu**2 * val) > 1e-6 * np.maximum(1.0, np.abs(val))):
+            raise ValueError("psi does not satisfy the Helmholtz equation with this nu")
 
     use_analytic = psi.gradient is not None and psi.hessian is not None
+    toroidal = ck_toroidal(psi, w, h).evaluator
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
-        grad = _scalar_gradient(psi, x, h)
-        toroidal = np.cross(grad, w)
         if use_analytic:
             hess = np.asarray(psi.hessian(x))
             poloidal = (hess @ w + nu**2 * psi(x)[..., None] * w) / nu
         else:
-            # curl of the toroidal part, one stencil per point
-            flat = x.reshape(-1, 3)
-            def toroidal_fn(y):
-                return np.cross(_scalar_gradient(psi, y, h), w)
-            curls = np.stack([fd_derivative_oracle(toroidal_fn, p, "curl", h) for p in flat])
-            poloidal = curls.reshape(x.shape[:-1] + (3,)) / nu
-        return toroidal + poloidal
+            poloidal = fd_field(toroidal, "curl", h)(x) / nu
+        return toroidal(x) + poloidal
 
     return SampledField(
         name="ck",
@@ -502,14 +493,12 @@ def certify_trkalian(f: SampledField, n_points: int = 10, rtol: float = 1e-6,
     """Max relative curl-eigenvalue defect of a catalog field at random points."""
     if f.eigenvalue is None:
         raise ValueError("field carries no eigenvalue to certify")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_points):
-        x = rng.uniform(-box, box, size=3)
-        curl = fd_derivative_oracle(f.evaluator, x, "curl", h)
-        val = f(x)
-        defect = np.linalg.norm(curl - f.eigenvalue * val) / max(np.linalg.norm(val), 1e-300)
-        worst = max(worst, float(defect))
+    x = np.random.default_rng(seed).uniform(-box, box, size=(n_points, 3))
+    curl = fd_field(f.evaluator, "curl", h)(x)
+    val = f(x)
+    defect = (np.linalg.norm(curl - f.eigenvalue * val, axis=-1)
+              / np.maximum(np.linalg.norm(val, axis=-1), 1e-300))
+    worst = float(np.max(defect, initial=0.0))
     if worst > rtol:
         raise AssertionError(f"Trkalian certification failed: defect {worst:.3e} > {rtol:.1e}")
     return worst

@@ -93,6 +93,27 @@ class AnalyticProfile:
         k = as_direction(kappa)
         return [a for a in self.atoms if np.linalg.norm(a.direction - k) < tol]
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked atom directions (n, 3), frequencies (n,) and amplitudes
+        (n, 3) or (n,); a profile without atoms counts as a vector profile."""
+        directions = np.array([a.direction for a in self.atoms]).reshape(-1, 3)
+        frequencies = np.array([a.frequency for a in self.atoms], dtype=float)
+        amplitudes = (np.array([a.amplitude for a in self.atoms]) if self.atoms
+                      else np.zeros((0, 3), dtype=complex))
+        return directions, frequencies, amplitudes
+
+    def with_amplitudes(self, amplitudes) -> "AnalyticProfile":
+        """The same atoms carrying new amplitudes, one row per atom."""
+        return replace(self, atoms=tuple(replace(a, amplitude=amp)
+                                         for a, amp in zip(self.atoms, amplitudes)))
+
+    def amplitude_distance(self, other: "AnalyticProfile", scale: complex = 1.0) -> float:
+        """Max atom-wise |amplitude - scale * other amplitude| over paired atoms."""
+        if len(self.atoms) != len(other.atoms):
+            raise ValueError("profiles pair atoms one to one")
+        diff = self.arrays()[2] - scale * other.arrays()[2]
+        return float(np.max(np.abs(diff), initial=0.0))
+
 
 def _find_atom(atoms, direction, frequency, tol: float = 1e-9):
     for a in atoms:
@@ -251,26 +272,13 @@ def radon_forward_numeric(fn, p: float, kappa, quad: PlaneQuadrature):
     return np.sum(w2d * vals)
 
 
-def radon_forward_grid(fn, p_grid, sphere: SphereQuadrature, quad: PlaneQuadrature,
-                       threads: int = 1) -> GridProfile:
+def radon_forward_grid(fn, p_grid, sphere: SphereQuadrature, quad: PlaneQuadrature) -> GridProfile:
     """Numeric transform sampled on a p-grid times a direction set."""
     p_grid = np.asarray(p_grid, dtype=float)
-
-    def one_direction(j):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            return [radon_forward_numeric(fn, float(pv), sphere.nodes[j], quad)
-                    for pv in p_grid]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(one_direction, range(sphere.n)))
-    else:
-        columns = [one_direction(j) for j in range(sphere.n)]
-
-    samples = np.array(columns)          # (n_dir, n_p[, 3])
-    samples = np.moveaxis(samples, 0, 1)  # (n_p, n_dir[, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        samples = np.array([[radon_forward_numeric(fn, float(pv), k, quad) for k in sphere.nodes]
+                            for pv in p_grid])  # (n_p, n_dir[, 3])
     return GridProfile(p=p_grid, sphere=sphere, samples=samples)
 
 
@@ -338,23 +346,24 @@ def scalar_wave_profile(kappa0, omega: float, coefficient: complex = 1.0) -> Ana
 # Gamma operator
 # ---------------------------------------------------------------------------
 
-def _gamma_atom(atom: RadonAtom, kind: str) -> RadonAtom:
-    scale = 1j * atom.frequency
-    if kind == "cross":
-        if not atom.is_vector:
-            raise ValueError("cross needs vector amplitudes")
-        amp = scale * np.cross(atom.direction, atom.amplitude)
-    elif kind == "dot":
-        if not atom.is_vector:
-            raise ValueError("dot needs vector amplitudes")
-        amp = np.asarray(scale * np.dot(atom.direction, atom.amplitude))
-    elif kind == "grad":
-        if atom.is_vector:
-            raise ValueError("grad needs scalar amplitudes")
-        amp = scale * atom.amplitude * atom.direction
-    else:
+def kappa_product(kappa, values, kind: str) -> np.ndarray:
+    """The kappa product of Gamma: kappa x v ("cross"), kappa . v ("dot") or
+    v kappa ("grad").
+
+    ``kappa`` (..., 3) broadcasts against ``values``, which are 3-vectors
+    when they have as many axes as ``kappa`` and scalars otherwise.
+    """
+    if kind not in ("cross", "dot", "grad"):
         raise ValueError(f"unknown gamma kind {kind!r}")
-    return replace(atom, amplitude=amp)
+    values = np.asarray(values)
+    if (values.ndim == np.ndim(kappa)) != (kind != "grad"):
+        need = "scalar" if kind == "grad" else "vector"
+        raise ValueError(f"{kind} needs {need} amplitudes")
+    if kind == "cross":
+        return np.cross(kappa, values)
+    if kind == "dot":
+        return np.einsum("...k,...k->...", kappa, values)
+    return values[..., None] * kappa
 
 
 def _spectral_p_derivative(grid: GridProfile) -> np.ndarray:
@@ -371,44 +380,24 @@ def gamma_apply(profile, kind: str):
     periodic grids.  ``kind`` is "cross", "dot" or "grad".
     """
     if isinstance(profile, AnalyticProfile):
-        return replace(profile, atoms=tuple(_gamma_atom(a, kind) for a in profile.atoms))
+        directions, frequencies, amplitudes = profile.arrays()
+        out = kappa_product(directions, amplitudes, kind)
+        scale = (1j * frequencies).reshape((-1,) + (1,) * (out.ndim - 1))
+        return profile.with_amplitudes(scale * out)
     if isinstance(profile, GridProfile):
-        dsamp = _spectral_p_derivative(profile)
-        nodes = profile.sphere.nodes
-        if kind == "cross":
-            if not profile.is_vector:
-                raise ValueError("cross needs vector samples")
-            out = np.cross(nodes[None, :, :], dsamp)
-        elif kind == "dot":
-            if not profile.is_vector:
-                raise ValueError("dot needs vector samples")
-            out = np.einsum("jk,ijk->ij", nodes, dsamp)
-        elif kind == "grad":
-            if profile.is_vector:
-                raise ValueError("grad needs scalar samples")
-            out = dsamp[:, :, None] * nodes[None, :, :]
-        else:
-            raise ValueError(f"unknown gamma kind {kind!r}")
+        out = kappa_product(profile.sphere.nodes[None], _spectral_p_derivative(profile), kind)
         return replace(profile, samples=out)
     raise TypeError(f"unsupported profile type {type(profile)!r}")
 
 
 def gamma_cross_eigendefect(profile: AnalyticProfile) -> float:
     """Max atom-wise residual of Gamma x F = mu nu F."""
-    worst = 0.0
-    target = profile.mu * profile.nu
-    for a in profile.atoms:
-        lhs = 1j * a.frequency * np.cross(a.direction, a.amplitude)
-        worst = max(worst, float(np.max(np.abs(lhs - target * a.amplitude))))
-    return worst
+    return gamma_apply(profile, "cross").amplitude_distance(profile, profile.mu * profile.nu)
 
 
 # ---------------------------------------------------------------------------
 # intertwining with physical-space derivatives
 # ---------------------------------------------------------------------------
-
-_D1_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
-_D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 
 def intertwining_check(fn, kappa, p: float, kind: str, quad: PlaneQuadrature,
@@ -420,21 +409,21 @@ def intertwining_check(fn, kappa, p: float, kind: str, quad: PlaneQuadrature,
     p by 4th-order central differences and applies the kappa product.
     """
     k = as_direction(kappa)
-    kinds = {"curl": "curl", "div": "divergence", "grad": "gradient"}
+    kinds = {"curl": ("curl", "cross"), "div": ("divergence", "dot"), "grad": ("gradient", "grad")}
     if kind not in kinds:
         raise ValueError(f"unknown kind {kind!r}")
-    lhs = radon_forward_numeric(fd_field(fn, kinds[kind], h), p, k, quad)
+    fd_kind, product = kinds[kind]
+    lhs = radon_forward_numeric(fd_field(fn, fd_kind, h), p, k, quad)
 
-    shifted = [radon_forward_numeric(fn, p + o * dp, k, quad) for o in _D1_OFFSETS]
-    dproj = sum(w * s for w, s in zip(_D1_WEIGHTS, shifted)) / dp
-    if kind == "curl":
-        rhs = np.cross(k, dproj)
-    elif kind == "div":
-        rhs = np.dot(k, dproj)
-    else:
-        rhs = dproj * k
+    # the stencil runs along the first coordinate, which carries p; the
+    # partials along the other two axes are discarded
+    def transform_in_p(y):
+        return np.stack([np.asarray(radon_forward_numeric(fn, float(pv), k, quad))
+                         for pv in y[:, 0]])
 
-    return float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))))
+    dproj = fd_field(transform_in_p, "gradient", dp)(np.array([p, 0.0, 0.0]))[0]
+    rhs = kappa_product(k, dproj, product)
+    return float(np.max(np.abs(np.asarray(lhs) - rhs)))
 
 
 # ---------------------------------------------------------------------------

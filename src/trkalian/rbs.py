@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PlaneQuadrature, SphereQuadrature, as_direction
-from .radon import (AnalyticProfile, GridProfile, RadonAtom, gamma_apply,
+from .core import PlaneQuadrature, SphereQuadrature, as_direction, gauss_tensor_rule
+from .radon import (AnalyticProfile, GridProfile, RadonAtom, gamma_apply, kappa_product,
                     radon_forward_numeric)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -71,12 +71,7 @@ def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature,
     shape = (n_p,) + (1,) * (proj.ndim - 1)
     lhs = np.sum(phase.reshape(shape) * proj, axis=0) * dp / _SQRT_2PI
 
-    x1, w1 = np.polynomial.legendre.leggauss(n_box)
-    x1 = box_half * x1
-    w1 = box_half * w1
-    xx, yy, zz = np.meshgrid(x1, x1, x1, indexing="ij")
-    nodes = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
-    weights = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).reshape(-1)
+    nodes, weights = gauss_tensor_rule(box_half, n_box)
     vals = np.asarray(fn(nodes))
     phase3 = np.exp(-1j * k * (nodes @ kdir))
     if vals.ndim == 2:
@@ -128,13 +123,11 @@ def rbs_apply(profile, dc_tol: float = DC_TOLERANCE):
     Exact on atoms: amplitude -> (i / frequency) kappa x amplitude.
     """
     if isinstance(profile, AnalyticProfile):
-        atoms = []
-        for a in profile.atoms:
-            if a.frequency == 0.0:
-                raise ValueError("RBS undefined on zero-frequency atoms")
-            amp = (1j / a.frequency) * np.cross(a.direction, a.amplitude)
-            atoms.append(replace(a, amplitude=amp))
-        return replace(profile, atoms=tuple(atoms))
+        directions, frequencies, amplitudes = profile.arrays()
+        if np.any(frequencies == 0.0):
+            raise ValueError("RBS undefined on zero-frequency atoms")
+        out = kappa_product(directions, amplitudes, "cross")
+        return profile.with_amplitudes((1j / frequencies)[:, None] * out)
     if isinstance(profile, GridProfile):
         return gamma_apply(radon_riesz(profile, dc_tol=dc_tol), "cross")
     raise TypeError(f"unsupported profile type {type(profile)!r}")
@@ -156,12 +149,7 @@ def rbs_left_inverse_check(grid: GridProfile, tol: float = 1e-9) -> float:
 
 def rbs_eigendefect(profile: AnalyticProfile) -> float:
     """Max atom-wise residual of RBS[F] = (1 / (mu nu)) F."""
-    out = rbs_apply(profile)
-    target = 1.0 / (profile.mu * profile.nu)
-    worst = 0.0
-    for a, b in zip(profile.atoms, out.atoms):
-        worst = max(worst, float(np.max(np.abs(b.amplitude - target * a.amplitude))))
-    return worst
+    return rbs_apply(profile).amplitude_distance(profile, 1.0 / (profile.mu * profile.nu))
 
 
 def gauge_atom(direction, frequency: float, strength: complex) -> RadonAtom:

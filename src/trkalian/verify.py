@@ -278,7 +278,7 @@ def _check_hemisphere() -> float:
 
 
 @_register("gamma_eigen_atoms", "Transform-space curl eigenrelation, atom-wise", 1e-12)
-def _check_gamma_atoms() -> float:
+def _check_gamma_eigen_atoms() -> float:
     worst = radon.gamma_cross_eigendefect(radon.radon_mode_analytic(_mode_field(3, seed=SEED + 14)))
     worst = max(worst, radon.gamma_cross_eigendefect(radon.lundquist_radon_profile(1.0, 1.0)))
     asd = radon.radon_mode_analytic(_mode_field(2, seed=SEED + 15, mu=-1))
@@ -610,11 +610,7 @@ def _check_duality() -> float:
 def _check_eigen_flip() -> float:
     profile = radon.radon_mode_analytic(_mode_field(3, seed=SEED + 29))
     mapped = radon.antipodal_profile(profile)
-    curl = radon.gamma_apply(mapped, "cross")
-    worst = 0.0
-    for a, b in zip(mapped.atoms, curl.atoms):
-        worst = max(worst, float(np.max(np.abs(b.amplitude + profile.nu * a.amplitude))))
-    return worst
+    return radon.gamma_apply(mapped, "cross").amplitude_distance(mapped, -profile.nu)
 
 
 @_register("lundquist_gauge_fix", "Gauge-shifted potential restores self-duality", 1e-9)
@@ -657,17 +653,29 @@ def available_checks() -> list[str]:
     return [name for name, _, _, _ in _CHECKS]
 
 
+def select_checks(only: str | None = None, tolerances: dict | None = None) -> list:
+    """The (name, description, tolerance, check) entries whose name contains
+    ``only``, with the tolerance overrides applied.
+
+    Raises ValueError, before any check runs, when nothing is selected, when
+    an override names no selected record or when its value is not a number.
+    """
+    tolerances = tolerances or {}
+    selected = [c for c in _CHECKS if only is None or only in c[0]]
+    if not selected:
+        raise ValueError(f"no verify record name contains {only!r}")
+    unknown = sorted(set(tolerances) - {c[0] for c in selected})
+    if unknown:
+        raise ValueError(f"tolerance override names no selected record: {', '.join(unknown)}")
+    return [(name, description, float(tolerances.get(name, tol)), fn)
+            for name, description, tol, fn in selected]
+
+
 def run_verify(only: str | None = None, tolerances: dict | None = None) -> dict:
     """Run the identity suite; returns the report dictionary."""
-    tolerances = tolerances or {}
-    records = []
-    for name, description, tol, fn in _CHECKS:
-        if only is not None and only not in name:
-            continue
-        tol = float(tolerances.get(name, tol))
-        residual = float(fn())
-        records.append(CheckRecord(name=name, description=description,
-                                   residual=residual, tolerance=tol))
+    records = [CheckRecord(name=name, description=description, residual=float(fn()),
+                           tolerance=tol)
+               for name, description, tol, fn in select_checks(only, tolerances)]
     return {
         "records": [
             {

@@ -105,18 +105,18 @@ class TestRadonCommand:
         meta = json.loads((out / "radon_meta.json").read_text())
         assert meta["support"] == "equatorial-ring"
 
-    def test_thread_cap_preserves_determinism(self, runner, tmp_path):
+    def test_grid_outputs_are_deterministic(self, runner, tmp_path):
         blobs = []
-        for threads, sub in (("1", "a"), ("3", "b")):
+        for sub in ("a", "b"):
             out = tmp_path / sub
             result = runner.invoke(main, [
                 "radon", "--field", "gaussian",
-                "--params", '{"width": 1.0}',
                 "--quad", "4,8", "--pgrid", "-8:8:16",
                 "--out", str(out),
-            ], env={"TRK_THREADS": threads})
+            ])
             assert result.exit_code == 0, result.output
-            blobs.append((out / "profile_grid.csv").read_bytes())
+            blobs.append(((out / "profile_grid.csv").read_bytes(),
+                          (out / "radon_meta.json").read_bytes()))
         assert blobs[0] == blobs[1]
 
     def test_single_mode_two_atoms(self, runner, tmp_path):
@@ -163,6 +163,18 @@ class TestVerifyCommand:
             assert result.exit_code == 0
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--only", "zzz"],
+    ["verify", "--only", "frame", "--tol", "no_such_record=1"],
+    ["radon", "--field", "modes", "--params", "{}", "--out", "out"],
+], ids=["verify-empty-selection", "verify-unknown-tolerance", "radon-modes-without-modes"])
+def test_bad_input_is_usage_error(runner, tmp_path, args):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Usage:" in result.output
 
 
 class TestPlotCommand:

@@ -191,6 +191,10 @@ class TestFdOracle:
             fd_derivative_oracle(lambda x: x, np.zeros(3), "hessian")
         with pytest.raises(ValueError):
             fd_derivative_oracle(lambda x: x, np.zeros(3), "curl", h=0.0)
+        with pytest.raises(ValueError):
+            fd_field(lambda x: x, "curl", h=0.0)
+        with pytest.raises(ValueError):
+            fd_field(lambda x: np.sum(x, axis=-1), "curl")(np.zeros((2, 3)))
 
 
 def test_as_direction_validation():
@@ -199,3 +203,6 @@ def test_as_direction_validation():
         as_direction(np.array([0.0, 0.0, 1.0 + 1e-9]))
     with pytest.raises(ValueError):
         as_direction(np.array([1.0, 0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            as_direction(np.array([bad, 0.0, 0.0]))
