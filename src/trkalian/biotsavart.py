@@ -164,9 +164,10 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         result = acc / (4.0 * np.pi)
     else:
         # smooth cutoff W ~ (d/eps)^4 near the point keeps the integrand
-        # bounded and the result smooth in x; the suppressed ball carries no
+        # bounded and the result smooth in x; the suppressed part carries no
         # contribution for locally constant fields (odd kernel) and
-        # -(eps^2/4) curl F(x) for locally linear ones
+        # +(eps^2/4) curl F(x) for locally linear ones: the angular average
+        # gives (1/3) curl F times int (1 - W) r dr = 3 eps^2 / 4
         nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
         eps = quad.exclusion_radius
         d = x[None, :] - nodes
@@ -176,7 +177,7 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         vals = np.asarray(fn(nodes))
         kern = (cutoff / safe**3)[:, None] * d
         result = np.sum(weights[:, None] * np.cross(vals, kern), axis=0) / (4.0 * np.pi)
-        result = result - 0.25 * eps**2 * fd_derivative_oracle(fn, x, "curl")
+        result = result + 0.25 * eps**2 * fd_derivative_oracle(fn, x, "curl")
     _warn_boundary(fn, quad, x, float(np.max(np.abs(result))))
     return result
 

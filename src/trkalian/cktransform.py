@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_direction
-from .radon import AnalyticProfile, RadonAtom, gamma_apply, inverse_radon
+from .radon import AnalyticProfile, gamma_apply, inverse_radon
 from .rbs import rbs_apply
 
 OSCILLATOR_TOL = 1e-10
@@ -83,6 +83,18 @@ class DebyeChoice:
         return np.asarray(self.omega, dtype=complex)
 
 
+def _tone_profile(choice: DebyeChoice, amplitude) -> AnalyticProfile:
+    """One atom per tone: its coefficient times ``amplitude(d, frequency, w)``
+    on the tone directions (n, 3), frequencies (n, 1) and omegas (n, 3)."""
+    tones = choice.tones
+    d = np.reshape([t.direction for t in tones], (-1, 3))
+    f = np.array([t.frequency for t in tones], dtype=float)
+    w = np.reshape([choice.omega_at(t.direction) for t in tones], (-1, 3))
+    c = np.array([t.coefficient for t in tones], dtype=complex)[:, None]
+    return AnalyticProfile(d, f, c * amplitude(d, f[:, None], w), [t.weight for t in tones],
+                           nu=choice.nu)
+
+
 def ck_transform_solution(choice: DebyeChoice, include_poloidal: bool = True) -> AnalyticProfile:
     """G = Gamma x (Psi w) + (1/nu) Gamma x Gamma x (Psi w), exact tone algebra.
 
@@ -90,28 +102,20 @@ def ck_transform_solution(choice: DebyeChoice, include_poloidal: bool = True) ->
     full solution always satisfies Gamma x G = nu G.
     """
     nu = choice.nu
-    atoms = []
-    for t in choice.tones:
-        w = choice.omega_at(t.direction)
-        d = t.direction
-        toroidal = 1j * t.frequency * np.cross(d, w)
-        amp = t.coefficient * toroidal
-        if include_poloidal:
-            poloidal = -(t.frequency**2 / nu) * np.cross(d, np.cross(d, w))
-            amp = t.coefficient * (toroidal + poloidal)
-        atoms.append(RadonAtom(d, t.frequency, amp, weight=t.weight))
-    return AnalyticProfile(atoms=tuple(atoms), nu=nu, mu=1, g=1.0)
+
+    def amplitude(d, freq, w):
+        toroidal = 1j * freq * np.cross(d, w)
+        if not include_poloidal:
+            return toroidal
+        return toroidal - (freq**2 / nu) * np.cross(d, np.cross(d, w))
+
+    return _tone_profile(choice, amplitude)
 
 
 def ck_transform_potential(choice: DebyeChoice) -> AnalyticProfile:
     """H = Psi w + (1/nu) Gamma x (Psi w); satisfies Gamma x H = G."""
-    nu = choice.nu
-    atoms = []
-    for t in choice.tones:
-        w = choice.omega_at(t.direction)
-        amp = t.coefficient * (w + (1j * t.frequency / nu) * np.cross(t.direction, w))
-        atoms.append(RadonAtom(t.direction, t.frequency, amp, weight=t.weight))
-    return AnalyticProfile(atoms=tuple(atoms), nu=nu, mu=1, g=1.0)
+    return _tone_profile(
+        choice, lambda d, freq, w: w + (1j * freq / choice.nu) * np.cross(d, w))
 
 
 def ck_transform_potential_check(choice: DebyeChoice) -> tuple[float, float]:
@@ -186,13 +190,15 @@ def ck_integral_profile(omega1, omega2, lam: int, nu: float) -> AnalyticProfile:
         raise ValueError("lam must be +1 or -1")
     if nu == 0.0:
         raise ValueError("nu must be nonzero")
-    atoms = []
-    for sign, omegas in ((1, omega1), (-1, omega2)):
-        for oa in omegas:
-            d, w = oa.direction, oa.vector
-            amp = 0.5 * (sign * 1j * lam * np.cross(d, w) - np.cross(d, np.cross(d, w)))
-            atoms.append(RadonAtom(d, sign * lam * nu, amp, weight=oa.weight))
-    return AnalyticProfile(atoms=tuple(atoms), nu=nu, mu=1, g=1.0)
+    omegas = tuple(omega1) + tuple(omega2)
+    sign = np.repeat([1.0, -1.0], [len(omega1), len(omega2)])
+    d = np.reshape([oa.direction for oa in omegas], (-1, 3))
+    w = np.reshape([oa.vector for oa in omegas], (-1, 3))
+    dxw = np.cross(d, w)
+    return AnalyticProfile(
+        directions=d, frequencies=sign * lam * nu,
+        amplitudes=0.5 * ((sign * 1j * lam)[:, None] * dxw - np.cross(d, dxw)),
+        weights=[oa.weight for oa in omegas], nu=nu, mu=1, g=1.0)
 
 
 def reconstruct_physical(omega1, omega2, lam: int, nu: float, x) -> np.ndarray:

@@ -156,28 +156,35 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
     parsed = _parse_params(params)
     sidecar: dict = {"field": field_name, "params": parsed}
 
-    if field_name == "lundquist":
-        profile = radon.lundquist_radon_profile(
-            float(parsed.get("f0", 1.0)), float(parsed.get("nu", 1.0)),
-            n_ring=int(parsed.get("n_ring", 64)))
+    # malformed specs and catalog parameters are usage errors, raised before
+    # the grid transform runs
+    try:
+        if field_name == "lundquist":
+            profile = radon.lundquist_radon_profile(
+                float(parsed.get("f0", 1.0)), float(parsed.get("nu", 1.0)),
+                n_ring=int(parsed.get("n_ring", 64)))
+        elif field_name == "modes":
+            profile = radon.radon_mode_analytic(_mode_field_from_params(parsed))
+        elif field_name == "gaussian":
+            f = build_field("gaussian", parsed)
+            width = float(parsed.get("width", 1.0))
+            sphere = sphere_quadrature(*_parse_quad(quad_spec), antipodal=True)
+            pieces = pgrid_spec.split(":")
+            if len(pieces) != 3:
+                raise click.UsageError("pgrid spec must be 'p0:p1:n'")
+            p0, p1, n_p = float(pieces[0]), float(pieces[1]), int(pieces[2])
+            p = radon.validate_p_grid(p0 + (p1 - p0) * np.arange(n_p) / n_p)
+        else:
+            raise click.ClickException(f"unknown field name {field_name!r}")
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(f"invalid {field_name} input: {exc}") from exc
+
+    if field_name != "gaussian":
         _atomic_write(out_dir / "profile_atoms.json", radon.profile_to_json(profile) + "\n")
-        sidecar.update(mode="analytic", atoms=len(profile.atoms), support="equatorial-ring")
-    elif field_name == "modes":
-        profile = radon.radon_mode_analytic(_mode_field_from_params(parsed))
-        _atomic_write(out_dir / "profile_atoms.json", radon.profile_to_json(profile) + "\n")
-        sidecar.update(mode="analytic", atoms=len(profile.atoms), support="point-atoms")
-    elif field_name == "gaussian":
-        f = build_field("gaussian", parsed)
-        width = float(parsed.get("width", 1.0))
-        n_polar, n_azimuth = _parse_quad(quad_spec)
-        sphere = sphere_quadrature(n_polar, n_azimuth, antipodal=True)
-        pieces = pgrid_spec.split(":")
-        if len(pieces) != 3:
-            raise click.UsageError("pgrid spec must be 'p0:p1:n'")
-        p0, p1, n_p = float(pieces[0]), float(pieces[1]), int(pieces[2])
-        p = p0 + (p1 - p0) * np.arange(n_p) / n_p
+        sidecar.update(mode="analytic", atoms=len(profile.frequencies),
+                       support="equatorial-ring" if field_name == "lundquist" else "point-atoms")
+    else:
         plane = PlaneQuadrature(half_width=8.0 * width, n_per_axis=40)
-        truncation_warned = False
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", radon.TruncationWarning)
             grid = radon.radon_forward_grid(f, p, sphere, plane)
@@ -196,8 +203,6 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
                        parity_check="pass" if parity < 1e-8 else "fail",
                        truncation_warning=truncation_warned,
                        n_p=n_p, n_directions=sphere.n)
-    else:
-        raise click.ClickException(f"unknown field name {field_name!r}")
 
     _atomic_write(out_dir / "radon_meta.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     click.echo(f"wrote transform outputs to {out_dir}")

@@ -1,12 +1,15 @@
 """Radon transforms of vector fields and the transform-space Gamma calculus.
 
 Two profile representations coexist.  Analytic profiles hold distributional
-transforms of constant-curl fields as finite lists of atoms: a direction on
-the sphere carrying a pure tone exp(i omega p) with a complex 3-vector
-amplitude and a quadrature weight (1 for a point delta on the sphere,
-2 pi / n for nodes discretizing a line delta such as the equatorial ring).
-Grid profiles hold samples over a periodic p-grid times a sphere quadrature
-and are used for Schwartz-class numerics; p-derivatives are spectral there.
+transforms of constant-curl fields exactly, as atoms: a direction on the
+sphere carrying a pure tone exp(i omega p) with a complex 3-vector (or
+scalar) amplitude and a quadrature weight (1 for a point delta on the
+sphere, 2 pi / n for nodes discretizing a line delta such as the equatorial
+ring).  The atoms are stored as four arrays, one row per atom, so every atom
+identity is an array expression; ``AnalyticProfile.atoms`` is a tuple of
+row views.  Grid profiles hold samples over a periodic p-grid times a sphere
+quadrature and are used for Schwartz-class numerics; p-derivatives are
+spectral there.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .core import (PlaneQuadrature, SphereQuadrature, as_direction, fd_field,
-                   plane_basis)
+from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, as_direction,
+                   fd_field, plane_basis)
 from .fields import ModeField
 from .moses import frame_index_of, helicity_of, moses_frame
 
@@ -35,12 +39,9 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class RadonAtom:
-    """One tone exp(i frequency p) attached to a direction.
-
-    ``weight`` is the solid-angle measure the atom carries when integrated
-    over the sphere: 1 for a point delta, the node spacing for a discretized
-    line delta.  Amplitude may be a complex 3-vector or a scalar (for
-    transforms of scalar functions).
+    """One row of an :class:`AnalyticProfile`: a tone exp(i frequency p) at a
+    direction with a complex 3-vector or scalar amplitude and the solid-angle
+    weight it carries (1 for a point delta, the node spacing on a line delta).
     """
 
     direction: np.ndarray
@@ -48,79 +49,117 @@ class RadonAtom:
     amplitude: np.ndarray
     weight: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "direction", as_direction(self.direction))
-        object.__setattr__(self, "amplitude", np.asarray(self.amplitude, dtype=complex))
-        if self.weight <= 0:
-            raise ValueError("atom weight must be positive")
 
-    @property
-    def is_vector(self) -> bool:
-        return self.amplitude.shape == (3,)
+# Fixed generic projection of (direction, frequency) that orders atoms for
+# matching; atoms within tol of each other project within sqrt(2) tol.
+_MATCH_AXIS = np.sqrt([2.0, 3.0, 5.0, 7.0]) / np.sqrt(17.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalyticProfile:
-    """Finite atom sum representing a transform-space field exactly."""
+    """Finite atom sum representing a transform-space field exactly; atom j
+    is row j of the arrays, amplitudes being (n, 3) or, for scalars, (n,)."""
 
-    atoms: tuple
+    directions: np.ndarray
+    frequencies: np.ndarray
+    amplitudes: np.ndarray
+    weights: np.ndarray
     nu: float
     mu: int = 1
     g: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+        # private read-only copies, so the validated rows cannot change later
+        for name, dtype in (("directions", float), ("frequencies", float),
+                            ("amplitudes", complex), ("weights", float)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        n = self.frequencies.size
+        if (self.directions.shape != (n, 3) or self.frequencies.shape != (n,)
+                or self.weights.shape != (n,) or self.amplitudes.shape not in ((n,), (n, 3))):
+            raise ValueError("profile arrays must be shaped directions (n, 3), frequencies"
+                             " (n,), amplitudes (n, 3) or (n,) and weights (n,)")
+        as_direction(self.directions)
+        if not (np.all(np.isfinite(self.frequencies)) and np.all(np.isfinite(self.amplitudes))):
+            raise ValueError("atom frequencies and amplitudes must be finite")
+        if not np.all(self.weights > 0.0):
+            raise ValueError("atom weights must be positive")
+
+    @classmethod
+    def from_atoms(cls, atoms, nu: float, mu: int = 1, g: float = 1.0) -> "AnalyticProfile":
+        """Profile stacked from rows with direction, frequency, amplitude and weight."""
+        atoms = tuple(atoms)
+        return cls(np.reshape([a.direction for a in atoms], (-1, 3)),
+                   [a.frequency for a in atoms], [a.amplitude for a in atoms],
+                   [a.weight for a in atoms], nu=nu, mu=mu, g=g)
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """The rows as :class:`RadonAtom` views into the arrays."""
+        return tuple(map(RadonAtom, self.directions, self.frequencies.tolist(),
+                         self.amplitudes, self.weights.tolist()))
+
+    @property
+    def is_vector(self) -> bool:
+        return self.amplitudes.ndim == 2
 
     def transverse_defect(self) -> float:
-        """Max |kappa . amplitude| over vector atoms (0 for Trkalian profiles)."""
-        worst = 0.0
-        for a in self.atoms:
-            if a.is_vector:
-                worst = max(worst, abs(np.dot(a.direction, a.amplitude)))
-        return worst
+        """Max |kappa . amplitude| over the atoms (0 for Trkalian and scalar profiles)."""
+        dots = kappa_product(self.directions, self.amplitudes, "dot") if self.is_vector else 0.0
+        return float(np.max(np.abs(dots), initial=0.0))
+
+    def index_of(self, directions, frequencies, tol: float = 1e-9) -> np.ndarray:
+        """Lowest row j with |frequencies[j] - f| < tol and |directions[j] - d| < tol
+        for each query (d, f), or -1; after one O(n log n) sort of the atom
+        projections, a binary search finds each query's candidates."""
+        query_d = np.reshape(directions, (-1, 3))
+        query_f = np.reshape(frequencies, -1)
+        keys = self.directions @ _MATCH_AXIS[:3] + self.frequencies * _MATCH_AXIS[3]
+        query = query_d @ _MATCH_AXIS[:3] + query_f * _MATCH_AXIS[3]
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        # the window covers sqrt(2) tol plus the rounding of the projections
+        span = np.max(np.abs(keys), initial=1.0) + np.max(np.abs(query), initial=1.0)
+        half = 2.0 * tol + 8.0 * np.finfo(float).eps * span
+        lo = np.searchsorted(sorted_keys, query - half, side="left")
+        hi = np.searchsorted(sorted_keys, query + half, side="right")
+        found = np.full(query.shape, -1)
+        for step in range(int(np.max(hi - lo, initial=0))):
+            cand = order[np.minimum(lo + step, order.size - 1)]
+            hit = ((lo + step < hi)
+                   & (np.abs(self.frequencies[cand] - query_f) < tol)
+                   & (np.linalg.norm(self.directions[cand] - query_d, axis=-1) < tol))
+            found = np.where(hit & ((found < 0) | (cand < found)), cand, found)
+        return found
 
     def parity_defect(self) -> float:
-        """Max amplitude mismatch between an atom and its (-p, -kappa) partner."""
-        worst = 0.0
-        for a in self.atoms:
-            partner = _find_atom(self.atoms, -a.direction, -a.frequency)
-            if partner is None:
-                return np.inf
-            worst = max(worst, float(np.max(np.abs(a.amplitude - partner.amplitude))))
-        return worst
-
-    def atoms_at(self, kappa, tol: float = 1e-9) -> list:
-        k = as_direction(kappa)
-        return [a for a in self.atoms if np.linalg.norm(a.direction - k) < tol]
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked atom directions (n, 3), frequencies (n,) and amplitudes
-        (n, 3) or (n,); a profile without atoms counts as a vector profile."""
-        directions = np.array([a.direction for a in self.atoms]).reshape(-1, 3)
-        frequencies = np.array([a.frequency for a in self.atoms], dtype=float)
-        amplitudes = (np.array([a.amplitude for a in self.atoms]) if self.atoms
-                      else np.zeros((0, 3), dtype=complex))
-        return directions, frequencies, amplitudes
-
-    def with_amplitudes(self, amplitudes) -> "AnalyticProfile":
-        """The same atoms carrying new amplitudes, one row per atom."""
-        return replace(self, atoms=tuple(replace(a, amplitude=amp)
-                                         for a, amp in zip(self.atoms, amplitudes)))
+        """Max amplitude mismatch between an atom and its (-p, -kappa) partner
+        (inf when some atom has no partner)."""
+        partner = self.index_of(-self.directions, -self.frequencies)
+        if np.any(partner < 0):
+            return np.inf
+        diff = self.amplitudes - self.amplitudes[partner]
+        return float(np.max(np.abs(diff), initial=0.0))
 
     def amplitude_distance(self, other: "AnalyticProfile", scale: complex = 1.0) -> float:
         """Max atom-wise |amplitude - scale * other amplitude| over paired atoms."""
-        if len(self.atoms) != len(other.atoms):
+        if self.frequencies.shape != other.frequencies.shape:
             raise ValueError("profiles pair atoms one to one")
-        diff = self.arrays()[2] - scale * other.arrays()[2]
+        diff = self.amplitudes - scale * other.amplitudes
         return float(np.max(np.abs(diff), initial=0.0))
 
 
-def _find_atom(atoms, direction, frequency, tol: float = 1e-9):
-    for a in atoms:
-        if (abs(a.frequency - frequency) < tol
-                and np.linalg.norm(a.direction - direction) < tol):
-            return a
-    return None
+def validate_p_grid(p) -> np.ndarray:
+    """The p-grid as floats; ValueError unless uniform, increasing and of
+    power-of-two size."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size < 2 or (p.size & (p.size - 1)) != 0:
+        raise ValueError("p-grid size must be a power of two")
+    dp = np.diff(p)
+    if not (dp[0] > 0.0 and np.allclose(dp, dp[0], rtol=0, atol=1e-12 * dp[0])):
+        raise ValueError("p-grid must be uniform and increasing")
+    return p
 
 
 @dataclass(frozen=True)
@@ -137,15 +176,9 @@ class GridProfile:
     samples: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        n = p.size
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError("p-grid size must be a power of two")
-        dp = np.diff(p)
-        if not np.allclose(dp, dp[0], rtol=0, atol=1e-12 * abs(dp[0])):
-            raise ValueError("p-grid must be uniform")
+        p = validate_p_grid(self.p)
         samples = np.asarray(self.samples, dtype=complex)
-        if samples.shape[0] != n or samples.shape[1] != self.sphere.n:
+        if samples.shape[0] != p.size or samples.shape[1] != self.sphere.n:
             raise ValueError("samples must be shaped (n_p, n_dir[, 3])")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "samples", samples)
@@ -176,41 +209,47 @@ class GridProfile:
 
 @dataclass(frozen=True)
 class Hemisphere:
-    """Measurable half of the sphere holding one of each antipodal pair."""
+    """Measurable half of the sphere holding one of each antipodal pair.
+
+    ``indicator`` maps directions (n, 3) to membership flags (n,).
+    """
 
     indicator: object
     name: str = "hemisphere"
 
+    def members(self, kappa) -> np.ndarray:
+        k = as_direction(kappa)
+        inside = np.asarray(self.indicator(k), dtype=bool)
+        if inside.shape != k.shape[:-1]:
+            raise ValueError("hemisphere indicator must map directions (n, 3) to flags (n,)")
+        return inside
+
     def contains(self, kappa) -> bool:
-        return bool(self.indicator(as_direction(kappa)))
+        return bool(self.members(np.reshape(kappa, (1, 3)))[0])
 
     def complement(self) -> "Hemisphere":
         ind = self.indicator
-        return Hemisphere(indicator=lambda k: not ind(k), name=self.name + "'")
+        return Hemisphere(indicator=lambda k: ~np.asarray(ind(k), dtype=bool),
+                          name=self.name + "'")
 
     def validate_on(self, quad: SphereQuadrature) -> None:
         """Check the one-of-each-pair property on an antipodal quadrature."""
         if not quad.antipodal or quad.antipode_index is None:
             raise ValueError("hemisphere validation needs an antipodal quadrature")
-        for i, j in enumerate(quad.antipode_index):
-            a = self.contains(quad.nodes[i])
-            b = self.contains(quad.nodes[j])
-            if a == b:
-                raise ValueError(
-                    f"indicator keeps {'both' if a else 'neither'} of an antipodal pair"
-                )
+        inside = self.members(quad.nodes)
+        same = np.flatnonzero(inside == inside[quad.antipode_index])
+        if same.size:
+            raise ValueError(f"indicator keeps {'both' if inside[same[0]] else 'neither'}"
+                             " of an antipodal pair")
 
 
 def canonical_hemisphere() -> Hemisphere:
     """Lexicographic canonical hemisphere: first nonzero of (kz, kx, ky) positive."""
 
     def indicator(k):
-        for c in (k[2], k[0], k[1]):
-            if c > 0.0:
-                return True
-            if c < 0.0:
-                return False
-        return False
+        ordered = k[..., [2, 0, 1]]
+        first = np.argmax(ordered != 0.0, axis=-1)
+        return np.take_along_axis(ordered, first[..., None], axis=-1)[..., 0] > 0.0
 
     return Hemisphere(indicator=indicator, name="lexicographic")
 
@@ -225,10 +264,7 @@ def cap_swapped_hemisphere(axis, cos_cap: float = 0.9) -> Hemisphere:
     ax = as_direction(axis)
 
     def indicator(k):
-        inside = base.indicator(k)
-        if abs(np.dot(k, ax)) > cos_cap:
-            return not inside
-        return inside
+        return base.indicator(k) ^ (np.abs(k @ ax) > cos_cap)
 
     return Hemisphere(indicator=indicator, name="cap-swapped")
 
@@ -275,10 +311,8 @@ def radon_forward_numeric(fn, p: float, kappa, quad: PlaneQuadrature):
 def radon_forward_grid(fn, p_grid, sphere: SphereQuadrature, quad: PlaneQuadrature) -> GridProfile:
     """Numeric transform sampled on a p-grid times a direction set."""
     p_grid = np.asarray(p_grid, dtype=float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        samples = np.array([[radon_forward_numeric(fn, float(pv), k, quad) for k in sphere.nodes]
-                            for pv in p_grid])  # (n_p, n_dir[, 3])
+    samples = np.array([[radon_forward_numeric(fn, float(pv), k, quad) for k in sphere.nodes]
+                        for pv in p_grid])  # (n_p, n_dir[, 3])
     return GridProfile(p=p_grid, sphere=sphere, samples=samples)
 
 
@@ -293,13 +327,16 @@ def radon_mode_analytic(f: ModeField) -> AnalyticProfile:
     (tone -lam*nu) with the common amplitude
     (2 pi)^{1/2} / (g nu^2) * s * Q_lam(kappa0).
     """
-    atoms = []
-    for m in f.modes:
-        q = moses_frame(m.kappa0, frame_index_of(m.lam))
-        amp = np.sqrt(2.0 * np.pi) / (m.g * m.nu**2) * m.amplitude * q
-        atoms.append(RadonAtom(m.mu * m.kappa0, m.lam * m.nu, amp))
-        atoms.append(RadonAtom(-m.mu * m.kappa0, -m.lam * m.nu, amp))
-    profile = AnalyticProfile(atoms=tuple(atoms), nu=f.nu, mu=f.mu, g=f.g)
+    # the modes share (nu, mu) and mu lam nu > 0, hence one helicity
+    lam = f.modes[0].lam
+    kappa0 = np.array([m.kappa0 for m in f.modes])
+    coeff = np.sqrt(2.0 * np.pi) / (f.g * f.nu**2) * np.array([m.amplitude for m in f.modes])
+    amp = coeff[:, None] * moses_frame(kappa0, frame_index_of(lam))
+    profile = AnalyticProfile(
+        directions=np.stack([f.mu * kappa0, -f.mu * kappa0], axis=1).reshape(-1, 3),
+        frequencies=np.tile([lam * f.nu, -lam * f.nu], len(f.modes)),
+        amplitudes=np.repeat(amp, 2, axis=0), weights=np.ones(2 * len(f.modes)),
+        nu=f.nu, mu=f.mu, g=f.g)
     defect = profile.transverse_defect()
     if defect > 1e-12:
         raise AssertionError(f"mode profile not transverse: {defect:.3e}")
@@ -319,27 +356,25 @@ def lundquist_radon_profile(f0: float, nu: float, n_ring: int = 64) -> AnalyticP
     if n_ring < 4 or n_ring % 2 != 0:
         raise ValueError("n_ring must be even and at least 4")
     coeff = 2.0 * np.pi * 1j * f0 / nu**2
-    w = 2.0 * np.pi / n_ring
-    atoms = []
-    for j in range(n_ring):
-        psi = 2.0 * np.pi * j / n_ring
-        k = np.array([np.cos(psi), np.sin(psi), 0.0])
-        ell = np.array([np.sin(psi), -np.cos(psi), -1j])
-        ellp = np.array([-np.sin(psi), np.cos(psi), -1j])
-        atoms.append(RadonAtom(k, nu, coeff * ell, weight=w))
-        atoms.append(RadonAtom(k, -nu, coeff * ellp, weight=w))
-    return AnalyticProfile(atoms=tuple(atoms), nu=nu, mu=1, g=1.0)
+    psi = 2.0 * np.pi * np.arange(n_ring) / n_ring
+    cos, sin = np.cos(psi), np.sin(psi)
+    minus_i = np.full(n_ring, -1j)  # complex(-0.0, -1.0), as the literal -1j
+    ell = np.stack([sin, -cos, minus_i], axis=1)
+    ellp = np.stack([-sin, cos, minus_i], axis=1)
+    return AnalyticProfile(
+        directions=np.repeat(np.stack([cos, sin, np.zeros(n_ring)], axis=1), 2, axis=0),
+        frequencies=np.tile([nu, -nu], n_ring),
+        amplitudes=(coeff * np.stack([ell, ellp], axis=1)).reshape(-1, 3),
+        weights=np.full(2 * n_ring, 2.0 * np.pi / n_ring), nu=nu, mu=1, g=1.0)
 
 
 def scalar_wave_profile(kappa0, omega: float, coefficient: complex = 1.0) -> AnalyticProfile:
     """Transform of the scalar plane wave c e^{i omega kappa0 . x} (atom pair)."""
     k0 = as_direction(kappa0)
     amp = (2.0 * np.pi) ** 2 / omega**2 * complex(coefficient)
-    atoms = (
-        RadonAtom(k0, omega, np.asarray(amp)),
-        RadonAtom(-k0, -omega, np.asarray(amp)),
-    )
-    return AnalyticProfile(atoms=atoms, nu=abs(omega), mu=1, g=1.0)
+    return AnalyticProfile(directions=np.stack([k0, -k0]), frequencies=[omega, -omega],
+                           amplitudes=[amp, amp], weights=np.ones(2),
+                           nu=abs(omega), mu=1, g=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +415,9 @@ def gamma_apply(profile, kind: str):
     periodic grids.  ``kind`` is "cross", "dot" or "grad".
     """
     if isinstance(profile, AnalyticProfile):
-        directions, frequencies, amplitudes = profile.arrays()
-        out = kappa_product(directions, amplitudes, kind)
-        scale = (1j * frequencies).reshape((-1,) + (1,) * (out.ndim - 1))
-        return profile.with_amplitudes(scale * out)
+        out = kappa_product(profile.directions, profile.amplitudes, kind)
+        scale = (1j * profile.frequencies).reshape((-1,) + (1,) * (out.ndim - 1))
+        return replace(profile, amplitudes=scale * out)
     if isinstance(profile, GridProfile):
         out = kappa_product(profile.sphere.nodes[None], _spectral_p_derivative(profile), kind)
         return replace(profile, samples=out)
@@ -430,12 +464,17 @@ def intertwining_check(fn, kappa, p: float, kind: str, quad: PlaneQuadrature,
 # adjoint, inverse and hemisphere-refined inverse
 # ---------------------------------------------------------------------------
 
-def _atom_wave(atom: RadonAtom, x: np.ndarray, scale: complex) -> np.ndarray:
-    """scale * amplitude * exp(i omega kappa . x), broadcasting over x batches."""
-    phase = np.exp(1j * atom.frequency * (x @ atom.direction))
-    if atom.is_vector:
-        return scale * phase[..., None] * atom.amplitude
-    return scale * phase * atom.amplitude
+def _atom_sum(profile: AnalyticProfile, x, scale: np.ndarray):
+    """Sum over atoms j of scale_j amplitude_j exp(i omega_j kappa_j . x) at
+    x (..., 3), row by row so memory stays O(points); zero scales are skipped."""
+    x = np.asarray(x, dtype=float)
+    out = 0.0
+    for j in np.flatnonzero(scale):
+        phase = np.exp(1j * profile.frequencies[j] * (x @ profile.directions[j]))
+        if profile.is_vector:
+            phase = phase[..., None]
+        out = out + scale[j] * phase * profile.amplitudes[j]
+    return out
 
 
 def adjoint_radon(profile, x, quad: SphereQuadrature | None = None):
@@ -444,12 +483,9 @@ def adjoint_radon(profile, x, quad: SphereQuadrature | None = None):
     Atom profiles integrate exactly; callables G(p, kappa) are summed against
     the supplied sphere quadrature.
     """
-    x = np.asarray(x, dtype=float)
     if isinstance(profile, AnalyticProfile):
-        out = 0.0
-        for a in profile.atoms:
-            out = out + _atom_wave(a, x, a.weight)
-        return out
+        return _atom_sum(profile, x, profile.weights)
+    x = np.asarray(x, dtype=float)
     if quad is None:
         raise ValueError("sphere quadrature required for callable profiles")
     values = np.stack([np.asarray(profile(float(node @ x), node)) for node in quad.nodes])
@@ -463,16 +499,13 @@ def inverse_radon(profile, x, quad: SphereQuadrature | None = None):
     by trigonometric interpolation at p = kappa . x against the grid's own
     direction quadrature.
     """
-    x = np.asarray(x, dtype=float)
     if isinstance(profile, AnalyticProfile):
-        out = 0.0
-        for a in profile.atoms:
-            out = out + _atom_wave(a, x, a.weight * a.frequency**2 / (8.0 * np.pi**2))
-        return out
+        return _atom_sum(profile, x, profile.weights * profile.frequencies**2 / (8.0 * np.pi**2))
     if isinstance(profile, GridProfile):
+        x = np.asarray(x, dtype=float)
         coeffs = np.fft.fft(profile.samples, axis=0) / profile.n_p
         k = profile.frequencies()
-        pstar = profile.sphere.nodes @ x  # (n_dir,)
+        pstar = profile.sphere.nodes @ x - profile.p[0]  # (n_dir,), from the grid start
         phases = np.exp(1j * np.outer(k, pstar))  # (n_p, n_dir)
         shape = (profile.n_p, profile.sphere.n) + (1,) * (profile.samples.ndim - 2)
         second = np.sum((-k**2).reshape(-1, *([1] * (profile.samples.ndim - 1)))
@@ -483,12 +516,8 @@ def inverse_radon(profile, x, quad: SphereQuadrature | None = None):
 
 def hemisphere_inverse(profile: AnalyticProfile, hemisphere: Hemisphere, x):
     """Refined reconstruction -(1/4 pi^2) over a canonical hemisphere only."""
-    x = np.asarray(x, dtype=float)
-    out = 0.0
-    for a in profile.atoms:
-        if hemisphere.contains(a.direction):
-            out = out + _atom_wave(a, x, a.weight * a.frequency**2 / (4.0 * np.pi**2))
-    return out
+    scale = profile.weights * profile.frequencies**2 / (4.0 * np.pi**2)
+    return _atom_sum(profile, x, np.where(hemisphere.members(profile.directions), scale, 0.0))
 
 
 def radon_of_hemisphere_inverse(profile: AnalyticProfile,
@@ -500,12 +529,13 @@ def radon_of_hemisphere_inverse(profile: AnalyticProfile,
     transforms this reproduces the input, otherwise the complementary
     directions receive the parity image F(-p, -kappa).
     """
-    atoms = []
-    for a in profile.atoms:
-        if hemisphere.contains(a.direction):
-            atoms.append(a)
-            atoms.append(RadonAtom(-a.direction, -a.frequency, a.amplitude, a.weight))
-    return replace(profile, atoms=tuple(atoms))
+    keep = hemisphere.members(profile.directions)
+    directions, frequencies = profile.directions[keep], profile.frequencies[keep]
+    return replace(profile,
+                   directions=np.stack([directions, -directions], axis=1).reshape(-1, 3),
+                   frequencies=np.stack([frequencies, -frequencies], axis=1).reshape(-1),
+                   amplitudes=np.repeat(profile.amplitudes[keep], 2, axis=0),
+                   weights=np.repeat(profile.weights[keep], 2))
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +547,7 @@ def transform_radon_linear(profile: AnalyticProfile, t: np.ndarray) -> AnalyticP
     t = np.asarray(t, dtype=float)
     if t.shape != (3, 3) or np.max(np.abs(t.T @ t - np.eye(3))) > 1e-12:
         raise ValueError("T must be an orthogonal 3x3 matrix")
-    atoms = tuple(replace(a, direction=t @ a.direction) for a in profile.atoms)
-    return replace(profile, atoms=atoms)
+    return replace(profile, directions=profile.directions @ t.T)
 
 
 def antipodal_profile(profile: AnalyticProfile) -> AnalyticProfile:
@@ -540,19 +569,16 @@ def spherical_curl_transform(profile: AnalyticProfile, kappa, p: float = 0.0,
     supported on a line delta the returned value is the line density.
     """
     k = as_direction(kappa)
-    atoms = profile.atoms_at(k, tol=tol)
+    if not profile.is_vector:
+        raise ValueError("probe requires vector amplitudes")
+    at_k = np.linalg.norm(profile.directions - k, axis=-1) < tol
+    tones = np.exp(1j * profile.frequencies[at_k] * p)
     pref = profile.g * profile.nu**2 / np.sqrt(2.0 * np.pi)
     out = []
     for a_idx in (1, 2):
-        lam = helicity_of(a_idx)
-        q = moses_frame(k, a_idx)
-        total = 0.0 + 0.0j
-        for atom in atoms:
-            if not atom.is_vector:
-                raise ValueError("probe requires vector amplitudes")
-            total += np.exp(1j * atom.frequency * p) * np.vdot(q, atom.amplitude)
-        phase = np.exp(-1j * profile.mu * lam * profile.nu * p)
-        out.append(pref * phase * total)
+        total = np.sum(tones * (profile.amplitudes[at_k] @ np.conj(moses_frame(k, a_idx))))
+        phase = np.exp(-1j * profile.mu * helicity_of(a_idx) * profile.nu * p)
+        out.append(complex(pref * phase * total))
     return out[0], out[1]
 
 
@@ -562,33 +588,34 @@ def spherical_curl_transform(profile: AnalyticProfile, kappa, p: float = 0.0,
 
 def profile_to_json(profile: AnalyticProfile) -> str:
     """Serialize an analytic profile as a JSON atom list."""
+    amplitudes = profile.amplitudes if profile.is_vector else profile.amplitudes[:, None]
+    rows = zip(profile.directions.tolist(), profile.frequencies.tolist(),
+               profile.weights.tolist(), amplitudes.real.tolist(), amplitudes.imag.tolist())
     payload = {
         "nu": profile.nu,
         "mu": profile.mu,
         "g": profile.g,
-        "atoms": [
-            {
-                "direction": [float(c) for c in a.direction],
-                "frequency": float(a.frequency),
-                "weight": float(a.weight),
-                "amplitude_re": [float(c) for c in np.atleast_1d(a.amplitude.real)],
-                "amplitude_im": [float(c) for c in np.atleast_1d(a.amplitude.imag)],
-            }
-            for a in profile.atoms
-        ],
+        "atoms": [{"direction": d, "frequency": f, "weight": w,
+                   "amplitude_re": re, "amplitude_im": im}
+                  for d, f, w, re, im in rows],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def profile_from_json(text: str) -> AnalyticProfile:
+    """Rebuild an analytic profile from :func:`profile_to_json` output; a
+    one-component amplitude marks a scalar profile."""
     payload = json.loads(text)
-    atoms = []
-    for rec in payload["atoms"]:
-        amp = np.asarray(rec["amplitude_re"], dtype=float) + 1j * np.asarray(rec["amplitude_im"], dtype=float)
-        if amp.size == 1:
-            amp = amp.reshape(())
-        atoms.append(RadonAtom(np.asarray(rec["direction"]), rec["frequency"], amp, rec["weight"]))
-    return AnalyticProfile(atoms=tuple(atoms), nu=payload["nu"], mu=payload["mu"], g=payload["g"])
+    records = payload["atoms"]
+    width = len(records[0]["amplitude_re"]) if records else 3
+    amplitudes = np.array([r["amplitude_re"] for r in records], dtype=complex).reshape(-1, width)
+    amplitudes.imag = np.reshape([r["amplitude_im"] for r in records], (-1, width))
+    return AnalyticProfile(
+        directions=np.reshape([r["direction"] for r in records], (-1, 3)),
+        frequencies=[r["frequency"] for r in records],
+        amplitudes=amplitudes[:, 0] if width == 1 else amplitudes,
+        weights=[r["weight"] for r in records],
+        nu=payload["nu"], mu=payload["mu"], g=payload["g"])
 
 
 GRID_CSV_HEADER = "p,kx,ky,kz,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz"
@@ -598,16 +625,12 @@ def grid_to_csv(grid: GridProfile) -> str:
     """Serialize a vector grid profile as CSV with 17-significant-digit floats."""
     if not grid.is_vector:
         raise ValueError("CSV serialization expects vector samples")
-    fmt = "%.17g"
-    lines = [GRID_CSV_HEADER]
-    for i, pv in enumerate(grid.p):
-        for j in range(grid.sphere.n):
-            k = grid.sphere.nodes[j]
-            s = grid.samples[i, j]
-            cells = [pv, k[0], k[1], k[2],
-                     s[0].real, s[0].imag, s[1].real, s[1].imag, s[2].real, s[2].imag]
-            lines.append(",".join(fmt % c for c in cells))
-    return "\n".join(lines) + "\n"
+    samples = grid.samples.reshape(-1, 3)
+    table = np.column_stack([np.repeat(grid.p, grid.sphere.n),
+                             np.tile(grid.sphere.nodes, (grid.n_p, 1)),
+                             np.stack([samples.real, samples.imag], axis=-1).reshape(-1, 6)])
+    lines = [",".join("%.17g" % c for c in row) for row in table.tolist()]
+    return "\n".join([GRID_CSV_HEADER] + lines) + "\n"
 
 
 def grid_from_csv(text: str, sphere: SphereQuadrature) -> GridProfile:
@@ -615,8 +638,11 @@ def grid_from_csv(text: str, sphere: SphereQuadrature) -> GridProfile:
     rows = [line.split(",") for line in text.strip().splitlines()[1:]]
     data = np.asarray(rows, dtype=float)
     n_dir = sphere.n
-    n_p = data.shape[0] // n_dir
-    p = data[::n_dir, 0]
-    re = data[:, 4::2].reshape(n_p, n_dir, 3)
-    im = data[:, 5::2].reshape(n_p, n_dir, 3)
-    return GridProfile(p=p, sphere=sphere, samples=re + 1j * im)
+    n_p = len(rows) // n_dir
+    if n_p == 0 or data.shape != (n_p * n_dir, 10):
+        raise ValueError(f"CSV must hold n_p x {n_dir} rows of 10 columns")
+    nodes = np.tile(sphere.nodes, (n_p, 1))
+    if not np.all(np.linalg.norm(data[:, 1:4] - nodes, axis=1) <= DIRECTION_TOL):
+        raise ValueError("CSV directions differ from the sphere quadrature nodes")
+    samples = (data[:, 4::2] + 1j * data[:, 5::2]).reshape(n_p, n_dir, 3)
+    return GridProfile(p=data[::n_dir, 0], sphere=sphere, samples=samples)

@@ -123,11 +123,10 @@ def rbs_apply(profile, dc_tol: float = DC_TOLERANCE):
     Exact on atoms: amplitude -> (i / frequency) kappa x amplitude.
     """
     if isinstance(profile, AnalyticProfile):
-        directions, frequencies, amplitudes = profile.arrays()
-        if np.any(frequencies == 0.0):
+        if np.any(profile.frequencies == 0.0):
             raise ValueError("RBS undefined on zero-frequency atoms")
-        out = kappa_product(directions, amplitudes, "cross")
-        return profile.with_amplitudes((1j / frequencies)[:, None] * out)
+        out = kappa_product(profile.directions, profile.amplitudes, "cross")
+        return replace(profile, amplitudes=(1j / profile.frequencies)[:, None] * out)
     if isinstance(profile, GridProfile):
         return gamma_apply(radon_riesz(profile, dc_tol=dc_tol), "cross")
     raise TypeError(f"unsupported profile type {type(profile)!r}")
@@ -153,6 +152,7 @@ def rbs_eigendefect(profile: AnalyticProfile) -> float:
 
 
 def gauge_atom(direction, frequency: float, strength: complex) -> RadonAtom:
-    """Atom of a pure-gauge profile: amplitude parallel to its direction."""
-    d = as_direction(direction)
-    return RadonAtom(d, frequency, complex(strength) * d)
+    """Atom of a pure-gauge profile: amplitude parallel to its direction.  The
+    one-row profile built here validates it; its nu is never read."""
+    d = as_direction(direction).reshape(1, 3)
+    return AnalyticProfile(d, [frequency], complex(strength) * d, [1.0], nu=1.0).atoms[0]

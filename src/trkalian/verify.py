@@ -89,14 +89,9 @@ def _smooth_grid_profile(n_p: int = 64, nu: float = 1.0, seed: int = SEED) -> ra
 @_register("frame_orthonormality", "Hermitian orthonormality of the helicity triad", 1e-12)
 def _check_orthonormality() -> float:
     dirs = _random_directions(2000)
-    qs = [moses.moses_frame(dirs, a) for a in (1, 2, 3)]
-    worst = 0.0
-    for ia in range(3):
-        for ib in range(3):
-            dot = np.einsum("nc,nc->n", np.conj(qs[ia]), qs[ib])
-            target = 1.0 if ia == ib else 0.0
-            worst = max(worst, float(np.max(np.abs(dot - target))))
-    return worst
+    q = np.stack([moses.moses_frame(dirs, a) for a in (1, 2, 3)])
+    gram = np.einsum("anc,bnc->abn", np.conj(q), q)
+    return float(np.max(np.abs(gram - np.eye(3)[:, :, None])))
 
 
 @_register("frame_completeness", "Triad completeness sum equals the identity", 1e-12)
@@ -207,11 +202,10 @@ def _check_ampere() -> float:
     for radius in (0.5, 1.0):
         q, phi_s, phi_l = bs.ampere_fluxes(f, radius, 1.0)
         closed = 2.0 * np.pi * radius * bessel_j(1, radius)
-        vals = [phi_s.real, phi_l.real, (1.0 * q).real, closed]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                worst = max(worst, abs(vals[i] - vals[j]) / max(1.0, abs(vals[i]), abs(vals[j])))
-    return worst
+        vals = np.array([phi_s.real, phi_l.real, (1.0 * q).real, closed])
+        scale = np.maximum(1.0, np.abs(vals))
+        worst = max(worst, np.max(np.abs(vals[:, None] - vals) / np.maximum(scale[:, None], scale)))
+    return float(worst)
 
 
 @_register("ampere_zero_radius", "Fluxes vanish at the first Bessel zero", 1e-9)
@@ -250,14 +244,14 @@ def _check_radon_parity() -> float:
 def _check_roundtrip() -> float:
     mf = _mode_field(3, seed=SEED + 10)
     profile = radon.radon_mode_analytic(mf)
-    rng = np.random.default_rng(SEED + 11)
-    worst = 0.0
-    for _ in range(5):
-        x = rng.uniform(-2, 2, size=3)
-        rec = radon.inverse_radon(profile, x)
-        ref = fields.eval_mode_field(mf, x)
-        worst = max(worst, float(np.linalg.norm(rec - ref) / np.linalg.norm(ref)))
-    return worst
+    x = np.random.default_rng(SEED + 11).uniform(-2, 2, size=(5, 3))
+    return _worst_relative(radon.inverse_radon(profile, x), fields.eval_mode_field(mf, x))
+
+
+def _worst_relative(values, reference) -> float:
+    """Max over points (rows) of |values - reference| / |reference|."""
+    return float(np.max(np.linalg.norm(values - reference, axis=-1)
+                        / np.linalg.norm(reference, axis=-1)))
 
 
 @_register("hemisphere_refinement", "Hemisphere reconstructions agree on H and H'", 1e-12)
@@ -265,16 +259,11 @@ def _check_hemisphere() -> float:
     mf = _mode_field(3, seed=SEED + 12)
     profile = radon.radon_mode_analytic(mf)
     hemi = radon.canonical_hemisphere()
-    rng = np.random.default_rng(SEED + 13)
-    worst = 0.0
-    for _ in range(5):
-        x = rng.uniform(-2, 2, size=3)
-        full = radon.inverse_radon(profile, x)
-        on_h = radon.hemisphere_inverse(profile, hemi, x)
-        on_hp = radon.hemisphere_inverse(profile, hemi.complement(), x)
-        worst = max(worst, float(np.max(np.abs(on_h - on_hp))),
-                    float(np.max(np.abs(on_h - full))))
-    return worst
+    x = np.random.default_rng(SEED + 13).uniform(-2, 2, size=(5, 3))
+    on_h = radon.hemisphere_inverse(profile, hemi, x)
+    on_hp = radon.hemisphere_inverse(profile, hemi.complement(), x)
+    return float(max(np.max(np.abs(on_h - on_hp)),
+                     np.max(np.abs(on_h - radon.inverse_radon(profile, x)))))
 
 
 @_register("gamma_eigen_atoms", "Transform-space curl eigenrelation, atom-wise", 1e-12)
@@ -302,25 +291,18 @@ def _check_transversality() -> float:
 def _check_gauge_normality() -> float:
     u_profile = radon.scalar_wave_profile(_random_directions(1, seed=SEED + 17)[0], 1.3, 0.8 + 0.2j)
     grad_profile = radon.gamma_apply(u_profile, "grad")
-    worst = 0.0
-    for a in grad_profile.atoms:
-        tangential = a.amplitude - (a.direction @ a.amplitude) * a.direction
-        worst = max(worst, float(np.max(np.abs(tangential))))
-    return worst
+    d, amps = grad_profile.directions, grad_profile.amplitudes
+    tangential = amps - np.einsum("nk,nk->n", d, amps)[:, None] * d
+    return float(np.max(np.abs(tangential)))
 
 
 @_register("adjoint_eigen", "Double transform scales constant-curl fields by 8 pi^2 / nu^2", 1e-10)
 def _check_adjoint_eigen() -> float:
     mf = _mode_field(3, seed=SEED + 18)
     profile = radon.radon_mode_analytic(mf)
-    rng = np.random.default_rng(SEED + 19)
-    worst = 0.0
-    for _ in range(5):
-        x = rng.uniform(-2, 2, size=3)
-        lhs = radon.adjoint_radon(profile, x)
-        rhs = 8.0 * np.pi**2 / mf.nu**2 * fields.eval_mode_field(mf, x)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)))
-    return worst
+    x = np.random.default_rng(SEED + 19).uniform(-2, 2, size=(5, 3))
+    return _worst_relative(radon.adjoint_radon(profile, x),
+                           8.0 * np.pi**2 / mf.nu**2 * fields.eval_mode_field(mf, x))
 
 
 @_register("adjoint_riesz", "Double transform equals 8 pi^2 times the Riesz potential", 2e-2)
@@ -381,26 +363,18 @@ def _check_riesz_inverse() -> float:
     f = fields.gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0))
     quad = bs.ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
     x = np.array([0.3, -0.2, 0.1])
-    lap = fd_derivative_oracle(lambda y: _riesz_batch(f, y, quad), x, "laplacian", h=2e-2)
+    lap = fd_derivative_oracle(lambda y: _volume_batch(bs.riesz_potential, f, y, quad), x,
+                               "laplacian", h=2e-2)
     val = f(x)
     return float(np.linalg.norm(-lap - val) / np.linalg.norm(val))
 
 
-def _riesz_batch(f, pts, quad):
+def _volume_batch(integral, f, pts, quad):
+    """``integral(f, x, quad)`` at each point of a batch, boundary warnings off."""
     pts = np.asarray(pts, dtype=float)
-    flat = pts.reshape(-1, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = np.stack([bs.riesz_potential(f, p, quad) for p in flat])
-    return out.reshape(pts.shape[:-1] + (3,))
-
-
-def _bs_batch(f, pts, quad):
-    pts = np.asarray(pts, dtype=float)
-    flat = pts.reshape(-1, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = np.stack([bs.bs_integral(f, p, quad) for p in flat])
+        out = np.stack([integral(f, p, quad) for p in pts.reshape(-1, 3)])
     return out.reshape(pts.shape[:-1] + (3,))
 
 
@@ -424,7 +398,8 @@ def _check_bs_inverse() -> float:
     f = _curl_of_gaussian_potential()
     quad = bs.ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
     x = np.array([0.4, 0.1, -0.3])
-    curl = fd_derivative_oracle(lambda y: _bs_batch(f, y, quad), x, "curl", h=2e-2)
+    curl = fd_derivative_oracle(lambda y: _volume_batch(bs.bs_integral, f, y, quad), x,
+                                "curl", h=2e-2)
     val = f(x)
     return float(np.linalg.norm(curl - val) / np.linalg.norm(val))
 
@@ -434,7 +409,8 @@ def _check_bs_divergence() -> float:
     f = _curl_of_gaussian_potential()
     quad = bs.ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
     x = np.array([0.2, -0.4, 0.3])
-    div = fd_derivative_oracle(lambda y: _bs_batch(f, y, quad), x, "divergence", h=2e-2)
+    div = fd_derivative_oracle(lambda y: _volume_batch(bs.bs_integral, f, y, quad), x,
+                               "divergence", h=2e-2)
     return float(abs(div) / np.linalg.norm(f(x)))
 
 
@@ -470,11 +446,10 @@ def _check_rbs_atoms() -> float:
 @_register("rbs_gauge_kernel", "Gauge profiles lie in the RBS kernel", 1e-12)
 def _check_rbs_kernel() -> float:
     k0 = _random_directions(1, seed=SEED + 22)[0]
-    gauge = radon.AnalyticProfile(
-        atoms=(rbs_mod.gauge_atom(k0, 1.0, 2.0 - 1j), rbs_mod.gauge_atom(-k0, -1.0, 2.0 - 1j)),
+    gauge = radon.AnalyticProfile.from_atoms(
+        (rbs_mod.gauge_atom(k0, 1.0, 2.0 - 1j), rbs_mod.gauge_atom(-k0, -1.0, 2.0 - 1j)),
         nu=1.0)
-    out = rbs_mod.rbs_apply(gauge)
-    return float(max(np.max(np.abs(a.amplitude)) for a in out.atoms))
+    return float(np.max(np.abs(rbs_mod.rbs_apply(gauge).amplitudes)))
 
 
 @_register("rbs_left_inverse_grid", "RBS is a left inverse of Gamma x on transverse grids", 1e-9)
@@ -521,14 +496,17 @@ def _check_ck_mode() -> float:
     sol = ckt.ck_transform_solution(choice, include_poloidal=False)
     mf = fields.ModeField(modes=(fields.HelicityMode(lam, nu, k0, (2.0 * np.pi) ** 1.5),))
     target = radon.radon_mode_analytic(mf)
-    worst = 0.0
-    for a in sol.atoms:
-        partner = [b for b in target.atoms
-                   if np.linalg.norm(b.direction - a.direction) < 1e-12
-                   and abs(b.frequency - a.frequency) < 1e-12][0]
-        worst = max(worst, float(np.max(np.abs(a.amplitude - partner.amplitude))))
+    worst = _partner_distance(sol, target)
     curl_res, rbs_res = ckt.ck_transform_potential_check(choice)
     return max(worst, curl_res, rbs_res)
+
+
+def _partner_distance(profile, target) -> float:
+    """Max amplitude distance from each atom to its ``target`` atom (inf if missing)."""
+    partner = target.index_of(profile.directions, profile.frequencies, tol=1e-12)
+    if np.any(partner < 0):
+        return np.inf
+    return float(np.max(np.abs(profile.amplitudes - target.amplitudes[partner]), initial=0.0))
 
 
 @_register("ck_transform_ring", "Debye tones reproduce the cylindrical ring profile", 1e-12)
@@ -537,26 +515,17 @@ def _check_ck_ring() -> float:
     n_ring = 16
     target = radon.lundquist_radon_profile(f0, nu, n_ring=n_ring)
     w = 2.0 * np.pi / n_ring
-    tones = []
     coeff = 2.0 * np.pi * 1j * f0 / nu**3
-    ells = {}
-    for j in range(n_ring):
-        psi = 2.0 * np.pi * j / n_ring
-        k = np.array([np.cos(psi), np.sin(psi), 0.0])
-        tones.append(ckt.ScalarTone(k, nu, coeff, weight=w))
-        tones.append(ckt.ScalarTone(k, -nu, coeff, weight=w))
-        ells[(j, 1)] = np.array([np.sin(psi), -np.cos(psi), -1j])
-        ells[(j, -1)] = np.array([-np.sin(psi), np.cos(psi), -1j])
-
+    psi = 2.0 * np.pi * np.arange(n_ring) / n_ring
+    ring = np.stack([np.cos(psi), np.sin(psi), np.zeros(n_ring)], axis=1)
     worst = 0.0
-    for idx, tone in enumerate(tones):
-        j, sign = idx // 2, 1 - 2 * (idx % 2)
-        choice = ckt.DebyeChoice(tones=(tone,), omega=ells[(j, sign)], nu=nu)
+    # the +nu tones carry L = (sin, -cos, -i), the -nu tones L' = (-sin, cos, -i)
+    for sign in (1, -1):
+        choice = ckt.DebyeChoice(
+            tones=tuple(ckt.ScalarTone(k, sign * nu, coeff, weight=w) for k in ring),
+            omega=lambda k, s=sign: np.array([s * k[1], -s * k[0], -1j]), nu=nu)
         sol = ckt.ck_transform_solution(choice, include_poloidal=False)
-        partner = [b for b in target.atoms
-                   if np.linalg.norm(b.direction - tone.direction) < 1e-12
-                   and abs(b.frequency - tone.frequency) < 1e-12][0]
-        worst = max(worst, float(np.max(np.abs(sol.atoms[0].amplitude - partner.amplitude))))
+        worst = max(worst, _partner_distance(sol, target))
     return worst
 
 
@@ -598,12 +567,9 @@ def _check_contour() -> float:
 def _check_duality() -> float:
     profile = radon.radon_mode_analytic(_mode_field(3, seed=SEED + 28))
     mapped = radon.antipodal_profile(profile)
-    worst = 0.0
-    for a, b in zip(profile.atoms, mapped.atoms):
-        worst = max(worst, float(np.max(np.abs(b.direction + a.direction))),
-                    float(np.max(np.abs(b.amplitude - a.amplitude))),
-                    abs(b.frequency - a.frequency))
-    return worst
+    return float(max(np.max(np.abs(mapped.directions + profile.directions)),
+                     np.max(np.abs(mapped.amplitudes - profile.amplitudes)),
+                     np.max(np.abs(mapped.frequencies - profile.frequencies))))
 
 
 @_register("duality_eigen_flip", "Antipodal map flips the transform-space eigenvalue", 1e-12)
@@ -621,14 +587,8 @@ def _check_gauge_fix() -> float:
     field = fields.lundquist(f0, nu)
     a_pot, _ = fields.lundquist_potential(f0, nu)
     shift = np.array([0.0, 0.0, nu / g], dtype=complex)
-    rng = np.random.default_rng(SEED + 30)
-    worst = 0.0
-    for _ in range(5):
-        x = rng.uniform(-2, 2, size=3)
-        a_fixed = a_pot(x) + shift
-        worst = max(worst, float(np.linalg.norm(field(x) - nu * a_fixed)
-                                 / np.linalg.norm(field(x))))
-    return worst
+    x = np.random.default_rng(SEED + 30).uniform(-2, 2, size=(5, 3))
+    return _worst_relative(nu * (a_pot(x) + shift), field(x))
 
 
 @_register("mass_quantization", "Single-valued gauge function on the fundamental period", 1e-12)

@@ -280,8 +280,8 @@ def test_criterion_10_rbs_operator():
     assert worst_atoms < atom_tol
 
     k0 = random_directions(1, RNG_SEED + 51)[0]
-    gauge = tk.AnalyticProfile(
-        atoms=(tk.gauge_atom(k0, 1.0, 1.5 - 0.5j), tk.gauge_atom(-k0, -1.0, 1.5 - 0.5j)),
+    gauge = tk.AnalyticProfile.from_atoms(
+        (tk.gauge_atom(k0, 1.0, 1.5 - 0.5j), tk.gauge_atom(-k0, -1.0, 1.5 - 0.5j)),
         nu=1.0)
     kernel_defect = max(float(np.max(np.abs(a.amplitude)))
                         for a in tk.rbs_apply(gauge).atoms)

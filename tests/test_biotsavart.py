@@ -150,6 +150,17 @@ class TestBSIntegral:
         # near the cube center the uniform demagnetizing factor is 1/3
         assert np.linalg.norm(curl - 2.0 / 3.0 * const(x)) < 0.05
 
+    def test_box_rule_matches_ball_rule(self):
+        # the cut-off ball of radius eps around the point carries
+        # +(eps^2/4) curl F; with it the box rule agrees with a fine ball
+        # rule to O(eps^4), without it (or subtracted) they differ by > 0.2
+        f = solenoidal_gaussian()
+        box = box_quadrature(4.0, n_per_axis=40, exclusion_radius=0.3)
+        for x in (np.array([0.4, 0.1, -0.3]), np.array([0.2, -0.1, 0.3])):
+            ref = quiet_bs(f, x, ball_quadrature(9.0))
+            val = quiet_bs(f, x, box)
+            assert np.linalg.norm(val - ref) / np.linalg.norm(ref) < 0.05
+
     def test_boundary_warning_raised(self):
         const = SampledField(
             name="const",

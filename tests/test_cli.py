@@ -119,6 +119,16 @@ class TestRadonCommand:
                           (out / "radon_meta.json").read_bytes()))
         assert blobs[0] == blobs[1]
 
+    def test_truncated_plane_sets_warning_flag(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "radon", "--field", "gaussian", "--params", '{"center": [7, 0, 0]}',
+            "--quad", "4,8", "--pgrid", "-8:8:16", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        meta = json.loads((out / "radon_meta.json").read_text())
+        assert meta["truncation_warning"] is True
+
     def test_single_mode_two_atoms(self, runner, tmp_path):
         out = tmp_path / "out"
         params = {"modes": [{"lam": 1, "nu": 1.0, "kappa0": [0.0, 0.0, 1.0],
@@ -169,7 +179,14 @@ class TestVerifyCommand:
     ["verify", "--only", "zzz"],
     ["verify", "--only", "frame", "--tol", "no_such_record=1"],
     ["radon", "--field", "modes", "--params", "{}", "--out", "out"],
-], ids=["verify-empty-selection", "verify-unknown-tolerance", "radon-modes-without-modes"])
+    ["radon", "--field", "gaussian", "--pgrid", "-8:8:12", "--out", "out"],
+    ["radon", "--field", "gaussian", "--pgrid", "8:-8:16", "--out", "out"],
+    ["radon", "--field", "gaussian", "--quad", "4,7", "--out", "out"],
+    ["radon", "--field", "lundquist", "--params", '{"nu": 0}', "--out", "out"],
+    ["radon", "--field", "lundquist", "--params", '{"n_ring": 5}', "--out", "out"],
+], ids=["verify-empty-selection", "verify-unknown-tolerance", "radon-modes-without-modes",
+        "radon-pgrid-not-power-of-two", "radon-pgrid-decreasing", "radon-quad-odd-azimuth",
+        "radon-lundquist-zero-nu", "radon-lundquist-odd-ring"])
 def test_bad_input_is_usage_error(runner, tmp_path, args):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)

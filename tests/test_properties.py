@@ -1,0 +1,226 @@
+"""Property tests of the atom identities over random mode and ring profiles.
+
+Examples are derandomized and no example database is written, so the suite
+stays deterministic.  Directions include the band 1 + kz < POLE_TOL where the
+helicity frame switches branch.
+"""
+
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from trkalian.fields import HelicityMode, ModeField
+from trkalian.moses import POLE_TOL
+from trkalian.radon import (AnalyticProfile, antipodal_profile, canonical_hemisphere,
+                            cap_swapped_hemisphere, gamma_apply, gamma_cross_eigendefect,
+                            hemisphere_inverse, inverse_radon, lundquist_radon_profile,
+                            profile_from_json, profile_to_json, radon_mode_analytic,
+                            radon_of_hemisphere_inverse)
+from trkalian.rbs import rbs_eigendefect
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+EXACT = 1e-12
+
+# Hypothesis caches the constants of the source files it sees while pytest
+# collects the tests; keep that cache in a directory removed at exit instead
+# of writing .hypothesis/ into the checkout.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def _direction(kz, phi):
+    s = np.sqrt(max(0.0, 1.0 - kz * kz))
+    return np.array([s * np.cos(phi), s * np.sin(phi), kz])
+
+
+kz_values = st.one_of(st.floats(-1.0, 1.0),
+                      st.floats(0.0, 0.9 * POLE_TOL).map(lambda d: -1.0 + d))
+directions = st.builds(_direction, kz_values, st.floats(0.0, 2.0 * np.pi))
+complex_amplitudes = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
+    lambda z: abs(z) > 1e-3)
+eigenvalues = st.one_of(st.floats(0.3, 3.0), st.floats(-3.0, -0.3))
+
+
+@st.composite
+def mode_profiles(draw):
+    nu = draw(eigenvalues)
+    mu = draw(st.sampled_from([1, -1]))
+    lam = 1 if mu * nu > 0 else -1
+    kappas = []
+    for k in draw(st.lists(directions, min_size=1, max_size=8)):
+        # distinct modes, so that every atom is a distinct (direction, tone)
+        if all(np.linalg.norm(k - other) > 1e-6 for other in kappas):
+            kappas.append(k)
+    modes = tuple(HelicityMode(lam=lam, nu=nu, kappa0=k,
+                               amplitude=draw(complex_amplitudes), mu=mu)
+                  for k in kappas)
+    return radon_mode_analytic(ModeField(modes=modes))
+
+
+@st.composite
+def ring_profiles(draw):
+    return lundquist_radon_profile(draw(st.floats(0.2, 2.0)), draw(eigenvalues),
+                                   n_ring=2 * draw(st.integers(2, 24)))
+
+
+profiles = st.one_of(mode_profiles(), ring_profiles())
+
+
+def amplitude_scale(profile):
+    return float(np.max(np.abs(profile.amplitudes)))
+
+
+@SETTINGS
+@given(profiles)
+def test_transversality(profile):
+    assert profile.transverse_defect() <= EXACT * amplitude_scale(profile)
+
+
+@SETTINGS
+@given(profiles)
+def test_gamma_eigenrelation(profile):
+    scale = abs(profile.nu) * amplitude_scale(profile)
+    assert gamma_cross_eigendefect(profile) <= EXACT * scale
+
+
+@SETTINGS
+@given(profiles)
+def test_rbs_reciprocal_eigenvalue(profile):
+    scale = amplitude_scale(profile) / abs(profile.nu)
+    assert rbs_eigendefect(profile) <= EXACT * scale
+
+
+@SETTINGS
+@given(profiles)
+def test_antipodal_duality(profile):
+    mapped = antipodal_profile(profile)
+    assert np.array_equal(mapped.directions, -profile.directions)
+    assert np.array_equal(mapped.frequencies, profile.frequencies)
+    assert np.array_equal(mapped.amplitudes, profile.amplitudes)
+    # the antipodal map flips the transform-space eigenvalue
+    flipped = gamma_apply(mapped, "cross").amplitude_distance(
+        mapped, -profile.mu * profile.nu)
+    assert flipped <= EXACT * abs(profile.nu) * amplitude_scale(profile)
+
+
+@SETTINGS
+@given(profiles, directions, st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_hemisphere_refinement(profile, axis, point):
+    x = np.array(point) / abs(profile.nu)
+    scale = float(np.sum(profile.weights * profile.frequencies**2
+                         * np.max(np.abs(profile.amplitudes), axis=1))) / (4.0 * np.pi**2)
+    full = inverse_radon(profile, x)
+    for hemi in (canonical_hemisphere(), cap_swapped_hemisphere(axis, 0.8)):
+        for half in (hemi, hemi.complement()):
+            assert np.max(np.abs(hemisphere_inverse(profile, half, x) - full)) <= EXACT * scale
+        # genuine transforms come back as the same atom set
+        back = radon_of_hemisphere_inverse(profile, hemi)
+        assert len(back.atoms) == len(profile.atoms)
+        index = back.index_of(profile.directions, profile.frequencies)
+        assert np.all(index >= 0)
+        assert np.max(np.abs(back.amplitudes[index] - profile.amplitudes)) <= EXACT * scale
+
+
+@SETTINGS
+@given(profiles)
+def test_json_round_trip(profile):
+    text = profile_to_json(profile)
+    back = profile_from_json(text)
+    assert (back.nu, back.mu, back.g) == (profile.nu, profile.mu, profile.g)
+    for name in ("directions", "frequencies", "amplitudes", "weights"):
+        assert np.array_equal(getattr(back, name), getattr(profile, name))
+    assert profile_to_json(back) == text  # signed zeros survive too
+
+
+# ---------------------------------------------------------------------------
+# atom matching against the pairwise search it replaced
+# ---------------------------------------------------------------------------
+
+def find_atom_reference(atoms, direction, frequency, tol=1e-9):
+    """The first atom within tol, by a linear search over the rows."""
+    for j, a in enumerate(atoms):
+        if (abs(a.frequency - frequency) < tol
+                and np.linalg.norm(a.direction - direction) < tol):
+            return j
+    return -1
+
+
+def parity_defect_reference(profile):
+    worst = 0.0
+    for a in profile.atoms:
+        j = find_atom_reference(profile.atoms, -a.direction, -a.frequency)
+        if j < 0:
+            return np.inf
+        worst = max(worst, float(np.max(np.abs(a.amplitude - profile.atoms[j].amplitude))))
+    return worst
+
+
+offsets = st.sampled_from([0.0, 1e-11, 3e-10, 3e-8, 1e-3])
+
+
+@SETTINGS
+@given(profiles, st.lists(st.tuples(st.integers(0, 10**6), offsets, directions), max_size=12),
+       st.sampled_from([1e-9, 1e-12]), st.booleans())
+def test_index_of_matches_pairwise_search(profile, queries, tol, doubled):
+    if doubled:  # every query then has two matches; the lower index wins
+        profile = AnalyticProfile(*(np.concatenate([a, a]) for a in (
+            profile.directions, profile.frequencies, profile.amplitudes, profile.weights)),
+            nu=profile.nu)
+    n = len(profile.atoms)
+    q_dirs, q_freqs = [], []
+    for row, offset, shift in queries:
+        atom = profile.atoms[row % n]
+        d = atom.direction + offset * shift
+        q_dirs.append(d / np.linalg.norm(d))
+        q_freqs.append(atom.frequency - offset)
+    q_dirs += list(-profile.directions)
+    q_freqs += list(-profile.frequencies)
+    found = profile.index_of(np.array(q_dirs), np.array(q_freqs), tol=tol)
+    expected = [find_atom_reference(profile.atoms, d, f, tol) for d, f in zip(q_dirs, q_freqs)]
+    assert found.tolist() == expected
+
+
+@SETTINGS
+@given(profiles, st.integers(0, 10**6))
+def test_parity_defect_matches_pairwise_search(profile, drop):
+    assert profile.parity_defect() == parity_defect_reference(profile)
+    # without one atom its partner is unpaired
+    keep = np.arange(len(profile.atoms)) != drop % len(profile.atoms)
+    partial = AnalyticProfile(profile.directions[keep], profile.frequencies[keep],
+                              profile.amplitudes[keep], profile.weights[keep], nu=profile.nu)
+    assert partial.parity_defect() == parity_defect_reference(partial) == np.inf
+
+
+# ---------------------------------------------------------------------------
+# validation at construction
+# ---------------------------------------------------------------------------
+
+def corrupt(profile, field, row, value):
+    arrays = {name: getattr(profile, name).copy()
+              for name in ("directions", "frequencies", "amplitudes", "weights")}
+    arrays[field][row % len(profile.frequencies)] = value
+    return AnalyticProfile(**arrays, nu=profile.nu, mu=profile.mu, g=profile.g)
+
+
+@SETTINGS
+@given(profiles, st.integers(0, 10**6), st.sampled_from([
+    ("frequencies", np.nan), ("frequencies", np.inf), ("amplitudes", np.nan),
+    ("amplitudes", complex(0.0, np.inf)), ("directions", np.array([1.0, 1e-6, 0.0])),
+    ("directions", np.array([np.nan, 0.0, 1.0])), ("weights", 0.0), ("weights", -1.0),
+    ("weights", np.nan)]))
+def test_rejects_invalid_atoms(profile, row, bad):
+    field, value = bad
+    with pytest.raises(ValueError):
+        corrupt(profile, field, row, value)
+
+
+def test_from_atoms_rebuilds_the_rows():
+    profile = lundquist_radon_profile(1.0, 1.3, n_ring=8)
+    back = AnalyticProfile.from_atoms(profile.atoms, nu=profile.nu)
+    for name in ("directions", "frequencies", "amplitudes", "weights"):
+        assert np.array_equal(getattr(back, name), getattr(profile, name))
+    assert len(AnalyticProfile.from_atoms((), nu=1.0).atoms) == 0

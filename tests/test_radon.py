@@ -242,18 +242,20 @@ class TestInverse:
         ))
         prof = radon_mode_analytic(mf)
         n_p = 32
-        p = 2 * np.pi * np.arange(n_p) / n_p
-        samples = np.zeros((n_p, sphere.n, 3), dtype=complex)
-        for atom in prof.atoms:
-            j = int(np.argmin(np.linalg.norm(sphere.nodes - atom.direction, axis=1)))
-            assert np.linalg.norm(sphere.nodes[j] - atom.direction) < 1e-12
-            samples[:, j] += (atom.weight / sphere.weights[j]
-                              * np.exp(1j * atom.frequency * p)[:, None] * atom.amplitude)
-        grid = GridProfile(p=p, sphere=sphere, samples=samples)
         x = np.array([0.3, -0.6, 0.2])
-        rec = inverse_radon(grid, x)
         ref = eval_mode_field(mf, x)
-        assert np.linalg.norm(rec - ref) / np.linalg.norm(ref) < 1e-12
+        # the same profile on a grid starting at 0 and on one starting at -pi
+        for p0 in (0.0, -np.pi):
+            p = p0 + 2 * np.pi * np.arange(n_p) / n_p
+            samples = np.zeros((n_p, sphere.n, 3), dtype=complex)
+            for atom in prof.atoms:
+                j = int(np.argmin(np.linalg.norm(sphere.nodes - atom.direction, axis=1)))
+                assert np.linalg.norm(sphere.nodes[j] - atom.direction) < 1e-12
+                samples[:, j] += (atom.weight / sphere.weights[j]
+                                  * np.exp(1j * atom.frequency * p)[:, None] * atom.amplitude)
+            grid = GridProfile(p=p, sphere=sphere, samples=samples)
+            rec = inverse_radon(grid, x)
+            assert np.linalg.norm(rec - ref) / np.linalg.norm(ref) < 1e-12, p0
 
 
 class TestHemisphere:
@@ -301,7 +303,7 @@ class TestHemisphere:
         if not hemi.contains(k0):
             k0 = -k0
         amp = np.cross(k0, [0.0, 0.7, 0.2]) + 0j
-        unpaired = AnalyticProfile(atoms=(RadonAtom(k0, 1.3, amp),), nu=1.3)
+        unpaired = AnalyticProfile.from_atoms((RadonAtom(k0, 1.3, amp),), nu=1.3)
         out = radon_of_hemisphere_inverse(unpaired, hemi)
         assert len(out.atoms) == 2
         kept, image = out.atoms
@@ -452,6 +454,13 @@ class TestSerialization:
         back = grid_from_csv(text, sphere)
         assert np.allclose(back.p, grid.p)
         assert np.max(np.abs(back.samples - grid.samples)) < 1e-16
+        # a different sphere with the same node count, and a truncated file
+        other = sphere_quadrature(2, 16, antipodal=True)
+        assert other.n == sphere.n
+        with pytest.raises(ValueError, match="directions"):
+            grid_from_csv(text, other)
+        with pytest.raises(ValueError, match="rows"):
+            grid_from_csv(text.rsplit("\n", 2)[0] + "\n", sphere)
 
     def test_grid_requires_power_of_two(self):
         sphere = sphere_quadrature(4, 8)

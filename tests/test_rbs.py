@@ -137,8 +137,8 @@ class TestRBS:
         k0 = np.array([0.0, 1.0, 0.0])
         gauge = radon_mode_analytic(
             ModeField(modes=(HelicityMode(lam=1, nu=1.0, kappa0=k0, amplitude=1.0),)))
-        gauge = type(gauge)(atoms=(gauge_atom(k0, 1.0, 0.3 - 0.4j),
-                                   gauge_atom(-k0, -1.0, 0.3 - 0.4j)), nu=1.0)
+        gauge = type(gauge).from_atoms((gauge_atom(k0, 1.0, 0.3 - 0.4j),
+                                        gauge_atom(-k0, -1.0, 0.3 - 0.4j)), nu=1.0)
         out = rbs_apply(gauge)
         for a in out.atoms:
             assert np.max(np.abs(a.amplitude)) < 1e-15
@@ -173,7 +173,7 @@ class TestRBS:
             out[..., 2] = 0.0
             return out
 
-        from trkalian.biotsavart import box_quadrature
+        from trkalian.biotsavart import ball_quadrature
 
         f = SampledField(name="solenoidal", evaluator=solenoidal)
         sphere = sphere_quadrature(4, 8, antipodal=True)
@@ -181,7 +181,7 @@ class TestRBS:
         period = 20.0
         p = -10.0 + period * np.arange(n_p) / n_p
         plane = PlaneQuadrature(half_width=8.0, n_per_axis=32)
-        quad = box_quadrature(4.75, n_per_axis=28, exclusion_radius=0.5)
+        quad = ball_quadrature(6.0, n_radial=32, n_polar=12, n_azimuth=24)
         j = 5
         kappa = sphere.nodes[j]
         i = 18
