@@ -19,9 +19,6 @@ import numpy as np
 from . import fields, radon, verify
 from .core import PlaneQuadrature, sphere_quadrature
 
-FLOAT_FMT = "%.17g"
-
-
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_", text=True)
@@ -123,14 +120,8 @@ def cmd_field_eval(field_name, params, grid_spec, out_dir) -> None:
     xs, ys, zs = _parse_grid(grid_spec)
     xx, yy, zz = np.meshgrid(xs, ys, zs, indexing="ij")
     pts = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
-    vals = f(pts)
-
-    lines = ["x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz"]
-    for p, v in zip(pts, vals):
-        cells = [p[0], p[1], p[2],
-                 v[0].real, v[0].imag, v[1].real, v[1].imag, v[2].real, v[2].imag]
-        lines.append(",".join(FLOAT_FMT % c for c in cells))
-    _atomic_write(out_dir / "field.csv", "\n".join(lines) + "\n")
+    _atomic_write(out_dir / "field.csv",
+                  radon.format_csv("x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz", pts, f(pts)))
 
     meta = {
         "field": f.name,
@@ -188,8 +179,7 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", radon.TruncationWarning)
             grid = radon.radon_forward_grid(f, p, sphere, plane)
-            truncation_warned = any(issubclass(w.category, radon.TruncationWarning)
-                                    for w in caught)
+        truncation_warned = any(w.category is radon.TruncationWarning for w in caught)
         if truncation_warned:
             click.echo("warning: plane truncation boundary not negligible", err=True)
         _atomic_write(out_dir / "profile_grid.csv", radon.grid_to_csv(grid))
@@ -253,10 +243,8 @@ def cmd_plot(kind, data_path, out_dir) -> None:
     if kind == "lundquist_radial":
         xs = np.linspace(0.0, 8.0, 161)
         from .core import bessel_j
-        lines = ["r,j0,j1"]
-        for r in xs:
-            lines.append(",".join(FLOAT_FMT % c for c in (r, bessel_j(0, r), bessel_j(1, r))))
-        _atomic_write(out_dir / "lundquist_radial.csv", "\n".join(lines) + "\n")
+        _atomic_write(out_dir / "lundquist_radial.csv", radon.format_csv(
+            "r,j0,j1", np.column_stack([xs, bessel_j(0, xs), bessel_j(1, xs)])))
         script = (
             "set datafile separator ','\n"
             "set xlabel 'nu r'\n"
@@ -276,11 +264,10 @@ def cmd_plot(kind, data_path, out_dir) -> None:
         _atomic_write(out_dir / "radon_heatmap.gp", script)
     else:
         report = json.loads(Path(data_path).read_text())
-        lines = ["name,residual,tolerance"]
-        for rec in report["records"]:
-            lines.append(f"{rec['name']}," + ",".join(
-                FLOAT_FMT % v for v in (rec["residual"], rec["tolerance"])))
-        _atomic_write(out_dir / "verify_residuals.csv", "\n".join(lines) + "\n")
+        row = ",".join(["%s", radon.FLOAT_FMT, radon.FLOAT_FMT])
+        rows = [row % (r["name"], r["residual"], r["tolerance"]) for r in report["records"]]
+        _atomic_write(out_dir / "verify_residuals.csv",
+                      "\n".join(["name,residual,tolerance"] + rows) + "\n")
         script = (
             "set datafile separator ','\n"
             "set logscale y\n"

@@ -131,24 +131,19 @@ def sphere_quadrature(n_polar: int, n_azimuth: int, antipodal: bool = False) -> 
     nodes[:, :, 2] = u[:, None]
     weights = np.broadcast_to(wu[:, None] * (2.0 * np.pi / n_azimuth), (n_polar, n_azimuth)).copy()
 
+    nodes = nodes.reshape(-1, 3)
     antipode_index = None
     if antipodal:
+        # node (iu, ip) pairs with (n_polar - 1 - iu, ip + half); the later
+        # node of each pair is overwritten with the exact negation of the
+        # earlier one, so the pairing is bitwise, not just within rounding
         idx = np.arange(n_polar * n_azimuth).reshape(n_polar, n_azimuth)
-        partner = np.empty_like(idx)
-        half = n_azimuth // 2
-        for iu in range(n_polar):
-            ju = n_polar - 1 - iu
-            for ip in range(n_azimuth):
-                jp = (ip + half) % n_azimuth
-                partner[iu, ip] = idx[ju, jp]
-                # overwrite the partner node with the exact negation so the
-                # pairing is bitwise, not just within rounding
-                if (ju, jp) > (iu, ip):
-                    nodes[ju, jp] = -nodes[iu, ip]
-        antipode_index = partner.reshape(-1)
+        antipode_index = idx[::-1, (np.arange(n_azimuth) + n_azimuth // 2) % n_azimuth].reshape(-1)
+        later = antipode_index > np.arange(nodes.shape[0])
+        nodes[antipode_index[later]] = -nodes[later]
 
     return SphereQuadrature(
-        nodes=nodes.reshape(-1, 3),
+        nodes=nodes,
         weights=weights.reshape(-1),
         antipodal=antipodal,
         antipode_index=antipode_index,
@@ -164,41 +159,36 @@ def plane_basis(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Seed axis is the coordinate axis with the smallest |kappa component|
     (first index on ties), orthogonalized against kappa; e2 = kappa x e1.
+    ``kappa`` may be one direction (3,) or a batch (..., 3); e1 and e2 have
+    its shape.
     """
     k = as_direction(kappa)
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(k)))] = 1.0
-    e1 = seed - np.dot(seed, k) * k
-    e1 /= np.linalg.norm(e1)
+    axis = np.argmin(np.abs(k), axis=-1)[..., None]
+    seed = (np.arange(3) == axis).astype(float)
+    e1 = seed - np.take_along_axis(k, axis, axis=-1) * k
+    # |e1|^2 as a matrix product rounds like the BLAS dot of one direction
+    e1 /= np.sqrt(e1[..., None, :] @ e1[..., :, None])[..., 0]
     e2 = np.cross(k, e1)
     return e1, e2
 
 
 @dataclass(frozen=True)
 class PlaneQuadrature:
-    """Tensor quadrature over the square [-half_width, half_width]^2."""
+    """Tensor Gauss-Legendre quadrature over the square [-half_width, half_width]^2."""
 
     half_width: float
     n_per_axis: int
-    rule: str = "gauss-legendre"
 
     def __post_init__(self):
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
         if self.n_per_axis < 2:
             raise ValueError("need at least 2 nodes per axis")
-        if self.rule not in ("gauss-legendre", "trapezoid"):
-            raise ValueError(f"unknown rule {self.rule!r}")
 
     def nodes_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.rule == "gauss-legendre":
-            x, w = gauss_legendre(self.n_per_axis)
-            return self.half_width * x, self.half_width * w
-        x = np.linspace(-self.half_width, self.half_width, self.n_per_axis)
-        w = np.full(self.n_per_axis, x[1] - x[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return x, w
+        """Gauss-Legendre nodes and weights on [-half_width, half_width]."""
+        x, w = gauss_legendre(self.n_per_axis)
+        return self.half_width * x, self.half_width * w
 
 
 # ---------------------------------------------------------------------------

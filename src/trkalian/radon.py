@@ -273,46 +273,60 @@ def cap_swapped_hemisphere(axis, cos_cap: float = 0.9) -> Hemisphere:
 # numeric forward transform
 # ---------------------------------------------------------------------------
 
-def radon_forward_numeric(fn, p: float, kappa, quad: PlaneQuadrature):
-    """Plane integral of a rapidly decreasing field over the plane p = kappa . x.
+# Cap on the points passed to the field in one call (a few MB of points and
+# values); planes are never split, so a larger plane is one call.
+_CHUNK_POINTS = 2**14
 
-    Warns (TruncationWarning) when the integrand at the truncation boundary
-    exceeds 1e-10 of its maximum over the plane.  Scalar-valued callables
-    yield scalars, vector-valued callables 3-vectors.
+
+def radon_forward_numeric(fn, p, kappa, quad: PlaneQuadrature):
+    """Plane integrals of a rapidly decreasing field over the planes p = kappa . x.
+
+    ``p (...)`` and ``kappa (..., 3)`` broadcast to a batch of planes; the
+    result has the batch shape followed by the value shape of ``fn``, so one
+    plane of a scalar (vector) field gives a scalar (3-vector).  The field
+    is called on whole planes in chunks, and each plane's value depends on
+    that plane only.  Raises ValueError when the field is not finite on a
+    plane.  Warns once (TruncationWarning) when on some plane the integrand
+    at the truncation boundary exceeds 1e-10 of its maximum over the plane.
     """
     k = as_direction(kappa)
+    shape = np.broadcast_shapes(np.shape(p), k.shape[:-1])
+    p = np.broadcast_to(np.asarray(p, dtype=float), shape).reshape(-1)
+    k = np.broadcast_to(k, shape + (3,)).reshape(-1, 3)
     e1, e2 = plane_basis(k)
     x1, w1 = quad.nodes_1d()
-    pts = (p * k)[None, None, :] + x1[:, None, None] * e1 + x1[None, :, None] * e2
-    vals = np.asarray(fn(pts.reshape(-1, 3)))
     n = quad.n_per_axis
-    vals = vals.reshape((n, n) + vals.shape[1:])
-
-    mag = np.abs(vals)
-    if mag.ndim == 3:
-        mag = mag.max(axis=-1)
-    peak = mag.max()
-    if peak > 0:
-        edge = max(mag[0, :].max(), mag[-1, :].max(), mag[:, 0].max(), mag[:, -1].max())
-        if edge > TRUNCATION_THRESHOLD * peak:
-            warnings.warn(
-                f"plane truncation boundary magnitude {edge:.2e} exceeds "
-                f"{TRUNCATION_THRESHOLD:.0e} of the plane maximum {peak:.2e}",
-                TruncationWarning,
-                stacklevel=2,
-            )
-
     w2d = w1[:, None] * w1[None, :]
-    if vals.ndim == 3:
-        return np.sum(w2d[..., None] * vals, axis=(0, 1))
-    return np.sum(w2d * vals)
+    step = max(1, _CHUNK_POINTS // n**2)
+    sums, peaks, edges = [], [], []
+    for c in (slice(s, s + step) for s in range(0, p.size, step)):
+        pts = ((p[c, None] * k[c])[:, None, None, :] + x1[:, None, None] * e1[c, None, None, :]
+               + x1[None, :, None] * e2[c, None, None, :])
+        vals = np.asarray(fn(pts.reshape(-1, 3)))
+        vals = vals.reshape((-1, n, n) + vals.shape[1:])
+        mag = np.abs(vals).reshape(vals.shape[:3] + (-1,)).max(axis=-1)  # (planes, n, n)
+        peaks.append(mag.max(axis=(1, 2)))
+        if not np.all(np.isfinite(peaks[-1])):
+            raise ValueError("field is not finite on the plane")
+        edges.append(np.maximum(mag[:, [0, -1]].max(axis=(1, 2)),
+                                mag[:, :, [0, -1]].max(axis=(1, 2))))
+        sums.append(np.sum(w2d.reshape(w2d.shape + (1,) * (vals.ndim - 3)) * vals, axis=(1, 2)))
+
+    peak, edge = np.concatenate(peaks), np.concatenate(edges)
+    truncated = (peak > 0) & (edge > TRUNCATION_THRESHOLD * peak)
+    if np.any(truncated):
+        warnings.warn(f"plane truncation boundary magnitude exceeds {TRUNCATION_THRESHOLD:.0e}"
+                      f" of the plane maximum on {np.count_nonzero(truncated)} of {peak.size}"
+                      f" planes (worst ratio {np.max(edge[truncated] / peak[truncated]):.2e})",
+                      TruncationWarning, stacklevel=2)
+    out = np.concatenate(sums)
+    return out.reshape(shape + out.shape[1:])[()]
 
 
 def radon_forward_grid(fn, p_grid, sphere: SphereQuadrature, quad: PlaneQuadrature) -> GridProfile:
     """Numeric transform sampled on a p-grid times a direction set."""
     p_grid = np.asarray(p_grid, dtype=float)
-    samples = np.array([[radon_forward_numeric(fn, float(pv), k, quad) for k in sphere.nodes]
-                        for pv in p_grid])  # (n_p, n_dir[, 3])
+    samples = radon_forward_numeric(fn, p_grid[:, None], sphere.nodes, quad)  # (n_p, n_dir[, 3])
     return GridProfile(p=p_grid, sphere=sphere, samples=samples)
 
 
@@ -451,11 +465,9 @@ def intertwining_check(fn, kappa, p: float, kind: str, quad: PlaneQuadrature,
 
     # the stencil runs along the first coordinate, which carries p; the
     # partials along the other two axes are discarded
-    def transform_in_p(y):
-        return np.stack([np.asarray(radon_forward_numeric(fn, float(pv), k, quad))
-                         for pv in y[:, 0]])
-
-    dproj = fd_field(transform_in_p, "gradient", dp)(np.array([p, 0.0, 0.0]))[0]
+    d_transform = fd_field(lambda y: radon_forward_numeric(fn, y[:, 0], k, quad),
+                           "gradient", dp)
+    dproj = d_transform(np.array([p, 0.0, 0.0]))[0]
     rhs = kappa_product(k, dproj, product)
     return float(np.max(np.abs(np.asarray(lhs) - rhs)))
 
@@ -480,16 +492,16 @@ def _atom_sum(profile: AnalyticProfile, x, scale: np.ndarray):
 def adjoint_radon(profile, x, quad: SphereQuadrature | None = None):
     """Integral of G(kappa . x, kappa) over the sphere.
 
-    Atom profiles integrate exactly; callables G(p, kappa) are summed against
-    the supplied sphere quadrature.
+    Atom profiles integrate exactly; a callable G is called once, on all
+    nodes of the supplied sphere quadrature as p (n,) and kappa (n, 3), and
+    its values (n, ...) are summed against the quadrature weights.
     """
     if isinstance(profile, AnalyticProfile):
         return _atom_sum(profile, x, profile.weights)
     x = np.asarray(x, dtype=float)
     if quad is None:
         raise ValueError("sphere quadrature required for callable profiles")
-    values = np.stack([np.asarray(profile(float(node @ x), node)) for node in quad.nodes])
-    return quad.integrate(values)
+    return quad.integrate(profile(quad.nodes @ x, quad.nodes))
 
 
 def inverse_radon(profile, x, quad: SphereQuadrature | None = None):
@@ -619,18 +631,29 @@ def profile_from_json(text: str) -> AnalyticProfile:
 
 
 GRID_CSV_HEADER = "p,kx,ky,kz,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz"
+FLOAT_FMT = "%.17g"
+
+
+def format_csv(header: str, columns, values=None) -> str:
+    """CSV text of a header line and rows of real columns (n, m), followed by
+    complex values (n, k) as re, im column pairs; floats get 17 significant
+    digits."""
+    table = np.asarray(columns, dtype=float)
+    if values is not None:
+        values = np.asarray(values)
+        table = np.column_stack([table, np.stack([values.real, values.imag], axis=-1)
+                                 .reshape(table.shape[0], -1)])
+    row = ",".join([FLOAT_FMT] * table.shape[1])
+    return "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
 
 
 def grid_to_csv(grid: GridProfile) -> str:
     """Serialize a vector grid profile as CSV with 17-significant-digit floats."""
     if not grid.is_vector:
         raise ValueError("CSV serialization expects vector samples")
-    samples = grid.samples.reshape(-1, 3)
-    table = np.column_stack([np.repeat(grid.p, grid.sphere.n),
-                             np.tile(grid.sphere.nodes, (grid.n_p, 1)),
-                             np.stack([samples.real, samples.imag], axis=-1).reshape(-1, 6)])
-    lines = [",".join("%.17g" % c for c in row) for row in table.tolist()]
-    return "\n".join([GRID_CSV_HEADER] + lines) + "\n"
+    directions = np.column_stack([np.repeat(grid.p, grid.sphere.n),
+                                  np.tile(grid.sphere.nodes, (grid.n_p, 1))])
+    return format_csv(GRID_CSV_HEADER, directions, grid.samples.reshape(-1, 3))
 
 
 def grid_from_csv(text: str, sphere: SphereQuadrature) -> GridProfile:

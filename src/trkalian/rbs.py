@@ -64,8 +64,7 @@ def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature,
     """
     kdir = as_direction(kappa)
     p = -p_half + (2.0 * p_half / n_p) * np.arange(n_p)
-    proj = np.stack([np.asarray(radon_forward_numeric(fn, float(pv), kdir, plane_quad))
-                     for pv in p])
+    proj = radon_forward_numeric(fn, p, kdir, plane_quad)  # (n_p[, 3])
     phase = np.exp(-1j * k * p)
     dp = 2.0 * p_half / n_p
     shape = (n_p,) + (1,) * (proj.ndim - 1)

@@ -235,8 +235,7 @@ def _check_radon_gaussian() -> float:
 def _check_radon_parity() -> float:
     f = fields.gaussian_test_field((0.2, -0.1, 0.3), 1.0, (1.0, 0.5j, -0.25))
     k = _random_directions(1, seed=SEED + 9)[0]
-    a = radon.radon_forward_numeric(f, 0.4, k, _PLANE)
-    b = radon.radon_forward_numeric(f, -0.4, -k, _PLANE)
+    a, b = radon.radon_forward_numeric(f, np.array([0.4, -0.4]), np.stack([k, -k]), _PLANE)
     return float(np.max(np.abs(a - b)))
 
 

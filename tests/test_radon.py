@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,48 @@ class TestForwardNumeric:
         small = PlaneQuadrature(half_width=5.0, n_per_axis=32)
         with pytest.warns(TruncationWarning):
             radon_forward_numeric(f, 0.0, EZ, small)
+
+    @pytest.mark.parametrize("field", [
+        gaussian_test_field((0.3, -0.2, 0.1), 1.0, (1.0, 0.5j, -0.25)),
+        gaussian_scalar((0.0, 0.2, 0.1), 1.0),
+    ], ids=["vector", "scalar"])
+    def test_batch_equals_single_planes_bitwise(self, field):
+        # 5 x 4 planes of 48^2 points span three field calls, the last partial
+        p = np.array([-1.5, -0.2, 0.0, 0.7, 2.0])
+        kappa = np.stack([EZ, -EZ] + [random_direction(s) for s in (21, 22)])
+        batch = radon_forward_numeric(field, p[:, None], kappa, PLANE)
+        single = radon_forward_numeric(field, 0.7, kappa[2], PLANE)
+        assert batch.shape == (5, 4) + np.shape(single)
+        for i, j in np.ndindex(5, 4):
+            one = radon_forward_numeric(field, float(p[i]), kappa[j], PLANE)
+            assert np.asarray(one).tobytes() == batch[i, j].tobytes()
+
+    def test_grid_warns_once_with_worst_ratio(self):
+        # 448 of the 512 planes are truncated; one warning counts them all
+        sphere = sphere_quadrature(4, 8, antipodal=True)
+        p = -8.0 + np.arange(16.0)
+        plane = PlaneQuadrature(half_width=8.0, n_per_axis=40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            radon_forward_grid(gaussian_test_field((7.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0)),
+                               p, sphere, plane)
+            assert len(caught) == 1 and caught[0].category is TruncationWarning
+            assert "on 448 of 512 planes (worst ratio 3.80e-01)" in str(caught[0].message)
+            radon_forward_grid(gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0)),
+                               p, sphere, plane)
+            assert len(caught) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_field(self, bad):
+        f = gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0))
+
+        def spoiled(x):
+            out = f(x)
+            out[np.linalg.norm(x, axis=-1) < 1.0, 1] = bad
+            return out
+
+        with pytest.raises(ValueError, match="not finite"):
+            radon_forward_numeric(spoiled, np.array([3.0, 0.0]), EZ, PLANE)
 
 
 class TestModeProfile:
