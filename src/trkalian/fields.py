@@ -395,6 +395,14 @@ def gauge_gradient_field(u: ScalarField, h: float = FD_DEFAULT_STEP) -> SampledF
     return SampledField(name=f"grad_{u.name}", evaluator=evaluator, params=dict(u.params))
 
 
+def _gaussian_envelope(x, c: np.ndarray, width: float) -> np.ndarray:
+    """exp(-|x - c|^2 / width^2) at points x (..., 3); the written-out square
+    sum rounds like np.sum(d * d, axis=-1) without a length-3 reduction."""
+    d = np.asarray(x, dtype=float) - c
+    d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
+    return np.exp(-(d0 * d0 + d1 * d1 + d2 * d2) / width**2)
+
+
 def gaussian_test_field(center, width: float, polarization) -> SampledField:
     """Schwartz-class probe P exp(-|x - c|^2 / width^2)."""
     if width <= 0:
@@ -403,10 +411,7 @@ def gaussian_test_field(center, width: float, polarization) -> SampledField:
     pol = np.asarray(polarization, dtype=complex)
 
     def evaluator(x):
-        x = np.asarray(x, dtype=float)
-        d = x - c
-        envelope = np.exp(-np.sum(d * d, axis=-1) / width**2)
-        return envelope[..., None] * pol
+        return _gaussian_envelope(x, c, width)[..., None] * pol
 
     return SampledField(
         name="gaussian",
@@ -422,13 +427,10 @@ def gaussian_scalar(center=(0.0, 0.0, 0.0), width: float = 1.0) -> ScalarField:
     c = np.asarray(center, dtype=float)
 
     def evaluator(x):
-        x = np.asarray(x, dtype=float)
-        d = x - c
-        return np.exp(-np.sum(d * d, axis=-1) / width**2)
+        return _gaussian_envelope(x, c, width)
 
     def gradient(x):
-        x = np.asarray(x, dtype=float)
-        d = x - c
+        d = np.asarray(x, dtype=float) - c
         return (-2.0 / width**2) * d * evaluator(x)[..., None]
 
     return ScalarField(

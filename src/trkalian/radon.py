@@ -281,36 +281,43 @@ _CHUNK_POINTS = 2**14
 def radon_forward_numeric(fn, p, kappa, quad: PlaneQuadrature):
     """Plane integrals of a rapidly decreasing field over the planes p = kappa . x.
 
-    ``p (...)`` and ``kappa (..., 3)`` broadcast to a batch of planes; the
-    result has the batch shape followed by the value shape of ``fn``, so one
-    plane of a scalar (vector) field gives a scalar (3-vector).  The field
-    is called on whole planes in chunks, and each plane's value depends on
-    that plane only.  Raises ValueError when the field is not finite on a
-    plane.  Warns once (TruncationWarning) when on some plane the integrand
-    at the truncation boundary exceeds 1e-10 of its maximum over the plane.
+    ``p (...)`` and ``kappa (..., 3)`` broadcast to a non-empty batch of
+    planes; the result has the batch shape followed by the value shape of
+    ``fn``, so one plane of a scalar (vector) field gives a scalar
+    (3-vector).  The field is called on whole planes in chunks, and each
+    plane's value depends on that plane only.  Raises ValueError on an
+    empty batch or a non-finite field.  Warns once (TruncationWarning) when
+    on some plane the magnitude at the boundary exceeds 1e-10 of that over
+    the plane; a magnitude is the largest |Re| or |Im| of any component.
     """
     k = as_direction(kappa)
     shape = np.broadcast_shapes(np.shape(p), k.shape[:-1])
+    if 0 in shape:
+        raise ValueError(f"empty plane batch: p and kappa broadcast to shape {shape}")
     p = np.broadcast_to(np.asarray(p, dtype=float), shape).reshape(-1)
     k = np.broadcast_to(k, shape + (3,)).reshape(-1, 3)
     e1, e2 = plane_basis(k)
     x1, w1 = quad.nodes_1d()
     n = quad.n_per_axis
-    w2d = w1[:, None] * w1[None, :]
+    w = (w1[:, None] * w1[None, :]).reshape(-1)
+    side = np.isin(np.arange(n), (0, n - 1))
+    ring = np.flatnonzero(side[:, None] | side)  # the boundary nodes of a plane
     step = max(1, _CHUNK_POINTS // n**2)
     sums, peaks, edges = [], [], []
     for c in (slice(s, s + step) for s in range(0, p.size, step)):
-        pts = ((p[c, None] * k[c])[:, None, None, :] + x1[:, None, None] * e1[c, None, None, :]
-               + x1[None, :, None] * e2[c, None, None, :])
-        vals = np.asarray(fn(pts.reshape(-1, 3)))
-        vals = vals.reshape((-1, n, n) + vals.shape[1:])
-        mag = np.abs(vals).reshape(vals.shape[:3] + (-1,)).max(axis=-1)  # (planes, n, n)
-        peaks.append(mag.max(axis=(1, 2)))
+        # components first, so the broadcast sums run along plane rows
+        pts = ((p[c] * k[c].T)[..., None, None] + x1[:, None] * e1[c].T[..., None, None]
+               + x1 * e2[c].T[..., None, None])  # (3, planes, n, n)
+        vals = np.asarray(fn(pts.reshape(3, -1).T))
+        value_shape, cplx = vals.shape[1:], np.iscomplexobj(vals)
+        # real view (planes, n^2, reals per node): max/min give the magnitude
+        vf = np.ascontiguousarray(vals, dtype=complex if cplx else float).view(float)
+        vf = vf.reshape(pts.shape[1], n * n, -1)
+        peaks.append(np.maximum(vf.max(axis=(1, 2)), -vf.min(axis=(1, 2))))
         if not np.all(np.isfinite(peaks[-1])):
             raise ValueError("field is not finite on the plane")
-        edges.append(np.maximum(mag[:, [0, -1]].max(axis=(1, 2)),
-                                mag[:, :, [0, -1]].max(axis=(1, 2))))
-        sums.append(np.sum(w2d.reshape(w2d.shape + (1,) * (vals.ndim - 3)) * vals, axis=(1, 2)))
+        edges.append(np.abs(np.take(vf, ring, axis=1)).max(axis=(1, 2)))
+        sums.append(w @ vf)  # (planes, reals per node)
 
     peak, edge = np.concatenate(peaks), np.concatenate(edges)
     truncated = (peak > 0) & (edge > TRUNCATION_THRESHOLD * peak)
@@ -320,7 +327,7 @@ def radon_forward_numeric(fn, p, kappa, quad: PlaneQuadrature):
                       f" planes (worst ratio {np.max(edge[truncated] / peak[truncated]):.2e})",
                       TruncationWarning, stacklevel=2)
     out = np.concatenate(sums)
-    return out.reshape(shape + out.shape[1:])[()]
+    return (out.view(complex) if cplx else out).reshape(shape + value_shape)[()]
 
 
 def radon_forward_grid(fn, p_grid, sphere: SphereQuadrature, quad: PlaneQuadrature) -> GridProfile:

@@ -178,7 +178,7 @@ def _check_bessel() -> float:
 # catalog fields
 # ---------------------------------------------------------------------------
 
-@_register("catalog_curl_eigen", "Catalog fields satisfy curl F = mu nu F", 1e-6)
+@_register("catalog_curl_eigen", "Catalog fields satisfy curl F = mu nu F", 1e-9)
 def _check_catalog() -> float:
     catalog = [
         fields.lundquist(1.0, 1.0),
@@ -195,7 +195,7 @@ def _check_catalog() -> float:
     return worst
 
 
-@_register("ampere_lundquist", "Flux triangle of the cylindrical field", 1e-6)
+@_register("ampere_lundquist", "Flux triangle of the cylindrical field", 1e-10)
 def _check_ampere() -> float:
     f = fields.lundquist(1.0, 1.0)
     worst = 0.0
@@ -304,7 +304,7 @@ def _check_adjoint_eigen() -> float:
                            8.0 * np.pi**2 / mf.nu**2 * fields.eval_mode_field(mf, x))
 
 
-@_register("adjoint_riesz", "Double transform equals 8 pi^2 times the Riesz potential", 2e-2)
+@_register("adjoint_riesz", "Double transform equals 8 pi^2 times the Riesz potential", 1e-6)
 def _check_adjoint_riesz() -> float:
     f = fields.gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.5))
     sphere = sphere_quadrature(8, 16, antipodal=True)
@@ -346,7 +346,7 @@ def _check_ring_probe() -> float:
 # Riesz / Biot-Savart
 # ---------------------------------------------------------------------------
 
-@_register("riesz_gaussian", "Riesz potential of the Gaussian against the radial oracle", 1e-4)
+@_register("riesz_gaussian", "Riesz potential of the Gaussian against the radial oracle", 1e-10)
 def _check_riesz() -> float:
     g = fields.gaussian_scalar()
     val = bs.riesz_potential(g, np.zeros(3), bs.ball_quadrature(9.0))
@@ -413,7 +413,7 @@ def _check_bs_divergence() -> float:
     return float(abs(div) / np.linalg.norm(f(x)))
 
 
-@_register("bs_lundquist_eigen", "Semi-analytic induced field of the cylindrical solution", 1e-6)
+@_register("bs_lundquist_eigen", "Semi-analytic induced field of the cylindrical solution", 1e-10)
 def _check_bs_lundquist() -> float:
     f0, nu = 1.0, 1.0
     field = fields.lundquist(f0, nu)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import trkalian
 from trkalian.cli import main
 
 
@@ -117,6 +122,22 @@ class TestRadonCommand:
             assert result.exit_code == 0, result.output
             blobs.append(((out / "profile_grid.csv").read_bytes(),
                           (out / "radon_meta.json").read_bytes()))
+        assert blobs[0] == blobs[1]
+
+    def test_grid_csv_does_not_depend_on_blas_threads(self, tmp_path):
+        # the plane sums are BLAS contractions; one thread and the default
+        # thread count must write the same bytes
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(trkalian.__file__).parents[1])
+        blobs = []
+        for sub, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+            out = tmp_path / sub
+            subprocess.run([sys.executable, "-c", "from trkalian.cli import main; main()",
+                            "radon", "--field", "gaussian", "--quad", "4,8",
+                            "--pgrid", "-8:8:16", "--out", str(out)],
+                           env={**env, **threads}, check=True, capture_output=True, timeout=120)
+            blobs.append((out / "profile_grid.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_truncated_plane_sets_warning_flag(self, runner, tmp_path):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trkalian.core import PlaneQuadrature, sphere_quadrature
+from trkalian.core import PlaneQuadrature, plane_basis, sphere_quadrature
 from trkalian.fields import (HelicityMode, ModeField, eval_mode_field,
                              gaussian_scalar, gaussian_test_field, lundquist)
 from trkalian.moses import frame_antipodal_phase, moses_frame
@@ -48,6 +48,14 @@ def random_mode_field(n, seed, nu=1.0, mu=1, g=1.0):
                                   amplitude=complex(rng.normal(), rng.normal()),
                                   mu=mu, g=g))
     return ModeField(modes=tuple(modes))
+
+
+def plane_values(field, p, kappa, quad=PLANE):
+    """Field values (nodes, ...) and tensor weights (nodes,) on one plane."""
+    x1, w1 = quad.nodes_1d()
+    e1, e2 = plane_basis(kappa)
+    pts = p * kappa + x1[:, None, None] * e1 + x1[None, :, None] * e2
+    return field(pts.reshape(-1, 3)), (w1[:, None] * w1[None, :]).reshape(-1)
 
 
 class TestForwardNumeric:
@@ -117,6 +125,71 @@ class TestForwardNumeric:
 
         with pytest.raises(ValueError, match="not finite"):
             radon_forward_numeric(spoiled, np.array([3.0, 0.0]), EZ, PLANE)
+
+    @pytest.mark.parametrize("field", [
+        gaussian_test_field((0.3, -0.2, 0.1), 1.0, (1.0, 0.5j, -0.25)),
+        gaussian_scalar((0.0, 0.2, 0.1), 1.0),
+    ], ids=["vector", "scalar"])
+    def test_matches_pairwise_sum_reference(self, field):
+        # the weighted sum is a BLAS contraction; only its summation order
+        # differs from numpy's pairwise sum
+        for p, kappa in ((0.7, EZ), (-1.2, random_direction(24))):
+            vals, w = plane_values(field, p, kappa)
+            ref = np.sum(w.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals, axis=0)
+            np.testing.assert_allclose(radon_forward_numeric(field, p, kappa, PLANE), ref,
+                                       rtol=1e-14, atol=0.0)
+
+    def test_rejects_nan_in_one_imaginary_part(self):
+        f = gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.5j, 0.0))
+
+        def spoiled(x):
+            out = f(x)
+            out.imag[np.linalg.norm(x, axis=-1) < 1.0, 2] = np.nan
+            return out
+
+        with pytest.raises(ValueError, match="not finite"):
+            radon_forward_numeric(spoiled, np.array([3.0, 0.0]), EZ, PLANE)
+
+    def test_rejects_empty_batch_before_calling_the_field(self):
+        def never(x):
+            raise AssertionError("field called on an empty batch")
+
+        for p, kappa in ((np.zeros(0), EZ), (0.5, np.zeros((0, 3))),
+                         (np.zeros((3, 1)), np.zeros((0, 3)))):
+            with pytest.raises(ValueError, match="empty plane batch"):
+                radon_forward_numeric(never, p, kappa, PLANE)
+
+    def test_real_field_integrates_to_real_part_of_complex_field(self):
+        g = gaussian_scalar((0.3, -0.2, 0.1), 1.0)
+        p = np.array([-1.0, 0.0, 0.4])
+        kappa = np.stack([EZ, random_direction(23)])
+        real = radon_forward_numeric(g, p[:, None], kappa, PLANE)
+        cplx = radon_forward_numeric(lambda x: g(x).astype(complex), p[:, None], kappa, PLANE)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert real.shape == cplx.shape == (3, 2)
+        # equal up to the order in which BLAS sums one or two columns
+        np.testing.assert_allclose(real, cplx.real, rtol=1e-14, atol=0.0)
+        assert np.all(cplx.imag == 0.0)
+
+    def test_warning_quotes_largest_real_or_imaginary_ratio(self):
+        # peak from a real centred Gaussian, edge from an imaginary-plus-real
+        # bump at the boundary: the two components have different envelopes
+        def field(x):
+            r0 = np.sum(x * x, axis=-1)
+            r1 = np.sum((x - [8.0, 0.0, 0.0]) ** 2, axis=-1)
+            return np.stack([2.0 * np.exp(-r0), (0.5 + 0.25j) * np.exp(-r1)], axis=-1)
+
+        n = PLANE.n_per_axis
+        vals = plane_values(field, 0.0, EZ)[0]
+        mag = np.maximum(np.abs(vals.real), np.abs(vals.imag)).max(axis=-1).reshape(n, n)
+        edge = max(mag[[0, -1]].max(), mag[:, [0, -1]].max())
+        modulus = np.abs(vals).max(axis=-1).reshape(n, n)
+        modulus_ratio = max(modulus[[0, -1]].max(), modulus[:, [0, -1]].max()) / modulus.max()
+        assert f"{edge / mag.max():.2e}" != f"{modulus_ratio:.2e}"
+        with pytest.warns(TruncationWarning) as caught:
+            radon_forward_numeric(field, 0.0, EZ, PLANE)
+        assert len(caught) == 1
+        assert f"on 1 of 1 planes (worst ratio {edge / mag.max():.2e})" in str(caught[0].message)
 
 
 class TestModeProfile:
