@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (bessel_j, fd_derivative_oracle, fd_field, gauss_legendre, gauss_tensor_rule,
-                   plane_basis, sphere_quadrature)
+from .core import (bessel_j, fd_field, gauss_legendre, gauss_tensor_rule, plane_basis,
+                   sphere_quadrature)
 
 TAIL_RESIDUAL_TOL = 1e-7
 
@@ -76,6 +76,11 @@ def box_quadrature(half_width: float, n_per_axis: int = 48,
                             exclusion_radius=exclusion_radius)
 
 
+# Cap on the (point, node) pairs handled at once, a few MB per temporary;
+# a single point is never split.
+_CHUNK_PAIRS = 2**16
+
+
 def _ball_nodes(quad: VolumeQuadrature):
     """Radii r, radial weights w_r, unit directions n_hat and angular weights w_omega."""
     r, wr = gauss_legendre(quad.n_radial)
@@ -85,7 +90,70 @@ def _ball_nodes(quad: VolumeQuadrature):
     return r, wr, sphere.nodes, sphere.weights
 
 
-def _warn_boundary(fn, quad: VolumeQuadrature, x: np.ndarray, result_norm: float) -> None:
+def _ball_points(points: np.ndarray, r: np.ndarray, nhat: np.ndarray) -> np.ndarray:
+    """Ball nodes x + r n_hat (k, radii, directions, 3) of the points (k, 3),
+    built in one array."""
+    pts = np.empty((points.shape[0], r.size, nhat.shape[0], 3))
+    np.multiply(r[:, None, None], nhat, out=pts)
+    pts += points[:, None, None, :]
+    return pts
+
+
+def _as_points(x) -> np.ndarray:
+    """Evaluation points (..., 3) as floats; ValueError unless a non-empty finite batch."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != 3:
+        raise ValueError(f"evaluation points must have shape (..., 3), got {x.shape}")
+    if x.size == 0:
+        raise ValueError("empty batch of evaluation points")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("evaluation points must be finite")
+    return x
+
+
+def _chunks(points: np.ndarray, n_nodes: int):
+    """Consecutive slices of the points (k, 3) with at most _CHUNK_PAIRS (point, node) pairs."""
+    step = max(1, _CHUNK_PAIRS // n_nodes)
+    return (points[s:s + step] for s in range(0, points.shape[0], step))
+
+
+def _reals(fn, pts: np.ndarray):
+    """fn at pts (..., 3) as floats (..., reals per value), with the value
+    shape and whether the values are complex."""
+    vals = np.asarray(fn(pts.reshape(-1, 3)))
+    cplx = np.iscomplexobj(vals)
+    vf = np.ascontiguousarray(vals, dtype=complex if cplx else float).view(float)
+    return vf.reshape(pts.shape[:-1] + (-1,)), vals.shape[1:], cplx
+
+
+def _values(reals: np.ndarray, value_shape: tuple, cplx: bool) -> np.ndarray:
+    """Results (k, reals per value) back as values (k, *value_shape)."""
+    reals = np.ascontiguousarray(reals)
+    return (reals.view(complex) if cplx else reals).reshape((reals.shape[0],) + value_shape)
+
+
+def _separation(points: np.ndarray, nodes: np.ndarray):
+    """x - y, components first (3, k, n), and |x - y| (k, n) for points (k, 3), nodes (n, 3)."""
+    d = points.T[:, :, None] - nodes.T[:, None, :]
+    return d, np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+
+
+def _wedge(m: np.ndarray) -> np.ndarray:
+    """Sum over nodes of F x K, per point, from the moments m (points, 3,
+    reals) = sum K_a F_b.
+
+    The reals axis holds the three components of F, each as one real or as
+    a (real, imaginary) pair; the result (points, reals) has the same layout.
+    """
+    m = m.reshape(m.shape[0], 3, 3, -1)
+    out = np.stack([m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]],
+                   axis=1)
+    return out.reshape(m.shape[0], -1)
+
+
+def _warn_boundary(fn, quad: VolumeQuadrature, x: np.ndarray, result: np.ndarray) -> None:
+    """Warn once when at some point of the batch x (k, 3) the field on the
+    domain boundary, times the extent, exceeds 1e-6 of the result (k, ...)."""
     if quad.kind == "ball":
         u = np.linspace(-1.0, 1.0, 7)
         phi = np.linspace(0.0, 2 * np.pi, 13, endpoint=False)
@@ -94,7 +162,7 @@ def _warn_boundary(fn, quad: VolumeQuadrature, x: np.ndarray, result_norm: float
             np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi)),
             np.outer(u, np.ones_like(phi)),
         ], axis=-1).reshape(-1, 3)
-        probes = x + quad.extent * probes
+        probes = x[:, None, :] + quad.extent * probes
     else:
         t = np.linspace(-quad.extent, quad.extent, 5)
         faces = []
@@ -106,62 +174,86 @@ def _warn_boundary(fn, quad: VolumeQuadrature, x: np.ndarray, result_norm: float
                 face[..., (axis + 1) % 3] = a
                 face[..., (axis + 2) % 3] = b
                 faces.append(face.reshape(-1, 3))
-        probes = np.concatenate(faces, axis=0)
-    boundary = np.max(np.abs(np.asarray(fn(probes))))
-    estimate = boundary * quad.extent
-    if estimate > 1e-6 * max(result_norm, 1e-300):
+        probes = np.concatenate(faces, axis=0)[None]  # the same for every point
+    boundary = np.abs(np.asarray(fn(probes.reshape(-1, 3)))).reshape(probes.shape[0], -1)
+    estimate = np.broadcast_to(boundary.max(axis=1) * quad.extent, x.shape[:1])
+    result_norm = np.abs(result).reshape(x.shape[0], -1).max(axis=1)
+    over = estimate > 1e-6 * np.maximum(result_norm, 1e-300)
+    if np.any(over):
+        worst = np.argmax(np.where(over, estimate / np.maximum(result_norm, 1e-300), -np.inf))
         warnings.warn(
-            f"boundary contribution estimate {estimate:.2e} exceeds 1e-6 of result "
-            f"{result_norm:.2e}; enlarge the integration domain",
+            f"boundary contribution estimate exceeds 1e-6 of the result at "
+            f"{np.count_nonzero(over)} of {x.shape[0]} points (worst: {estimate[worst]:.2e} "
+            f"against {result_norm[worst]:.2e}); enlarge the integration domain",
             BoundaryContributionWarning,
             stacklevel=3,
         )
 
 
 def riesz_potential(fn, x, quad: VolumeQuadrature) -> np.ndarray:
-    """(1/4 pi) integral of F(y) / |x - y| over the quadrature domain."""
-    x = np.asarray(x, dtype=float)
+    """(1/4 pi) integral of F(y) / |x - y| over the quadrature domain.
+
+    ``x (..., 3)`` is a batch of evaluation points; the result has the batch
+    shape followed by the value shape of ``fn``.  Raises ValueError on an
+    empty or non-finite batch, before the field is evaluated.  Warns once
+    per batch (BoundaryContributionWarning) when the field is not
+    negligible on the domain boundary.
+    """
+    x = _as_points(x)
+    flat = x.reshape(-1, 3)
+    sums = []
     if quad.kind == "ball":
         r, wr, nhat, womega = _ball_nodes(quad)
-        pts = x[None, None, :] + r[:, None, None] * nhat[None, :, :]
-        vals = np.asarray(fn(pts.reshape(-1, 3))).reshape(r.size, nhat.shape[0], -1)
-        # kernel 1/r times Jacobian r^2 leaves a factor r
-        acc = np.einsum("i,j,ijc->c", wr * r, womega, vals)
-        result = acc / (4.0 * np.pi)
+        for xc in _chunks(flat, r.size * nhat.shape[0]):
+            vf, value_shape, cplx = _reals(fn, _ball_points(xc, r, nhat))
+            # kernel 1/r times Jacobian r^2 leaves a factor r on each ray
+            rays = (wr * r) @ vf.reshape(xc.shape[0], r.size, -1)
+            sums.append(womega @ rays.reshape(xc.shape[0], nhat.shape[0], -1))
     else:
         # smooth singularity split: the locally constant part under a
         # Gaussian bump of scale eps integrates to (1/4 pi) 2 pi eps^2 F(x)
-        # exactly, and the compensated integrand is bounded at y = x
+        # exactly, and the compensated integrand (F(y) - bump F(x)) / |x - y|
+        # is bounded at y = x; by linearity it is summed as two contractions
         nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
+        vf, value_shape, cplx = _reals(fn, nodes)
         eps = quad.exclusion_radius
-        d = x[None, :] - nodes
-        dist = np.linalg.norm(d, axis=-1)
-        vals = np.asarray(fn(nodes))
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        center = np.atleast_1d(np.asarray(fn(x[None, :]))[0])
-        bump = np.exp(-((dist / eps) ** 2))
-        safe = np.where(dist < 1e-300, 1.0, dist)
-        compensated = (vals - bump[:, None] * center[None, :]) / safe[:, None]
-        compensated[dist < 1e-300] = 0.0
-        acc = np.sum(weights[:, None] * compensated, axis=0)
-        result = (acc + 2.0 * np.pi * eps**2 * center) / (4.0 * np.pi)
-    result = np.squeeze(result) if result.size == 1 else result
-    _warn_boundary(fn, quad, x, float(np.max(np.abs(result))))
-    return result
+        for xc in _chunks(flat, nodes.shape[0]):
+            _, dist = _separation(xc, nodes)
+            kern = weights / np.where(dist < 1e-300, np.inf, dist)  # zero on a node at x
+            bump = np.sum(kern * np.exp(-((dist / eps) ** 2)), axis=1)
+            center = _reals(fn, xc)[0]
+            # one (1, n) @ (n, reals) product per point keeps a point's sum
+            # independent of the batch it comes in
+            acc = (kern[:, None, :] @ vf)[:, 0]
+            sums.append(acc + (2.0 * np.pi * eps**2 - bump)[:, None] * center)
+    result = _values(np.concatenate(sums) / (4.0 * np.pi), value_shape, cplx)
+    _warn_boundary(fn, quad, flat, result)
+    return result.reshape(x.shape[:-1] + value_shape)
 
 
 def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
-    """(1/4 pi) integral of F(y) x (x - y) / |x - y|^3 (the induced field)."""
-    x = np.asarray(x, dtype=float)
+    """(1/4 pi) integral of F(y) x (x - y) / |x - y|^3 (the induced field).
+
+    ``x (..., 3)`` is a batch of evaluation points and the result has shape
+    ``x.shape``.  Raises ValueError on an empty or non-finite batch, before
+    the field is evaluated.  Warns once per batch
+    (BoundaryContributionWarning) when the field is not negligible on the
+    domain boundary.
+    """
+    x = _as_points(x)
+    flat = x.reshape(-1, 3)
+    sums = []
     if quad.kind == "ball":
         r, wr, nhat, womega = _ball_nodes(quad)
-        pts = x[None, None, :] + r[:, None, None] * nhat[None, :, :]
-        vals = np.asarray(fn(pts.reshape(-1, 3))).reshape(r.size, nhat.shape[0], 3)
-        # (x - y)/|x - y|^3 = -n_hat / r^2 cancels the Jacobian exactly
-        integrand = -np.cross(vals, nhat[None, :, :])
-        acc = np.einsum("i,j,ijc->c", wr, womega, integrand)
-        result = acc / (4.0 * np.pi)
+        # (x - y)/|x - y|^3 = -n_hat / r^2 cancels the Jacobian exactly, so
+        # the kernel is linear in F along each ray: sum the rays first, then
+        # take one cross product per direction
+        wn = (womega[:, None] * nhat).T
+        for xc in _chunks(flat, r.size * nhat.shape[0]):
+            vf, value_shape, cplx = _reals(fn, _ball_points(xc, r, nhat))
+            rays = wr @ vf.reshape(xc.shape[0], r.size, -1)
+            sums.append(-_wedge(wn @ rays.reshape(xc.shape[0], nhat.shape[0], -1)))
+        result = _values(np.concatenate(sums), value_shape, cplx) / (4.0 * np.pi)
     else:
         # smooth cutoff W ~ (d/eps)^4 near the point keeps the integrand
         # bounded and the result smooth in x; the suppressed part carries no
@@ -169,17 +261,18 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         # +(eps^2/4) curl F(x) for locally linear ones: the angular average
         # gives (1/3) curl F times int (1 - W) r dr = 3 eps^2 / 4
         nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
+        vf, value_shape, cplx = _reals(fn, nodes)
         eps = quad.exclusion_radius
-        d = x[None, :] - nodes
-        dist = np.linalg.norm(d, axis=-1)
-        cutoff = (1.0 - np.exp(-((dist / eps) ** 2))) ** 2
-        safe = np.where(dist < 1e-300, 1.0, dist)
-        vals = np.asarray(fn(nodes))
-        kern = (cutoff / safe**3)[:, None] * d
-        result = np.sum(weights[:, None] * np.cross(vals, kern), axis=0) / (4.0 * np.pi)
-        result = result + 0.25 * eps**2 * fd_derivative_oracle(fn, x, "curl")
-    _warn_boundary(fn, quad, x, float(np.max(np.abs(result))))
-    return result
+        for xc in _chunks(flat, nodes.shape[0]):
+            d, dist = _separation(xc, nodes)
+            cutoff = (1.0 - np.exp(-((dist / eps) ** 2))) ** 2
+            kern = weights * cutoff / np.where(cutoff > 0, dist, np.inf) ** 3
+            # moments sum_y K d_a F_b, then the antisymmetric part
+            sums.append(_wedge((kern * d).transpose(1, 0, 2) @ vf))
+        result = _values(np.concatenate(sums), value_shape, cplx) / (4.0 * np.pi)
+        result = result + 0.25 * eps**2 * fd_field(fn, "curl")(flat)
+    _warn_boundary(fn, quad, flat, result)
+    return result.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +290,18 @@ def ampere_fluxes(fn, radius: float, nu: float, n_radial: int = 48,
     curl F = nu F these satisfy Phi_surface = Phi_line = nu Q.  The three
     numbers come from independent rules: radial Gauss-Legendre x uniform
     azimuth for the two surface fluxes (curl by the finite-difference oracle)
-    and periodic trapezoid for the line integral.
+    and periodic trapezoid for the line integral.  Raises ValueError,
+    before the field is evaluated, unless the radius is finite and
+    positive, the center finite and the normal finite and nonzero.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     center = np.asarray(center, dtype=float)
+    if center.shape != (3,) or not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be a finite 3-vector, got {center}")
     n_hat = np.asarray(normal, dtype=float)
+    if n_hat.shape != (3,) or not np.all(np.isfinite(n_hat)) or not np.any(n_hat):
+        raise ValueError(f"normal must be a finite nonzero 3-vector, got {n_hat}")
     n_hat = n_hat / np.linalg.norm(n_hat)
     e1, e2 = plane_basis(n_hat)
 

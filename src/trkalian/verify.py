@@ -164,7 +164,7 @@ def _check_second_moment() -> float:
     return float(abs(val - 4.0 * np.pi / 3.0))
 
 
-@_register("bessel_recurrence", "Three-term recurrence of the Bessel functions", 1e-10)
+@_register("bessel_recurrence", "Three-term recurrence of the Bessel functions", 5e-13)
 def _check_bessel() -> float:
     x = np.linspace(0.5, 20.0, 79)
     worst = 0.0
@@ -195,7 +195,7 @@ def _check_catalog() -> float:
     return worst
 
 
-@_register("ampere_lundquist", "Flux triangle of the cylindrical field", 1e-10)
+@_register("ampere_lundquist", "Flux triangle of the cylindrical field", 2e-11)
 def _check_ampere() -> float:
     f = fields.lundquist(1.0, 1.0)
     worst = 0.0
@@ -304,7 +304,7 @@ def _check_adjoint_eigen() -> float:
                            8.0 * np.pi**2 / mf.nu**2 * fields.eval_mode_field(mf, x))
 
 
-@_register("adjoint_riesz", "Double transform equals 8 pi^2 times the Riesz potential", 1e-6)
+@_register("adjoint_riesz", "Double transform equals 8 pi^2 times the Riesz potential", 5e-7)
 def _check_adjoint_riesz() -> float:
     f = fields.gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.5))
     sphere = sphere_quadrature(8, 16, antipodal=True)
@@ -346,7 +346,7 @@ def _check_ring_probe() -> float:
 # Riesz / Biot-Savart
 # ---------------------------------------------------------------------------
 
-@_register("riesz_gaussian", "Riesz potential of the Gaussian against the radial oracle", 1e-10)
+@_register("riesz_gaussian", "Riesz potential of the Gaussian against the radial oracle", 5e-12)
 def _check_riesz() -> float:
     g = fields.gaussian_scalar()
     val = bs.riesz_potential(g, np.zeros(3), bs.ball_quadrature(9.0))
@@ -357,24 +357,14 @@ def _check_riesz() -> float:
     return float(abs(val - oracle) / abs(oracle))
 
 
-@_register("riesz_left_inverse", "Negative Laplacian inverts the Riesz potential", 1e-3)
+@_register("riesz_left_inverse", "Negative Laplacian inverts the Riesz potential", 5e-5)
 def _check_riesz_inverse() -> float:
     f = fields.gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0))
     quad = bs.ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
     x = np.array([0.3, -0.2, 0.1])
-    lap = fd_derivative_oracle(lambda y: _volume_batch(bs.riesz_potential, f, y, quad), x,
-                               "laplacian", h=2e-2)
+    lap = fd_derivative_oracle(lambda y: bs.riesz_potential(f, y, quad), x, "laplacian", h=2e-2)
     val = f(x)
     return float(np.linalg.norm(-lap - val) / np.linalg.norm(val))
-
-
-def _volume_batch(integral, f, pts, quad):
-    """``integral(f, x, quad)`` at each point of a batch, boundary warnings off."""
-    pts = np.asarray(pts, dtype=float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = np.stack([integral(f, p, quad) for p in pts.reshape(-1, 3)])
-    return out.reshape(pts.shape[:-1] + (3,))
 
 
 def _curl_of_gaussian_potential() -> fields.SampledField:
@@ -392,13 +382,12 @@ def _curl_of_gaussian_potential() -> fields.SampledField:
     return fields.SampledField(name="solenoidal_gaussian", evaluator=evaluator)
 
 
-@_register("bs_curl_left_inverse", "Curl inverts the induced-field integral", 1e-3)
+@_register("bs_curl_left_inverse", "Curl inverts the induced-field integral", 3e-4)
 def _check_bs_inverse() -> float:
     f = _curl_of_gaussian_potential()
     quad = bs.ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
     x = np.array([0.4, 0.1, -0.3])
-    curl = fd_derivative_oracle(lambda y: _volume_batch(bs.bs_integral, f, y, quad), x,
-                                "curl", h=2e-2)
+    curl = fd_derivative_oracle(lambda y: bs.bs_integral(f, y, quad), x, "curl", h=2e-2)
     val = f(x)
     return float(np.linalg.norm(curl - val) / np.linalg.norm(val))
 
@@ -408,12 +397,11 @@ def _check_bs_divergence() -> float:
     f = _curl_of_gaussian_potential()
     quad = bs.ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
     x = np.array([0.2, -0.4, 0.3])
-    div = fd_derivative_oracle(lambda y: _volume_batch(bs.bs_integral, f, y, quad), x,
-                               "divergence", h=2e-2)
+    div = fd_derivative_oracle(lambda y: bs.bs_integral(f, y, quad), x, "divergence", h=2e-2)
     return float(abs(div) / np.linalg.norm(f(x)))
 
 
-@_register("bs_lundquist_eigen", "Semi-analytic induced field of the cylindrical solution", 1e-10)
+@_register("bs_lundquist_eigen", "Semi-analytic induced field of the cylindrical solution", 2e-11)
 def _check_bs_lundquist() -> float:
     f0, nu = 1.0, 1.0
     field = fields.lundquist(f0, nu)
@@ -578,7 +566,7 @@ def _check_eigen_flip() -> float:
     return radon.gamma_apply(mapped, "cross").amplitude_distance(mapped, -profile.nu)
 
 
-@_register("lundquist_gauge_fix", "Gauge-shifted potential restores self-duality", 1e-9)
+@_register("lundquist_gauge_fix", "Gauge-shifted potential restores self-duality", 5e-13)
 def _check_gauge_fix() -> float:
     g = 1.0
     nu = 2.0

@@ -9,8 +9,8 @@ from trkalian.biotsavart import (BoundaryContributionWarning, VolumeQuadrature,
                                  bs_lundquist_terms, poisson_angular_moments,
                                  poisson_angular_moments_numeric,
                                  poisson_region_match, riesz_potential)
-from trkalian.core import (bessel_j, bessel_j1_first_zero,
-                           fd_derivative_oracle)
+from trkalian.core import (bessel_j, bessel_j1_first_zero, fd_derivative_oracle,
+                           gauss_legendre, gauss_tensor_rule, sphere_quadrature)
 from trkalian.fields import (SampledField, gaussian_scalar,
                              gaussian_test_field, lundquist)
 
@@ -42,6 +42,158 @@ def quiet_bs(f, x, quad):
         return bs_integral(f, x, quad)
 
 
+def real_solenoidal(x):
+    """A real-valued (float) field with a nonzero divergence-free part."""
+    x = np.asarray(x, dtype=float)
+    env = np.exp(-np.sum(x * x, axis=-1))
+    return np.stack([-2.0 * x[..., 1] * env, 2.0 * x[..., 0] * env, 0.3 * env], axis=-1)
+
+
+def reference_riesz(fn, x, quad):
+    """riesz_potential at one point as first written: node-by-node temporaries."""
+    if quad.kind == "ball":
+        r, wr = gauss_legendre(quad.n_radial)
+        r, wr = 0.5 * quad.extent * (r + 1.0), 0.5 * quad.extent * wr
+        sphere = sphere_quadrature(quad.n_polar, quad.n_azimuth)
+        pts = x[None, None, :] + r[:, None, None] * sphere.nodes[None, :, :]
+        vals = np.asarray(fn(pts.reshape(-1, 3))).reshape(r.size, sphere.n, -1)
+        acc = np.einsum("i,j,ijc->c", wr * r, sphere.weights, vals)
+        return acc / (4.0 * np.pi)
+    nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
+    eps = quad.exclusion_radius
+    d = x[None, :] - nodes
+    dist = np.linalg.norm(d, axis=-1)
+    vals = np.asarray(fn(nodes))
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    center = np.atleast_1d(np.asarray(fn(x[None, :]))[0])
+    bump = np.exp(-((dist / eps) ** 2))
+    safe = np.where(dist < 1e-300, 1.0, dist)
+    compensated = (vals - bump[:, None] * center[None, :]) / safe[:, None]
+    compensated[dist < 1e-300] = 0.0
+    acc = np.sum(weights[:, None] * compensated, axis=0)
+    return (acc + 2.0 * np.pi * eps**2 * center) / (4.0 * np.pi)
+
+
+def reference_bs(fn, x, quad):
+    """bs_integral at one point as first written: a cross product per node."""
+    if quad.kind == "ball":
+        r, wr = gauss_legendre(quad.n_radial)
+        r, wr = 0.5 * quad.extent * (r + 1.0), 0.5 * quad.extent * wr
+        sphere = sphere_quadrature(quad.n_polar, quad.n_azimuth)
+        pts = x[None, None, :] + r[:, None, None] * sphere.nodes[None, :, :]
+        vals = np.asarray(fn(pts.reshape(-1, 3))).reshape(r.size, sphere.n, 3)
+        integrand = -np.cross(vals, sphere.nodes[None, :, :])
+        return np.einsum("i,j,ijc->c", wr, sphere.weights, integrand) / (4.0 * np.pi)
+    nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
+    eps = quad.exclusion_radius
+    d = x[None, :] - nodes
+    dist = np.linalg.norm(d, axis=-1)
+    cutoff = (1.0 - np.exp(-((dist / eps) ** 2))) ** 2
+    safe = np.where(dist < 1e-300, 1.0, dist)
+    kern = (cutoff / safe**3)[:, None] * d
+    result = np.sum(weights[:, None] * np.cross(np.asarray(fn(nodes)), kern), axis=0)
+    return result / (4.0 * np.pi) + 0.25 * eps**2 * fd_derivative_oracle(fn, x, "curl")
+
+
+def counting(fn):
+    """fn with the number of its calls in ``.calls``."""
+    def wrapped(x):
+        wrapped.calls += 1
+        return fn(x)
+    wrapped.calls = 0
+    return wrapped
+
+
+VOLUME_RULES = {
+    "ball": ball_quadrature(7.0, n_radial=24, n_polar=10, n_azimuth=20),
+    "box": box_quadrature(4.0, n_per_axis=24, exclusion_radius=0.4),
+}
+VOLUME_FIELDS = {
+    "complex": gaussian_test_field((0.1, -0.2, 0.05), 1.1, (1.0 + 0.3j, -0.4j, 0.5)),
+    "real": real_solenoidal,
+}
+VOLUME_POINTS = np.array([[0.3, -0.4, 0.5], [-0.2, 0.1, 0.0], [0.6, 0.2, -0.3]])
+
+
+class TestVolumeKernels:
+    """The contracted kernels against the node-by-node formulas, and batches
+    against single points."""
+
+    @pytest.mark.parametrize("field", sorted(VOLUME_FIELDS))
+    @pytest.mark.parametrize("rule", sorted(VOLUME_RULES))
+    @pytest.mark.parametrize("integral, reference", [(riesz_potential, reference_riesz),
+                                                     (bs_integral, reference_bs)],
+                             ids=["riesz", "bs"])
+    def test_matches_node_by_node_formula(self, integral, reference, rule, field):
+        fn, quad = VOLUME_FIELDS[field], VOLUME_RULES[rule]
+        for x in VOLUME_POINTS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BoundaryContributionWarning)
+                val = integral(fn, x, quad)
+            ref = reference(fn, x, quad)
+            assert val.shape == (3,) and val.dtype == ref.dtype
+            assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_scalar_field_keeps_its_value_shape(self):
+        g = gaussian_scalar()
+        for quad in VOLUME_RULES.values():
+            val = quiet_riesz(g, VOLUME_POINTS[0], quad)
+            assert val.shape == ()
+            ref = reference_riesz(g, VOLUME_POINTS[0], quad)
+            assert abs(val - ref[0]) <= 1e-12 * abs(ref[0])
+            assert quiet_riesz(g, VOLUME_POINTS.reshape(1, 3, 3), quad).shape == (1, 3)
+
+    @pytest.mark.parametrize("rule", sorted(VOLUME_RULES))
+    @pytest.mark.parametrize("integral", [riesz_potential, bs_integral], ids=["riesz", "bs"])
+    def test_batch_equals_single_points(self, integral, rule):
+        fn, quad = VOLUME_FIELDS["complex"], VOLUME_RULES[rule]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryContributionWarning)
+            batch = integral(fn, VOLUME_POINTS, quad)
+            single = np.stack([integral(fn, x, quad) for x in VOLUME_POINTS])
+        assert batch.shape == VOLUME_POINTS.shape
+        if integral is bs_integral and rule == "box":
+            # the eps^2/4 curl correction sums its stencil with one BLAS
+            # product over the batch, whose rounding depends on the row
+            # count; the 1/h stencil weights amplify it to ~1e-14
+            assert np.max(np.abs(batch - single)) <= 1e-13 * np.max(np.abs(single))
+        else:
+            # every contraction is per point: the same bits in any batch
+            assert batch.tobytes() == single.tobytes()
+
+    def test_ball_rule_evaluates_a_batch_in_one_field_call(self):
+        fn = counting(VOLUME_FIELDS["complex"])
+        quiet_bs(fn, VOLUME_POINTS, VOLUME_RULES["ball"])
+        assert fn.calls == 2  # the nodes of all points, then the boundary probes
+
+    @pytest.mark.parametrize("rule", sorted(VOLUME_RULES))
+    @pytest.mark.parametrize("integral", [riesz_potential, bs_integral], ids=["riesz", "bs"])
+    def test_batch_warns_once(self, integral, rule):
+        const = SampledField(
+            name="const",
+            evaluator=lambda x: np.broadcast_to(
+                np.array([0.0, 0.0, 1.0], dtype=complex), np.asarray(x).shape).copy())
+        pts = np.random.default_rng(7).uniform(-0.5, 0.5, size=(4, 3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            integral(const, pts, VOLUME_RULES[rule])
+        boundary = [w for w in caught if issubclass(w.category, BoundaryContributionWarning)]
+        assert len(boundary) == 1
+        assert "of 4 points" in str(boundary[0].message)
+
+    @pytest.mark.parametrize("integral", [riesz_potential, bs_integral], ids=["riesz", "bs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_point_before_evaluating(self, integral, bad):
+        fn = counting(VOLUME_FIELDS["complex"])
+        pts = VOLUME_POINTS.copy()
+        pts[1, 2] = bad
+        for quad in VOLUME_RULES.values():
+            with pytest.raises(ValueError, match="finite"):
+                integral(fn, pts, quad)
+        assert fn.calls == 0
+
+
 class TestRieszPotential:
     def test_zero_field(self):
         zero = SampledField(name="zero",
@@ -64,10 +216,7 @@ class TestRieszPotential:
         quad = ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
 
         def potential(pts):
-            pts = np.asarray(pts, dtype=float)
-            flat = pts.reshape(-1, 3)
-            out = np.stack([quiet_riesz(f, p, quad) for p in flat])
-            return out.reshape(pts.shape[:-1] + (3,))
+            return quiet_riesz(f, pts, quad)
 
         x = np.array([0.3, -0.2, 0.1])
         lap = fd_derivative_oracle(potential, x, "laplacian", h=2e-2)
@@ -96,10 +245,7 @@ class TestBSIntegral:
         quad = ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
 
         def induced(pts):
-            pts = np.asarray(pts, dtype=float)
-            flat = pts.reshape(-1, 3)
-            out = np.stack([quiet_bs(f, p, quad) for p in flat])
-            return out.reshape(pts.shape[:-1] + (3,))
+            return quiet_bs(f, pts, quad)
 
         div = fd_derivative_oracle(induced, np.array([0.2, -0.4, 0.3]), "divergence", h=2e-2)
         assert abs(div) / np.linalg.norm(f(np.array([0.2, -0.4, 0.3]))) < 1e-5
@@ -109,10 +255,7 @@ class TestBSIntegral:
         quad = ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
 
         def induced(pts):
-            pts = np.asarray(pts, dtype=float)
-            flat = pts.reshape(-1, 3)
-            out = np.stack([quiet_bs(f, p, quad) for p in flat])
-            return out.reshape(pts.shape[:-1] + (3,))
+            return quiet_bs(f, pts, quad)
 
         x = np.array([0.4, 0.1, -0.3])
         curl = fd_derivative_oracle(induced, x, "curl", h=2e-2)
@@ -138,10 +281,7 @@ class TestBSIntegral:
         quad = box_quadrature(2.0, n_per_axis=40)
 
         def induced(pts):
-            pts = np.asarray(pts, dtype=float)
-            flat = pts.reshape(-1, 3)
-            out = np.stack([quiet_bs(const, p, quad) for p in flat])
-            return out.reshape(pts.shape[:-1] + (3,))
+            return quiet_bs(const, pts, quad)
 
         x = np.array([0.1, 0.05, -0.1])
         curl = fd_derivative_oracle(induced, x, "curl", h=2e-2)
@@ -255,8 +395,25 @@ class TestAmpere:
         assert abs(phi_l - 1.0 * q) / abs(q) < 1e-6
 
     def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            ampere_fluxes(lundquist(1.0, 1.0), -1.0, 1.0)
+        fn = counting(lundquist(1.0, 1.0))
+        for radius in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="radius"):
+                ampere_fluxes(fn, radius, 1.0)
+        assert fn.calls == 0
+
+    @pytest.mark.parametrize("center", [(0.0, np.nan, 0.0), (np.inf, 0.0, 0.0)])
+    def test_rejects_non_finite_center(self, center):
+        fn = counting(lundquist(1.0, 1.0))
+        with pytest.raises(ValueError, match="center"):
+            ampere_fluxes(fn, 1.0, 1.0, center=center)
+        assert fn.calls == 0
+
+    @pytest.mark.parametrize("normal", [(0.0, 0.0, 0.0), (0.0, np.nan, 1.0), (np.inf, 0.0, 1.0)])
+    def test_rejects_zero_or_non_finite_normal(self, normal):
+        fn = counting(lundquist(1.0, 1.0))
+        with pytest.raises(ValueError, match="normal"):
+            ampere_fluxes(fn, 1.0, 1.0, normal=normal)
+        assert fn.calls == 0
 
 
 class TestConsistencyTriangle:

@@ -257,3 +257,13 @@ class TestPlotCommand:
             "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "p"),
         ])
         assert result.exit_code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported on the first Bessel evaluation only, so commands
+    # that never evaluate one (the default Gaussian transform) skip its cost
+    env = {**os.environ, "PYTHONPATH": str(Path(trkalian.__file__).parents[1])}
+    probe = "import sys, trkalian.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

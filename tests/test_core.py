@@ -3,7 +3,8 @@ import pytest
 
 from trkalian.core import (PlaneQuadrature, as_direction, bessel_j,
                            bessel_j1_first_zero, fd_derivative_oracle,
-                           fd_field, plane_basis, sphere_quadrature)
+                           fd_field, gauss_legendre, gauss_tensor_rule, plane_basis,
+                           sphere_quadrature)
 
 
 class TestSphereQuadrature:
@@ -125,6 +126,13 @@ class TestBessel:
             res = bessel_j(m - 1, x) + bessel_j(m + 1, x) - (2 * m / x) * bessel_j(m, x)
             assert np.max(np.abs(res)) < 1e-10
 
+    def test_orders_zero_and_one_match_general_order(self):
+        from scipy import special
+
+        x = np.linspace(0.0, 200.0, 20001)
+        for m in (0, 1):
+            assert np.max(np.abs(bessel_j(m, x) - special.jv(m, x))) < 2e-15
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             bessel_j(-1, 1.0)
@@ -144,6 +152,16 @@ class TestPlaneQuadrature:
         x, w = quad.nodes_1d()
         val = np.sum(w * np.exp(-x * x))
         assert abs(val - np.sqrt(np.pi)) < 1e-12
+
+
+def test_tensor_rule_matches_meshgrid_construction():
+    x, w = gauss_legendre(6)
+    x, w = 1.5 * x, 1.5 * w
+    nodes, weights = gauss_tensor_rule(1.5, 6)
+    ref = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert nodes.tobytes() == ref.tobytes()  # same values, same row order
+    assert weights.tobytes() == (w[:, None, None] * w[None, :, None] * w).reshape(-1).tobytes()
+    assert nodes.T.flags.c_contiguous
 
 
 class TestFdOracle:
