@@ -179,19 +179,29 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", radon.TruncationWarning)
             grid = radon.radon_forward_grid(f, p, sphere, plane)
-        truncation_warned = any(w.category is radon.TruncationWarning for w in caught)
-        if truncation_warned:
+        truncation = next((w.message for w in caught
+                           if w.category is radon.TruncationWarning), None)
+        if truncation is not None:
             click.echo("warning: plane truncation boundary not negligible", err=True)
         _atomic_write(out_dir / "profile_grid.csv", radon.grid_to_csv(grid))
 
-        # parity scan F^R(-p, -kappa) = F^R(p, kappa) on the sampled grid
+        # parity scan F^R(-p, -kappa) = F^R(p, kappa) on the sampled grid; the
+        # grid transform shares each plane between (p, kappa) and (-p, -kappa),
+        # so what is left is the wrap of the periodic p-range, measured by the
+        # magnitude on its end rows
         parity = 0.0
         if sphere.antipode_index is not None:
             rev = np.roll(grid.samples[::-1], 1, axis=0)  # samples at -p
             parity = float(np.max(np.abs(grid.samples - rev[:, sphere.antipode_index])))
-        sidecar.update(mode="grid", parity_defect=parity,
-                       parity_check="pass" if parity < 1e-8 else "fail",
-                       truncation_warning=truncation_warned,
+        scale = float(np.max(np.abs(grid.samples))) or 1.0  # a zero grid has no defect
+        parity_rel = parity / scale
+        sidecar.update(mode="grid", parity_defect=parity, parity_defect_rel=parity_rel,
+                       parity_check="pass" if parity_rel < 1e-8 else "fail",
+                       p_end_ratio=float(np.max(np.abs(grid.samples[[0, -1]]))) / scale,
+                       truncation_warning=truncation is not None,
+                       truncated_planes=0 if truncation is None else truncation.n_truncated,
+                       truncation_worst_ratio=None if truncation is None
+                       else truncation.worst_ratio,
                        n_p=n_p, n_directions=sphere.n)
 
     _atomic_write(out_dir / "radon_meta.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

@@ -36,10 +36,6 @@ class SampledField:
     def __call__(self, x) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float))
 
-    @property
-    def is_trkalian(self) -> bool:
-        return self.eigenvalue is not None
-
 
 @dataclass(frozen=True)
 class ScalarField:

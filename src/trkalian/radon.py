@@ -30,7 +30,16 @@ TRUNCATION_THRESHOLD = 1e-10
 
 
 class TruncationWarning(UserWarning):
-    """Field not negligible at the truncated plane boundary."""
+    """Field not negligible at the truncated plane boundary.
+
+    A warning from a transform counts over the whole requested batch or
+    grid: ``n_truncated`` of its ``n_planes`` planes exceed the threshold,
+    the largest edge/peak ratio among them being ``worst_ratio``.
+    """
+
+    n_truncated: int | None = None
+    n_planes: int | None = None
+    worst_ratio: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -278,24 +287,10 @@ def cap_swapped_hemisphere(axis, cos_cap: float = 0.9) -> Hemisphere:
 _CHUNK_POINTS = 2**14
 
 
-def radon_forward_numeric(fn, p, kappa, quad: PlaneQuadrature):
-    """Plane integrals of a rapidly decreasing field over the planes p = kappa . x.
-
-    ``p (...)`` and ``kappa (..., 3)`` broadcast to a non-empty batch of
-    planes; the result has the batch shape followed by the value shape of
-    ``fn``, so one plane of a scalar (vector) field gives a scalar
-    (3-vector).  The field is called on whole planes in chunks, and each
-    plane's value depends on that plane only.  Raises ValueError on an
-    empty batch or a non-finite field.  Warns once (TruncationWarning) when
-    on some plane the magnitude at the boundary exceeds 1e-10 of that over
-    the plane; a magnitude is the largest |Re| or |Im| of any component.
-    """
-    k = as_direction(kappa)
-    shape = np.broadcast_shapes(np.shape(p), k.shape[:-1])
-    if 0 in shape:
-        raise ValueError(f"empty plane batch: p and kappa broadcast to shape {shape}")
-    p = np.broadcast_to(np.asarray(p, dtype=float), shape).reshape(-1)
-    k = np.broadcast_to(k, shape + (3,)).reshape(-1, 3)
+def _plane_sums(fn, p, k, quad: PlaneQuadrature):
+    """Weighted sums of ``fn`` over the planes p (m,) = k (m, 3) . x, with
+    each plane's peak and edge magnitude (m,); the sums are (m,) followed by
+    the value shape of ``fn``.  Each plane's sum depends on that plane only."""
     e1, e2 = plane_basis(k)
     x1, w1 = quad.nodes_1d()
     n = quad.n_per_axis
@@ -319,22 +314,90 @@ def radon_forward_numeric(fn, p, kappa, quad: PlaneQuadrature):
         edges.append(np.abs(np.take(vf, ring, axis=1)).max(axis=(1, 2)))
         sums.append(w @ vf)  # (planes, reals per node)
 
-    peak, edge = np.concatenate(peaks), np.concatenate(edges)
-    truncated = (peak > 0) & (edge > TRUNCATION_THRESHOLD * peak)
-    if np.any(truncated):
-        warnings.warn(f"plane truncation boundary magnitude exceeds {TRUNCATION_THRESHOLD:.0e}"
-                      f" of the plane maximum on {np.count_nonzero(truncated)} of {peak.size}"
-                      f" planes (worst ratio {np.max(edge[truncated] / peak[truncated]):.2e})",
-                      TruncationWarning, stacklevel=2)
     out = np.concatenate(sums)
-    return (out.view(complex) if cplx else out).reshape(shape + value_shape)[()]
+    out = (out.view(complex) if cplx else out).reshape((p.size,) + value_shape)
+    return out, np.concatenate(peaks), np.concatenate(edges)
+
+
+def _warn_truncated(peak, edge) -> None:
+    """One TruncationWarning, to the caller of the public transform, when some
+    plane's edge exceeds TRUNCATION_THRESHOLD of its peak."""
+    truncated = (peak > 0) & (edge > TRUNCATION_THRESHOLD * peak)
+    if not np.any(truncated):
+        return
+    n_truncated = int(np.count_nonzero(truncated))
+    worst = float(np.max(edge[truncated] / peak[truncated]))
+    warning = TruncationWarning(
+        f"plane truncation boundary magnitude exceeds {TRUNCATION_THRESHOLD:.0e} of the"
+        f" plane maximum on {n_truncated} of {peak.size} planes (worst ratio {worst:.2e})")
+    warning.n_truncated, warning.n_planes, warning.worst_ratio = n_truncated, peak.size, worst
+    warnings.warn(warning, stacklevel=3)
+
+
+def radon_forward_numeric(fn, p, kappa, quad: PlaneQuadrature):
+    """Plane integrals of a rapidly decreasing field over the planes p = kappa . x.
+
+    ``p (...)`` and ``kappa (..., 3)`` broadcast to a non-empty batch of
+    planes; the result has the batch shape followed by the value shape of
+    ``fn``, so one plane of a scalar (vector) field gives a scalar
+    (3-vector).  The field is called on whole planes in chunks, and each
+    plane's value depends on that plane only.  Raises ValueError on an
+    empty batch or a non-finite field.  Warns once (TruncationWarning) when
+    on some plane the magnitude at the boundary exceeds 1e-10 of that over
+    the plane; a magnitude is the largest |Re| or |Im| of any component.
+    """
+    k = as_direction(kappa)
+    shape = np.broadcast_shapes(np.shape(p), k.shape[:-1])
+    if 0 in shape:
+        raise ValueError(f"empty plane batch: p and kappa broadcast to shape {shape}")
+    p = np.broadcast_to(np.asarray(p, dtype=float), shape).reshape(-1)
+    k = np.broadcast_to(k, shape + (3,)).reshape(-1, 3)
+    out, peak, edge = _plane_sums(fn, p, k, quad)
+    _warn_truncated(peak, edge)
+    return out.reshape(shape + out.shape[1:])[()]
 
 
 def radon_forward_grid(fn, p_grid, sphere: SphereQuadrature, quad: PlaneQuadrature) -> GridProfile:
-    """Numeric transform sampled on a p-grid times a direction set."""
-    p_grid = np.asarray(p_grid, dtype=float)
-    samples = radon_forward_numeric(fn, p_grid[:, None], sphere.nodes, quad)  # (n_p, n_dir[, 3])
-    return GridProfile(p=p_grid, sphere=sphere, samples=samples)
+    """Numeric transform sampled on a p-grid times a direction set.
+
+    The p-grid is validated before the field is evaluated.  Each geometric
+    plane is integrated once: when the sphere pairs its nodes by exact
+    negation (``antipode_index``), the first node of each pair gets every p,
+    its partner only the p whose exact negation is not on the grid, and the
+    rest of the grid is filled by parity, R(p, -kappa) = R(-p, kappa).  Both
+    name the same plane with the same nodes and weights, so a shared value
+    differs from a separate integral only in summation order.  A parity
+    scan of the grid therefore checks only the wrap of the periodic
+    p-range; the parity of the plane quadrature itself needs two separate
+    :func:`radon_forward_numeric` planes (verify record ``radon_parity``).
+    Warns once (TruncationWarning), counting over all n_p x n_dir planes.
+    """
+    p = validate_p_grid(p_grid)
+    nodes, anti = sphere.nodes, sphere.antipode_index
+    neg = np.minimum(np.searchsorted(p, -p), p.size - 1)
+    has_neg = p[neg] == -p  # p[neg[i]] is the exact negation of p[i]
+    if anti is None or not np.any(has_neg) or not np.array_equal(nodes[anti], -nodes):
+        return GridProfile(p=p, sphere=sphere,
+                           samples=radon_forward_numeric(fn, p[:, None], nodes, quad))
+
+    lead = np.flatnonzero(anti > np.arange(sphere.n))  # one node of each pair
+    partner, rest = anti[lead], np.flatnonzero(~has_neg)
+    planes_p = np.concatenate([np.repeat(p, lead.size), np.repeat(p[rest], lead.size)])
+    planes_k = np.concatenate([np.tile(nodes[lead], (p.size, 1)),
+                               np.tile(nodes[partner], (rest.size, 1))])
+    m = p.size * lead.size
+
+    def fill(planes):  # (planes, ...) -> (n_p, n_dir, ...)
+        grid = np.empty((p.size, sphere.n) + planes.shape[1:], planes.dtype)
+        grid[:, lead] = planes[:m].reshape((p.size, lead.size) + planes.shape[1:])
+        grid[np.ix_(rest, partner)] = planes[m:].reshape((rest.size, lead.size)
+                                                        + planes.shape[1:])
+        grid[np.ix_(has_neg, partner)] = grid[np.ix_(neg[has_neg], lead)]
+        return grid
+
+    out, peak, edge = _plane_sums(fn, planes_p, planes_k, quad)
+    _warn_truncated(fill(peak).reshape(-1), fill(edge).reshape(-1))
+    return GridProfile(p=p, sphere=sphere, samples=fill(out))
 
 
 # ---------------------------------------------------------------------------

@@ -596,10 +596,6 @@ def _check_quantization() -> float:
 # runner
 # ---------------------------------------------------------------------------
 
-def available_checks() -> list[str]:
-    return [name for name, _, _, _ in _CHECKS]
-
-
 def select_checks(only: str | None = None, tolerances: dict | None = None) -> list:
     """The (name, description, tolerance, check) entries whose name contains
     ``only``, with the tolerance overrides applied.

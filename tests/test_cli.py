@@ -149,6 +149,30 @@ class TestRadonCommand:
         assert result.exit_code == 0, result.output
         meta = json.loads((out / "radon_meta.json").read_text())
         assert meta["truncation_warning"] is True
+        assert 0 < meta["truncated_planes"] <= 16 * 32
+        assert 1e-10 < meta["truncation_worst_ratio"] < 1.0
+
+    @pytest.mark.parametrize("params, verdict", [
+        ({"center": [0.3, -0.2, 0.1]}, "pass"),
+        ({"center": [7, 0, 0]}, "fail"),
+        ({"center": [7, 0, 0], "polarization": [1e-9, 0, 0]}, "fail"),
+    ], ids=["interior", "edge", "edge-tiny-amplitude"])
+    def test_parity_scan_is_relative(self, runner, tmp_path, params, verdict):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "radon", "--field", "gaussian", "--params", json.dumps(params),
+            "--quad", "4,8", "--pgrid", "-8:8:16", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        meta = json.loads((out / "radon_meta.json").read_text())
+        assert meta["parity_check"] == verdict
+        if verdict == "pass":
+            assert meta["parity_defect_rel"] < 1e-8 and meta["p_end_ratio"] < 1e-8
+            assert meta["truncated_planes"] == 0 and meta["truncation_worst_ratio"] is None
+        else:
+            # the defect is the wrap of the periodic p-range: F(-8) stands in
+            # for F(+8), where the Gaussian centred at 7 has its mass
+            assert meta["parity_defect_rel"] > 0.1 and meta["p_end_ratio"] > 0.1
 
     def test_single_mode_two_atoms(self, runner, tmp_path):
         out = tmp_path / "out"

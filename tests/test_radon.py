@@ -192,6 +192,71 @@ class TestForwardNumeric:
         assert f"on 1 of 1 planes (worst ratio {edge / mag.max():.2e})" in str(caught[0].message)
 
 
+class TestForwardGrid:
+    # 16 antipodal pairs x 16 p; every p but -8 has its negation on the grid
+    SPHERE = sphere_quadrature(4, 8, antipodal=True)
+    P = -8.0 + np.arange(16.0)
+    QUAD = PlaneQuadrature(half_width=8.0, n_per_axis=40)
+    FIELD = gaussian_test_field((0.3, -0.2, 0.1), 1.0, (1.0, 0.5j, -0.25))
+
+    def direct(self, sphere=SPHERE, p=P):
+        return radon_forward_numeric(self.FIELD, p[:, None], sphere.nodes, self.QUAD)
+
+    def test_shared_grid_matches_direct_planes(self):
+        grid = radon_forward_grid(self.FIELD, self.P, self.SPHERE, self.QUAD).samples
+        direct = self.direct()
+        assert np.max(np.abs(grid - direct)) <= 1e-15 * np.max(np.abs(direct))
+        # the planes that are integrated: all p on the first node of each
+        # pair, and p = -8 (no negation on the grid) on its partner
+        anti = self.SPHERE.antipode_index
+        lead = np.flatnonzero(anti > np.arange(self.SPHERE.n))
+        assert grid[:, lead].tobytes() == direct[:, lead].tobytes()
+        assert grid[0, anti[lead]].tobytes() == direct[0, anti[lead]].tobytes()
+        # the rest are filled by parity, exactly
+        assert np.array_equal(grid[1:, anti[lead]], grid[:0:-1, lead])
+
+    def test_unshared_grids_equal_the_direct_call_bitwise(self):
+        plain = sphere_quadrature(4, 8)
+        grid = radon_forward_grid(self.FIELD, self.P, plain, self.QUAD)
+        assert grid.samples.tobytes() == self.direct(plain).tobytes()
+        p = -7.9 + np.arange(16.0)  # no p has its negation on the grid
+        grid = radon_forward_grid(self.FIELD, p, self.SPHERE, self.QUAD)
+        assert grid.samples.tobytes() == self.direct(p=p).tobytes()
+
+    def test_each_plane_is_evaluated_once(self):
+        points = []
+
+        def counted(x):
+            points.append(len(x))
+            return self.FIELD(x)
+
+        radon_forward_grid(counted, self.P, self.SPHERE, self.QUAD)
+        # 16 x 16 planes on the first nodes of the pairs, 16 at p = -8 on
+        # their partners, instead of 16 x 32
+        assert sum(points) == 272 * self.QUAD.n_per_axis**2
+
+    def test_rejects_bad_grid_before_calling_the_field(self):
+        def never(x):
+            raise AssertionError("field called on a bad p-grid")
+
+        for p in (np.arange(12) * 0.1, np.arange(16.0)[::-1], np.array([0.0, 1.0, 3.0, 4.0])):
+            with pytest.raises(ValueError, match="p-grid"):
+                radon_forward_grid(never, p, self.SPHERE, self.QUAD)
+
+    def test_warning_carries_counts(self):
+        edge_field = gaussian_test_field((7.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0))
+        with pytest.warns(TruncationWarning) as grid_caught:
+            radon_forward_grid(edge_field, self.P, self.SPHERE, self.QUAD)
+        with pytest.warns(TruncationWarning) as direct_caught:
+            radon_forward_numeric(edge_field, self.P[:, None], self.SPHERE.nodes, self.QUAD)
+        for caught in (grid_caught, direct_caught):
+            assert len(caught) == 1
+            w = caught[0].message
+            assert (w.n_truncated, w.n_planes) == (448, 512)
+            assert f"{w.worst_ratio:.2e}" == "3.80e-01"
+        assert grid_caught[0].message.worst_ratio == direct_caught[0].message.worst_ratio
+
+
 class TestModeProfile:
     def test_single_mode_atom_coefficients(self):
         prof = radon_mode_analytic(single_mode())
