@@ -4,10 +4,9 @@ operators, and Debye-potential constructions in both spaces."""
 
 from .core import (PlaneQuadrature, SphereQuadrature, as_direction, bessel_j,
                    bessel_j1_first_zero, fd_derivative_oracle, fd_field,
-                   plane_basis, sphere_quadrature, unit)
-from .moses import (FrameVector, eigenfunction, frame_antipodal_phase,
-                    frame_completeness, frame_index_of, frame_metric,
-                    helicity_of, moses_frame, moses_frame_detailed)
+                   plane_basis, sphere_quadrature)
+from .moses import (eigenfunction, frame_antipodal_phase, frame_completeness,
+                    frame_index_of, frame_metric, helicity_of, moses_frame)
 from .fields import (CKCircularParams, HelicityMode, ModeField, SampledField,
                      ScalarField, abc_field, bessel_j0_scalar, certify_trkalian,
                      ck_circular, ck_field, ck_toroidal, eval_mode_field,
@@ -30,15 +29,12 @@ from .biotsavart import (BoundaryContributionWarning, LundquistBSTerms,
                          bs_lundquist_semianalytic, bs_lundquist_terms,
                          poisson_angular_moments, poisson_region_match,
                          riesz_potential)
-from .rbs import (SpectralProfile, fourier_slice_check, fourier_slice_pair,
-                  from_spectral, gauge_atom, radon_riesz, rbs_apply,
-                  rbs_eigendefect, rbs_left_inverse_check, to_spectral)
+from .rbs import (fourier_slice_check, fourier_slice_pair, gauge_atom, radon_riesz,
+                  rbs_apply, rbs_eigendefect, rbs_left_inverse_check)
 from .cktransform import (DebyeChoice, OmegaAtom, ScalarTone, abc_omega_atoms,
                           ck_integral_profile, ck_transform_potential,
                           ck_transform_potential_check, ck_transform_solution,
                           oscillator_contour_numeric, oscillator_residue,
                           reconstruct_physical)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 
 __version__ = "0.1.0"

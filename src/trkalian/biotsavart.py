@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (bessel_j, fd_field, gauss_legendre, gauss_tensor_rule, plane_basis,
-                   sphere_quadrature)
+from .core import (bessel_j, fd_field, field_reals, from_reals, gauss_legendre,
+                   gauss_tensor_rule, plane_basis, sphere_quadrature)
 
 TAIL_RESIDUAL_TOL = 1e-7
 
@@ -117,21 +117,6 @@ def _chunks(points: np.ndarray, n_nodes: int):
     return (points[s:s + step] for s in range(0, points.shape[0], step))
 
 
-def _reals(fn, pts: np.ndarray):
-    """fn at pts (..., 3) as floats (..., reals per value), with the value
-    shape and whether the values are complex."""
-    vals = np.asarray(fn(pts.reshape(-1, 3)))
-    cplx = np.iscomplexobj(vals)
-    vf = np.ascontiguousarray(vals, dtype=complex if cplx else float).view(float)
-    return vf.reshape(pts.shape[:-1] + (-1,)), vals.shape[1:], cplx
-
-
-def _values(reals: np.ndarray, value_shape: tuple, cplx: bool) -> np.ndarray:
-    """Results (k, reals per value) back as values (k, *value_shape)."""
-    reals = np.ascontiguousarray(reals)
-    return (reals.view(complex) if cplx else reals).reshape((reals.shape[0],) + value_shape)
-
-
 def _separation(points: np.ndarray, nodes: np.ndarray):
     """x - y, components first (3, k, n), and |x - y| (k, n) for points (k, 3), nodes (n, 3)."""
     d = points.T[:, :, None] - nodes.T[:, None, :]
@@ -205,7 +190,7 @@ def riesz_potential(fn, x, quad: VolumeQuadrature) -> np.ndarray:
     if quad.kind == "ball":
         r, wr, nhat, womega = _ball_nodes(quad)
         for xc in _chunks(flat, r.size * nhat.shape[0]):
-            vf, value_shape, cplx = _reals(fn, _ball_points(xc, r, nhat))
+            vf, value_shape, cplx = field_reals(fn, _ball_points(xc, r, nhat))
             # kernel 1/r times Jacobian r^2 leaves a factor r on each ray
             rays = (wr * r) @ vf.reshape(xc.shape[0], r.size, -1)
             sums.append(womega @ rays.reshape(xc.shape[0], nhat.shape[0], -1))
@@ -215,18 +200,18 @@ def riesz_potential(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         # exactly, and the compensated integrand (F(y) - bump F(x)) / |x - y|
         # is bounded at y = x; by linearity it is summed as two contractions
         nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
-        vf, value_shape, cplx = _reals(fn, nodes)
+        vf, value_shape, cplx = field_reals(fn, nodes)
         eps = quad.exclusion_radius
         for xc in _chunks(flat, nodes.shape[0]):
             _, dist = _separation(xc, nodes)
             kern = weights / np.where(dist < 1e-300, np.inf, dist)  # zero on a node at x
             bump = np.sum(kern * np.exp(-((dist / eps) ** 2)), axis=1)
-            center = _reals(fn, xc)[0]
+            center = field_reals(fn, xc)[0]
             # one (1, n) @ (n, reals) product per point keeps a point's sum
             # independent of the batch it comes in
             acc = (kern[:, None, :] @ vf)[:, 0]
             sums.append(acc + (2.0 * np.pi * eps**2 - bump)[:, None] * center)
-    result = _values(np.concatenate(sums) / (4.0 * np.pi), value_shape, cplx)
+    result = from_reals(np.concatenate(sums) / (4.0 * np.pi), value_shape, cplx)
     _warn_boundary(fn, quad, flat, result)
     return result.reshape(x.shape[:-1] + value_shape)
 
@@ -250,10 +235,10 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         # take one cross product per direction
         wn = (womega[:, None] * nhat).T
         for xc in _chunks(flat, r.size * nhat.shape[0]):
-            vf, value_shape, cplx = _reals(fn, _ball_points(xc, r, nhat))
+            vf, value_shape, cplx = field_reals(fn, _ball_points(xc, r, nhat))
             rays = wr @ vf.reshape(xc.shape[0], r.size, -1)
             sums.append(-_wedge(wn @ rays.reshape(xc.shape[0], nhat.shape[0], -1)))
-        result = _values(np.concatenate(sums), value_shape, cplx) / (4.0 * np.pi)
+        result = from_reals(np.concatenate(sums), value_shape, cplx) / (4.0 * np.pi)
     else:
         # smooth cutoff W ~ (d/eps)^4 near the point keeps the integrand
         # bounded and the result smooth in x; the suppressed part carries no
@@ -261,7 +246,7 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         # +(eps^2/4) curl F(x) for locally linear ones: the angular average
         # gives (1/3) curl F times int (1 - W) r dr = 3 eps^2 / 4
         nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
-        vf, value_shape, cplx = _reals(fn, nodes)
+        vf, value_shape, cplx = field_reals(fn, nodes)
         eps = quad.exclusion_radius
         for xc in _chunks(flat, nodes.shape[0]):
             d, dist = _separation(xc, nodes)
@@ -269,7 +254,7 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
             kern = weights * cutoff / np.where(cutoff > 0, dist, np.inf) ** 3
             # moments sum_y K d_a F_b, then the antisymmetric part
             sums.append(_wedge((kern * d).transpose(1, 0, 2) @ vf))
-        result = _values(np.concatenate(sums), value_shape, cplx) / (4.0 * np.pi)
+        result = from_reals(np.concatenate(sums), value_shape, cplx) / (4.0 * np.pi)
         result = result + 0.25 * eps**2 * fd_field(fn, "curl")(flat)
     _warn_boundary(fn, quad, flat, result)
     return result.reshape(x.shape)

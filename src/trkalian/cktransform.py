@@ -133,41 +133,39 @@ def ck_transform_potential_check(choice: DebyeChoice) -> tuple[float, float]:
 # contour representation of the oscillator tones
 # ---------------------------------------------------------------------------
 
-def oscillator_residue(p: float, lam: int, nu: float, branch: str,
-                       scaled: bool = False) -> complex:
-    """Loop integral of e^{p zeta} / (zeta -/+ i lam nu) around its pole.
-
-    branch "plus" encircles zeta = +i lam nu (value 2 pi i e^{+i lam nu p}),
-    branch "minus" encircles zeta = -i lam nu.  With ``scaled`` the Laplace
-    kernel normalization 1 / (4 pi i nu) is applied, giving
-    e^{+/- i lam nu p} / (2 nu).
-    """
+def _pole(lam: int, nu: float, branch: str) -> complex:
+    """The pole +i lam nu (branch "plus") or -i lam nu (branch "minus");
+    ValueError unless lam = +/-1, nu != 0 and the branch is one of the two."""
     if lam not in (1, -1):
         raise ValueError("lam must be +1 or -1")
     if nu == 0.0:
         raise ValueError("nu must be nonzero")
-    if branch == "plus":
-        pole = 1j * lam * nu
-    elif branch == "minus":
-        pole = -1j * lam * nu
-    else:
+    if branch not in ("plus", "minus"):
         raise ValueError("branch must be 'plus' or 'minus'")
-    value = 2.0j * np.pi * np.exp(p * pole)
-    if scaled:
-        value = value / (4.0j * np.pi * nu)
-    return complex(value)
+    return (1j if branch == "plus" else -1j) * lam * nu
+
+
+def oscillator_residue(p: float, lam: int, nu: float, branch: str) -> complex:
+    """Loop integral of e^{p zeta} / (zeta -/+ i lam nu) around its pole.
+
+    branch "plus" encircles zeta = +i lam nu (value 2 pi i e^{+i lam nu p}),
+    branch "minus" encircles zeta = -i lam nu.  The Laplace kernel
+    normalization 1 / (4 pi i nu) turns the value into e^{+/- i lam nu p} / (2 nu).
+    """
+    return complex(2.0j * np.pi * np.exp(p * _pole(lam, nu, branch)))
 
 
 def oscillator_contour_numeric(p: float, lam: int, nu: float, branch: str,
                                radius: float | None = None, n: int = 64) -> complex:
-    """Trapezoid quadrature of the same loop integral on a circle around the pole."""
-    if branch == "plus":
-        pole = 1j * lam * nu
-    elif branch == "minus":
-        pole = -1j * lam * nu
-    else:
-        raise ValueError("branch must be 'plus' or 'minus'")
+    """Trapezoid quadrature of the same loop integral on a circle around the pole.
+
+    The default radius is |nu| / 2; ValueError on a radius <= 0 or on the
+    arguments :func:`oscillator_residue` rejects.
+    """
+    pole = _pole(lam, nu, branch)
     rho = abs(nu) / 2.0 if radius is None else radius
+    if not rho > 0.0:
+        raise ValueError("contour radius must be positive")
     t = 2.0 * np.pi * np.arange(n) / n
     zeta = pole + rho * np.exp(1j * t)
     dzeta = 1j * rho * np.exp(1j * t) * (2.0 * np.pi / n)

@@ -11,7 +11,9 @@ Each numerical primitive has exactly one implementation, owned here:
   per order) and :func:`gauss_tensor_rule` (3-D tensor rule on a cube);
 - sphere product rule: :func:`sphere_quadrature`;
 - 4th-order central-difference stencils: :func:`fd_field`, of which
-  :func:`fd_derivative_oracle` is the one-point call.
+  :func:`fd_derivative_oracle` is the one-point call;
+- real view of field values for float-only sums and magnitudes:
+  :func:`field_reals` and its inverse :func:`from_reals`.
 """
 
 from __future__ import annotations
@@ -22,12 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 DIRECTION_TOL = 1e-12
-
-
-def unit(v: np.ndarray) -> np.ndarray:
-    """Normalize vector(s) along the last axis."""
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def as_direction(v, tol: float = DIRECTION_TOL) -> np.ndarray:
@@ -43,6 +39,21 @@ def as_direction(v, tol: float = DIRECTION_TOL) -> np.ndarray:
     if not np.all(np.abs(n - 1.0) <= tol):
         raise ValueError(f"direction not unit: |norm - 1| = {np.max(np.abs(n - 1.0)):.3e}")
     return v
+
+
+def field_reals(fn, pts: np.ndarray):
+    """fn at pts (..., 3) as floats (..., reals per value), with the value
+    shape and whether the values are complex."""
+    vals = np.asarray(fn(pts.reshape(-1, 3)))
+    cplx = np.iscomplexobj(vals)
+    vf = np.ascontiguousarray(vals, dtype=complex if cplx else float).view(float)
+    return vf.reshape(pts.shape[:-1] + (-1,)), vals.shape[1:], cplx
+
+
+def from_reals(reals: np.ndarray, value_shape: tuple, cplx: bool) -> np.ndarray:
+    """Results (k, reals per value) back as values (k, *value_shape)."""
+    reals = np.ascontiguousarray(reals)
+    return (reals.view(complex) if cplx else reals).reshape((reals.shape[0],) + value_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +99,13 @@ class SphereQuadrature:
     """Nodes and weights on the unit sphere.
 
     ``nodes`` has shape (n, 3), ``weights`` shape (n,) in steradians and sums
-    to 4 pi.  When ``antipodal`` is set the node set is closed under
+    to 4 pi.  When ``antipode_index`` is set the node set is closed under
     kappa -> -kappa exactly (bitwise) and ``antipode_index[i]`` gives the
     partner of node i.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    antipodal: bool = False
     antipode_index: np.ndarray | None = None
 
     @property
@@ -148,7 +158,6 @@ def sphere_quadrature(n_polar: int, n_azimuth: int, antipodal: bool = False) -> 
     return SphereQuadrature(
         nodes=nodes,
         weights=weights.reshape(-1),
-        antipodal=antipodal,
         antipode_index=antipode_index,
     )
 

@@ -8,8 +8,6 @@ curl on plane waves; the longitudinal member is Q_3 = -kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import as_direction
@@ -39,17 +37,6 @@ def frame_index_of(lam: int) -> int:
     if lam == -1:
         return 2
     raise ValueError(f"transverse helicity must be +1 or -1, got {lam}")
-
-
-@dataclass(frozen=True)
-class FrameVector:
-    """A frame member with its evaluation metadata."""
-
-    value: np.ndarray
-    at: np.ndarray
-    a: int
-    lam: int
-    branch: str
 
 
 def _frame_regular(kappa: np.ndarray, lam: int) -> np.ndarray:
@@ -135,13 +122,6 @@ def moses_frame(kappa, a: int, return_branch: bool = False):
     if return_branch:
         return q, branch
     return q
-
-
-def moses_frame_detailed(kappa, a: int) -> FrameVector:
-    """Like :func:`moses_frame` for a single direction, with metadata."""
-    k = as_direction(kappa)
-    value, branch = moses_frame(k, a, return_branch=True)
-    return FrameVector(value=value, at=k, a=a, lam=helicity_of(a), branch=str(branch))
 
 
 def eigenfunction(x, k, a: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, as_direction,
-                   fd_field, plane_basis)
+                   fd_field, field_reals, from_reals, plane_basis)
 from .fields import ModeField
 from .moses import frame_index_of, helicity_of, moses_frame
 
@@ -177,7 +177,7 @@ class GridProfile:
 
     ``samples`` has shape (n_p, n_dir, 3) for vector data or (n_p, n_dir)
     for scalar data.  n_p must be a power of two; the grid covers one period
-    [p0, p0 + period).
+    [p0, p0 + n_p dp).
     """
 
     p: np.ndarray
@@ -201,10 +201,6 @@ class GridProfile:
         return float(self.p[1] - self.p[0])
 
     @property
-    def period(self) -> float:
-        return self.dp * self.n_p
-
-    @property
     def is_vector(self) -> bool:
         return self.samples.ndim == 3
 
@@ -224,7 +220,6 @@ class Hemisphere:
     """
 
     indicator: object
-    name: str = "hemisphere"
 
     def members(self, kappa) -> np.ndarray:
         k = as_direction(kappa)
@@ -233,23 +228,9 @@ class Hemisphere:
             raise ValueError("hemisphere indicator must map directions (n, 3) to flags (n,)")
         return inside
 
-    def contains(self, kappa) -> bool:
-        return bool(self.members(np.reshape(kappa, (1, 3)))[0])
-
     def complement(self) -> "Hemisphere":
         ind = self.indicator
-        return Hemisphere(indicator=lambda k: ~np.asarray(ind(k), dtype=bool),
-                          name=self.name + "'")
-
-    def validate_on(self, quad: SphereQuadrature) -> None:
-        """Check the one-of-each-pair property on an antipodal quadrature."""
-        if not quad.antipodal or quad.antipode_index is None:
-            raise ValueError("hemisphere validation needs an antipodal quadrature")
-        inside = self.members(quad.nodes)
-        same = np.flatnonzero(inside == inside[quad.antipode_index])
-        if same.size:
-            raise ValueError(f"indicator keeps {'both' if inside[same[0]] else 'neither'}"
-                             " of an antipodal pair")
+        return Hemisphere(indicator=lambda k: ~np.asarray(ind(k), dtype=bool))
 
 
 def canonical_hemisphere() -> Hemisphere:
@@ -260,7 +241,7 @@ def canonical_hemisphere() -> Hemisphere:
         first = np.argmax(ordered != 0.0, axis=-1)
         return np.take_along_axis(ordered, first[..., None], axis=-1)[..., 0] > 0.0
 
-    return Hemisphere(indicator=indicator, name="lexicographic")
+    return Hemisphere(indicator=indicator)
 
 
 def cap_swapped_hemisphere(axis, cos_cap: float = 0.9) -> Hemisphere:
@@ -275,7 +256,7 @@ def cap_swapped_hemisphere(axis, cos_cap: float = 0.9) -> Hemisphere:
     def indicator(k):
         return base.indicator(k) ^ (np.abs(k @ ax) > cos_cap)
 
-    return Hemisphere(indicator=indicator, name="cap-swapped")
+    return Hemisphere(indicator=indicator)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +284,8 @@ def _plane_sums(fn, p, k, quad: PlaneQuadrature):
         # components first, so the broadcast sums run along plane rows
         pts = ((p[c] * k[c].T)[..., None, None] + x1[:, None] * e1[c].T[..., None, None]
                + x1 * e2[c].T[..., None, None])  # (3, planes, n, n)
-        vals = np.asarray(fn(pts.reshape(3, -1).T))
-        value_shape, cplx = vals.shape[1:], np.iscomplexobj(vals)
         # real view (planes, n^2, reals per node): max/min give the magnitude
-        vf = np.ascontiguousarray(vals, dtype=complex if cplx else float).view(float)
+        vf, value_shape, cplx = field_reals(fn, pts.reshape(3, -1).T)
         vf = vf.reshape(pts.shape[1], n * n, -1)
         peaks.append(np.maximum(vf.max(axis=(1, 2)), -vf.min(axis=(1, 2))))
         if not np.all(np.isfinite(peaks[-1])):
@@ -314,8 +293,7 @@ def _plane_sums(fn, p, k, quad: PlaneQuadrature):
         edges.append(np.abs(np.take(vf, ring, axis=1)).max(axis=(1, 2)))
         sums.append(w @ vf)  # (planes, reals per node)
 
-    out = np.concatenate(sums)
-    out = (out.view(complex) if cplx else out).reshape((p.size,) + value_shape)
+    out = from_reals(np.concatenate(sums), value_shape, cplx)
     return out, np.concatenate(peaks), np.concatenate(edges)
 
 

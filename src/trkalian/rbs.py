@@ -8,45 +8,15 @@ zero-mean in p per direction for the 1/k^2 kernel to be defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .core import PlaneQuadrature, SphereQuadrature, as_direction, gauss_tensor_rule
+from .core import PlaneQuadrature, as_direction, gauss_tensor_rule
 from .radon import (AnalyticProfile, GridProfile, RadonAtom, gamma_apply, kappa_product,
                     radon_forward_numeric)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class SpectralProfile:
-    """Discrete Fourier data of a grid profile (per direction)."""
-
-    frequencies: np.ndarray
-    coefficients: np.ndarray
-    sphere: SphereQuadrature
-    p0: float
-    dp: float
-
-    def conjugate_symmetry_defect(self) -> float:
-        """Zero iff the originating p-samples are real-valued."""
-        n = self.frequencies.size
-        idx = (-np.arange(n)) % n
-        return float(np.max(np.abs(self.coefficients - np.conj(self.coefficients[idx]))))
-
-
-def to_spectral(grid: GridProfile) -> SpectralProfile:
-    coeffs = np.fft.fft(grid.samples, axis=0) / grid.n_p
-    return SpectralProfile(frequencies=grid.frequencies(), coefficients=coeffs,
-                           sphere=grid.sphere, p0=float(grid.p[0]), dp=grid.dp)
-
-
-def from_spectral(spec: SpectralProfile) -> GridProfile:
-    n = spec.frequencies.size
-    samples = np.fft.ifft(spec.coefficients * n, axis=0)
-    p = spec.p0 + spec.dp * np.arange(n)
-    return GridProfile(p=p, sphere=spec.sphere, samples=samples)
 
 
 # ---------------------------------------------------------------------------

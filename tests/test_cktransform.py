@@ -190,7 +190,7 @@ class TestOscillatorContour:
 
     def test_scaled_normalization(self):
         p, lam, nu = 0.4, 1, 2.0
-        val = oscillator_residue(p, lam, nu, "plus", scaled=True)
+        val = oscillator_residue(p, lam, nu, "plus") / (4j * np.pi * nu)
         assert abs(val - np.exp(1j * lam * nu * p) / (2 * nu)) < 1e-15
 
     def test_rejects_bad_arguments(self):
@@ -198,6 +198,20 @@ class TestOscillatorContour:
             oscillator_residue(0.0, 2, 1.0, "plus")
         with pytest.raises(ValueError):
             oscillator_residue(0.0, 1, 1.0, "around")
+
+    @pytest.mark.parametrize("loop", [oscillator_residue, oscillator_contour_numeric])
+    @pytest.mark.parametrize("lam, nu, branch", [
+        (5, 1.0, "plus"), (0, 1.0, "minus"), (1, 0.0, "plus"), (-1, 0.0, "minus"),
+        (1, 1.0, "around"),
+    ], ids=["lam-5", "lam-0", "nu-0-plus", "nu-0-minus", "bad-branch"])
+    def test_both_loops_reject_the_same_poles(self, loop, lam, nu, branch):
+        with pytest.raises(ValueError):
+            loop(0.3, lam, nu, branch)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5, np.nan])
+    def test_contour_rejects_non_positive_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            oscillator_contour_numeric(0.3, 1, 1.0, "plus", radius=radius)
 
 
 class TestIntegralRepresentation:

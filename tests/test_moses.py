@@ -4,7 +4,7 @@ import pytest
 from trkalian.core import fd_derivative_oracle
 from trkalian.moses import (eigenfunction, frame_antipodal_phase,
                             frame_completeness, frame_metric, helicity_of,
-                            moses_frame, moses_frame_detailed)
+                            moses_frame)
 
 EZ = np.array([0.0, 0.0, 1.0])
 INV_2PI_32 = (2 * np.pi) ** -1.5
@@ -79,15 +79,14 @@ class TestPoleHandling:
 
     def test_exact_south_pole_uses_rotated_branch(self):
         k = np.array([0.0, 0.0, -1.0])
-        detail = moses_frame_detailed(k, 1)
-        assert detail.branch == "rotated"
-        q = detail.value
+        q, branch = moses_frame(k, 1, return_branch=True)
+        assert branch == "rotated"
         assert abs(np.vdot(q, q) - 1) < 1e-14
         assert np.max(np.abs(np.cross(k, q) + 1j * q)) < 1e-14
 
     def test_regular_points_report_direct(self):
-        detail = moses_frame_detailed(np.array([1.0, 0.0, 0.0]), 2)
-        assert detail.branch == "direct"
+        _, branch = moses_frame(np.array([1.0, 0.0, 0.0]), 2, return_branch=True)
+        assert branch == "direct"
 
     def test_antipodal_relation_across_branch_boundary(self):
         # the relational identity (not just orthonormality) must survive

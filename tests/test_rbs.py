@@ -10,8 +10,8 @@ from trkalian.radon import (GridProfile, gamma_apply, lundquist_radon_profile,
                             radon_forward_grid, radon_forward_numeric,
                             radon_mode_analytic)
 from trkalian.rbs import (fourier_slice_check, fourier_slice_pair,
-                          from_spectral, gauge_atom, radon_riesz, rbs_apply,
-                          rbs_eigendefect, rbs_left_inverse_check, to_spectral)
+                          gauge_atom, radon_riesz, rbs_apply,
+                          rbs_eigendefect, rbs_left_inverse_check)
 
 PLANE = PlaneQuadrature(half_width=8.0, n_per_axis=48)
 SQRT_2PI = np.sqrt(2 * np.pi)
@@ -90,13 +90,8 @@ class TestRadonRiesz:
 
     def test_negative_gamma_squared_is_left_inverse(self):
         grid = transverse_tone_grid(seed=1)
-        smoothed = radon_riesz(grid)
-        # -Gamma^2 = -d^2/dp^2 on the grid, via the spectral coefficients
-        spec = to_spectral(smoothed)
-        second = spec.coefficients * (-spec.frequencies**2)[:, None, None]
-        back = from_spectral(
-            type(spec)(frequencies=spec.frequencies, coefficients=-second,
-                       sphere=spec.sphere, p0=spec.p0, dp=spec.dp))
+        # Gamma x Gamma x = -d^2/dp^2 on transverse profiles
+        back = gamma_apply(gamma_apply(radon_riesz(grid), "cross"), "cross")
         assert np.max(np.abs(back.samples - grid.samples)) < 1e-9
 
     def test_linearity_on_two_tones(self):
@@ -200,23 +195,3 @@ class TestRBS:
                 PlaneQuadrature(half_width=8.0, n_per_axis=24))
         scale = np.max(np.abs(rbs_grid.samples))
         assert np.max(np.abs(rbs_grid.samples[i, j] - direct)) / scale < 2e-2
-
-
-class TestSpectralProfile:
-    def test_roundtrip(self):
-        grid = transverse_tone_grid(seed=6, n_p=32)
-        back = from_spectral(to_spectral(grid))
-        assert np.allclose(back.p, grid.p)
-        assert np.max(np.abs(back.samples - grid.samples)) < 1e-13
-
-    def test_conjugate_symmetry_iff_real(self):
-        sphere = sphere_quadrature(4, 8, antipodal=True)
-        rng = np.random.default_rng(7)
-        real_samples = rng.normal(size=(16, sphere.n, 3)).astype(complex)
-        p = 2 * np.pi * np.arange(16) / 16
-        real_grid = GridProfile(p=p, sphere=sphere, samples=real_samples)
-        assert to_spectral(real_grid).conjugate_symmetry_defect() < 1e-13
-
-        complex_grid = GridProfile(p=p, sphere=sphere,
-                                   samples=real_samples * (1.0 + 0.5j))
-        assert to_spectral(complex_grid).conjugate_symmetry_defect() > 1e-3

@@ -1,0 +1,50 @@
+"""The verify report's margins, and the traced benchmark's hold on the
+package's entry points."""
+
+from pathlib import Path
+
+import pytest
+
+from trkalian import radon, verify
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# A record whose tolerance exceeds its residual by more than this cannot
+# fail on a regression of a few orders of magnitude.
+MAX_MARGIN = 1e4
+
+
+@pytest.fixture(scope="module")
+def records():
+    return verify.run_verify()["records"]
+
+
+def test_margin_is_tolerance_over_residual(records):
+    for r in records:
+        expected = r["tolerance"] / r["residual"] if r["residual"] else None
+        assert r["margin"] == expected, r["name"]
+    assert {r["name"] for r in records if r["margin"] is None} == {
+        "rbs_gauge_kernel", "duality_antipodal"}
+
+
+def test_no_tolerance_is_left_loose(records):
+    loose = {r["name"]: r["margin"] for r in records
+             if r["margin"] is not None and r["margin"] > MAX_MARGIN}
+    assert loose == {}
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    # install() wraps entry points by attribute name, so it raises when one
+    # of them is deleted or renamed
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    forward, checks = radon.radon_forward_numeric, list(verify._CHECKS)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert radon.radon_forward_numeric is not forward
+    finally:
+        tracer.uninstall()
+    assert radon.radon_forward_numeric is forward
+    assert verify._CHECKS == checks
