@@ -264,8 +264,7 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
 # Ampere fluxes
 # ---------------------------------------------------------------------------
 
-def ampere_fluxes(fn, radius: float, nu: float, n_radial: int = 48,
-                  n_azimuth: int = 64, h: float = 1e-3,
+def ampere_fluxes(fn, radius: float, nu: float,
                   center=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)):
     """Flux of F, flux of curl F and circulation of F for a planar disc.
 
@@ -273,11 +272,11 @@ def ampere_fluxes(fn, radius: float, nu: float, n_radial: int = 48,
     xy-plane; any planar loop can be supplied through ``center`` and
     ``normal``.  Returns (Q, Phi_surface, Phi_line); for a field with
     curl F = nu F these satisfy Phi_surface = Phi_line = nu Q.  The three
-    numbers come from independent rules: radial Gauss-Legendre x uniform
-    azimuth for the two surface fluxes (curl by the finite-difference oracle)
-    and periodic trapezoid for the line integral.  Raises ValueError,
-    before the field is evaluated, unless the radius is finite and
-    positive, the center finite and the normal finite and nonzero.
+    numbers come from independent rules: 48-node radial Gauss-Legendre x 64
+    uniform azimuths for the two surface fluxes (curl by the finite-difference
+    oracle) and the 64-point periodic trapezoid for the line integral.
+    Raises ValueError, before the field is evaluated, unless the radius is
+    finite and positive, the center finite and the normal finite and nonzero.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
@@ -290,20 +289,20 @@ def ampere_fluxes(fn, radius: float, nu: float, n_radial: int = 48,
     n_hat = n_hat / np.linalg.norm(n_hat)
     e1, e2 = plane_basis(n_hat)
 
-    r, wr = gauss_legendre(n_radial)
+    r, wr = gauss_legendre(48)
     r = 0.5 * radius * (r + 1.0)
     wr = 0.5 * radius * wr
-    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    dphi = 2.0 * np.pi / n_azimuth
+    phi = 2.0 * np.pi * np.arange(64) / 64
+    dphi = 2.0 * np.pi / 64
 
     radial = np.cos(phi)[None, :, None] * e1 + np.sin(phi)[None, :, None] * e2
     nodes = center + r[:, None, None] * radial
     area_w = (wr * r)[:, None] * dphi
 
-    f_disc = np.asarray(fn(nodes.reshape(-1, 3))).reshape(n_radial, n_azimuth, 3)
+    f_disc = np.asarray(fn(nodes.reshape(-1, 3))).reshape(nodes.shape)
     q = np.sum(area_w * (f_disc @ n_hat))
 
-    curl_disc = fd_field(fn, "curl", h)(nodes.reshape(-1, 3)).reshape(n_radial, n_azimuth, 3)
+    curl_disc = fd_field(fn, "curl")(nodes.reshape(-1, 3)).reshape(nodes.shape)
     phi_surface = np.sum(area_w * (curl_disc @ n_hat))
 
     loop = center + radius * radial[0]
@@ -337,18 +336,19 @@ def poisson_angular_moments(big_r: float, r: float, theta: float):
     return j0, j0 * scale * np.sin(theta), j0 * scale * np.cos(theta)
 
 
-def poisson_angular_moments_numeric(big_r: float, r: float, theta: float, n: int = 8192):
-    phi = 2.0 * np.pi * np.arange(n) / n
+def poisson_angular_moments_numeric(big_r: float, r: float, theta: float):
+    """:func:`poisson_angular_moments` by the 8192-point trapezoid rule."""
+    phi = 2.0 * np.pi * np.arange(8192) / 8192
     a2 = big_r**2 + r**2 - 2.0 * r * big_r * np.cos(phi - theta)
-    w = 2.0 * np.pi / n
+    w = 2.0 * np.pi / 8192
     return (np.sum(w / a2), np.sum(w * np.sin(phi) / a2), np.sum(w * np.cos(phi) / a2))
 
 
-def poisson_region_match(big_r: float, theta: float, rel: float = 1e-6) -> float:
+def poisson_region_match(big_r: float, theta: float) -> float:
     """Mismatch of the normalized first moments across the r = R split.
 
     The closed-form ratios (int sin / int 1, int cos / int 1) are compared
-    between the two region formulas at r = R (1 -/+ rel) and against direct
+    between the two region formulas at r = R (1 -/+ 1e-6) and against direct
     quadrature at radii well away from the split (where the integrand is
     resolvable); returns the max deviation.
     """
@@ -357,8 +357,8 @@ def poisson_region_match(big_r: float, theta: float, rel: float = 1e-6) -> float
         j0, js, jc = poisson_angular_moments(big_r, r, theta)
         n0, ns, nc = poisson_angular_moments_numeric(big_r, r, theta)
         worst = max(worst, abs(js - ns), abs(jc - nc), abs(j0 - n0))
-    inner = poisson_angular_moments(big_r, big_r * (1.0 - rel), theta)
-    outer = poisson_angular_moments(big_r, big_r * (1.0 + rel), theta)
+    inner = poisson_angular_moments(big_r, big_r * (1.0 - 1e-6), theta)
+    outer = poisson_angular_moments(big_r, big_r * (1.0 + 1e-6), theta)
     worst = max(worst,
                 abs(inner[1] / inner[0] - outer[1] / outer[0]),
                 abs(inner[2] / inner[0] - outer[2] / outer[0]))
@@ -386,8 +386,8 @@ class LundquistBSTerms:
     tail_identity_residual: float
 
 
-def _gauss_panels(a: float, b: float, n_panels: int, n_nodes: int = 16):
-    x, w = gauss_legendre(n_nodes)
+def _gauss_panels(a: float, b: float, n_panels: int):
+    x, w = gauss_legendre(16)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -396,13 +396,13 @@ def _gauss_panels(a: float, b: float, n_panels: int, n_nodes: int = 16):
     return pts.reshape(-1), wts.reshape(-1)
 
 
-def bs_lundquist_terms(f0: float, nu: float, radius: float,
-                       tail_length: float = 60.0) -> LundquistBSTerms:
+def bs_lundquist_terms(f0: float, nu: float, radius: float) -> LundquistBSTerms:
     """Radial reductions of the Biot-Savart integral of the Lundquist field.
 
     theta_pair carries (1/X) int_0^X J_0(x) x dx (equal to J_1(X)); z_pair
     carries int_X^inf J_1 dx evaluated as a finite oscillatory quadrature
-    closed by the exact remainder J_0(X_cut), and equals J_0(X).
+    over [X, X + 60] closed by the exact remainder J_0(X + 60), and equals
+    J_0(X).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -414,8 +414,8 @@ def bs_lundquist_terms(f0: float, nu: float, radius: float,
     theta_pair = float(np.sum(ws * bessel_j(0, xs) * xs)) / big_x
     theta_res = abs(theta_pair - bessel_j(1, big_x))
 
-    x_cut = big_x + tail_length
-    xs, ws = _gauss_panels(big_x, x_cut, n_panels=max(16, int(tail_length / np.pi) + 4))
+    x_cut = big_x + 60.0
+    xs, ws = _gauss_panels(big_x, x_cut, n_panels=int(60.0 / np.pi) + 4)
     tail = float(np.sum(ws * bessel_j(1, xs))) + bessel_j(0, x_cut)
     tail_res = abs(tail - bessel_j(0, big_x))
     if tail_res > TAIL_RESIDUAL_TOL:
@@ -434,14 +434,13 @@ def bs_lundquist_terms(f0: float, nu: float, radius: float,
     )
 
 
-def bs_lundquist_semianalytic(f0: float, nu: float, radius: float, theta: float,
-                              tail_length: float = 60.0) -> np.ndarray:
+def bs_lundquist_semianalytic(f0: float, nu: float, radius: float, theta: float) -> np.ndarray:
     """Biot-Savart integral of the Lundquist field at (R, theta, z = 0).
 
     Assembles the closed z and phi reductions; the result equals
     (1/nu) F_L(R, theta) for any radius.
     """
-    terms = bs_lundquist_terms(f0, nu, radius, tail_length=tail_length)
+    terms = bs_lundquist_terms(f0, nu, radius)
     e_theta = np.array([-np.sin(theta), np.cos(theta), 0.0])
     e_z = np.array([0.0, 0.0, 1.0])
     sign = 1.0 if nu > 0 else -1.0

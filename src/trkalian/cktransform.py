@@ -156,8 +156,8 @@ def oscillator_residue(p: float, lam: int, nu: float, branch: str) -> complex:
 
 
 def oscillator_contour_numeric(p: float, lam: int, nu: float, branch: str,
-                               radius: float | None = None, n: int = 64) -> complex:
-    """Trapezoid quadrature of the same loop integral on a circle around the pole.
+                               radius: float | None = None) -> complex:
+    """64-point trapezoid quadrature of the same loop integral on a circle.
 
     The default radius is |nu| / 2; ValueError on a radius <= 0 or on the
     arguments :func:`oscillator_residue` rejects.
@@ -166,9 +166,9 @@ def oscillator_contour_numeric(p: float, lam: int, nu: float, branch: str,
     rho = abs(nu) / 2.0 if radius is None else radius
     if not rho > 0.0:
         raise ValueError("contour radius must be positive")
-    t = 2.0 * np.pi * np.arange(n) / n
+    t = 2.0 * np.pi * np.arange(64) / 64
     zeta = pole + rho * np.exp(1j * t)
-    dzeta = 1j * rho * np.exp(1j * t) * (2.0 * np.pi / n)
+    dzeta = 1j * rho * np.exp(1j * t) * (2.0 * np.pi / 64)
     return complex(np.sum(np.exp(p * zeta) / (zeta - pole) * dzeta))
 
 

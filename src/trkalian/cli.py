@@ -64,8 +64,33 @@ def _parse_quad(spec: str):
     return int(pieces[0]), int(pieces[1])
 
 
+# the --params keys each catalog field reads; trk radon --field lundquist
+# also reads n_ring
+_PARAM_KEYS = {
+    "lundquist": ("f0", "nu"),
+    "gaussian": ("center", "width", "polarization"),
+    "abc": ("a", "b", "c", "nu"),
+    "ck_circular": ("m", "k", "nu", "amplitude"),
+    "modes": ("g", "modes"),
+}
+_MODE_KEYS = ("lam", "nu", "kappa0", "amplitude_re", "amplitude_im", "mu")
+
+
+def _check_keys(what: str, params: dict, accepted) -> None:
+    """UsageError naming the accepted keys when ``params`` has any other key."""
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise click.UsageError(f"unknown {what} parameter(s) {', '.join(unknown)};"
+                               f" accepted: {', '.join(accepted)}")
+
+
 def build_field(name: str, params: dict):
     """Field catalog addressable by name plus JSON parameters."""
+    if name == "modes":
+        return fields.mode_sampled_field(_mode_field_from_params(params))
+    if name not in _PARAM_KEYS:
+        raise click.ClickException(f"unknown field name {name!r}")
+    _check_keys(name, params, _PARAM_KEYS[name])
     if name == "lundquist":
         return fields.lundquist(float(params.get("f0", 1.0)), float(params.get("nu", 1.0)))
     if name == "gaussian":
@@ -78,21 +103,21 @@ def build_field(name: str, params: dict):
         return fields.abc_field(
             float(params.get("a", 1.0)), float(params.get("b", 1.0)),
             float(params.get("c", 1.0)), float(params.get("nu", 1.0)))
-    if name == "ck_circular":
-        return fields.ck_circular(fields.CKCircularParams(
-            m=int(params.get("m", 0)), k=float(params.get("k", 0.0)),
-            nu=float(params.get("nu", 1.0)),
-            amplitude=float(params.get("amplitude", 1.0))))
-    if name == "modes":
-        return fields.mode_sampled_field(_mode_field_from_params(params))
-    raise click.ClickException(f"unknown field name {name!r}")
+    return fields.ck_circular(fields.CKCircularParams(
+        m=int(params.get("m", 0)), k=float(params.get("k", 0.0)),
+        nu=float(params.get("nu", 1.0)),
+        amplitude=float(params.get("amplitude", 1.0))))
 
 
 def _mode_field_from_params(params: dict) -> fields.ModeField:
+    _check_keys("modes", params, _PARAM_KEYS["modes"])
     try:
         g = float(params.get("g", 1.0))
         modes = []
         for rec in params["modes"]:
+            if not isinstance(rec, dict):
+                raise TypeError("each mode must be a JSON object")
+            _check_keys("mode", rec, _MODE_KEYS)
             amp = complex(rec.get("amplitude_re", 1.0), rec.get("amplitude_im", 0.0))
             modes.append(fields.HelicityMode(
                 lam=int(rec["lam"]), nu=float(rec["nu"]), kappa0=np.asarray(rec["kappa0"]),
@@ -151,6 +176,7 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
     # the grid transform runs
     try:
         if field_name == "lundquist":
+            _check_keys("lundquist", parsed, _PARAM_KEYS["lundquist"] + ("n_ring",))
             profile = radon.lundquist_radon_profile(
                 float(parsed.get("f0", 1.0)), float(parsed.get("nu", 1.0)),
                 n_ring=int(parsed.get("n_ring", 64)))

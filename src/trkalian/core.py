@@ -26,17 +26,17 @@ import numpy as np
 DIRECTION_TOL = 1e-12
 
 
-def as_direction(v, tol: float = DIRECTION_TOL) -> np.ndarray:
+def as_direction(v) -> np.ndarray:
     """Validate that ``v`` is a unit 3-vector (or batch thereof) and return it.
 
-    Raises ValueError if any norm deviates from 1 by more than ``tol`` or is
-    not finite.
+    Raises ValueError if any norm deviates from 1 by more than
+    ``DIRECTION_TOL`` or is not finite.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != 3:
         raise ValueError(f"direction must have 3 components, got shape {v.shape}")
     n = np.linalg.norm(v, axis=-1)
-    if not np.all(np.abs(n - 1.0) <= tol):
+    if not np.all(np.abs(n - 1.0) <= DIRECTION_TOL):
         raise ValueError(f"direction not unit: |norm - 1| = {np.max(np.abs(n - 1.0)):.3e}")
     return v
 

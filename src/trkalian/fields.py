@@ -8,11 +8,12 @@ speaks one coordinate convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_direction, bessel_j, fd_field, FD_DEFAULT_STEP
+from .core import as_direction, bessel_j, fd_field
 from .moses import frame_index_of, moses_frame
 
 _INV_TWO_PI_32 = (2.0 * np.pi) ** -1.5
@@ -28,7 +29,6 @@ class SampledField:
 
     name: str
     evaluator: object
-    params: dict = field(default_factory=dict)
     eigenvalue: float | None = None
     mu: int | None = None
     helicity: int | None = None
@@ -45,7 +45,6 @@ class ScalarField:
     evaluator: object
     gradient: object = None
     hessian: object = None
-    params: dict = field(default_factory=dict)
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float))
@@ -126,12 +125,12 @@ def eval_mode_field(f: ModeField, x) -> np.ndarray:
     return _INV_TWO_PI_32 / f.g * out
 
 
-def mode_sampled_field(f: ModeField, name: str = "modes") -> SampledField:
-    """Wrap a ModeField as a SampledField with its curl eigenvalue recorded."""
+def mode_sampled_field(f: ModeField) -> SampledField:
+    """Wrap a ModeField as a SampledField named "modes" with its curl
+    eigenvalue recorded."""
     return SampledField(
-        name=name,
+        name="modes",
         evaluator=lambda x: eval_mode_field(f, x),
-        params={"n_modes": len(f.modes), "nu": f.nu, "mu": f.mu, "g": f.g},
         eigenvalue=f.mu * f.nu,
         mu=f.mu,
     )
@@ -141,12 +140,15 @@ def mode_sampled_field(f: ModeField, name: str = "modes") -> SampledField:
 # Lundquist field and potential
 # ---------------------------------------------------------------------------
 
-def _j1_over_x(x: np.ndarray) -> np.ndarray:
-    """J_1(x)/x (an even function), stable at x = 0 where it tends to 1/2."""
+def _jm_over_x(m: int, x) -> np.ndarray:
+    """J_m(|x|)/|x| for m >= 1 (even in x, as J_m(x)/x is for odd m), stable
+    at x = 0: below |x| = 1e-8 it is the leading series term
+    |x|^(m-1) / (2^m m!), whose next term lies below rounding."""
     x = np.abs(np.asarray(x, dtype=float))
     small = x < 1e-8
     safe = np.where(small, 1.0, x)
-    return np.where(small, 0.5 - x * x / 16.0, bessel_j(1, safe) / safe)
+    return np.where(small, x ** (m - 1) / (2.0**m * math.factorial(m)),
+                    bessel_j(m, safe) / safe)
 
 
 def lundquist(f0: float, nu: float) -> SampledField:
@@ -162,7 +164,7 @@ def lundquist(f0: float, nu: float) -> SampledField:
         px, py = x[..., 0], x[..., 1]
         r = np.hypot(px, py)
         # J_1(nu r) e_theta = nu * J_1(nu r)/(nu r) * (-y, x, 0)
-        ratio = _j1_over_x(nu * r)
+        ratio = _jm_over_x(1, nu * r)
         out = np.empty(x.shape, dtype=complex)
         out[..., 0] = -f0 * nu * ratio * py
         out[..., 1] = f0 * nu * ratio * px
@@ -172,7 +174,6 @@ def lundquist(f0: float, nu: float) -> SampledField:
     return SampledField(
         name="lundquist",
         evaluator=evaluator,
-        params={"f0": f0, "nu": nu},
         eigenvalue=nu,
         mu=1,
         helicity=1,
@@ -195,7 +196,6 @@ def lundquist_potential(f0: float, nu: float) -> tuple[SampledField, np.ndarray]
     a = SampledField(
         name="lundquist_potential",
         evaluator=evaluator,
-        params={"f0": f0, "nu": nu},
     )
     return a, np.array([0.0, 0.0, f0], dtype=complex)
 
@@ -223,7 +223,6 @@ def abc_field(a: float, b: float, c: float, nu: float = 1.0) -> SampledField:
     return SampledField(
         name="abc",
         evaluator=evaluator,
-        params={"a": a, "b": b, "c": c, "nu": nu},
         eigenvalue=nu,
         mu=1,
     )
@@ -233,36 +232,33 @@ def abc_field(a: float, b: float, c: float, nu: float = 1.0) -> SampledField:
 # Chandrasekhar-Kendall constructions
 # ---------------------------------------------------------------------------
 
-def _scalar_gradient(psi: ScalarField, x: np.ndarray, h: float) -> np.ndarray:
+def _scalar_gradient(psi: ScalarField, x: np.ndarray) -> np.ndarray:
     if psi.gradient is not None:
         return np.asarray(psi.gradient(x))
-    return fd_field(psi.evaluator, "gradient", h)(x)
+    return fd_field(psi.evaluator, "gradient")(x)
 
 
-def ck_field(psi: ScalarField, omega, nu: float, h: float = FD_DEFAULT_STEP,
-             certify: bool = True) -> SampledField:
+def ck_field(psi: ScalarField, omega, nu: float) -> SampledField:
     """Debye construction F = curl(psi w) + (1/nu) curl curl(psi w).
 
     ``psi`` must solve the scalar Helmholtz equation with constant nu^2
-    (checked at sample points by the finite-difference Laplacian oracle
-    unless ``certify`` is disabled); ``omega`` is a fixed 3-vector.  The
-    result satisfies curl F = nu F.  Analytic derivatives of psi are used
-    when provided, otherwise the finite-difference oracle.
+    (checked at sample points by the finite-difference Laplacian oracle);
+    ``omega`` is a fixed 3-vector.  The result satisfies curl F = nu F.
+    Analytic derivatives of psi are used when provided, otherwise the
+    finite-difference oracle.
     """
     if nu == 0.0:
         raise ValueError("nu must be nonzero")
     w = np.asarray(omega, dtype=float)
 
-    if certify:
-        rng = np.random.default_rng(1742)
-        pts = rng.uniform(-1.0, 1.0, size=(6, 3))
-        lap = fd_field(psi.evaluator, "laplacian", h)(pts)
-        val = psi(pts)
-        if np.any(np.abs(lap + nu**2 * val) > 1e-6 * np.maximum(1.0, np.abs(val))):
-            raise ValueError("psi does not satisfy the Helmholtz equation with this nu")
+    pts = np.random.default_rng(1742).uniform(-1.0, 1.0, size=(6, 3))
+    lap = fd_field(psi.evaluator, "laplacian")(pts)
+    val = psi(pts)
+    if np.any(np.abs(lap + nu**2 * val) > 1e-6 * np.maximum(1.0, np.abs(val))):
+        raise ValueError("psi does not satisfy the Helmholtz equation with this nu")
 
     use_analytic = psi.gradient is not None and psi.hessian is not None
-    toroidal = ck_toroidal(psi, w, h).evaluator
+    toroidal = ck_toroidal(psi, w).evaluator
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
@@ -270,27 +266,26 @@ def ck_field(psi: ScalarField, omega, nu: float, h: float = FD_DEFAULT_STEP,
             hess = np.asarray(psi.hessian(x))
             poloidal = (hess @ w + nu**2 * psi(x)[..., None] * w) / nu
         else:
-            poloidal = fd_field(toroidal, "curl", h)(x) / nu
+            poloidal = fd_field(toroidal, "curl")(x) / nu
         return toroidal(x) + poloidal
 
     return SampledField(
         name="ck",
         evaluator=evaluator,
-        params={"nu": nu, "omega": tuple(w)},
         eigenvalue=nu,
         mu=1,
     )
 
 
-def ck_toroidal(psi: ScalarField, omega, h: float = FD_DEFAULT_STEP) -> SampledField:
+def ck_toroidal(psi: ScalarField, omega) -> SampledField:
     """Toroidal part curl(psi w) alone; divergence-free by construction."""
     w = np.asarray(omega, dtype=float)
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
-        return np.cross(_scalar_gradient(psi, x, h), w)
+        return np.cross(_scalar_gradient(psi, x), w)
 
-    return SampledField(name="ck_toroidal", evaluator=evaluator, params={"omega": tuple(w)})
+    return SampledField(name="ck_toroidal", evaluator=evaluator)
 
 
 @dataclass(frozen=True)
@@ -298,35 +293,23 @@ class CKCircularParams:
     """Parameters of the circular cylindrical Debye solution.
 
     The Debye scalar is amplitude * J_m(nu r) e^{i(m theta - k z)}; the field
-    eigenvalue is sigma = sigma_sign * sqrt(nu^2 + k^2).
+    eigenvalue is sigma = sqrt(nu^2 + k^2).
     """
 
     m: int
     k: float
     nu: float
     amplitude: float = 1.0
-    sigma_sign: int = 1
 
     def __post_init__(self):
         if self.m < 0 or int(self.m) != self.m:
             raise ValueError("m must be a non-negative integer")
         if self.nu <= 0.0:
             raise ValueError("radial wavenumber nu must be positive (sigma^2 - k^2 > 0)")
-        if self.sigma_sign not in (1, -1):
-            raise ValueError("sigma_sign must be +1 or -1")
 
     @property
     def sigma(self) -> float:
-        return self.sigma_sign * float(np.hypot(self.nu, self.k))
-
-
-def _jm_over_x(m: int, x: np.ndarray) -> np.ndarray:
-    """J_m(x)/x for m >= 1, stable at x = 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-8
-    safe = np.where(small, 1.0, x)
-    limit = 0.5 if m == 1 else 0.0
-    return np.where(small, limit, bessel_j(m, np.abs(safe)) / safe)
+        return float(np.hypot(self.nu, self.k))
 
 
 def ck_circular(params: CKCircularParams) -> SampledField:
@@ -372,7 +355,6 @@ def ck_circular(params: CKCircularParams) -> SampledField:
     return SampledField(
         name="ck_circular",
         evaluator=evaluator,
-        params={"m": m, "k": k, "nu": nu, "amplitude": amp, "sigma": sigma},
         eigenvalue=sigma,
         mu=1,
     )
@@ -382,13 +364,13 @@ def ck_circular(params: CKCircularParams) -> SampledField:
 # gauge gradients and probe fields
 # ---------------------------------------------------------------------------
 
-def gauge_gradient_field(u: ScalarField, h: float = FD_DEFAULT_STEP) -> SampledField:
+def gauge_gradient_field(u: ScalarField) -> SampledField:
     """Curl-free field grad U (analytic when U carries a gradient, else fd)."""
 
     def evaluator(x):
-        return _scalar_gradient(u, np.asarray(x, dtype=float), h).astype(complex)
+        return _scalar_gradient(u, np.asarray(x, dtype=float)).astype(complex)
 
-    return SampledField(name=f"grad_{u.name}", evaluator=evaluator, params=dict(u.params))
+    return SampledField(name=f"grad_{u.name}", evaluator=evaluator)
 
 
 def _gaussian_envelope(x, c: np.ndarray, width: float) -> np.ndarray:
@@ -412,7 +394,6 @@ def gaussian_test_field(center, width: float, polarization) -> SampledField:
     return SampledField(
         name="gaussian",
         evaluator=evaluator,
-        params={"center": tuple(c), "width": width, "polarization": tuple(pol.tolist())},
     )
 
 
@@ -433,7 +414,6 @@ def gaussian_scalar(center=(0.0, 0.0, 0.0), width: float = 1.0) -> ScalarField:
         name="gaussian_scalar",
         evaluator=evaluator,
         gradient=gradient,
-        params={"center": tuple(c), "width": width},
     )
 
 
@@ -455,7 +435,6 @@ def plane_wave_scalar(wavevector) -> ScalarField:
         evaluator=evaluator,
         gradient=gradient,
         hessian=hessian,
-        params={"wavevector": tuple(q)},
     )
 
 
@@ -471,7 +450,7 @@ def bessel_j0_scalar(nu: float, amplitude: complex = 1.0) -> ScalarField:
         x = np.asarray(x, dtype=float)
         r = np.hypot(x[..., 0], x[..., 1])
         # psi'(r)/r = -nu^2 J_1(nu r)/(nu r)
-        coeff = -amplitude * nu**2 * _j1_over_x(nu * r)
+        coeff = -amplitude * nu**2 * _jm_over_x(1, nu * r)
         out = np.zeros(x.shape, dtype=complex)
         out[..., 0] = coeff * x[..., 0]
         out[..., 1] = coeff * x[..., 1]
@@ -481,18 +460,17 @@ def bessel_j0_scalar(nu: float, amplitude: complex = 1.0) -> ScalarField:
         name="bessel_j0",
         evaluator=evaluator,
         gradient=gradient,
-        params={"nu": nu, "amplitude": amplitude},
     )
 
 
 def certify_trkalian(f: SampledField, n_points: int = 10, rtol: float = 1e-6,
-                     seed: int = 20260810, box: float = 1.5,
-                     h: float = FD_DEFAULT_STEP) -> float:
-    """Max relative curl-eigenvalue defect of a catalog field at random points."""
+                     seed: int = 20260810) -> float:
+    """Max relative curl-eigenvalue defect of a catalog field at random
+    points of the cube [-1.5, 1.5]^3."""
     if f.eigenvalue is None:
         raise ValueError("field carries no eigenvalue to certify")
-    x = np.random.default_rng(seed).uniform(-box, box, size=(n_points, 3))
-    curl = fd_field(f.evaluator, "curl", h)(x)
+    x = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n_points, 3))
+    curl = fd_field(f.evaluator, "curl")(x)
     val = f(x)
     defect = (np.linalg.norm(curl - f.eigenvalue * val, axis=-1)
               / np.maximum(np.linalg.norm(val, axis=-1), 1e-300))

@@ -96,12 +96,13 @@ class AnalyticProfile:
             raise ValueError("atom weights must be positive")
 
     @classmethod
-    def from_atoms(cls, atoms, nu: float, mu: int = 1, g: float = 1.0) -> "AnalyticProfile":
-        """Profile stacked from rows with direction, frequency, amplitude and weight."""
+    def from_atoms(cls, atoms, nu: float) -> "AnalyticProfile":
+        """Profile stacked from rows with direction, frequency, amplitude and
+        weight, with mu = 1 and g = 1."""
         atoms = tuple(atoms)
         return cls(np.reshape([a.direction for a in atoms], (-1, 3)),
                    [a.frequency for a in atoms], [a.amplitude for a in atoms],
-                   [a.weight for a in atoms], nu=nu, mu=mu, g=g)
+                   [a.weight for a in atoms], nu=nu)
 
     @cached_property
     def atoms(self) -> tuple:
@@ -340,42 +341,29 @@ def radon_forward_grid(fn, p_grid, sphere: SphereQuadrature, quad: PlaneQuadratu
 
     The p-grid is validated before the field is evaluated.  Each geometric
     plane is integrated once: when the sphere pairs its nodes by exact
-    negation (``antipode_index``), the first node of each pair gets every p,
-    its partner only the p whose exact negation is not on the grid, and the
-    rest of the grid is filled by parity, R(p, -kappa) = R(-p, kappa).  Both
-    name the same plane with the same nodes and weights, so a shared value
-    differs from a separate integral only in summation order.  A parity
-    scan of the grid therefore checks only the wrap of the periodic
-    p-range; the parity of the plane quadrature itself needs two separate
-    :func:`radon_forward_numeric` planes (verify record ``radon_parity``).
-    Warns once (TruncationWarning), counting over all n_p x n_dir planes.
+    negation (``antipode_index``), the later node of each pair takes, at
+    every p whose exact negation is on the grid, the plane of its partner,
+    R(p, -kappa) = R(-p, kappa).  Both name the same plane with the same
+    nodes and weights, so a shared value differs from a separate integral
+    only in summation order.  A parity scan of the grid therefore checks
+    only the wrap of the periodic p-range; the parity of the plane
+    quadrature itself needs two separate :func:`radon_forward_numeric`
+    planes (verify record ``radon_parity``).  Warns once
+    (TruncationWarning), counting over all n_p x n_dir planes.
     """
     p = validate_p_grid(p_grid)
-    nodes, anti = sphere.nodes, sphere.antipode_index
-    neg = np.minimum(np.searchsorted(p, -p), p.size - 1)
-    has_neg = p[neg] == -p  # p[neg[i]] is the exact negation of p[i]
-    if anti is None or not np.any(has_neg) or not np.array_equal(nodes[anti], -nodes):
-        return GridProfile(p=p, sphere=sphere,
-                           samples=radon_forward_numeric(fn, p[:, None], nodes, quad))
-
-    lead = np.flatnonzero(anti > np.arange(sphere.n))  # one node of each pair
-    partner, rest = anti[lead], np.flatnonzero(~has_neg)
-    planes_p = np.concatenate([np.repeat(p, lead.size), np.repeat(p[rest], lead.size)])
-    planes_k = np.concatenate([np.tile(nodes[lead], (p.size, 1)),
-                               np.tile(nodes[partner], (rest.size, 1))])
-    m = p.size * lead.size
-
-    def fill(planes):  # (planes, ...) -> (n_p, n_dir, ...)
-        grid = np.empty((p.size, sphere.n) + planes.shape[1:], planes.dtype)
-        grid[:, lead] = planes[:m].reshape((p.size, lead.size) + planes.shape[1:])
-        grid[np.ix_(rest, partner)] = planes[m:].reshape((rest.size, lead.size)
-                                                        + planes.shape[1:])
-        grid[np.ix_(has_neg, partner)] = grid[np.ix_(neg[has_neg], lead)]
-        return grid
-
-    out, peak, edge = _plane_sums(fn, planes_p, planes_k, quad)
-    _warn_truncated(fill(peak).reshape(-1), fill(edge).reshape(-1))
-    return GridProfile(p=p, sphere=sphere, samples=fill(out))
+    n, anti = sphere.n, sphere.antipode_index
+    plane = np.arange(p.size * n).reshape(p.size, n)  # plane (p_i, kappa_j) is i n + j
+    if anti is not None:
+        neg = np.minimum(np.searchsorted(p, -p), p.size - 1)
+        rows = np.flatnonzero(p[neg] == -p)  # p[neg[i]] is the exact negation of p[i]
+        later = np.flatnonzero(anti < np.arange(n))
+        plane[np.ix_(rows, later)] = plane[np.ix_(neg[rows], anti[later])]
+    unique, inverse = np.unique(plane.reshape(-1), return_inverse=True)
+    out, peak, edge = _plane_sums(fn, p[unique // n], sphere.nodes[unique % n], quad)
+    _warn_truncated(peak[inverse], edge[inverse])
+    return GridProfile(p=p, sphere=sphere,
+                       samples=out[inverse].reshape((p.size, n) + out.shape[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -496,25 +484,25 @@ def gamma_cross_eigendefect(profile: AnalyticProfile) -> float:
 # ---------------------------------------------------------------------------
 
 
-def intertwining_check(fn, kappa, p: float, kind: str, quad: PlaneQuadrature,
-                       h: float = 1e-3, dp: float = 1e-2) -> float:
+def intertwining_check(fn, kappa, p: float, kind: str, quad: PlaneQuadrature) -> float:
     """Residual of R[D F] = Gamma_D R[F] at one (p, kappa).
 
     The left side runs the numeric transform over the finite-difference
-    derivative field; the right side differentiates the numeric transform in
-    p by 4th-order central differences and applies the kappa product.
+    derivative field (step FD_DEFAULT_STEP); the right side differentiates
+    the numeric transform in p by 4th-order central differences (step 1e-2)
+    and applies the kappa product.
     """
     k = as_direction(kappa)
     kinds = {"curl": ("curl", "cross"), "div": ("divergence", "dot"), "grad": ("gradient", "grad")}
     if kind not in kinds:
         raise ValueError(f"unknown kind {kind!r}")
     fd_kind, product = kinds[kind]
-    lhs = radon_forward_numeric(fd_field(fn, fd_kind, h), p, k, quad)
+    lhs = radon_forward_numeric(fd_field(fn, fd_kind), p, k, quad)
 
     # the stencil runs along the first coordinate, which carries p; the
     # partials along the other two axes are discarded
     d_transform = fd_field(lambda y: radon_forward_numeric(fn, y[:, 0], k, quad),
-                           "gradient", dp)
+                           "gradient", 1e-2)
     dproj = d_transform(np.array([p, 0.0, 0.0]))[0]
     rhs = kappa_product(k, dproj, product)
     return float(np.max(np.abs(np.asarray(lhs) - rhs)))
@@ -552,12 +540,12 @@ def adjoint_radon(profile, x, quad: SphereQuadrature | None = None):
     return quad.integrate(profile(quad.nodes @ x, quad.nodes))
 
 
-def inverse_radon(profile, x, quad: SphereQuadrature | None = None):
+def inverse_radon(profile, x):
     """Reconstruction -(1/8 pi^2) integral of d^2/dp^2 F^R(kappa . x, kappa).
 
     Exact on atoms; grid profiles use spectral second derivatives evaluated
-    by trigonometric interpolation at p = kappa . x against the grid's own
-    direction quadrature.
+    by trigonometric interpolation at p = kappa . x, summed with the weights
+    of the grid's sphere.
     """
     if isinstance(profile, AnalyticProfile):
         return _atom_sum(profile, x, profile.weights * profile.frequencies**2 / (8.0 * np.pi**2))
@@ -619,19 +607,20 @@ def antipodal_profile(profile: AnalyticProfile) -> AnalyticProfile:
 # spherical curl transform (Radon probe with the helicity frame)
 # ---------------------------------------------------------------------------
 
-def spherical_curl_transform(profile: AnalyticProfile, kappa, p: float = 0.0,
-                             tol: float = 1e-9) -> tuple[complex, complex]:
+def spherical_curl_transform(profile: AnalyticProfile, kappa,
+                             p: float = 0.0) -> tuple[complex, complex]:
     """Helicity amplitudes (s_1, s_2) probed from the profile at kappa.
 
     s_a = (2 pi)^{-1/2} g nu^2 e^{-i mu lam_a nu p} < Q_a(kappa), F^R(p, kappa) >
     with the Hermitian product conjugating the probe.  The phase prefactor
     cancels the matched tone, so the result is p-independent; for profiles
     supported on a line delta the returned value is the line density.
+    The probe reads the atoms within 1e-9 of kappa.
     """
     k = as_direction(kappa)
     if not profile.is_vector:
         raise ValueError("probe requires vector amplitudes")
-    at_k = np.linalg.norm(profile.directions - k, axis=-1) < tol
+    at_k = np.linalg.norm(profile.directions - k, axis=-1) < 1e-9
     tones = np.exp(1j * profile.frequencies[at_k] * p)
     pref = profile.g * profile.nu**2 / np.sqrt(2.0 * np.pi)
     out = []

@@ -24,23 +24,23 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # ---------------------------------------------------------------------------
 
 def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature,
-                       p_half: float = 8.0, n_p: int = 128,
-                       box_half: float = 8.0, n_box: int = 48):
+                       n_p: int = 128, n_box: int = 48):
     """Both sides of the slice identity at (k, kappa), symmetric conventions.
 
     Left: 1-D Fourier transform (2 pi)^{-1/2} int F^R(p) e^{-ikp} dp of the
-    numeric plane transform.  Right: 2 pi times the 3-D Fourier transform
-    (2 pi)^{-3/2} int F(y) e^{-i k kappa . y} d^3 y by direct box quadrature.
+    numeric plane transform on n_p points of [-8, 8).  Right: 2 pi times the
+    3-D Fourier transform (2 pi)^{-3/2} int F(y) e^{-i k kappa . y} d^3 y by
+    direct n_box^3 quadrature over the box [-8, 8]^3.
     """
     kdir = as_direction(kappa)
-    p = -p_half + (2.0 * p_half / n_p) * np.arange(n_p)
+    p = -8.0 + (16.0 / n_p) * np.arange(n_p)
     proj = radon_forward_numeric(fn, p, kdir, plane_quad)  # (n_p[, 3])
     phase = np.exp(-1j * k * p)
-    dp = 2.0 * p_half / n_p
+    dp = 16.0 / n_p
     shape = (n_p,) + (1,) * (proj.ndim - 1)
     lhs = np.sum(phase.reshape(shape) * proj, axis=0) * dp / _SQRT_2PI
 
-    nodes, weights = gauss_tensor_rule(box_half, n_box)
+    nodes, weights = gauss_tensor_rule(8.0, n_box)
     vals = np.asarray(fn(nodes))
     phase3 = np.exp(-1j * k * (nodes @ kdir))
     if vals.ndim == 2:
@@ -52,9 +52,9 @@ def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature,
 
 
 def fourier_slice_check(fn, kappa, k: float, plane_quad: PlaneQuadrature,
-                        **kwargs) -> float:
+                        n_p: int = 128, n_box: int = 48) -> float:
     """Relative residual between the two sides of the slice identity."""
-    lhs, rhs = fourier_slice_pair(fn, kappa, k, plane_quad, **kwargs)
+    lhs, rhs = fourier_slice_pair(fn, kappa, k, plane_quad, n_p=n_p, n_box=n_box)
     scale = max(np.max(np.abs(np.atleast_1d(lhs))), np.max(np.abs(np.atleast_1d(rhs))))
     return float(np.max(np.abs(np.atleast_1d(lhs - rhs))) / max(scale, 1e-300))
 
@@ -101,15 +101,15 @@ def rbs_apply(profile, dc_tol: float = DC_TOLERANCE):
     raise TypeError(f"unsupported profile type {type(profile)!r}")
 
 
-def rbs_left_inverse_check(grid: GridProfile, tol: float = 1e-9) -> float:
+def rbs_left_inverse_check(grid: GridProfile) -> float:
     """Max residual of RBS[Gamma x F] = F for transverse profiles.
 
-    Raises if the precondition Gamma . F = 0 fails at ``tol``.
+    Raises if the precondition Gamma . F = 0 fails at 1e-9 relative.
     """
     gdot = gamma_apply(grid, "dot")
     scale = max(float(np.max(np.abs(grid.samples))), 1e-300)
     defect = float(np.max(np.abs(gdot.samples))) / scale
-    if defect > tol:
+    if defect > 1e-9:
         raise ValueError(f"profile violates Gamma . F = 0 (defect {defect:.3e})")
     back = rbs_apply(gamma_apply(grid, "cross"))
     return float(np.max(np.abs(back.samples - grid.samples)))

@@ -38,7 +38,7 @@ def _random_directions(n: int, seed: int = SEED) -> np.ndarray:
 
 
 def _mode_field(n_modes: int = 3, seed: int = SEED, nu: float = 1.0,
-                mu: int = 1, g: float = 1.0) -> fields.ModeField:
+                mu: int = 1) -> fields.ModeField:
     rng = np.random.default_rng(seed)
     lam = mu if nu > 0 else -mu
     modes = []
@@ -46,24 +46,24 @@ def _mode_field(n_modes: int = 3, seed: int = SEED, nu: float = 1.0,
         k = rng.normal(size=3)
         k /= np.linalg.norm(k)
         amp = complex(rng.normal(), rng.normal())
-        modes.append(fields.HelicityMode(lam=lam, nu=nu, kappa0=k, amplitude=amp, mu=mu, g=g))
+        modes.append(fields.HelicityMode(lam=lam, nu=nu, kappa0=k, amplitude=amp, mu=mu))
     return fields.ModeField(modes=tuple(modes))
 
 
-def _smooth_grid_profile(n_p: int = 64, nu: float = 1.0, seed: int = SEED) -> radon.GridProfile:
-    """Transform of a smooth helicity superposition, sampled per direction."""
+def _smooth_grid_profile(seed: int = SEED) -> radon.GridProfile:
+    """Transform of a smooth helicity superposition with nu = 1, sampled per
+    direction on 64 points of one period."""
     sphere = sphere_quadrature(6, 8, antipodal=True)
     rng = np.random.default_rng(seed)
     a = rng.normal(size=3)
-    period = 2.0 * np.pi / abs(nu)
-    p = period * np.arange(n_p) / n_p
+    p = 2.0 * np.pi * np.arange(64) / 64
     nodes = sphere.nodes
     q = moses.moses_frame(nodes, 1)
     q_anti = moses.moses_frame(-nodes, 1)
     s_plus = np.exp(nodes @ a)
     s_minus = np.exp(-(nodes @ a))
-    tone_p = np.exp(1j * nu * p)[:, None, None]
-    tone_m = np.exp(-1j * nu * p)[:, None, None]
+    tone_p = np.exp(1j * p)[:, None, None]
+    tone_m = np.exp(-1j * p)[:, None, None]
     samples = tone_p * (s_plus[None, :, None] * q[None, :, :]) \
         + tone_m * (s_minus[None, :, None] * q_anti[None, :, :])
     return radon.GridProfile(p=p, sphere=sphere, samples=samples)

@@ -229,9 +229,17 @@ class TestVerifyCommand:
     ["radon", "--field", "gaussian", "--quad", "4,7", "--out", "out"],
     ["radon", "--field", "lundquist", "--params", '{"nu": 0}', "--out", "out"],
     ["radon", "--field", "lundquist", "--params", '{"n_ring": 5}', "--out", "out"],
+    ["radon", "--field", "gaussian", "--params", '{"centre": [7, 0, 0]}', "--out", "out"],
+    ["radon", "--field", "lundquist", "--params", '{"nring": 8}', "--out", "out"],
+    ["radon", "--field", "modes", "--params",
+     '{"modes": [{"lam": 1, "nu": 1, "kappa0": [0, 0, 1], "amplitude": 2}]}', "--out", "out"],
+    ["radon", "--field", "modes", "--params", '{"modes": [3]}', "--out", "out"],
+    ["field-eval", "--field", "lundquist", "--params", '{"nuu": 2}', "--out", "out"],
 ], ids=["verify-empty-selection", "verify-unknown-tolerance", "radon-modes-without-modes",
         "radon-pgrid-not-power-of-two", "radon-pgrid-decreasing", "radon-quad-odd-azimuth",
-        "radon-lundquist-zero-nu", "radon-lundquist-odd-ring"])
+        "radon-lundquist-zero-nu", "radon-lundquist-odd-ring", "radon-gaussian-unknown-key",
+        "radon-lundquist-unknown-key", "radon-mode-record-unknown-key", "radon-mode-record-not-object",
+        "field-eval-lundquist-unknown-key"])
 def test_bad_input_is_usage_error(runner, tmp_path, args):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)

@@ -175,6 +175,14 @@ class TestCKCircular:
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals[0] - vals[1])) < 1e-8
 
+    def test_transverse_components_linear_near_axis_for_m2(self):
+        # J_2(nu r)/r ~ nu^2 r / 8 and J_2'(nu r) ~ nu r / 4, so the
+        # transverse components scale with r on both sides of the 1e-8
+        # switch to the series term
+        f = ck_circular(CKCircularParams(m=2, k=0.5, nu=1.0))
+        near, far = f(np.array([[5e-9, 0.0, 0.0], [2e-8, 0.0, 0.0]]))
+        assert np.max(np.abs(near[:2] / far[:2] - 0.25)) < 1e-12 * 0.25
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             CKCircularParams(m=-1, k=0.0, nu=1.0)
