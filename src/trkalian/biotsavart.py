@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (bessel_j, fd_field, field_reals, from_reals, gauss_legendre,
+from .core import (_chunks, bessel_j, fd_field, field_reals, from_reals, gauss_legendre,
                    gauss_tensor_rule, plane_basis, sphere_quadrature)
 
 TAIL_RESIDUAL_TOL = 1e-7
@@ -76,11 +76,6 @@ def box_quadrature(half_width: float, n_per_axis: int = 48,
                             exclusion_radius=exclusion_radius)
 
 
-# Cap on the (point, node) pairs handled at once, a few MB per temporary;
-# a single point is never split.
-_CHUNK_PAIRS = 2**16
-
-
 def _ball_nodes(quad: VolumeQuadrature):
     """Radii r, radial weights w_r, unit directions n_hat and angular weights w_omega."""
     r, wr = gauss_legendre(quad.n_radial)
@@ -109,12 +104,6 @@ def _as_points(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("evaluation points must be finite")
     return x
-
-
-def _chunks(points: np.ndarray, n_nodes: int):
-    """Consecutive slices of the points (k, 3) with at most _CHUNK_PAIRS (point, node) pairs."""
-    step = max(1, _CHUNK_PAIRS // n_nodes)
-    return (points[s:s + step] for s in range(0, points.shape[0], step))
 
 
 def _separation(points: np.ndarray, nodes: np.ndarray):

@@ -141,7 +141,11 @@ def main() -> None:
 def cmd_field_eval(field_name, params, grid_spec, out_dir) -> None:
     """Evaluate a catalog field on a grid; writes CSV plus a metadata sidecar."""
     parsed = _parse_params(params)
-    f = build_field(field_name, parsed)
+    # catalog parameters are usage errors, raised before any evaluation
+    try:
+        f = build_field(field_name, parsed)
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(f"invalid {field_name} input: {exc}") from exc
     xs, ys, zs = _parse_grid(grid_spec)
     xx, yy, zz = np.meshgrid(xs, ys, zs, indexing="ij")
     pts = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)

@@ -13,7 +13,9 @@ Each numerical primitive has exactly one implementation, owned here:
 - 4th-order central-difference stencils: :func:`fd_field`, of which
   :func:`fd_derivative_oracle` is the one-point call;
 - real view of field values for float-only sums and magnitudes:
-  :func:`field_reals` and its inverse :func:`from_reals`.
+  :func:`field_reals` and its inverse :func:`from_reals`;
+- plane-wave sums at a batch of points: :func:`plane_wave_sum`, in the
+  point chunks of :func:`_chunks` that the volume integrals also use.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ def as_direction(v) -> np.ndarray:
     ``DIRECTION_TOL`` or is not finite.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape[-1] != 3:
+    if v.shape[-1:] != (3,):
         raise ValueError(f"direction must have 3 components, got shape {v.shape}")
-    n = np.linalg.norm(v, axis=-1)
-    if not np.all(np.abs(n - 1.0) <= DIRECTION_TOL):
+    # rounds as np.linalg.norm does, without its general-order dispatch
+    n = np.sqrt(np.add.reduce(v * v, axis=-1))
+    if not (np.abs(n - 1.0) <= DIRECTION_TOL).all():
         raise ValueError(f"direction not unit: |norm - 1| = {np.max(np.abs(n - 1.0)):.3e}")
     return v
 
@@ -54,6 +57,33 @@ def from_reals(reals: np.ndarray, value_shape: tuple, cplx: bool) -> np.ndarray:
     """Results (k, reals per value) back as values (k, *value_shape)."""
     reals = np.ascontiguousarray(reals)
     return (reals.view(complex) if cplx else reals).reshape((reals.shape[0],) + value_shape)
+
+
+# Cap on the (point, node) pairs handled at once, a few MB per temporary;
+# a single point is never split.
+_CHUNK_PAIRS = 2**16
+
+
+def _chunks(points: np.ndarray, n_nodes: int):
+    """Consecutive slices of the points (k, 3) with at most _CHUNK_PAIRS (point, node) pairs."""
+    step = max(1, _CHUNK_PAIRS // max(n_nodes, 1))
+    return (points[s:s + step] for s in range(0, points.shape[0], step))
+
+
+def plane_wave_sum(x, directions, frequencies, amplitudes) -> np.ndarray:
+    """Sum over waves j of amplitudes_j exp(i frequencies_j directions_j . x)
+    at x (..., 3), for directions (n, 3), frequencies (n,) and amplitudes
+    (n, ...); shaped x.shape[:-1] + amplitudes.shape[1:], zeros when n = 0.
+    Each chunk of points is one phase matrix and one matrix product."""
+    x = np.asarray(x, dtype=float)
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    flat = x.reshape(-1, 3)
+    out = np.empty((flat.shape[0],) + amplitudes.shape[1:], dtype=complex)
+    start = 0
+    for xc in _chunks(flat, len(frequencies)):
+        out[start:start + len(xc)] = np.exp(1j * ((xc @ directions.T) * frequencies)) @ amplitudes
+        start += len(xc)
+    return out.reshape(x.shape[:-1] + amplitudes.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, as_direction,
-                   fd_field, field_reals, from_reals, plane_basis)
+                   fd_field, field_reals, from_reals, plane_basis, plane_wave_sum)
 from .fields import ModeField
 from .moses import frame_index_of, helicity_of, moses_frame
 
@@ -92,8 +92,8 @@ class AnalyticProfile:
         as_direction(self.directions)
         if not (np.all(np.isfinite(self.frequencies)) and np.all(np.isfinite(self.amplitudes))):
             raise ValueError("atom frequencies and amplitudes must be finite")
-        if not np.all(self.weights > 0.0):
-            raise ValueError("atom weights must be positive")
+        if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
+            raise ValueError("atom weights must be positive and finite")
 
     @classmethod
     def from_atoms(cls, atoms, nu: float) -> "AnalyticProfile":
@@ -514,15 +514,10 @@ def intertwining_check(fn, kappa, p: float, kind: str, quad: PlaneQuadrature) ->
 
 def _atom_sum(profile: AnalyticProfile, x, scale: np.ndarray):
     """Sum over atoms j of scale_j amplitude_j exp(i omega_j kappa_j . x) at
-    x (..., 3), row by row so memory stays O(points); zero scales are skipped."""
-    x = np.asarray(x, dtype=float)
-    out = 0.0
-    for j in np.flatnonzero(scale):
-        phase = np.exp(1j * profile.frequencies[j] * (x @ profile.directions[j]))
-        if profile.is_vector:
-            phase = phase[..., None]
-        out = out + scale[j] * phase * profile.amplitudes[j]
-    return out
+    x (..., 3), as one plane-wave sum over the rows with nonzero scale."""
+    rows = np.flatnonzero(scale)
+    scaled = (scale[rows] * profile.amplitudes[rows].T).T
+    return plane_wave_sum(x, profile.directions[rows], profile.frequencies[rows], scaled)
 
 
 def adjoint_radon(profile, x, quad: SphereQuadrature | None = None):
@@ -636,19 +631,22 @@ def spherical_curl_transform(profile: AnalyticProfile, kappa,
 # ---------------------------------------------------------------------------
 
 def profile_to_json(profile: AnalyticProfile) -> str:
-    """Serialize an analytic profile as a JSON atom list."""
+    """Serialize an analytic profile as a JSON atom list: the text of
+    json.dumps(indent=2, sort_keys=True), with the atoms filled into one %r
+    template, as json writes a finite float as its repr and a profile holds
+    finite values only."""
     amplitudes = profile.amplitudes if profile.is_vector else profile.amplitudes[:, None]
-    rows = zip(profile.directions.tolist(), profile.frequencies.tolist(),
-               profile.weights.tolist(), amplitudes.real.tolist(), amplitudes.imag.tolist())
-    payload = {
-        "nu": profile.nu,
-        "mu": profile.mu,
-        "g": profile.g,
-        "atoms": [{"direction": d, "frequency": f, "weight": w,
-                   "amplitude_re": re, "amplitude_im": im}
-                  for d, f, w, re, im in rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    width = amplitudes.shape[1]
+    lists = [f'      "{key}": [\n' + ",\n".join(["        %r"] * n) + "\n      ]"
+             for key, n in (("amplitude_im", width), ("amplitude_re", width), ("direction", 3))]
+    atom = ("    {\n" + ",\n".join(lists + ['      "frequency": %r', '      "weight": %r'])
+            + "\n    }")
+    values = np.column_stack([amplitudes.imag, amplitudes.real, profile.directions,
+                              profile.frequencies, profile.weights])
+    atoms = "[\n" + ",\n".join([atom] * len(values)) + "\n  ]" if len(values) else "[]"
+    return (f'{{\n  "atoms": {atoms % tuple(values.ravel().tolist())},\n'
+            f'  "g": {json.dumps(profile.g)},\n  "mu": {json.dumps(profile.mu)},\n'
+            f'  "nu": {json.dumps(profile.nu)}\n}}')
 
 
 def profile_from_json(text: str) -> AnalyticProfile:

@@ -235,16 +235,24 @@ class TestVerifyCommand:
      '{"modes": [{"lam": 1, "nu": 1, "kappa0": [0, 0, 1], "amplitude": 2}]}', "--out", "out"],
     ["radon", "--field", "modes", "--params", '{"modes": [3]}', "--out", "out"],
     ["field-eval", "--field", "lundquist", "--params", '{"nuu": 2}', "--out", "out"],
+    ["field-eval", "--field", "gaussian", "--params", '{"center": [1, 2]}', "--out", "out"],
+    ["radon", "--field", "gaussian", "--params", '{"polarization": [1, 0]}', "--out", "out"],
+    ["field-eval", "--field", "lundquist", "--params", '{"nu": NaN}', "--out", "out"],
+    ["radon", "--field", "gaussian", "--params", '{"width": NaN}', "--out", "out"],
 ], ids=["verify-empty-selection", "verify-unknown-tolerance", "radon-modes-without-modes",
         "radon-pgrid-not-power-of-two", "radon-pgrid-decreasing", "radon-quad-odd-azimuth",
         "radon-lundquist-zero-nu", "radon-lundquist-odd-ring", "radon-gaussian-unknown-key",
         "radon-lundquist-unknown-key", "radon-mode-record-unknown-key", "radon-mode-record-not-object",
-        "field-eval-lundquist-unknown-key"])
+        "field-eval-lundquist-unknown-key", "field-eval-gaussian-short-center",
+        "radon-gaussian-short-polarization", "field-eval-lundquist-nan-nu",
+        "radon-gaussian-nan-width"])
 def test_bad_input_is_usage_error(runner, tmp_path, args):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)
+        written = Path("out").exists()
     assert result.exit_code == 2, result.output
     assert "Usage:" in result.output
+    assert not written
 
 
 class TestPlotCommand:

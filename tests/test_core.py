@@ -4,7 +4,7 @@ import pytest
 from trkalian.core import (PlaneQuadrature, as_direction, bessel_j,
                            bessel_j1_first_zero, fd_derivative_oracle,
                            fd_field, gauss_legendre, gauss_tensor_rule, plane_basis,
-                           sphere_quadrature)
+                           plane_wave_sum, sphere_quadrature)
 
 
 class TestSphereQuadrature:
@@ -230,6 +230,66 @@ def test_as_direction_validation():
         as_direction(np.array([0.0, 0.0, 1.0 + 1e-9]))
     with pytest.raises(ValueError):
         as_direction(np.array([1.0, 0.0]))
+    for zero_dim in (5.0, np.float64(1.0), np.array(1.0)):
+        with pytest.raises(ValueError, match="3 components"):
+            as_direction(zero_dim)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             as_direction(np.array([bad, 0.0, 0.0]))
+
+
+def test_as_direction_checks_every_row_of_a_batch():
+    v = np.random.default_rng(11).normal(size=(1000, 3))
+    v /= np.linalg.norm(v, axis=-1)[:, None]
+    as_direction(v)
+    v[7] *= 1.0 + 2e-12
+    with pytest.raises(ValueError, match="not unit"):
+        as_direction(v)
+
+
+def random_waves(n, value_shape, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=-1)[:, None]
+    amps = rng.normal(size=(n,) + value_shape) + 1j * rng.normal(size=(n,) + value_shape)
+    return d, rng.uniform(-3.0, 3.0, size=n), amps
+
+
+def loop_wave_sum(x, d, f, amps):
+    """Reference: one wave at a time."""
+    out = 0.0
+    for j in range(f.size):
+        phase = np.exp(1j * f[j] * (x @ d[j]))
+        out = out + phase.reshape(phase.shape + (1,) * (amps.ndim - 1)) * amps[j]
+    return out
+
+
+def assert_rel_close(a, b, rtol):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+class TestPlaneWaveSum:
+    @pytest.mark.parametrize("value_shape", [(3,), ()])
+    @pytest.mark.parametrize("x_shape", [(3,), (7, 3), (2, 4, 3)])
+    def test_matches_loop_over_waves(self, value_shape, x_shape):
+        d, f, amps = random_waves(37, value_shape, seed=12)
+        x = np.random.default_rng(13).uniform(-2.0, 2.0, size=x_shape)
+        out = plane_wave_sum(x, d, f, amps)
+        assert out.shape == x_shape[:-1] + value_shape
+        assert_rel_close(out, loop_wave_sum(x, d, f, amps), 1e-13)
+
+    def test_no_waves_give_zeros_of_the_value_shape(self):
+        x = np.zeros((5, 3))
+        out = plane_wave_sum(x, np.zeros((0, 3)), np.zeros(0), np.zeros((0, 3)))
+        assert out.shape == (5, 3) and not np.any(out)
+        assert plane_wave_sum(x, np.zeros((0, 3)), np.zeros(0), np.zeros(0)).shape == (5,)
+
+    def test_chunked_batch_matches_single_points(self):
+        # 300 points x 512 waves is above the 2^16 pairs of one chunk; BLAS
+        # may round a product differently with the number of rows
+        d, f, amps = random_waves(512, (3,), seed=14)
+        x = np.random.default_rng(15).uniform(-2.0, 2.0, size=(300, 3))
+        out = plane_wave_sum(x, d, f, amps)
+        single = np.array([plane_wave_sum(xi, d, f, amps) for xi in x])
+        assert_rel_close(out, single, 1e-14)

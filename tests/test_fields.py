@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trkalian.core import bessel_j, bessel_j1_first_zero, fd_derivative_oracle
+from trkalian.moses import frame_index_of, moses_frame
 from trkalian.fields import (CKCircularParams, HelicityMode, ModeField,
                              abc_field, bessel_j0_scalar, certify_trkalian,
                              ck_circular, ck_field, ck_toroidal,
@@ -38,6 +39,24 @@ class TestHelicityMode:
 
 
 class TestModeField:
+    @pytest.mark.parametrize("lam, nu, mu", [(1, 1.3, 1), (-1, -0.7, 1), (1, -0.9, -1)])
+    def test_matches_loop_over_modes(self, lam, nu, mu):
+        rng = np.random.default_rng(44)
+        kappas = rng.normal(size=(6, 3))
+        kappas /= np.linalg.norm(kappas, axis=-1)[:, None]
+        kappas = np.vstack([kappas, -EZ, [np.sqrt(1.0 - 0.9999**2), 0.0, -0.9999]])
+        modes = tuple(HelicityMode(lam=lam, nu=nu, kappa0=k, amplitude=complex(*rng.normal(size=2)),
+                                   mu=mu, g=1.7) for k in kappas)
+        x = rng.uniform(-2.0, 2.0, size=(5, 4, 3))
+        ref = 0.0
+        for m in modes:
+            phase = np.exp(1j * m.mu * m.lam * m.nu * (x @ m.kappa0))
+            ref = ref + m.amplitude * phase[..., None] * moses_frame(m.kappa0, frame_index_of(m.lam))
+        ref = (2.0 * np.pi) ** -1.5 / 1.7 * ref
+        out = eval_mode_field(ModeField(modes=modes), x)
+        assert out.shape == ref.shape == (5, 4, 3)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_single_mode_at_origin(self):
         g = 1.0
         mode = HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=(2 * np.pi) ** 1.5 * g, g=g)
@@ -275,6 +294,38 @@ class TestGaussianProbe:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             gaussian_test_field((0, 0, 0), -1.0, (1, 0, 0))
+
+    @pytest.mark.parametrize("center, pol", [((1.0, 2.0), (1, 0, 0)), ((0, 0, 0), (1, 0)),
+                                             ((0, 0, 0, 0), (1, 0, 0)), (0.0, (1, 0, 0))])
+    def test_rejects_non_3_vectors(self, center, pol):
+        with pytest.raises(ValueError, match="3-vectors"):
+            gaussian_test_field(center, 1.0, pol)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gaussian_test_field((0, NAN, 0), 1.0, (1, 0, 0)),
+    lambda: gaussian_test_field((0, 0, 0), NAN, (1, 0, 0)),
+    lambda: gaussian_test_field((0, 0, 0), INF, (1, 0, 0)),
+    lambda: gaussian_test_field((0, 0, 0), 1.0, (1, complex(0, INF), 0)),
+    lambda: lundquist(NAN, 1.0),
+    lambda: lundquist(1.0, NAN),
+    lambda: lundquist_potential(1.0, INF),
+    lambda: abc_field(1.0, NAN, 1.0),
+    lambda: abc_field(1.0, 1.0, 1.0, nu=-INF),
+    lambda: ck_circular(CKCircularParams(m=0, k=NAN, nu=1.0)),
+    lambda: ck_circular(CKCircularParams(m=0, k=0.0, nu=NAN)),
+    lambda: ck_circular(CKCircularParams(m=1, k=0.0, nu=1.0, amplitude=INF)),
+    lambda: HelicityMode(lam=1, nu=NAN, kappa0=EZ, amplitude=1.0),
+    lambda: HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=complex(NAN, 0.0)),
+], ids=["gaussian-center", "gaussian-width-nan", "gaussian-width-inf", "gaussian-polarization",
+        "lundquist-f0", "lundquist-nu", "lundquist-potential-nu", "abc-b", "abc-nu", "ck-k",
+        "ck-nu", "ck-amplitude", "mode-nu", "mode-amplitude"])
+def test_catalog_rejects_non_finite_parameters(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 class TestCatalogCertification:

@@ -440,6 +440,68 @@ class TestInverse:
             assert np.linalg.norm(rec - ref) / np.linalg.norm(ref) < 1e-12, p0
 
 
+def loop_atom_sum(profile, x, scale):
+    """Reference: the atom sum one row at a time, skipping zero scales."""
+    out = 0.0
+    for j in np.flatnonzero(scale):
+        phase = np.exp(1j * profile.frequencies[j] * (x @ profile.directions[j]))
+        if profile.is_vector:
+            phase = phase[..., None]
+        out = out + scale[j] * phase * profile.amplitudes[j]
+    return out
+
+
+def random_scalar_profile(n, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=-1)[:, None]
+    return AnalyticProfile(directions=d, frequencies=rng.uniform(-2.0, 2.0, n),
+                           amplitudes=rng.normal(size=n) + 1j * rng.normal(size=n),
+                           weights=rng.uniform(0.5, 1.5, n), nu=1.0)
+
+
+ATOM_PROFILES = {
+    "modes": lambda: radon_mode_analytic(random_mode_field(6, seed=40)),
+    "south-pole-mode": lambda: radon_mode_analytic(single_mode(-EZ, amplitude=0.3 - 0.8j)),
+    "ring": lambda: lundquist_radon_profile(1.3, 0.8, n_ring=32),
+    "scalar": lambda: random_scalar_profile(24, seed=41),
+}
+
+
+class TestAtomSums:
+    """The inverse, the adjoint and the hemisphere inverse of atom profiles
+    against the atom-by-atom sum."""
+
+    X = np.random.default_rng(42).uniform(-2.0, 2.0, size=(6, 3))
+
+    @pytest.mark.parametrize("name", ATOM_PROFILES)
+    def test_match_loop_over_atoms(self, name):
+        prof = ATOM_PROFILES[name]()
+        w, f = prof.weights, prof.frequencies
+        inside = canonical_hemisphere().members(prof.directions)
+        cases = [
+            (inverse_radon(prof, self.X), w * f**2 / (8.0 * np.pi**2)),
+            (adjoint_radon(prof, self.X), w),
+            (hemisphere_inverse(prof, canonical_hemisphere(), self.X),
+             np.where(inside, w * f**2 / (4.0 * np.pi**2), 0.0)),
+        ]
+        for out, scale in cases:
+            ref = loop_atom_sum(prof, self.X, scale)
+            assert out.shape == ref.shape == (6,) + prof.amplitudes.shape[1:]
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_empty_sum_keeps_its_shape(self):
+        x = np.zeros((5, 3))
+        nowhere = Hemisphere(indicator=lambda k: np.zeros(k.shape[:-1], dtype=bool))
+        out = hemisphere_inverse(lundquist_radon_profile(1.0, 1.0, n_ring=8), nowhere, x)
+        assert isinstance(out, np.ndarray) and out.shape == (5, 3) and not np.any(out)
+        # tones of frequency 0 carry no inverse
+        still = AnalyticProfile(directions=np.stack([EZ, -EZ]), frequencies=np.zeros(2),
+                                amplitudes=np.ones(2), weights=np.ones(2), nu=1.0)
+        out = inverse_radon(still, x)
+        assert isinstance(out, np.ndarray) and out.shape == (5,) and not np.any(out)
+
+
 def keeps_one_of_each_pair(hemi) -> bool:
     """Whether ``hemi`` holds exactly one node of each antipodal pair."""
     quad = sphere_quadrature(6, 8, antipodal=True)
@@ -628,6 +690,14 @@ class TestSerialization:
             assert a.frequency == b.frequency
             assert np.allclose(a.amplitude, b.amplitude)
 
+    def test_profile_json_golden(self):
+        prof = AnalyticProfile(directions=[[0.6, 0.0, 0.8], [-0.6, -0.0, -0.8]],
+                               frequencies=[1.5, -1.5],
+                               amplitudes=[[0.1 + 1e-20j, -0.0 - 2.5j, 1 / 3],
+                                           [1e300, 0.0, -7.0j]],
+                               weights=[1.0, 0.5], nu=1.5, mu=-1, g=0.25)
+        assert profile_to_json(prof) == GOLDEN_JSON
+
     def test_grid_csv_roundtrip(self):
         sphere = sphere_quadrature(4, 8, antipodal=True)
         f = gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.5j, 0.0))
@@ -672,3 +742,50 @@ class TestTransformSpaceAmpere:
             return total
 
         assert abs(flux(curl) - prof.nu * flux(prof)) < 1e-10
+
+
+GOLDEN_JSON = """{
+  "atoms": [
+    {
+      "amplitude_im": [
+        1e-20,
+        -2.5,
+        0.0
+      ],
+      "amplitude_re": [
+        0.1,
+        -0.0,
+        0.3333333333333333
+      ],
+      "direction": [
+        0.6,
+        0.0,
+        0.8
+      ],
+      "frequency": 1.5,
+      "weight": 1.0
+    },
+    {
+      "amplitude_im": [
+        0.0,
+        0.0,
+        -7.0
+      ],
+      "amplitude_re": [
+        1e+300,
+        0.0,
+        -0.0
+      ],
+      "direction": [
+        -0.6,
+        -0.0,
+        -0.8
+      ],
+      "frequency": -1.5,
+      "weight": 0.5
+    }
+  ],
+  "g": 0.25,
+  "mu": -1,
+  "nu": 1.5
+}"""
