@@ -227,6 +227,7 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
         parity_rel = parity / scale
         sidecar.update(mode="grid", parity_defect=parity, parity_defect_rel=parity_rel,
                        parity_check="pass" if parity_rel < 1e-8 else "fail",
+                       dc_content_rel=radon.grid_atoms(grid).dc_content() / scale,
                        p_end_ratio=float(np.max(np.abs(grid.samples[[0, -1]]))) / scale,
                        truncation_warning=truncation is not None,
                        truncated_planes=0 if truncation is None else truncation.n_truncated,

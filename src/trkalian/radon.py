@@ -8,8 +8,9 @@ sphere, 2 pi / n for nodes discretizing a line delta such as the equatorial
 ring).  The atoms are stored as four arrays, one row per atom, so every atom
 identity is an array expression; ``AnalyticProfile.atoms`` is a tuple of
 row views.  Grid profiles hold samples over a periodic p-grid times a sphere
-quadrature and are used for Schwartz-class numerics; p-derivatives are
-spectral there.
+quadrature and are used for Schwartz-class numerics; Gamma and the inverse
+(at points x (..., 3)) act on them through the atoms of their trigonometric
+interpolant (:func:`grid_atoms`), whose Nyquist bin is at -pi/dp only.
 """
 
 from __future__ import annotations
@@ -143,6 +144,10 @@ class AnalyticProfile:
             found = np.where(hit & ((found < 0) | (cand < found)), cand, found)
         return found
 
+    def dc_content(self) -> float:
+        """Max |amplitude| over the zero-frequency atoms (0 when there are none)."""
+        return float(np.max(np.abs(self.amplitudes[self.frequencies == 0.0]), initial=0.0))
+
     def parity_defect(self) -> float:
         """Max amplitude mismatch between an atom and its (-p, -kappa) partner
         (inf when some atom has no partner)."""
@@ -190,23 +195,36 @@ class GridProfile:
         samples = np.asarray(self.samples, dtype=complex)
         if samples.shape[0] != p.size or samples.shape[1] != self.sphere.n:
             raise ValueError("samples must be shaped (n_p, n_dir[, 3])")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("grid samples must be finite")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def n_p(self) -> int:
-        return self.p.size
-
-    @property
-    def dp(self) -> float:
-        return float(self.p[1] - self.p[0])
 
     @property
     def is_vector(self) -> bool:
         return self.samples.ndim == 3
 
-    def frequencies(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_p, d=self.dp)
+
+def grid_atoms(grid: GridProfile) -> AnalyticProfile:
+    """The grid's trigonometric interpolant as atoms, by one FFT along p: row
+    i n_dir + j is frequency i of ``np.fft.fftfreq`` at node j, with that
+    node's weight and amplitude c_ij e^{-i omega_i p[0]} / n_p (nu = 1 is
+    unread).  The Nyquist bin is at -pi/dp only, so the view is not closed
+    under (p, kappa) -> (-p, -kappa): its ``parity_defect()`` is inf."""
+    n_p, nodes = grid.p.size, grid.sphere.nodes
+    omega = 2.0 * np.pi * np.fft.fftfreq(n_p, d=grid.p[1] - grid.p[0])
+    coeffs = (np.exp(-1j * omega * grid.p[0]) / n_p * np.fft.fft(grid.samples, axis=0).T).T
+    return AnalyticProfile(np.tile(nodes, (n_p, 1)), np.repeat(omega, len(nodes)),
+                           coeffs.reshape((-1,) + coeffs.shape[2:]),
+                           np.tile(grid.sphere.weights, n_p), nu=1.0)
+
+
+def _sample_atoms(grid: GridProfile, atoms: AnalyticProfile) -> GridProfile:
+    """``grid`` resampled from ``atoms`` laid out as by :func:`grid_atoms`
+    (one inverse FFT along p)."""
+    coeffs = atoms.amplitudes.reshape(grid.samples.shape[:2] + atoms.amplitudes.shape[1:])
+    shift = np.exp(1j * atoms.frequencies[::grid.sphere.n] * grid.p[0]) * grid.p.size
+    return replace(grid, samples=np.fft.ifft((shift * coeffs.T).T, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -451,26 +469,18 @@ def kappa_product(kappa, values, kind: str) -> np.ndarray:
     return values[..., None] * kappa
 
 
-def _spectral_p_derivative(grid: GridProfile) -> np.ndarray:
-    coeffs = np.fft.fft(grid.samples, axis=0)
-    k = grid.frequencies()
-    shape = (grid.n_p,) + (1,) * (grid.samples.ndim - 1)
-    return np.fft.ifft(1j * k.reshape(shape) * coeffs, axis=0)
-
-
 def gamma_apply(profile, kind: str):
     """Apply Gamma = kappa d/dp composed with the requested kappa product.
 
-    Exact frequency multiplication on atoms; spectral differentiation on
-    periodic grids.  ``kind`` is "cross", "dot" or "grad".
+    Exact frequency multiplication on atoms; a periodic grid is resampled
+    from its :func:`grid_atoms`.  ``kind`` is "cross", "dot" or "grad".
     """
     if isinstance(profile, AnalyticProfile):
         out = kappa_product(profile.directions, profile.amplitudes, kind)
         scale = (1j * profile.frequencies).reshape((-1,) + (1,) * (out.ndim - 1))
         return replace(profile, amplitudes=scale * out)
     if isinstance(profile, GridProfile):
-        out = kappa_product(profile.sphere.nodes[None], _spectral_p_derivative(profile), kind)
-        return replace(profile, samples=out)
+        return _sample_atoms(profile, gamma_apply(grid_atoms(profile), kind))
     raise TypeError(f"unsupported profile type {type(profile)!r}")
 
 
@@ -538,22 +548,13 @@ def adjoint_radon(profile, x, quad: SphereQuadrature | None = None):
 def inverse_radon(profile, x):
     """Reconstruction -(1/8 pi^2) integral of d^2/dp^2 F^R(kappa . x, kappa).
 
-    Exact on atoms; grid profiles use spectral second derivatives evaluated
-    by trigonometric interpolation at p = kappa . x, summed with the weights
-    of the grid's sphere.
+    Exact on atoms, at points x (..., 3); a grid profile reconstructs as its
+    :func:`grid_atoms`, the trigonometric interpolant on the grid's sphere.
     """
     if isinstance(profile, AnalyticProfile):
         return _atom_sum(profile, x, profile.weights * profile.frequencies**2 / (8.0 * np.pi**2))
     if isinstance(profile, GridProfile):
-        x = np.asarray(x, dtype=float)
-        coeffs = np.fft.fft(profile.samples, axis=0) / profile.n_p
-        k = profile.frequencies()
-        pstar = profile.sphere.nodes @ x - profile.p[0]  # (n_dir,), from the grid start
-        phases = np.exp(1j * np.outer(k, pstar))  # (n_p, n_dir)
-        shape = (profile.n_p, profile.sphere.n) + (1,) * (profile.samples.ndim - 2)
-        second = np.sum((-k**2).reshape(-1, *([1] * (profile.samples.ndim - 1)))
-                        * coeffs * phases.reshape(shape), axis=0)
-        return -profile.sphere.integrate(second) / (8.0 * np.pi**2)
+        return inverse_radon(grid_atoms(profile), x)
     raise TypeError(f"unsupported profile type {type(profile)!r}")
 
 
@@ -687,7 +688,7 @@ def grid_to_csv(grid: GridProfile) -> str:
     if not grid.is_vector:
         raise ValueError("CSV serialization expects vector samples")
     directions = np.column_stack([np.repeat(grid.p, grid.sphere.n),
-                                  np.tile(grid.sphere.nodes, (grid.n_p, 1))])
+                                  np.tile(grid.sphere.nodes, (grid.p.size, 1))])
     return format_csv(GRID_CSV_HEADER, directions, grid.samples.reshape(-1, 3))
 
 

@@ -1,9 +1,9 @@
 """Fourier slice theorem and the Radon-Biot-Savart operator.
 
-The RBS operator acts per direction on the p-dependence only: Fourier
-transform in p, multiply by 1/k^2 (DC excluded), transform back, then apply
-Gamma x.  On pure tones this is exact diagonal algebra; profiles must be
-zero-mean in p per direction for the 1/k^2 kernel to be defined.
+The RBS operator acts per direction on the p-dependence only: the 1/k^2
+convolution in p, then Gamma x, i.e. (i / omega) kappa x on an atom e^{i omega p}.
+Grids act through their ``grid_atoms`` (Nyquist atom at -pi/dp only), which
+must have no zero-frequency content (zero mean in p per direction).
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 
 from .core import PlaneQuadrature, as_direction, gauss_tensor_rule
-from .radon import (AnalyticProfile, GridProfile, RadonAtom, gamma_apply, kappa_product,
-                    radon_forward_numeric)
+from .radon import (AnalyticProfile, GridProfile, RadonAtom, _sample_atoms, gamma_apply,
+                    grid_atoms, kappa_product, radon_forward_numeric)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -69,21 +69,17 @@ DC_TOLERANCE = 1e-12
 def radon_riesz(grid: GridProfile, dc_tol: float = DC_TOLERANCE) -> GridProfile:
     """Per-direction convolution with the 1/k^2 Fourier kernel.
 
-    Requires zero-mean samples in p for every direction (relative to the
-    sample magnitude, threshold ``dc_tol``); the DC bin is set to zero.
+    Divides each atom of :func:`grid_atoms` by omega^2 and drops omega = 0,
+    whose ``dc_content`` must be within ``dc_tol`` of the sample magnitude.
     Profiles built by numeric quadrature may need a looser threshold.
     """
-    coeffs = np.fft.fft(grid.samples, axis=0)
-    scale = np.max(np.abs(grid.samples))
-    dc = np.max(np.abs(coeffs[0])) / grid.n_p
-    if dc > dc_tol * max(scale, 1e-300):
+    atoms = grid_atoms(grid)
+    dc = atoms.dc_content()
+    if dc > dc_tol * max(np.max(np.abs(grid.samples)), 1e-300):
         raise ValueError(f"profile has non-negligible DC content ({dc:.3e})")
-    k = grid.frequencies()
-    kern = np.zeros_like(k)
-    kern[1:] = 1.0 / k[1:] ** 2
-    shape = (grid.n_p,) + (1,) * (grid.samples.ndim - 1)
-    out = np.fft.ifft(kern.reshape(shape) * coeffs, axis=0)
-    return replace(grid, samples=out)
+    omega = atoms.frequencies
+    kern = np.divide(1.0, omega**2, out=np.zeros_like(omega), where=omega != 0.0)
+    return _sample_atoms(grid, replace(atoms, amplitudes=(kern * atoms.amplitudes.T).T))
 
 
 def rbs_apply(profile, dc_tol: float = DC_TOLERANCE):

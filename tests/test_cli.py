@@ -97,6 +97,23 @@ class TestRadonCommand:
         assert meta["mode"] == "grid"
         assert meta["parity_check"] == "pass"
 
+    def test_dc_content_is_the_riesz_threshold(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "radon", "--field", "gaussian", "--params", '{"center": [0.3, -0.2, 0.1]}',
+            "--quad", "4,8", "--pgrid", "-8:8:16", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        dc = json.loads((out / "radon_meta.json").read_text())["dc_content_rel"]
+        grid = trkalian.grid_from_csv((out / "profile_grid.csv").read_text(),
+                                      trkalian.sphere_quadrature(4, 8, antipodal=True))
+        # the zero-frequency atom of a direction is its mean over the period
+        mean = np.max(np.abs(grid.samples.mean(axis=0))) / np.max(np.abs(grid.samples))
+        assert dc == pytest.approx(mean, rel=1e-12) and dc > 0.01
+        trkalian.radon_riesz(grid, dc_tol=1.001 * dc)
+        with pytest.raises(ValueError, match="DC content"):
+            trkalian.radon_riesz(grid, dc_tol=0.999 * dc)
+
     def test_lundquist_atom_json(self, runner, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(main, [

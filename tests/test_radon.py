@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from trkalian.radon import (AnalyticProfile, GridProfile, Hemisphere, RadonAtom,
                             radon_forward_numeric, radon_mode_analytic,
                             radon_of_hemisphere_inverse, scalar_wave_profile,
                             spherical_curl_transform, transform_radon_linear)
+from trkalian.rbs import radon_riesz
 
 EZ = np.array([0.0, 0.0, 1.0])
 PLANE = PlaneQuadrature(half_width=8.0, n_per_axis=48)
@@ -426,18 +428,43 @@ class TestInverse:
         n_p = 32
         x = np.array([0.3, -0.6, 0.2])
         ref = eval_mode_field(mf, x)
-        # the same profile on a grid starting at 0 and on one starting at -pi
-        for p0 in (0.0, -np.pi):
-            p = p0 + 2 * np.pi * np.arange(n_p) / n_p
+
+        def on_grid(profile, p):
             samples = np.zeros((n_p, sphere.n, 3), dtype=complex)
-            for atom in prof.atoms:
+            for atom in profile.atoms:
                 j = int(np.argmin(np.linalg.norm(sphere.nodes - atom.direction, axis=1)))
                 assert np.linalg.norm(sphere.nodes[j] - atom.direction) < 1e-12
                 samples[:, j] += (atom.weight / sphere.weights[j]
                                   * np.exp(1j * atom.frequency * p)[:, None] * atom.amplitude)
-            grid = GridProfile(p=p, sphere=sphere, samples=samples)
+            return GridProfile(p=p, sphere=sphere, samples=samples)
+
+        # the atom operators: Gamma x, and the 1/k^2 kernel as 1/omega^2
+        riesz = replace(prof, amplitudes=prof.amplitudes / prof.frequencies[:, None] ** 2)
+        # the same profile on a grid starting at 0 and on one starting at -pi
+        for p0 in (0.0, -np.pi):
+            p = p0 + 2 * np.pi * np.arange(n_p) / n_p
+            grid = on_grid(prof, p)
             rec = inverse_radon(grid, x)
             assert np.linalg.norm(rec - ref) / np.linalg.norm(ref) < 1e-12, p0
+            scale = np.max(np.abs(grid.samples))
+            expected = on_grid(gamma_apply(prof, "cross"), p).samples
+            assert np.max(np.abs(gamma_apply(grid, "cross").samples - expected)) < 1e-13 * scale
+            expected = on_grid(riesz, p).samples
+            assert np.max(np.abs(radon_riesz(grid).samples - expected)) < 1e-13 * scale
+
+    def test_grid_inverse_takes_a_batch_of_points(self):
+        sphere = sphere_quadrature(4, 8, antipodal=True)
+        rng = np.random.default_rng(22)
+        p = -8.0 + 16.0 * np.arange(32) / 32
+        samples = rng.normal(size=(32, sphere.n, 3)) + 1j * rng.normal(size=(32, sphere.n, 3))
+        grid = GridProfile(p=p, sphere=sphere, samples=samples)
+        x = rng.uniform(-2.0, 2.0, size=(8, 3))
+        batch = inverse_radon(grid, x)
+        single = np.array([inverse_radon(grid, xi) for xi in x])
+        assert batch.shape == (8, 3)
+        assert np.max(np.abs(batch - single)) < 1e-14 * np.max(np.abs(single))
+        # the same points as a (2, 4, 3) batch
+        assert np.array_equal(inverse_radon(grid, x.reshape(2, 4, 3)), batch.reshape(2, 4, 3))
 
 
 def loop_atom_sum(profile, x, scale):
@@ -721,6 +748,25 @@ class TestSerialization:
         with pytest.raises(ValueError):
             GridProfile(p=np.arange(12) * 0.1, sphere=sphere,
                         samples=np.zeros((12, sphere.n, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_grid_rejects_non_finite_samples(self, bad):
+        sphere = sphere_quadrature(4, 8, antipodal=True)
+        p = -4.0 + 8.0 * np.arange(16) / 16
+        samples = np.ones((16, sphere.n, 3), dtype=complex)
+        samples[5, 7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridProfile(p=p, sphere=sphere, samples=samples)
+        with pytest.raises(ValueError, match="finite"):
+            GridProfile(p=p, sphere=sphere, samples=samples[..., 1])
+        # a nan CSV cell is rejected on reading
+        samples[5, 7, 1] = 1.0
+        lines = grid_to_csv(GridProfile(p=p, sphere=sphere, samples=samples)).splitlines()
+        row = lines[1 + 5 * sphere.n + 7].split(",")
+        row[6] = "nan"  # re_fy
+        lines[1 + 5 * sphere.n + 7] = ",".join(row)
+        with pytest.raises(ValueError, match="finite"):
+            grid_from_csv("\n".join(lines) + "\n", sphere)
 
 
 class TestTransformSpaceAmpere:
