@@ -1,8 +1,9 @@
 """Command-line entry point: field evaluation, transforms, verification and
 plot-script emission.
 
-Outputs are deterministic: fixed summation order, 17-significant-digit CSV
-floats, and atomic writes (temp file + rename).
+Outputs are deterministic: fixed summation order, atomic writes (temp file +
+rename), and the per-value %.17g (CSV) and repr (JSON) text of every float,
+with each distinct float formatted once.
 """
 
 from __future__ import annotations
@@ -48,9 +49,12 @@ def _parse_grid(spec: str):
         pieces = part.split(":")
         if len(pieces) != 3:
             raise click.UsageError("grid spec must be 'x0:x1:n,y0:y1:n,z0:z1:n'")
-        lo, hi, n = float(pieces[0]), float(pieces[1]), int(pieces[2])
-        if n < 1:
-            raise click.UsageError("grid resolutions must be positive")
+        try:
+            lo, hi, n = float(pieces[0]), float(pieces[1]), int(pieces[2])
+        except ValueError as exc:
+            raise click.UsageError(f"malformed grid axis {part!r}: {exc}") from exc
+        if not (np.isfinite([lo, hi]).all() and n >= 1):
+            raise click.UsageError(f"grid axis {part!r} needs finite bounds, positive count")
         axes.append(np.linspace(lo, hi, n))
     if len(axes) != 3:
         raise click.UsageError("grid spec needs three axes")
@@ -141,12 +145,12 @@ def main() -> None:
 def cmd_field_eval(field_name, params, grid_spec, out_dir) -> None:
     """Evaluate a catalog field on a grid; writes CSV plus a metadata sidecar."""
     parsed = _parse_params(params)
+    xs, ys, zs = _parse_grid(grid_spec)
     # catalog parameters are usage errors, raised before any evaluation
     try:
         f = build_field(field_name, parsed)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid {field_name} input: {exc}") from exc
-    xs, ys, zs = _parse_grid(grid_spec)
     xx, yy, zz = np.meshgrid(xs, ys, zs, indexing="ij")
     pts = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
     _atomic_write(out_dir / "field.csv",

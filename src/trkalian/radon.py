@@ -631,21 +631,30 @@ def spherical_curl_transform(profile: AnalyticProfile, kappa,
 # serialization
 # ---------------------------------------------------------------------------
 
+def _float_texts(table, fmt: str) -> tuple:
+    """``fmt % v`` for each cell of a float table in row-major order, each distinct
+    value formatted once; told apart by bits, so -0.0 and 0.0 keep their own text."""
+    bits = np.ascontiguousarray(table, dtype=float).view(np.int64).ravel()
+    bits, index = np.unique(bits, return_inverse=True)
+    texts = np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)
+    return tuple(texts[index].tolist())
+
+
 def profile_to_json(profile: AnalyticProfile) -> str:
     """Serialize an analytic profile as a JSON atom list: the text of
-    json.dumps(indent=2, sort_keys=True), with the atoms filled into one %r
+    json.dumps(indent=2, sort_keys=True), with the atoms filled into one
     template, as json writes a finite float as its repr and a profile holds
-    finite values only."""
+    finite values only.  Each distinct float is formatted once."""
     amplitudes = profile.amplitudes if profile.is_vector else profile.amplitudes[:, None]
     width = amplitudes.shape[1]
-    lists = [f'      "{key}": [\n' + ",\n".join(["        %r"] * n) + "\n      ]"
+    lists = [f'      "{key}": [\n' + ",\n".join(["        %s"] * n) + "\n      ]"
              for key, n in (("amplitude_im", width), ("amplitude_re", width), ("direction", 3))]
-    atom = ("    {\n" + ",\n".join(lists + ['      "frequency": %r', '      "weight": %r'])
+    atom = ("    {\n" + ",\n".join(lists + ['      "frequency": %s', '      "weight": %s'])
             + "\n    }")
     values = np.column_stack([amplitudes.imag, amplitudes.real, profile.directions,
                               profile.frequencies, profile.weights])
     atoms = "[\n" + ",\n".join([atom] * len(values)) + "\n  ]" if len(values) else "[]"
-    return (f'{{\n  "atoms": {atoms % tuple(values.ravel().tolist())},\n'
+    return (f'{{\n  "atoms": {atoms % _float_texts(values, "%r")},\n'
             f'  "g": {json.dumps(profile.g)},\n  "mu": {json.dumps(profile.mu)},\n'
             f'  "nu": {json.dumps(profile.nu)}\n}}')
 
@@ -672,15 +681,15 @@ FLOAT_FMT = "%.17g"
 
 def format_csv(header: str, columns, values=None) -> str:
     """CSV text of a header line and rows of real columns (n, m), followed by
-    complex values (n, k) as re, im column pairs; floats get 17 significant
-    digits."""
+    complex values (n, k) as re, im column pairs: the per-value FLOAT_FMT text,
+    with each distinct float formatted once and filled into one row template."""
     table = np.asarray(columns, dtype=float)
     if values is not None:
         values = np.asarray(values)
         table = np.column_stack([table, np.stack([values.real, values.imag], axis=-1)
                                  .reshape(table.shape[0], -1)])
-    row = ",".join([FLOAT_FMT] * table.shape[1])
-    return "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
+    row = ",".join(["%s"] * table.shape[1]) + "\n"
+    return header + "\n" + (row * table.shape[0]) % _float_texts(table, FLOAT_FMT)
 
 
 def grid_to_csv(grid: GridProfile) -> str:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from test_properties import format_csv_reference
 
 import trkalian
 from trkalian.cli import main
@@ -32,6 +33,21 @@ class TestFieldEval:
         meta = json.loads((out / "field_meta.json").read_text())
         assert meta["rows"] == 9261
         assert meta["eigenvalue"] == 1.0
+
+    def test_field_csv_equals_per_row_writer(self, runner, tmp_path):
+        """field.csv is the per-value %.17g text of the grid points and the
+        field values, on a grid where the axisymmetric field repeats values."""
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "field-eval", "--field", "lundquist",
+            "--grid", "-1:1:7,-1:1:7,-1:1:7", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        axis = np.linspace(-1.0, 1.0, 7)
+        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        expected = format_csv_reference("x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz",
+                                        pts, trkalian.fields.lundquist(1.0, 1.0)(pts))
+        assert (out / "field.csv").read_bytes() == expected.encode()
 
     def test_mode_field_origin_row(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -256,13 +272,19 @@ class TestVerifyCommand:
     ["radon", "--field", "gaussian", "--params", '{"polarization": [1, 0]}', "--out", "out"],
     ["field-eval", "--field", "lundquist", "--params", '{"nu": NaN}', "--out", "out"],
     ["radon", "--field", "gaussian", "--params", '{"width": NaN}', "--out", "out"],
+    ["field-eval", "--field", "lundquist", "--grid", "a:1:3,-1:1:3,-1:1:3", "--out", "out"],
+    ["field-eval", "--field", "lundquist", "--grid", "-1:1:2.5,-1:1:3,-1:1:3", "--out", "out"],
+    ["field-eval", "--field", "lundquist", "--grid", "nan:1:3,-1:1:3,-1:1:3", "--out", "out"],
+    ["field-eval", "--field", "lundquist", "--grid", "-1:inf:3,-1:1:3,-1:1:3", "--out", "out"],
 ], ids=["verify-empty-selection", "verify-unknown-tolerance", "radon-modes-without-modes",
         "radon-pgrid-not-power-of-two", "radon-pgrid-decreasing", "radon-quad-odd-azimuth",
         "radon-lundquist-zero-nu", "radon-lundquist-odd-ring", "radon-gaussian-unknown-key",
         "radon-lundquist-unknown-key", "radon-mode-record-unknown-key", "radon-mode-record-not-object",
         "field-eval-lundquist-unknown-key", "field-eval-gaussian-short-center",
         "radon-gaussian-short-polarization", "field-eval-lundquist-nan-nu",
-        "radon-gaussian-nan-width"])
+        "radon-gaussian-nan-width", "field-eval-grid-non-numeric-bound",
+        "field-eval-grid-non-integer-count", "field-eval-grid-nan-bound",
+        "field-eval-grid-infinite-bound"])
 def test_bad_input_is_usage_error(runner, tmp_path, args):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)

@@ -16,13 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from trkalian.fields import HelicityMode, ModeField
+from trkalian.core import PlaneQuadrature, sphere_quadrature
+from trkalian.fields import HelicityMode, ModeField, gaussian_test_field
 from trkalian.moses import POLE_TOL
-from trkalian.radon import (AnalyticProfile, antipodal_profile, canonical_hemisphere,
-                            cap_swapped_hemisphere, gamma_apply, gamma_cross_eigendefect,
+from trkalian.radon import (FLOAT_FMT, GRID_CSV_HEADER, AnalyticProfile, antipodal_profile,
+                            canonical_hemisphere, cap_swapped_hemisphere, format_csv,
+                            gamma_apply, gamma_cross_eigendefect, grid_to_csv,
                             hemisphere_inverse, inverse_radon, lundquist_radon_profile,
-                            profile_from_json, profile_to_json, radon_mode_analytic,
-                            radon_of_hemisphere_inverse)
+                            profile_from_json, profile_to_json, radon_forward_grid,
+                            radon_mode_analytic, radon_of_hemisphere_inverse)
 from trkalian.rbs import rbs_eigendefect
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -210,6 +212,75 @@ def any_profiles(draw):
 @given(st.one_of(profiles, any_profiles()))
 def test_json_text_equals_reference_encoder_on_any_profile(profile):
     assert profile_to_json(profile) == profile_to_json_reference(profile)
+
+
+# ---------------------------------------------------------------------------
+# the CSV template writer against the per-row writer it replaced
+# ---------------------------------------------------------------------------
+
+def format_csv_reference(header, columns, values=None):
+    """FLOAT_FMT applied to every cell, one row at a time."""
+    table = np.asarray(columns, dtype=float)
+    if values is not None:
+        values = np.asarray(values)
+        table = np.column_stack([table, np.stack([values.real, values.imag], axis=-1)
+                                 .reshape(table.shape[0], -1)])
+    row = ",".join([FLOAT_FMT] * table.shape[1])
+    return "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
+
+
+def _bits(*words):
+    return np.array(words, dtype=np.uint64).view(float).tolist()
+
+
+# signed zeros, subnormals, infinities, NaNs with other sign and payload bits,
+# the extreme exponents and values whose 17-digit text is long
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, np.inf, -np.inf,
+                  np.nan, *_bits(0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001),
+                  1.7976931348623157e308, -1e-300, 1e300, 0.1, -1 / 3, 1.0, 2.0**-1074 * 3]
+csv_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+
+@st.composite
+def csv_tables(draw):
+    """(columns, values): a small pool of floats drawn many times, so that
+    values repeat, with no values, real values or complex values."""
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 3)) if n else 0  # a zero-row table has no values
+    specials = draw(st.permutations(SPECIAL_FLOATS))
+    pool = draw(st.lists(csv_floats, min_size=1, max_size=6)) + specials[
+        :draw(st.integers(0, len(specials)))]
+    cells = st.lists(st.sampled_from(pool), min_size=n * m + 2 * n * k,
+                     max_size=n * m + 2 * n * k)
+    flat = np.array(draw(cells), dtype=float)
+    columns = flat[:n * m].reshape(n, m)
+    if k == 0:
+        return columns, None
+    values = np.empty((n, k), dtype=complex)
+    values.real = flat[n * m:n * m + n * k].reshape(n, k)
+    values.imag = flat[n * m + n * k:].reshape(n, k)
+    return columns, values if draw(st.booleans()) else values.real
+
+
+@SETTINGS
+@given(csv_tables())
+def test_csv_text_equals_per_row_writer(table):
+    columns, values = table
+    assert format_csv("a,b", columns, values) == format_csv_reference("a,b", columns, values)
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.5, -0.25, 0.1)],
+                         ids=["centred", "interior"])
+def test_grid_csv_equals_per_row_writer(center):
+    sphere = sphere_quadrature(4, 8, antipodal=True)
+    grid = radon_forward_grid(gaussian_test_field(center, 1.0, (1.0, 0.0, 0.0)),
+                              -8.0 + np.arange(16), sphere, PlaneQuadrature(8.0, 16))
+    directions = np.column_stack([np.repeat(grid.p, sphere.n), np.tile(sphere.nodes, (16, 1))])
+    samples = grid.samples.reshape(-1, 3)
+    cells = np.column_stack([directions, samples.real, samples.imag])
+    assert np.unique(cells).size < cells.size / 2  # the shared planes repeat values
+    assert grid_to_csv(grid) == format_csv_reference(GRID_CSV_HEADER, directions, samples)
 
 
 # ---------------------------------------------------------------------------
