@@ -385,7 +385,7 @@ def _gauss_panels(a: float, b: float, n_panels: int):
     return pts.reshape(-1), wts.reshape(-1)
 
 
-def bs_lundquist_terms(f0: float, nu: float, radius: float) -> LundquistBSTerms:
+def bs_lundquist_terms(nu: float, radius: float) -> LundquistBSTerms:
     """Radial reductions of the Biot-Savart integral of the Lundquist field.
 
     theta_pair carries (1/X) int_0^X J_0(x) x dx (equal to J_1(X)); z_pair
@@ -429,7 +429,7 @@ def bs_lundquist_semianalytic(f0: float, nu: float, radius: float, theta: float)
     Assembles the closed z and phi reductions; the result equals
     (1/nu) F_L(R, theta) for any radius.
     """
-    terms = bs_lundquist_terms(f0, nu, radius)
+    terms = bs_lundquist_terms(nu, radius)
     e_theta = np.array([-np.sin(theta), np.cos(theta), 0.0])
     e_z = np.array([0.0, 0.0, 1.0])
     sign = 1.0 if nu > 0 else -1.0

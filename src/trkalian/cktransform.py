@@ -2,49 +2,36 @@
 
 Solutions of Gamma x G = nu G are assembled algebraically from scalar tones
 Psi (oscillator solutions in p) and a fixed vector omega, mirroring the
-physical-space toroidal/poloidal split.  Delta factors are carried as atoms,
-never as sampled spikes, so every identity here is exact arithmetic.
+physical-space toroidal/poloidal split.  The tones are the rows of one
+scalar :class:`AnalyticProfile`, checked once when the :class:`DebyeChoice`
+is built; omega is a constant 3-vector or one call on the tone directions
+(n, 3).  Delta factors are carried as atoms, never as sampled spikes, so
+every identity here is exact arithmetic.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import as_direction
-from .radon import AnalyticProfile, gamma_apply, inverse_radon
+from .radon import AnalyticProfile, RadonAtom, gamma_apply, inverse_radon
 from .rbs import rbs_apply
 
 OSCILLATOR_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class ScalarTone:
-    """One scalar atom coefficient * e^{i frequency p} at a direction."""
-
-    direction: np.ndarray
-    frequency: float
-    coefficient: complex
-    weight: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", as_direction(self.direction))
-        object.__setattr__(self, "coefficient", complex(self.coefficient))
+ScalarTone = RadonAtom  # amplitude * e^{i frequency p} with a scalar amplitude
 
 
 @dataclass(frozen=True)
 class OmegaAtom:
-    """A fixed vector attached to a direction (with line-measure weight)."""
+    """A fixed vector attached to a direction (with line-measure weight);
+    :func:`ck_integral_profile` checks the rows together."""
 
     direction: np.ndarray
     vector: np.ndarray
     weight: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", as_direction(self.direction))
-        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=complex))
 
 
 def _reject_p_dependence(omega) -> None:
@@ -60,39 +47,40 @@ def _reject_p_dependence(omega) -> None:
 
 @dataclass(frozen=True)
 class DebyeChoice:
-    """Scalar tones plus a fixed vector omega (constant or kappa-dependent)."""
+    """Scalar tones plus a fixed vector omega (constant or kappa-dependent).
 
-    tones: tuple
+    ``tones`` is given as :class:`ScalarTone` rows and stored as one scalar
+    :class:`AnalyticProfile`, whose checks cover directions, finiteness and
+    weights; every frequency must satisfy f^2 = nu^2.  ``omega`` is a
+    3-vector or a function of kappa alone, called once on the tone
+    directions (n, 3) and returning (n, 3).
+    """
+
+    tones: AnalyticProfile
     omega: object
     nu: float
 
     def __post_init__(self):
-        if self.nu == 0.0:
-            raise ValueError("nu must be nonzero")
-        tones = tuple(self.tones)
-        for t in tones:
-            if abs(t.frequency**2 - self.nu**2) > OSCILLATOR_TOL * self.nu**2:
-                raise ValueError("tone frequency must satisfy the oscillator"
-                                 " equation: frequency^2 = nu^2")
+        if not (np.isfinite(self.nu) and self.nu != 0.0):
+            raise ValueError("nu must be finite and nonzero")
+        tones = AnalyticProfile.from_atoms(self.tones, self.nu)
+        if tones.is_vector or np.any(
+                np.abs(tones.frequencies**2 - self.nu**2) > OSCILLATOR_TOL * self.nu**2):
+            raise ValueError("tones must be scalar and satisfy the oscillator"
+                             " equation: frequency^2 = nu^2")
         _reject_p_dependence(self.omega)
         object.__setattr__(self, "tones", tones)
 
-    def omega_at(self, direction) -> np.ndarray:
-        if callable(self.omega):
-            return np.asarray(self.omega(as_direction(direction)), dtype=complex)
-        return np.asarray(self.omega, dtype=complex)
-
 
 def _tone_profile(choice: DebyeChoice, amplitude) -> AnalyticProfile:
-    """One atom per tone: its coefficient times ``amplitude(d, frequency, w)``
-    on the tone directions (n, 3), frequencies (n, 1) and omegas (n, 3)."""
+    """The tones with each amplitude times ``amplitude(d, frequency, w)`` on
+    the tone directions (n, 3), frequencies (n, 1) and omegas (n, 3)."""
     tones = choice.tones
-    d = np.reshape([t.direction for t in tones], (-1, 3))
-    f = np.array([t.frequency for t in tones], dtype=float)
-    w = np.reshape([choice.omega_at(t.direction) for t in tones], (-1, 3))
-    c = np.array([t.coefficient for t in tones], dtype=complex)[:, None]
-    return AnalyticProfile(d, f, c * amplitude(d, f[:, None], w), [t.weight for t in tones],
-                           nu=choice.nu)
+    d = tones.directions
+    w = choice.omega(d) if callable(choice.omega) else choice.omega
+    w = np.broadcast_to(np.asarray(w, dtype=complex), d.shape)
+    return replace(tones, amplitudes=tones.amplitudes[:, None]
+                   * amplitude(d, tones.frequencies[:, None], w))
 
 
 def ck_transform_solution(choice: DebyeChoice, include_poloidal: bool = True) -> AnalyticProfile:
@@ -191,7 +179,7 @@ def ck_integral_profile(omega1, omega2, lam: int, nu: float) -> AnalyticProfile:
     omegas = tuple(omega1) + tuple(omega2)
     sign = np.repeat([1.0, -1.0], [len(omega1), len(omega2)])
     d = np.reshape([oa.direction for oa in omegas], (-1, 3))
-    w = np.reshape([oa.vector for oa in omegas], (-1, 3))
+    w = np.reshape(np.array([oa.vector for oa in omegas], dtype=complex), d.shape)
     dxw = np.cross(d, w)
     return AnalyticProfile(
         directions=d, frequencies=sign * lam * nu,

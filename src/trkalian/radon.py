@@ -52,6 +52,7 @@ class RadonAtom:
     """One row of an :class:`AnalyticProfile`: a tone exp(i frequency p) at a
     direction with a complex 3-vector or scalar amplitude and the solid-angle
     weight it carries (1 for a point delta, the node spacing on a line delta).
+    With a scalar amplitude it is also a Debye tone (``cktransform.ScalarTone``).
     """
 
     direction: np.ndarray

@@ -497,7 +497,8 @@ def _check_ck_ring() -> float:
     for sign in (1, -1):
         choice = ckt.DebyeChoice(
             tones=tuple(ckt.ScalarTone(k, sign * nu, coeff, weight=w) for k in ring),
-            omega=lambda k, s=sign: np.array([s * k[1], -s * k[0], -1j]), nu=nu)
+            omega=lambda k, s=sign: np.stack([s * k[:, 1], -s * k[:, 0],
+                                              np.full(len(k), -1j)], axis=1), nu=nu)
         sol = ckt.ck_transform_solution(choice, include_poloidal=False)
         worst = max(worst, _partner_distance(sol, target))
     return worst
@@ -588,16 +589,20 @@ def select_checks(only: str | None = None, tolerances: dict | None = None) -> li
     ``only``, with the tolerance overrides applied.
 
     Raises ValueError, before any check runs, when nothing is selected, when
-    an override names no selected record or when its value is not a number.
+    an override names no selected record or when its value is not a finite
+    number >= 0 (NaN or a negative value would fail every residual, inf none).
     """
-    tolerances = tolerances or {}
+    overrides = {name: float(value) for name, value in (tolerances or {}).items()}
+    bad = sorted(name for name, value in overrides.items() if not 0.0 <= value < np.inf)
+    if bad:
+        raise ValueError(f"tolerance override must be finite and >= 0: {', '.join(bad)}")
     selected = [c for c in _CHECKS if only is None or only in c[0]]
     if not selected:
         raise ValueError(f"no verify record name contains {only!r}")
-    unknown = sorted(set(tolerances) - {c[0] for c in selected})
+    unknown = sorted(set(overrides) - {c[0] for c in selected})
     if unknown:
         raise ValueError(f"tolerance override names no selected record: {', '.join(unknown)}")
-    return [(name, description, float(tolerances.get(name, tol)), fn)
+    return [(name, description, overrides.get(name, tol), fn)
             for name, description, tol, fn in selected]
 
 

@@ -264,7 +264,7 @@ def test_criterion_09_biot_savart():
                           float(np.linalg.norm(got - ref) / np.linalg.norm(ref)))
     assert worst_eigen < eigen_tol
 
-    terms = tk.bs_lundquist_terms(f0, nu, 2.0)
+    terms = tk.bs_lundquist_terms(nu, 2.0)
     assert np.all(terms.i1 == 0.0)
     report("criterion 9 (induced-field inversion and cylindrical eigenrelation)",
            max(worst_curl, worst_eigen), curl_tol)

@@ -313,7 +313,7 @@ class TestBSIntegral:
 
 class TestLundquistBS:
     def test_first_term_vanishes_identically(self):
-        terms = bs_lundquist_terms(1.0, 1.0, 2.0)
+        terms = bs_lundquist_terms(1.0, 2.0)
         assert np.all(terms.i1 == 0.0)
 
     def test_eigenrelation_at_three_radii(self):
@@ -342,7 +342,7 @@ class TestLundquistBS:
         assert max(mags) - min(mags) < 1e-10
 
     def test_identity_residual_diagnostics(self):
-        terms = bs_lundquist_terms(1.0, 1.0, 2.0)
+        terms = bs_lundquist_terms(1.0, 2.0)
         assert terms.theta_identity_residual < 1e-12
         assert terms.tail_identity_residual < 1e-12
 

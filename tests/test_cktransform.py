@@ -117,12 +117,35 @@ class TestDebyeSolution:
             DebyeChoice(tones=(ScalarTone(np.array([0.0, 0.0, 1.0]), 1.0, 1.0),),
                         omega=lambda p, kappa: kappa, nu=1.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"nu": np.nan}, {"nu": np.inf}, {"frequency": np.nan},
+        {"coefficient": complex(np.nan, 0.0)}, {"weight": 0.0}, {"weight": -2.0},
+        {"coefficient": [1.0, 0.5j, 0.0]}, {"direction": [0.0, 0.0, 1.1]},
+    ], ids=["nan-nu", "infinite-nu", "nan-frequency", "nan-coefficient", "zero-weight",
+            "negative-weight", "vector-coefficient", "non-unit-direction"])
+    def test_bad_tones_rejected_at_construction(self, bad):
+        a = {"direction": [0.0, 0.0, 1.0], "frequency": 1.0, "coefficient": 1.0,
+             "weight": 1.0, "nu": 1.0} | bad
+        with pytest.raises(ValueError):
+            DebyeChoice(tones=(ScalarTone(a["direction"], a["frequency"], a["coefficient"],
+                                          a["weight"]),),
+                        omega=np.array([1.0, 0.0, 0.0]), nu=a["nu"])
+
     def test_kappa_dependent_omega_allowed(self):
-        choice = DebyeChoice(tones=(ScalarTone(np.array([0.0, 0.0, 1.0]), 1.0, 1.0),),
-                             omega=lambda kappa: np.cross(kappa, [1.0, 0.0, 0.0]),
-                             nu=1.0)
+        shapes = []
+
+        def omega(kappa):
+            shapes.append(kappa.shape)
+            return np.cross(kappa, [1.0, 0.0, 0.0])
+
+        k0 = random_direction(50)
+        choice = DebyeChoice(tones=(ScalarTone(np.array([0.0, 0.0, 1.0]), 1.0, 1.0),
+                                    ScalarTone(k0, -1.0, 0.5j)),
+                             omega=omega, nu=1.0)
         sol = ck_transform_solution(choice)
         assert gamma_cross_eigendefect(sol) < 1e-14
+        # one call on all the tone directions, not one per tone
+        assert shapes == [(2, 3)]
 
 
 class TestPotentialCheck:

@@ -276,6 +276,9 @@ class TestVerifyCommand:
     ["field-eval", "--field", "lundquist", "--grid", "-1:1:2.5,-1:1:3,-1:1:3", "--out", "out"],
     ["field-eval", "--field", "lundquist", "--grid", "nan:1:3,-1:1:3,-1:1:3", "--out", "out"],
     ["field-eval", "--field", "lundquist", "--grid", "-1:inf:3,-1:1:3,-1:1:3", "--out", "out"],
+    ["verify", "--only", "frame", "--tol", "frame_metric=nan", "--out", "out"],
+    ["verify", "--only", "frame", "--tol", "frame_metric=inf", "--out", "out"],
+    ["verify", "--only", "frame", "--tol", "frame_metric=-1", "--out", "out"],
 ], ids=["verify-empty-selection", "verify-unknown-tolerance", "radon-modes-without-modes",
         "radon-pgrid-not-power-of-two", "radon-pgrid-decreasing", "radon-quad-odd-azimuth",
         "radon-lundquist-zero-nu", "radon-lundquist-odd-ring", "radon-gaussian-unknown-key",
@@ -284,7 +287,8 @@ class TestVerifyCommand:
         "radon-gaussian-short-polarization", "field-eval-lundquist-nan-nu",
         "radon-gaussian-nan-width", "field-eval-grid-non-numeric-bound",
         "field-eval-grid-non-integer-count", "field-eval-grid-nan-bound",
-        "field-eval-grid-infinite-bound"])
+        "field-eval-grid-infinite-bound", "verify-nan-tolerance", "verify-infinite-tolerance",
+        "verify-negative-tolerance"])
 def test_bad_input_is_usage_error(runner, tmp_path, args):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)

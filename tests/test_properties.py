@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from trkalian.core import PlaneQuadrature, sphere_quadrature
+from trkalian.cktransform import (DebyeChoice, OmegaAtom, ScalarTone, ck_transform_potential,
+                                  ck_transform_solution, reconstruct_physical)
+from trkalian.core import PlaneQuadrature, as_direction, sphere_quadrature
 from trkalian.fields import HelicityMode, ModeField, gaussian_test_field
 from trkalian.moses import POLE_TOL
 from trkalian.radon import (FLOAT_FMT, GRID_CSV_HEADER, AnalyticProfile, antipodal_profile,
@@ -371,3 +373,95 @@ def test_from_atoms_rebuilds_the_rows():
     for name in ("directions", "frequencies", "amplitudes", "weights"):
         assert np.array_equal(getattr(back, name), getattr(profile, name))
     assert len(AnalyticProfile.from_atoms((), nu=1.0).atoms) == 0
+
+
+# ---------------------------------------------------------------------------
+# the Debye tone profile against the per-tone stacking it replaced
+# ---------------------------------------------------------------------------
+
+def tone_profile_reference(tones, omega, nu, kind):
+    """One omega call and one row read per tone, then the Debye amplitude of
+    ``kind`` ("toroidal", "solution" or "potential") on the stacked rows."""
+
+    def omega_at(direction):
+        if callable(omega):
+            return np.asarray(omega(as_direction(direction)), dtype=complex)
+        return np.asarray(omega, dtype=complex)
+
+    def amplitude(d, freq, w):
+        if kind == "potential":
+            return w + (1j * freq / nu) * np.cross(d, w)
+        toroidal = 1j * freq * np.cross(d, w)
+        if kind == "toroidal":
+            return toroidal
+        return toroidal - (freq**2 / nu) * np.cross(d, np.cross(d, w))
+
+    d = np.reshape([as_direction(t.direction) for t in tones], (-1, 3))
+    f = np.array([t.frequency for t in tones], dtype=float)
+    w = np.reshape([omega_at(t.direction) for t in tones], (-1, 3))
+    c = np.array([complex(t.amplitude) for t in tones], dtype=complex)[:, None]
+    return AnalyticProfile(d, f, c * amplitude(d, f[:, None], w), [t.weight for t in tones],
+                           nu=nu)
+
+
+def assert_same_bits(profile, reference):
+    assert (profile.nu, profile.mu, profile.g) == (reference.nu, reference.mu, reference.g)
+    for name in ("directions", "frequencies", "amplitudes", "weights"):
+        got, want = getattr(profile, name), getattr(reference, name)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+moderate = st.floats(-1e3, 1e3)
+complex_vectors = st.lists(st.builds(complex, moderate, moderate), min_size=3, max_size=3)
+
+
+@st.composite
+def debye_inputs(draw):
+    nu = draw(eigenvalues)
+    n = draw(st.integers(0, 8))
+    tones = [ScalarTone(draw(directions), draw(st.sampled_from([nu, -nu])),
+                        draw(st.builds(complex, moderate, moderate)),
+                        draw(st.floats(1e-3, 10.0)))
+             for _ in range(n)]
+    a, b = np.array(draw(complex_vectors)), np.array(draw(complex_vectors))
+    # a constant omega, or a kappa-dependent one written for one direction
+    # (3,) and for the batch (n, 3) alike
+    omega = draw(st.sampled_from([a, lambda kappa: np.cross(kappa, a) + kappa[..., 2:] * b]))
+    return tones, omega, nu
+
+
+@SETTINGS
+@given(debye_inputs())
+def test_debye_profiles_equal_per_tone_reference(inputs):
+    tones, omega, nu = inputs
+    choice = DebyeChoice(tones, omega, nu)
+    assert_same_bits(ck_transform_solution(choice, include_poloidal=False),
+                     tone_profile_reference(tones, omega, nu, "toroidal"))
+    assert_same_bits(ck_transform_solution(choice),
+                     tone_profile_reference(tones, omega, nu, "solution"))
+    assert_same_bits(ck_transform_potential(choice),
+                     tone_profile_reference(tones, omega, nu, "potential"))
+
+
+def test_positional_row_constructors():
+    # the benchmark workloads build both row types by position
+    d = np.array([0.0, 0.6, -0.8])
+    tone = ScalarTone(d, -1.5, 0.25 - 2j)
+    assert (tone.frequency, tone.amplitude, tone.weight) == (-1.5, 0.25 - 2j, 1.0)
+    assert tone.direction is d
+    choice = DebyeChoice([tone, ScalarTone(-d, 1.5, 3.0, 0.5)], np.array([1.0, 0.0, 0.0]), 1.5)
+    assert np.array_equal(choice.tones.directions, [d, -d])
+    assert np.array_equal(choice.tones.frequencies, [-1.5, 1.5])
+    assert np.array_equal(choice.tones.amplitudes, [0.25 - 2j, 3.0])
+    assert np.array_equal(choice.tones.weights, [1.0, 0.5])
+    v = np.array([1.0, 1j, 0.0])
+    atom = OmegaAtom(d, v)
+    assert atom.direction is d and atom.vector is v and atom.weight == 1.0
+
+
+def test_non_unit_omega_direction_rejected_by_reconstruction():
+    omega1 = [OmegaAtom([0.0, 0.0, 1.0], [1.0, 1j, 0.0])]
+    omega2 = [OmegaAtom([0.0, 0.0, -1.001], [1.0, 1j, 0.0])]
+    with pytest.raises(ValueError, match="not unit"):
+        reconstruct_physical(omega1, omega2, 1, 1.0, np.zeros(3))
