@@ -199,6 +199,11 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
                 raise click.UsageError("pgrid spec must be 'p0:p1:n'")
             p0, p1, n_p = float(pieces[0]), float(pieces[1]), int(pieces[2])
             p = radon.validate_p_grid(p0 + (p1 - p0) * np.arange(n_p) / n_p)
+            # row (shift - i) mod n_p holds -p_i modulo the period
+            shift = -2.0 * p0 * n_p / (p1 - p0)
+            if abs(shift - round(shift)) > 1e-9 * max(1.0, abs(shift)):
+                raise ValueError(f"pgrid {pgrid_spec!r} is not symmetric modulo its period:"
+                                 f" -2 p0 / dp = {shift:.6g} is not an integer")
         else:
             raise click.ClickException(f"unknown field name {field_name!r}")
     except (TypeError, ValueError) as exc:
@@ -223,10 +228,9 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
         # grid transform shares each plane between (p, kappa) and (-p, -kappa),
         # so what is left is the wrap of the periodic p-range, measured by the
         # magnitude on its end rows
-        parity = 0.0
-        if sphere.antipode_index is not None:
-            rev = np.roll(grid.samples[::-1], 1, axis=0)  # samples at -p
-            parity = float(np.max(np.abs(grid.samples - rev[:, sphere.antipode_index])))
+        at_minus_p = (round(shift) - np.arange(n_p)) % n_p
+        parity = float(np.max(np.abs(
+            grid.samples - grid.samples[np.ix_(at_minus_p, sphere.antipode_index)])))
         scale = float(np.max(np.abs(grid.samples))) or 1.0  # a zero grid has no defect
         parity_rel = parity / scale
         sidecar.update(mode="grid", parity_defect=parity, parity_defect_rel=parity_rel,
@@ -308,9 +312,13 @@ def cmd_plot(kind, data_path, out_dir) -> None:
         )
         _atomic_write(out_dir / "radon_heatmap.gp", script)
     else:
-        report = json.loads(Path(data_path).read_text())
         row = ",".join(["%s", radon.FLOAT_FMT, radon.FLOAT_FMT])
-        rows = [row % (r["name"], r["residual"], r["tolerance"]) for r in report["records"]]
+        try:
+            records = json.loads(Path(data_path).read_text())["records"]
+            rows = [row % (r["name"], r["residual"], r["tolerance"]) for r in records]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise click.UsageError(f"{data_path} is no trk verify report:"
+                                   f" {type(exc).__name__}: {exc}") from exc
         _atomic_write(out_dir / "verify_residuals.csv",
                       "\n".join(["name,residual,tolerance"] + rows) + "\n")
         script = (
@@ -323,3 +331,7 @@ def cmd_plot(kind, data_path, out_dir) -> None:
         )
         _atomic_write(out_dir / "verify_residuals.gp", script)
     click.echo(f"wrote plot script to {out_dir}")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -65,7 +65,8 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class HelicityMode:
-    """One atomic spherical curl-transform contribution.
+    """One atomic spherical curl-transform contribution: a plain row, checked
+    by the :class:`ModeField` built from it.
 
     The duality sign mu selects the self-dual (+1) or anti-self-dual (-1)
     sector; admissible modes satisfy mu*lam*nu > 0, so the carrier wave is
@@ -79,60 +80,57 @@ class HelicityMode:
     mu: int = 1
     g: float = 1.0
 
-    def __post_init__(self):
-        _check_finite(nu=self.nu, g=self.g, amplitude=self.amplitude)
-        if self.lam not in (1, -1):
-            raise ValueError("helicity lam must be +1 or -1")
-        if self.mu not in (1, -1):
-            raise ValueError("duality sign mu must be +1 or -1")
-        if self.nu == 0.0:
-            raise ValueError("eigenvalue nu must be nonzero")
-        if self.g <= 0.0:
-            raise ValueError("coupling g must be positive")
-        if self.mu * self.lam * self.nu <= 0.0:
-            raise ValueError("support condition mu*lam*nu > 0 violated")
-        object.__setattr__(self, "kappa0", as_direction(self.kappa0))
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeField:
-    """Finite sum of helicity modes sharing (nu, mu, g)."""
+    """Finite sum of helicity modes sharing (lam, nu, mu, g), built from
+    :class:`HelicityMode` rows and checked once: mode j is row j of
+    ``kappa0`` (n, 3) and ``amplitudes`` (n,), both read-only."""
 
-    modes: tuple
+    modes: InitVar[tuple]
+    kappa0: np.ndarray = field(init=False)
+    amplitudes: np.ndarray = field(init=False)
+    lam: int = field(init=False)
+    nu: float = field(init=False)
+    mu: int = field(init=False)
+    g: float = field(init=False)
 
-    def __post_init__(self):
-        modes = tuple(self.modes)
+    def __post_init__(self, modes):
+        modes = tuple(modes)
         if not modes:
             raise ValueError("need at least one mode")
         m0 = modes[0]
-        for m in modes[1:]:
-            if (m.nu, m.mu, m.g) != (m0.nu, m0.mu, m0.g):
-                raise ValueError("all modes must share (nu, mu, g)")
-        object.__setattr__(self, "modes", modes)
-
-    @property
-    def nu(self) -> float:
-        return self.modes[0].nu
-
-    @property
-    def mu(self) -> int:
-        return self.modes[0].mu
-
-    @property
-    def g(self) -> float:
-        return self.modes[0].g
+        shared = (m0.lam, m0.nu, m0.mu, m0.g)
+        if {(m.lam, m.nu, m.mu, m.g) for m in modes} != {shared}:
+            raise ValueError("all modes must share (lam, nu, mu, g)")
+        lam, nu, mu, g = shared
+        _check_finite(nu=nu, g=g)
+        if lam not in (1, -1):
+            raise ValueError("helicity lam must be +1 or -1")
+        if mu not in (1, -1):
+            raise ValueError("duality sign mu must be +1 or -1")
+        if nu == 0.0:
+            raise ValueError("eigenvalue nu must be nonzero")
+        if g <= 0.0:
+            raise ValueError("coupling g must be positive")
+        if mu * lam * nu <= 0.0:
+            raise ValueError("support condition mu*lam*nu > 0 violated")
+        amplitudes = np.array([m.amplitude for m in modes], dtype=complex)
+        _check_finite(amplitude=amplitudes)
+        kappa0 = as_direction(np.array([m.kappa0 for m in modes], dtype=float))
+        if kappa0.shape != (len(modes), 3) or amplitudes.shape != (len(modes),):
+            raise ValueError("each mode needs one 3-vector kappa0 and one scalar amplitude")
+        kappa0.flags.writeable = amplitudes.flags.writeable = False
+        for name, value in zip(("kappa0", "amplitudes", "lam", "nu", "mu", "g"),
+                               (kappa0, amplitudes) + shared):
+            object.__setattr__(self, name, value)
 
 
 def eval_mode_field(f: ModeField, x) -> np.ndarray:
     """Evaluate the mode sum (2 pi)^{-3/2} (1/g) sum_j s_j e^{i mu lam nu k_j . x} Q_lam(k_j)."""
-    # the modes share (nu, mu) and mu lam nu > 0, hence one helicity
-    lam = f.modes[0].lam
-    kappa0 = np.array([m.kappa0 for m in f.modes])
-    amplitudes = np.array([m.amplitude for m in f.modes])[:, None]
-    waves = amplitudes * moses_frame(kappa0, frame_index_of(lam))
-    tones = np.full(len(f.modes), f.mu * lam * f.nu)
-    return _INV_TWO_PI_32 / f.g * plane_wave_sum(x, kappa0, tones, waves)
+    waves = f.amplitudes[:, None] * moses_frame(f.kappa0, frame_index_of(f.lam))
+    tones = np.full(len(f.amplitudes), f.mu * f.lam * f.nu)
+    return _INV_TWO_PI_32 / f.g * plane_wave_sum(x, f.kappa0, tones, waves)
 
 
 def mode_sampled_field(f: ModeField) -> SampledField:

@@ -67,24 +67,19 @@ def frame_antipodal_phase(kappa, lam: int):
     return -w / np.conj(w)
 
 
-def moses_frame(kappa, a: int, return_branch: bool = False):
+def moses_frame(kappa, a: int) -> np.ndarray:
     """Frame member Q_a at unit direction(s) kappa.
 
-    Depends on the direction only.  Near the south pole (1 + kz < 1e-9) the
-    value is obtained from the regular branch at -kappa through the antipodal
-    phase; exactly at the pole the frame is evaluated in coordinates rotated
-    by pi about the x-axis and rotated back.  ``return_branch`` additionally
-    reports which branch was used per input ("direct", "antipodal",
-    "rotated").
+    Depends on the direction only.  Near the south pole (1 + kz < POLE_TOL)
+    the value is obtained from the regular branch at -kappa through the
+    antipodal phase; exactly at the pole the frame is evaluated in
+    coordinates rotated by pi about the x-axis and rotated back.
     """
     k = as_direction(kappa)
     lam = helicity_of(a)
 
     if a == 3:
-        out = -k.astype(complex)
-        if return_branch:
-            return out, np.broadcast_to(np.array("direct"), k.shape[:-1]).copy()
-        return out
+        return -k.astype(complex)
 
     scalar_input = k.ndim == 1
     kb = np.atleast_2d(k)
@@ -92,7 +87,6 @@ def moses_frame(kappa, a: int, return_branch: bool = False):
     # near-pole rows are recomputed below; mask them out of the regular branch
     kb_safe = np.where(near_south[..., None], np.array([0.0, 0.0, 1.0]), kb)
     q = _frame_regular(kb_safe, lam)
-    branch = np.full(kb.shape[:-1], "direct", dtype="<U9")
 
     if np.any(near_south):
         off_axis = np.hypot(kb[..., 0], kb[..., 1]) >= 1e-12
@@ -105,7 +99,6 @@ def moses_frame(kappa, a: int, return_branch: bool = False):
             phase = frame_antipodal_phase(sub, lam)
             q_op = _frame_regular(-sub, lam)
             q[use_antipodal] = phase[..., None] * np.conj(q_op)
-            branch[use_antipodal] = "antipodal"
         if np.any(use_rotated):
             sub = kb[use_rotated].copy()
             sub[:, 1] *= -1.0
@@ -114,14 +107,8 @@ def moses_frame(kappa, a: int, return_branch: bool = False):
             q_rot[:, 1] *= -1.0
             q_rot[:, 2] *= -1.0
             q[use_rotated] = q_rot
-            branch[use_rotated] = "rotated"
 
-    if scalar_input:
-        q = q[0]
-        branch = branch[0]
-    if return_branch:
-        return q, branch
-    return q
+    return q[0] if scalar_input else q
 
 
 def eigenfunction(x, k, a: int) -> np.ndarray:

@@ -15,6 +15,7 @@ interpolant (:func:`grid_atoms`), whose Nyquist bin is at -pi/dp only.
 
 from __future__ import annotations
 
+import io
 import json
 import warnings
 from dataclasses import dataclass, replace
@@ -396,15 +397,13 @@ def radon_mode_analytic(f: ModeField) -> AnalyticProfile:
     (tone -lam*nu) with the common amplitude
     (2 pi)^{1/2} / (g nu^2) * s * Q_lam(kappa0).
     """
-    # the modes share (nu, mu) and mu lam nu > 0, hence one helicity
-    lam = f.modes[0].lam
-    kappa0 = np.array([m.kappa0 for m in f.modes])
-    coeff = np.sqrt(2.0 * np.pi) / (f.g * f.nu**2) * np.array([m.amplitude for m in f.modes])
+    lam, kappa0, n = f.lam, f.kappa0, len(f.amplitudes)
+    coeff = np.sqrt(2.0 * np.pi) / (f.g * f.nu**2) * f.amplitudes
     amp = coeff[:, None] * moses_frame(kappa0, frame_index_of(lam))
     profile = AnalyticProfile(
         directions=np.stack([f.mu * kappa0, -f.mu * kappa0], axis=1).reshape(-1, 3),
-        frequencies=np.tile([lam * f.nu, -lam * f.nu], len(f.modes)),
-        amplitudes=np.repeat(amp, 2, axis=0), weights=np.ones(2 * len(f.modes)),
+        frequencies=np.tile([lam * f.nu, -lam * f.nu], n),
+        amplitudes=np.repeat(amp, 2, axis=0), weights=np.ones(2 * n),
         nu=f.nu, mu=f.mu, g=f.g)
     defect = profile.transverse_defect()
     if defect > 1e-12:
@@ -704,10 +703,12 @@ def grid_to_csv(grid: GridProfile) -> str:
 
 def grid_from_csv(text: str, sphere: SphereQuadrature) -> GridProfile:
     """Rebuild a grid profile from CSV rows ordered as written by grid_to_csv."""
-    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-    data = np.asarray(rows, dtype=float)
+    with warnings.catch_warnings():
+        # a header-only text is the "rows" error below, not numpy's empty-input warning
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
     n_dir = sphere.n
-    n_p = len(rows) // n_dir
+    n_p = data.shape[0] // n_dir
     if n_p == 0 or data.shape != (n_p * n_dir, 10):
         raise ValueError(f"CSV must hold n_p x {n_dir} rows of 10 columns")
     nodes = np.tile(sphere.nodes, (n_p, 1))

@@ -207,6 +207,18 @@ class TestRadonCommand:
             # for F(+8), where the Gaussian centred at 7 has its mass
             assert meta["parity_defect_rel"] > 0.1 and meta["p_end_ratio"] > 0.1
 
+    def test_parity_scan_on_shifted_p_grid(self, runner, tmp_path):
+        # row i holds p_i = -6 + i/4, and row (48 - i) mod 64 holds -p_i
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "radon", "--field", "gaussian", "--quad", "4,8", "--pgrid", "-6:10:64",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        meta = json.loads((out / "radon_meta.json").read_text())
+        assert meta["p_end_ratio"] < 1e-8
+        assert meta["parity_check"] == "pass" and meta["parity_defect_rel"] < 1e-8
+
     def test_single_mode_two_atoms(self, runner, tmp_path):
         out = tmp_path / "out"
         params = {"modes": [{"lam": 1, "nu": 1.0, "kappa0": [0.0, 0.0, 1.0],
@@ -259,6 +271,7 @@ class TestVerifyCommand:
     ["radon", "--field", "modes", "--params", "{}", "--out", "out"],
     ["radon", "--field", "gaussian", "--pgrid", "-8:8:12", "--out", "out"],
     ["radon", "--field", "gaussian", "--pgrid", "8:-8:16", "--out", "out"],
+    ["radon", "--field", "gaussian", "--pgrid", "-3:12:64", "--out", "out"],
     ["radon", "--field", "gaussian", "--quad", "4,7", "--out", "out"],
     ["radon", "--field", "lundquist", "--params", '{"nu": 0}', "--out", "out"],
     ["radon", "--field", "lundquist", "--params", '{"n_ring": 5}', "--out", "out"],
@@ -280,7 +293,8 @@ class TestVerifyCommand:
     ["verify", "--only", "frame", "--tol", "frame_metric=inf", "--out", "out"],
     ["verify", "--only", "frame", "--tol", "frame_metric=-1", "--out", "out"],
 ], ids=["verify-empty-selection", "verify-unknown-tolerance", "radon-modes-without-modes",
-        "radon-pgrid-not-power-of-two", "radon-pgrid-decreasing", "radon-quad-odd-azimuth",
+        "radon-pgrid-not-power-of-two", "radon-pgrid-decreasing", "radon-pgrid-not-symmetric",
+        "radon-quad-odd-azimuth",
         "radon-lundquist-zero-nu", "radon-lundquist-odd-ring", "radon-gaussian-unknown-key",
         "radon-lundquist-unknown-key", "radon-mode-record-unknown-key", "radon-mode-record-not-object",
         "field-eval-lundquist-unknown-key", "field-eval-gaussian-short-center",
@@ -334,6 +348,20 @@ class TestPlotCommand:
         assert result.exit_code == 0
         assert (out / "verify_residuals.csv").exists()
 
+    @pytest.mark.parametrize("text", ["name,residual\n", '{"n_passed": 43}',
+                                      '{"records": [{"name": "x"}]}'],
+                             ids=["not-json", "no-records", "record-without-residual"])
+    def test_verify_residuals_need_a_report(self, runner, tmp_path, text):
+        data = tmp_path / "report.json"
+        data.write_text(text)
+        out = tmp_path / "plots"
+        result = runner.invoke(main, [
+            "plot", "--kind", "verify_residuals", "--data", str(data), "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "Usage:" in result.output
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, [
             "plot", "--kind", "lundquist_radial",
@@ -350,3 +378,12 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_the_command():
+    env = {**os.environ, "PYTHONPATH": str(Path(trkalian.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "trkalian.cli", "verify", "--only", "frame"],
+                         env=env, check=True, capture_output=True, text=True, timeout=120)
+    # the last line is "N/N passed" for the N >= 4 frame records
+    n_passed, n_total = out.stdout.splitlines()[-1].removesuffix(" passed").split("/")
+    assert n_passed == n_total and int(n_total) >= 4

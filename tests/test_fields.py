@@ -27,15 +27,34 @@ class TestHelicityMode:
         HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=1.0, mu=1)
         HelicityMode(lam=-1, nu=1.0, kappa0=EZ, amplitude=1.0, mu=-1)
         with pytest.raises(ValueError):
-            HelicityMode(lam=-1, nu=1.0, kappa0=EZ, amplitude=1.0, mu=1)
+            ModeField(modes=(HelicityMode(lam=-1, nu=1.0, kappa0=EZ, amplitude=1.0, mu=1),))
         with pytest.raises(ValueError):
-            HelicityMode(lam=1, nu=-1.0, kappa0=EZ, amplitude=1.0, mu=1)
+            ModeField(modes=(HelicityMode(lam=1, nu=-1.0, kappa0=EZ, amplitude=1.0, mu=1),))
 
     def test_mode_field_requires_shared_parameters(self):
         m1 = HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=1.0)
         m2 = HelicityMode(lam=1, nu=2.0, kappa0=EX, amplitude=1.0)
         with pytest.raises(ValueError):
             ModeField(modes=(m1, m2))
+
+    @pytest.mark.parametrize("modes", [
+        (),
+        (HelicityMode(lam=2, nu=1.0, kappa0=EZ, amplitude=1.0),),
+        (HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=1.0, mu=0),),
+        (HelicityMode(lam=1, nu=0.0, kappa0=EZ, amplitude=1.0),),
+        (HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=1.0, g=0.0),),
+        (HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=1.0, g=-2.0),),
+        (HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=1.0),
+         HelicityMode(lam=-1, nu=-1.0, kappa0=EX, amplitude=1.0)),
+        (HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=1.0),
+         HelicityMode(lam=1, nu=1.0, kappa0=EX, amplitude=1.0, g=2.0)),
+        (HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=1.0),
+         HelicityMode(lam=1, nu=1.0, kappa0=1.01 * EX, amplitude=1.0)),
+    ], ids=["empty", "lam-2", "mu-0", "nu-0", "g-0", "g-negative", "rows-disagree-lam",
+            "rows-disagree-g", "non-unit-kappa0"])
+    def test_mode_field_rejects(self, modes):
+        with pytest.raises(ValueError):
+            ModeField(modes=modes)
 
 
 class TestModeField:
@@ -318,8 +337,8 @@ NAN, INF = float("nan"), float("inf")
     lambda: ck_circular(CKCircularParams(m=0, k=NAN, nu=1.0)),
     lambda: ck_circular(CKCircularParams(m=0, k=0.0, nu=NAN)),
     lambda: ck_circular(CKCircularParams(m=1, k=0.0, nu=1.0, amplitude=INF)),
-    lambda: HelicityMode(lam=1, nu=NAN, kappa0=EZ, amplitude=1.0),
-    lambda: HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=complex(NAN, 0.0)),
+    lambda: ModeField(modes=(HelicityMode(lam=1, nu=NAN, kappa0=EZ, amplitude=1.0),)),
+    lambda: ModeField(modes=(HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=complex(NAN, 0.0)),)),
 ], ids=["gaussian-center", "gaussian-width-nan", "gaussian-width-inf", "gaussian-polarization",
         "lundquist-f0", "lundquist-nu", "lundquist-potential-nu", "abc-b", "abc-nu", "ck-k",
         "ck-nu", "ck-amplitude", "mode-nu", "mode-amplitude"])

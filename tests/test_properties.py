@@ -18,9 +18,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from trkalian.cktransform import (DebyeChoice, OmegaAtom, ScalarTone, ck_transform_potential,
                                   ck_transform_solution, reconstruct_physical)
-from trkalian.core import PlaneQuadrature, as_direction, sphere_quadrature
-from trkalian.fields import HelicityMode, ModeField, gaussian_test_field
-from trkalian.moses import POLE_TOL
+from trkalian.core import PlaneQuadrature, as_direction, plane_wave_sum, sphere_quadrature
+from trkalian.fields import HelicityMode, ModeField, eval_mode_field, gaussian_test_field
+from trkalian.moses import POLE_TOL, frame_index_of, moses_frame
 from trkalian.radon import (FLOAT_FMT, GRID_CSV_HEADER, AnalyticProfile, antipodal_profile,
                             canonical_hemisphere, cap_swapped_hemisphere, format_csv,
                             gamma_apply, gamma_cross_eigendefect, grid_to_csv,
@@ -465,3 +465,57 @@ def test_non_unit_omega_direction_rejected_by_reconstruction():
     omega2 = [OmegaAtom([0.0, 0.0, -1.001], [1.0, 1j, 0.0])]
     with pytest.raises(ValueError, match="not unit"):
         reconstruct_physical(omega1, omega2, 1, 1.0, np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# mode sums: the stacked arrays of ModeField against one row read per mode
+# ---------------------------------------------------------------------------
+
+def _mode_rows_reference(modes):
+    """The shared (lam, nu, mu, g) and the kappa0 and amplitude columns read
+    mode by mode, as the mode sums read them from the rows."""
+    m0 = modes[0]
+    kappa0 = np.array([as_direction(m.kappa0) for m in modes])
+    amplitudes = np.array([complex(m.amplitude) for m in modes])
+    return m0.lam, m0.nu, m0.mu, m0.g, kappa0, amplitudes
+
+
+def mode_profile_reference(modes):
+    lam, nu, mu, g, kappa0, amplitudes = _mode_rows_reference(modes)
+    coeff = np.sqrt(2.0 * np.pi) / (g * nu**2) * amplitudes
+    amp = coeff[:, None] * moses_frame(kappa0, frame_index_of(lam))
+    return AnalyticProfile(
+        directions=np.stack([mu * kappa0, -mu * kappa0], axis=1).reshape(-1, 3),
+        frequencies=np.tile([lam * nu, -lam * nu], len(modes)),
+        amplitudes=np.repeat(amp, 2, axis=0), weights=np.ones(2 * len(modes)),
+        nu=nu, mu=mu, g=g)
+
+
+def mode_field_reference(modes, x):
+    lam, nu, mu, g, kappa0, amplitudes = _mode_rows_reference(modes)
+    waves = amplitudes[:, None] * moses_frame(kappa0, frame_index_of(lam))
+    tones = np.full(len(modes), mu * lam * nu)
+    return (2.0 * np.pi) ** -1.5 / g * plane_wave_sum(x, kappa0, tones, waves)
+
+
+@st.composite
+def mode_inputs(draw):
+    nu = draw(eigenvalues)
+    mu = draw(st.sampled_from([1, -1]))
+    lam = 1 if mu * nu > 0 else -1
+    g = draw(st.floats(0.1, 10.0))
+    kappas = draw(st.lists(st.one_of(directions, st.just(SOUTH)), min_size=1, max_size=8))
+    # by position, as the benchmark workloads build them
+    modes = tuple(HelicityMode(lam, nu, k, draw(complex_amplitudes), mu, g) for k in kappas)
+    x = np.array(draw(st.lists(st.tuples(moderate, moderate, moderate), min_size=1, max_size=6)))
+    return modes, x
+
+
+@SETTINGS
+@given(mode_inputs())
+def test_mode_sums_equal_per_mode_reference(inputs):
+    modes, x = inputs
+    field = ModeField(modes=modes)
+    assert_same_bits(radon_mode_analytic(field), mode_profile_reference(modes))
+    got, want = eval_mode_field(field, x), mode_field_reference(modes, x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -743,6 +743,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="rows"):
             grid_from_csv(text.rsplit("\n", 2)[0] + "\n", sphere)
 
+    @pytest.mark.filterwarnings("error")
+    def test_grid_csv_rejects_header_only_and_ragged_text(self):
+        sphere = sphere_quadrature(4, 8, antipodal=True)
+        p = -4.0 + 8.0 * np.arange(16) / 16
+        text = grid_to_csv(GridProfile(p=p, sphere=sphere,
+                                       samples=np.ones((16, sphere.n, 3), dtype=complex)))
+        header = text.split("\n", 1)[0]
+        for short in (header, header + "\n"):
+            with pytest.raises(ValueError, match="rows"):
+                grid_from_csv(short, sphere)
+        lines = text.splitlines()
+        lines[7] = lines[7].rsplit(",", 1)[0]
+        with pytest.raises(ValueError):
+            grid_from_csv("\n".join(lines) + "\n", sphere)
+
     def test_grid_requires_power_of_two(self):
         sphere = sphere_quadrature(4, 8)
         with pytest.raises(ValueError):
