@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_chunks, bessel_j, fd_field, field_reals, from_reals, gauss_legendre,
-                   gauss_tensor_rule, plane_basis, sphere_quadrature)
+from .core import (_chunks, _tensor_boundary, bessel_j, fd_field, field_reals, from_reals,
+                   gauss_legendre, gauss_tensor_rule, plane_basis, sphere_quadrature)
 
 TAIL_RESIDUAL_TOL = 1e-7
 
@@ -54,8 +54,9 @@ class VolumeQuadrature:
     def __post_init__(self):
         if self.kind not in ("ball", "box"):
             raise ValueError("kind must be 'ball' or 'box'")
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
+        if not (np.isfinite(self.extent) and self.extent > 0):
+            raise ValueError(f"extent (ball radius or box half-width) must be finite and"
+                             f" positive, got {self.extent}")
         if not 0 < self.exclusion_radius < 0.25 * self.extent:
             raise ValueError("exclusion radius must be positive and small against the domain")
 
@@ -125,39 +126,20 @@ def _wedge(m: np.ndarray) -> np.ndarray:
     return out.reshape(m.shape[0], -1)
 
 
-def _warn_boundary(fn, quad: VolumeQuadrature, x: np.ndarray, result: np.ndarray) -> None:
-    """Warn once when at some point of the batch x (k, 3) the field on the
-    domain boundary, times the extent, exceeds 1e-6 of the result (k, ...)."""
-    if quad.kind == "ball":
-        u = np.linspace(-1.0, 1.0, 7)
-        phi = np.linspace(0.0, 2 * np.pi, 13, endpoint=False)
-        st = np.sqrt(np.clip(1 - u * u, 0, None))
-        probes = np.stack([
-            np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi)),
-            np.outer(u, np.ones_like(phi)),
-        ], axis=-1).reshape(-1, 3)
-        probes = x[:, None, :] + quad.extent * probes
-    else:
-        t = np.linspace(-quad.extent, quad.extent, 5)
-        faces = []
-        for axis in range(3):
-            for sign in (-1.0, 1.0):
-                a, b = np.meshgrid(t, t, indexing="ij")
-                face = np.zeros(a.shape + (3,))
-                face[..., axis] = sign * quad.extent
-                face[..., (axis + 1) % 3] = a
-                face[..., (axis + 2) % 3] = b
-                faces.append(face.reshape(-1, 3))
-        probes = np.concatenate(faces, axis=0)[None]  # the same for every point
-    boundary = np.abs(np.asarray(fn(probes.reshape(-1, 3)))).reshape(probes.shape[0], -1)
-    estimate = np.broadcast_to(boundary.max(axis=1) * quad.extent, x.shape[:1])
-    result_norm = np.abs(result).reshape(x.shape[0], -1).max(axis=1)
+def _warn_boundary(quad: VolumeQuadrature, edge: np.ndarray, result: np.ndarray) -> None:
+    """Warn once when at some point of the batch the field magnitude on the
+    outermost nodes of the rule, edge (k,) or one value for all points, times
+    the extent, exceeds 1e-6 of the result (k, ...).  A magnitude is the
+    largest |Re| or |Im| of any component."""
+    k = result.shape[0]
+    estimate = np.broadcast_to(edge * quad.extent, (k,))
+    result_norm = np.abs(result).reshape(k, -1).max(axis=1)
     over = estimate > 1e-6 * np.maximum(result_norm, 1e-300)
     if np.any(over):
         worst = np.argmax(np.where(over, estimate / np.maximum(result_norm, 1e-300), -np.inf))
         warnings.warn(
             f"boundary contribution estimate exceeds 1e-6 of the result at "
-            f"{np.count_nonzero(over)} of {x.shape[0]} points (worst: {estimate[worst]:.2e} "
+            f"{np.count_nonzero(over)} of {k} points (worst: {estimate[worst]:.2e} "
             f"against {result_norm[worst]:.2e}); enlarge the integration domain",
             BoundaryContributionWarning,
             stacklevel=3,
@@ -178,11 +160,14 @@ def riesz_potential(fn, x, quad: VolumeQuadrature) -> np.ndarray:
     sums = []
     if quad.kind == "ball":
         r, wr, nhat, womega = _ball_nodes(quad)
+        edges = []
         for xc in _chunks(flat, r.size * nhat.shape[0]):
             vf, value_shape, cplx = field_reals(fn, _ball_points(xc, r, nhat))
+            edges.append(np.abs(vf[:, -1]).max(axis=(1, 2)))  # the outermost shell
             # kernel 1/r times Jacobian r^2 leaves a factor r on each ray
             rays = (wr * r) @ vf.reshape(xc.shape[0], r.size, -1)
             sums.append(womega @ rays.reshape(xc.shape[0], nhat.shape[0], -1))
+        edge = np.concatenate(edges)
     else:
         # smooth singularity split: the locally constant part under a
         # Gaussian bump of scale eps integrates to (1/4 pi) 2 pi eps^2 F(x)
@@ -190,6 +175,7 @@ def riesz_potential(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         # is bounded at y = x; by linearity it is summed as two contractions
         nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
         vf, value_shape, cplx = field_reals(fn, nodes)
+        edge = np.abs(np.take(vf, _tensor_boundary(quad.n_per_axis, 3), axis=0)).max()
         eps = quad.exclusion_radius
         for xc in _chunks(flat, nodes.shape[0]):
             _, dist = _separation(xc, nodes)
@@ -201,7 +187,7 @@ def riesz_potential(fn, x, quad: VolumeQuadrature) -> np.ndarray:
             acc = (kern[:, None, :] @ vf)[:, 0]
             sums.append(acc + (2.0 * np.pi * eps**2 - bump)[:, None] * center)
     result = from_reals(np.concatenate(sums) / (4.0 * np.pi), value_shape, cplx)
-    _warn_boundary(fn, quad, flat, result)
+    _warn_boundary(quad, edge, result)
     return result.reshape(x.shape[:-1] + value_shape)
 
 
@@ -223,10 +209,13 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         # the kernel is linear in F along each ray: sum the rays first, then
         # take one cross product per direction
         wn = (womega[:, None] * nhat).T
+        edges = []
         for xc in _chunks(flat, r.size * nhat.shape[0]):
             vf, value_shape, cplx = field_reals(fn, _ball_points(xc, r, nhat))
+            edges.append(np.abs(vf[:, -1]).max(axis=(1, 2)))  # the outermost shell
             rays = wr @ vf.reshape(xc.shape[0], r.size, -1)
             sums.append(-_wedge(wn @ rays.reshape(xc.shape[0], nhat.shape[0], -1)))
+        edge = np.concatenate(edges)
         result = from_reals(np.concatenate(sums), value_shape, cplx) / (4.0 * np.pi)
     else:
         # smooth cutoff W ~ (d/eps)^4 near the point keeps the integrand
@@ -236,6 +225,7 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         # gives (1/3) curl F times int (1 - W) r dr = 3 eps^2 / 4
         nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
         vf, value_shape, cplx = field_reals(fn, nodes)
+        edge = np.abs(np.take(vf, _tensor_boundary(quad.n_per_axis, 3), axis=0)).max()
         eps = quad.exclusion_radius
         for xc in _chunks(flat, nodes.shape[0]):
             d, dist = _separation(xc, nodes)
@@ -245,7 +235,7 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
             sums.append(_wedge((kern * d).transpose(1, 0, 2) @ vf))
         result = from_reals(np.concatenate(sums), value_shape, cplx) / (4.0 * np.pi)
         result = result + 0.25 * eps**2 * fd_field(fn, "curl")(flat)
-    _warn_boundary(fn, quad, flat, result)
+    _warn_boundary(quad, edge, result)
     return result.reshape(x.shape)
 
 
@@ -368,7 +358,6 @@ class LundquistBSTerms:
     finite radial integrals recorded here.
     """
 
-    i1: np.ndarray
     theta_pair: float
     z_pair: float
     theta_identity_residual: float
@@ -393,10 +382,10 @@ def bs_lundquist_terms(nu: float, radius: float) -> LundquistBSTerms:
     over [X, X + 60] closed by the exact remainder J_0(X + 60), and equals
     J_0(X).
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if nu == 0.0:
-        raise ValueError("nu must be nonzero")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    if not (np.isfinite(nu) and nu != 0.0):
+        raise ValueError(f"nu must be finite and nonzero, got {nu}")
     big_x = abs(nu) * radius
 
     xs, ws = _gauss_panels(0.0, big_x, n_panels=max(8, int(big_x / np.pi) + 4))
@@ -415,7 +404,6 @@ def bs_lundquist_terms(nu: float, radius: float) -> LundquistBSTerms:
         )
 
     return LundquistBSTerms(
-        i1=np.zeros(3),
         theta_pair=theta_pair,
         z_pair=tail,
         theta_identity_residual=theta_res,

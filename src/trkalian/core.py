@@ -8,7 +8,8 @@ difference oracles for curl / divergence / gradient / Laplacian.
 Each numerical primitive has exactly one implementation, owned here:
 
 - Gauss-Legendre rule: :func:`gauss_legendre` (1-D on [-1, 1], built once
-  per order) and :func:`gauss_tensor_rule` (3-D tensor rule on a cube);
+  per order), :func:`gauss_tensor_rule` (3-D tensor rule on a cube) and
+  :func:`_tensor_boundary` (the boundary nodes of a box or plane rule);
 - sphere product rule: :func:`sphere_quadrature`;
 - 4th-order central-difference stencils: :func:`fd_field`, of which
   :func:`fd_derivative_oracle` is the one-point call;
@@ -21,7 +22,7 @@ Each numerical primitive has exactly one implementation, owned here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -74,8 +75,11 @@ def plane_wave_sum(x, directions, frequencies, amplitudes) -> np.ndarray:
     """Sum over waves j of amplitudes_j exp(i frequencies_j directions_j . x)
     at x (..., 3), for directions (n, 3), frequencies (n,) and amplitudes
     (n, ...); shaped x.shape[:-1] + amplitudes.shape[1:], zeros when n = 0.
-    Each chunk of points is one phase matrix and one matrix product."""
+    Each chunk of points is one phase matrix and one matrix product.
+    Raises ValueError on a non-finite point."""
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("evaluation points must be finite")
     amplitudes = np.asarray(amplitudes, dtype=complex)
     flat = x.reshape(-1, 3)
     out = np.empty((flat.shape[0],) + amplitudes.shape[1:], dtype=complex)
@@ -118,6 +122,13 @@ def gauss_tensor_rule(half_width: float, n: int) -> tuple[np.ndarray, np.ndarray
     weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).reshape(-1)
     nodes = nodes.reshape(3, -1).T
     return nodes, weights
+
+
+def _tensor_boundary(n: int, d: int) -> np.ndarray:
+    """Flat indices of the boundary nodes of an n^d tensor rule in C order:
+    the nodes that are first or last along some axis."""
+    side = np.isin(np.arange(n), (0, n - 1))
+    return np.flatnonzero(reduce(np.logical_or.outer, (side,) * d))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +233,8 @@ class PlaneQuadrature:
     n_per_axis: int
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         if self.n_per_axis < 2:
             raise ValueError("need at least 2 nodes per axis")
 

@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, as_direction,
-                   fd_field, field_reals, from_reals, plane_basis, plane_wave_sum)
+from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, _tensor_boundary,
+                   as_direction, fd_field, field_reals, from_reals, plane_basis, plane_wave_sum)
 from .fields import ModeField
 from .moses import frame_index_of, helicity_of, moses_frame
 
@@ -297,8 +297,7 @@ def _plane_sums(fn, p, k, quad: PlaneQuadrature):
     x1, w1 = quad.nodes_1d()
     n = quad.n_per_axis
     w = (w1[:, None] * w1[None, :]).reshape(-1)
-    side = np.isin(np.arange(n), (0, n - 1))
-    ring = np.flatnonzero(side[:, None] | side)  # the boundary nodes of a plane
+    ring = _tensor_boundary(n, 2)
     step = max(1, _CHUNK_POINTS // n**2)
     sums, peaks, edges = [], [], []
     for c in (slice(s, s + step) for s in range(0, p.size, step)):

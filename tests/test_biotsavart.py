@@ -165,7 +165,30 @@ class TestVolumeKernels:
     def test_ball_rule_evaluates_a_batch_in_one_field_call(self):
         fn = counting(VOLUME_FIELDS["complex"])
         quiet_bs(fn, VOLUME_POINTS, VOLUME_RULES["ball"])
-        assert fn.calls == 2  # the nodes of all points, then the boundary probes
+        assert fn.calls == 1  # the nodes of all points; the outermost shell is the edge
+
+    @pytest.mark.parametrize("integral", [riesz_potential, bs_integral], ids=["riesz", "bs"])
+    def test_box_rule_evaluates_a_batch_in_two_field_calls(self, integral):
+        # the nodes, whose faces are the edge, then the centres (Riesz) or
+        # the curl stencil (Biot-Savart) of all points
+        fn = counting(VOLUME_FIELDS["complex"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryContributionWarning)
+            integral(fn, VOLUME_POINTS, VOLUME_RULES["box"])
+        assert fn.calls == 2
+
+    @pytest.mark.parametrize("quad", [ball_quadrature(9.0), box_quadrature(6.0)],
+                             ids=["ball", "box"])
+    @pytest.mark.parametrize("integral", [riesz_potential, bs_integral], ids=["riesz", "bs"])
+    def test_boundary_warning_control(self, integral, quad):
+        x = np.array([0.3, -0.2, 0.1])
+        inside = gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryContributionWarning)
+            integral(inside, x, quad)
+        on_boundary = gaussian_test_field((0.0, 0.0, 6.0), 1.0, (1.0, 0.0, 0.0))
+        with pytest.warns(BoundaryContributionWarning, match="at 1 of 1 points"):
+            integral(on_boundary, x, quad)
 
     @pytest.mark.parametrize("rule", sorted(VOLUME_RULES))
     @pytest.mark.parametrize("integral", [riesz_potential, bs_integral], ids=["riesz", "bs"])
@@ -235,6 +258,10 @@ class TestRieszPotential:
             VolumeQuadrature(kind="cylinder", extent=1.0)
         with pytest.raises(ValueError):
             VolumeQuadrature(kind="ball", extent=-1.0)
+        for build in (lambda: VolumeQuadrature(kind="ball", extent=np.nan),
+                      lambda: ball_quadrature(np.inf), lambda: box_quadrature(np.nan)):
+            with pytest.raises(ValueError, match="extent .* must be finite"):
+                build()
         with pytest.raises(ValueError):
             VolumeQuadrature(kind="box", extent=1.0, exclusion_radius=0.5)
 
@@ -312,10 +339,6 @@ class TestBSIntegral:
 
 
 class TestLundquistBS:
-    def test_first_term_vanishes_identically(self):
-        terms = bs_lundquist_terms(1.0, 2.0)
-        assert np.all(terms.i1 == 0.0)
-
     def test_eigenrelation_at_three_radii(self):
         f0, nu = 1.0, 1.0
         field = lundquist(f0, nu)
@@ -340,6 +363,15 @@ class TestLundquistBS:
         mags = [np.linalg.norm(bs_lundquist_semianalytic(1.0, 1.0, 2.0, th))
                 for th in (0.0, np.pi / 3, np.pi / 2)]
         assert max(mags) - min(mags) < 1e-10
+
+    @pytest.mark.parametrize("nu, radius, name", [(np.nan, 2.0, "nu"), (np.inf, 2.0, "nu"),
+                                                  (1.0, np.nan, "radius"),
+                                                  (1.0, np.inf, "radius")])
+    def test_rejects_non_finite_parameters(self, nu, radius, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            bs_lundquist_terms(nu, radius)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            bs_lundquist_semianalytic(1.0, nu, radius, 0.3)
 
     def test_identity_residual_diagnostics(self):
         terms = bs_lundquist_terms(1.0, 2.0)

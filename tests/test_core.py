@@ -144,6 +144,9 @@ class TestPlaneQuadrature:
     def test_validation(self):
         with pytest.raises(ValueError):
             PlaneQuadrature(half_width=-1.0, n_per_axis=8)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="half_width must be finite"):
+                PlaneQuadrature(half_width=bad, n_per_axis=8)
         with pytest.raises(ValueError):
             PlaneQuadrature(half_width=1.0, n_per_axis=1)
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from trkalian.cktransform import abc_omega_atoms, reconstruct_physical
 from trkalian.core import PlaneQuadrature, plane_basis, sphere_quadrature
 from trkalian.fields import (HelicityMode, ModeField, eval_mode_field,
                              gaussian_scalar, gaussian_test_field, lundquist)
@@ -516,6 +517,19 @@ class TestAtomSums:
             ref = loop_atom_sum(prof, self.X, scale)
             assert out.shape == ref.shape == (6,) + prof.amplitudes.shape[1:]
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("entry, bad", [
+        (lambda x: inverse_radon(lundquist_radon_profile(1.0, 1.0), x), np.nan),
+        (lambda x: hemisphere_inverse(lundquist_radon_profile(1.0, 1.0),
+                                      canonical_hemisphere(), x), np.nan),
+        (lambda x: eval_mode_field(single_mode(), x), np.nan),
+        (lambda x: adjoint_radon(lundquist_radon_profile(1.0, 1.0), x), np.inf),
+        (lambda x: reconstruct_physical(*abc_omega_atoms(1.0, 0.5, 0.3, 1, 1.0), 1, 1.0, x),
+         np.inf),
+    ], ids=["inverse", "hemisphere", "modes", "adjoint", "ck"])
+    def test_rejects_non_finite_point(self, entry, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            entry(np.array([[0.1, 0.2, 0.3], [bad, 0.0, 0.0]]))
 
     def test_empty_sum_keeps_its_shape(self):
         x = np.zeros((5, 3))
