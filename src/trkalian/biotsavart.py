@@ -57,6 +57,9 @@ class VolumeQuadrature:
         if not (np.isfinite(self.extent) and self.extent > 0):
             raise ValueError(f"extent (ball radius or box half-width) must be finite and"
                              f" positive, got {self.extent}")
+        for name in ("n_per_axis", "n_radial", "n_polar", "n_azimuth"):
+            if not (isinstance(n := getattr(self, name), (int, np.integer)) and n > 0):
+                raise ValueError(f"{name} must be a positive integer, got {n!r}")
         if not 0 < self.exclusion_radius < 0.25 * self.extent:
             raise ValueError("exclusion radius must be positive and small against the domain")
 
@@ -70,9 +73,8 @@ def ball_quadrature(radius: float, n_radial: int = 48, n_polar: int = 16,
 
 def box_quadrature(half_width: float, n_per_axis: int = 48,
                    exclusion_radius: float | None = None) -> VolumeQuadrature:
-    cell = 2.0 * half_width / n_per_axis
-    if exclusion_radius is None:
-        exclusion_radius = 2.0 * cell
+    if exclusion_radius is None:  # two cells; the constructor rejects a count below 1
+        exclusion_radius = 4.0 * half_width / max(n_per_axis, 1)
     return VolumeQuadrature(kind="box", extent=half_width, n_per_axis=n_per_axis,
                             exclusion_radius=exclusion_radius)
 
@@ -417,6 +419,9 @@ def bs_lundquist_semianalytic(f0: float, nu: float, radius: float, theta: float)
     Assembles the closed z and phi reductions; the result equals
     (1/nu) F_L(R, theta) for any radius.
     """
+    for name, value in (("f0", f0), ("theta", theta)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     terms = bs_lundquist_terms(nu, radius)
     e_theta = np.array([-np.sin(theta), np.cos(theta), 0.0])
     e_z = np.array([0.0, 0.0, 1.0])

@@ -8,9 +8,9 @@ sphere, 2 pi / n for nodes discretizing a line delta such as the equatorial
 ring).  The atoms are stored as four arrays, one row per atom, so every atom
 identity is an array expression; ``AnalyticProfile.atoms`` is a tuple of
 row views.  Grid profiles hold samples over a periodic p-grid times a sphere
-quadrature and are used for Schwartz-class numerics; Gamma and the inverse
-(at points x (..., 3)) act on them through the atoms of their trigonometric
-interpolant (:func:`grid_atoms`), whose Nyquist bin is at -pi/dp only.
+quadrature; the atom operators act on them through the atoms of their
+trigonometric interpolant (:func:`grid_atoms`), whose Nyquist bin is split
+between -pi/dp and +pi/dp, so that the view is closed under parity.
 """
 
 from __future__ import annotations
@@ -209,24 +209,33 @@ class GridProfile:
 
 def grid_atoms(grid: GridProfile) -> AnalyticProfile:
     """The grid's trigonometric interpolant as atoms, by one FFT along p: row
-    i n_dir + j is frequency i of ``np.fft.fftfreq`` at node j, with that
-    node's weight and amplitude c_ij e^{-i omega_i p[0]} / n_p (nu = 1 is
-    unread).  The Nyquist bin is at -pi/dp only, so the view is not closed
-    under (p, kappa) -> (-p, -kappa): its ``parity_defect()`` is inf."""
+    i n_dir + j is frequency i at node j, with that node's weight and amplitude
+    c_ij e^{-i omega_i p[0]} / n_p (nu = 1 is unread).  Frequencies i < n_p are
+    ``np.fft.fftfreq``; the Nyquist term is halved between -pi/dp (i = n_p / 2)
+    and +pi/dp (i = n_p), so on an antipodal sphere each atom has a partner."""
     n_p, nodes = grid.p.size, grid.sphere.nodes
     omega = 2.0 * np.pi * np.fft.fftfreq(n_p, d=grid.p[1] - grid.p[0])
-    coeffs = (np.exp(-1j * omega * grid.p[0]) / n_p * np.fft.fft(grid.samples, axis=0).T).T
-    return AnalyticProfile(np.tile(nodes, (n_p, 1)), np.repeat(omega, len(nodes)),
+    omega = np.append(omega, -omega[n_p // 2])
+    scale = np.exp(-1j * omega * grid.p[0]) / np.where(np.abs(omega) == omega[-1], 2 * n_p, n_p)
+    coeffs = (scale * np.fft.fft(grid.samples, axis=0)[np.r_[:n_p, n_p // 2]].T).T
+    return AnalyticProfile(np.tile(nodes, (n_p + 1, 1)), np.repeat(omega, len(nodes)),
                            coeffs.reshape((-1,) + coeffs.shape[2:]),
-                           np.tile(grid.sphere.weights, n_p), nu=1.0)
+                           np.tile(grid.sphere.weights, n_p + 1), nu=1.0)
 
 
 def _sample_atoms(grid: GridProfile, atoms: AnalyticProfile) -> GridProfile:
-    """``grid`` resampled from ``atoms`` laid out as by :func:`grid_atoms`
-    (one inverse FFT along p)."""
-    coeffs = atoms.amplitudes.reshape(grid.samples.shape[:2] + atoms.amplitudes.shape[1:])
-    shift = np.exp(1j * atoms.frequencies[::grid.sphere.n] * grid.p[0]) * grid.p.size
-    return replace(grid, samples=np.fft.ifft((shift * coeffs.T).T, axis=0))
+    """``grid`` resampled from ``atoms`` laid out as by :func:`grid_atoms`:
+    the Nyquist halves folded back, then one inverse FFT along p."""
+    n_p = grid.p.size
+    coeffs = atoms.amplitudes.reshape((n_p + 1, grid.sphere.n) + atoms.amplitudes.shape[1:])
+    coeffs = (np.exp(1j * atoms.frequencies[::grid.sphere.n] * grid.p[0]) * n_p * coeffs.T).T
+    coeffs[n_p // 2] += coeffs[n_p]
+    return replace(grid, samples=np.fft.ifft(coeffs[:n_p], axis=0))
+
+
+def _atoms(profile) -> AnalyticProfile:
+    """An atom profile as it is, and a grid as its :func:`grid_atoms`."""
+    return grid_atoms(profile) if isinstance(profile, GridProfile) else profile
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +373,10 @@ def radon_forward_grid(fn, p_grid, sphere: SphereQuadrature, quad: PlaneQuadratu
     every p whose exact negation is on the grid, the plane of its partner,
     R(p, -kappa) = R(-p, kappa).  Both name the same plane with the same
     nodes and weights, so a shared value differs from a separate integral
-    only in summation order.  A parity scan of the grid therefore checks
-    only the wrap of the periodic p-range; the parity of the plane
-    quadrature itself needs two separate :func:`radon_forward_numeric`
-    planes (verify record ``radon_parity``).  Warns once
-    (TruncationWarning), counting over all n_p x n_dir planes.
+    only in summation order, so the parity of :func:`grid_atoms` tests the
+    interpolant and the wrap of the p-range, not the plane quadrature; that
+    needs two :func:`radon_forward_numeric` planes (verify record ``radon_parity``).
+    Warns once (TruncationWarning), counting over all n_p x n_dir planes.
     """
     p = validate_p_grid(p_grid)
     n, anti = sphere.n, sphere.antipode_index
@@ -474,13 +482,11 @@ def gamma_apply(profile, kind: str):
     Exact frequency multiplication on atoms; a periodic grid is resampled
     from its :func:`grid_atoms`.  ``kind`` is "cross", "dot" or "grad".
     """
-    if isinstance(profile, AnalyticProfile):
-        out = kappa_product(profile.directions, profile.amplitudes, kind)
-        scale = (1j * profile.frequencies).reshape((-1,) + (1,) * (out.ndim - 1))
-        return replace(profile, amplitudes=scale * out)
-    if isinstance(profile, GridProfile):
-        return _sample_atoms(profile, gamma_apply(grid_atoms(profile), kind))
-    raise TypeError(f"unsupported profile type {type(profile)!r}")
+    atoms = _atoms(profile)
+    out = kappa_product(atoms.directions, atoms.amplitudes, kind)
+    scale = (1j * atoms.frequencies).reshape((-1,) + (1,) * (out.ndim - 1))
+    result = replace(atoms, amplitudes=scale * out)
+    return result if atoms is profile else _sample_atoms(profile, result)
 
 
 def gamma_cross_eigendefect(profile: AnalyticProfile) -> float:
@@ -550,17 +556,15 @@ def inverse_radon(profile, x):
     Exact on atoms, at points x (..., 3); a grid profile reconstructs as its
     :func:`grid_atoms`, the trigonometric interpolant on the grid's sphere.
     """
-    if isinstance(profile, AnalyticProfile):
-        return _atom_sum(profile, x, profile.weights * profile.frequencies**2 / (8.0 * np.pi**2))
-    if isinstance(profile, GridProfile):
-        return inverse_radon(grid_atoms(profile), x)
-    raise TypeError(f"unsupported profile type {type(profile)!r}")
+    atoms = _atoms(profile)
+    return _atom_sum(atoms, x, atoms.weights * atoms.frequencies**2 / (8.0 * np.pi**2))
 
 
-def hemisphere_inverse(profile: AnalyticProfile, hemisphere: Hemisphere, x):
-    """Refined reconstruction -(1/4 pi^2) over a canonical hemisphere only."""
-    scale = profile.weights * profile.frequencies**2 / (4.0 * np.pi**2)
-    return _atom_sum(profile, x, np.where(hemisphere.members(profile.directions), scale, 0.0))
+def hemisphere_inverse(profile, hemisphere: Hemisphere, x):
+    """Refined reconstruction -(1/4 pi^2) over a canonical hemisphere only, grids included."""
+    atoms = _atoms(profile)
+    scale = atoms.weights * atoms.frequencies**2 / (4.0 * np.pi**2)
+    return _atom_sum(atoms, x, np.where(hemisphere.members(atoms.directions), scale, 0.0))
 
 
 def radon_of_hemisphere_inverse(profile: AnalyticProfile,

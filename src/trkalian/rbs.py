@@ -2,8 +2,8 @@
 
 The RBS operator acts per direction on the p-dependence only: the 1/k^2
 convolution in p, then Gamma x, i.e. (i / omega) kappa x on an atom e^{i omega p}.
-Grids act through their ``grid_atoms`` (Nyquist atom at -pi/dp only), which
-must have no zero-frequency content (zero mean in p per direction).
+Grids act through their ``grid_atoms`` (Nyquist bin split between +-pi/dp, where
+Gamma x is zero), which must have no zero-frequency content (zero p-mean).
 """
 
 from __future__ import annotations
@@ -87,14 +87,12 @@ def rbs_apply(profile, dc_tol: float = DC_TOLERANCE):
 
     Exact on atoms: amplitude -> (i / frequency) kappa x amplitude.
     """
-    if isinstance(profile, AnalyticProfile):
-        if np.any(profile.frequencies == 0.0):
-            raise ValueError("RBS undefined on zero-frequency atoms")
-        out = kappa_product(profile.directions, profile.amplitudes, "cross")
-        return replace(profile, amplitudes=(1j / profile.frequencies)[:, None] * out)
     if isinstance(profile, GridProfile):
         return gamma_apply(radon_riesz(profile, dc_tol=dc_tol), "cross")
-    raise TypeError(f"unsupported profile type {type(profile)!r}")
+    if np.any(profile.frequencies == 0.0):
+        raise ValueError("RBS undefined on zero-frequency atoms")
+    out = kappa_product(profile.directions, profile.amplitudes, "cross")
+    return replace(profile, amplitudes=(1j / profile.frequencies)[:, None] * out)
 
 
 def rbs_left_inverse_check(grid: GridProfile) -> float:

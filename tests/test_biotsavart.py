@@ -265,6 +265,19 @@ class TestRieszPotential:
         with pytest.raises(ValueError):
             VolumeQuadrature(kind="box", extent=1.0, exclusion_radius=0.5)
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: box_quadrature(4.0, n_per_axis=0), "n_per_axis"),
+        (lambda: VolumeQuadrature("box", 4.0, n_per_axis=-3), "n_per_axis"),
+        (lambda: box_quadrature(4.0, n_per_axis=2.5), "n_per_axis"),
+        (lambda: ball_quadrature(4.0, n_radial=0), "n_radial"),
+        (lambda: ball_quadrature(4.0, n_polar=-1), "n_polar"),
+        (lambda: ball_quadrature(4.0, n_azimuth=8.0), "n_azimuth"),
+    ], ids=["box-zero", "box-negative", "box-fraction", "ball-zero-radial",
+            "ball-negative-polar", "ball-float-azimuth"])
+    def test_rejects_node_counts_that_are_not_positive_integers(self, build, name):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            build()
+
 
 class TestBSIntegral:
     def test_divergence_free_output(self):
@@ -372,6 +385,13 @@ class TestLundquistBS:
             bs_lundquist_terms(nu, radius)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             bs_lundquist_semianalytic(1.0, nu, radius, 0.3)
+
+    @pytest.mark.parametrize("f0, theta, name", [(np.nan, 0.3, "f0"), (np.inf, 0.3, "f0"),
+                                                  (1.0, np.nan, "theta"),
+                                                  (1.0, -np.inf, "theta")])
+    def test_rejects_non_finite_amplitude_and_angle(self, f0, theta, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            bs_lundquist_semianalytic(f0, 1.0, 2.0, theta)
 
     def test_identity_residual_diagnostics(self):
         terms = bs_lundquist_terms(1.0, 2.0)

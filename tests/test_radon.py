@@ -13,7 +13,7 @@ from trkalian.radon import (AnalyticProfile, GridProfile, Hemisphere, RadonAtom,
                             TruncationWarning, adjoint_radon,
                             antipodal_profile, canonical_hemisphere,
                             cap_swapped_hemisphere, gamma_apply,
-                            gamma_cross_eigendefect, grid_from_csv,
+                            gamma_cross_eigendefect, grid_atoms, grid_from_csv,
                             grid_to_csv, hemisphere_inverse,
                             intertwining_check, inverse_radon,
                             lundquist_radon_profile, profile_from_json,
@@ -466,6 +466,49 @@ class TestInverse:
         assert np.max(np.abs(batch - single)) < 1e-14 * np.max(np.abs(single))
         # the same points as a (2, 4, 3) batch
         assert np.array_equal(inverse_radon(grid, x.reshape(2, 4, 3)), batch.reshape(2, 4, 3))
+
+
+GAUSS_CENTER = np.array([0.3, -0.2, 0.1])
+
+
+def numeric_gaussian_grid(sphere):
+    """Numeric transform of a unit Gaussian centred off the origin, on 32
+    points of [-8, 8)."""
+    field = gaussian_test_field(GAUSS_CENTER, 1.0, (1.0, -0.5, 0.25))
+    p = -8.0 + 0.5 * np.arange(32)
+    return radon_forward_grid(field, p, sphere, PlaneQuadrature(half_width=8.0, n_per_axis=32))
+
+
+class TestGridView:
+    def test_grid_view_is_closed_under_parity_on_antipodal_spheres(self):
+        grid = numeric_gaussian_grid(sphere_quadrature(4, 8, antipodal=True))
+        view = grid_atoms(grid)
+        assert view.frequencies.size == (32 + 1) * grid.sphere.n
+        assert view.parity_defect() < 1e-15 * np.max(np.abs(grid.samples))
+        # an odd azimuth count leaves nodes without an antipode
+        sphere = sphere_quadrature(4, 5)
+        odd = GridProfile(p=grid.p, sphere=sphere, samples=np.ones((32, sphere.n, 3)))
+        assert grid_atoms(odd).parity_defect() == np.inf
+
+    def test_hemisphere_inverse_of_a_numeric_grid(self):
+        grid = numeric_gaussian_grid(sphere_quadrature(6, 12, antipodal=True))
+        x = GAUSS_CENTER + np.random.default_rng(40).uniform(-0.5, 0.5, size=(4, 3))
+        full = inverse_radon(grid, x)
+        scale = np.max(np.abs(full))
+        hemi = canonical_hemisphere()
+        for half in (hemi, hemi.complement()):
+            assert np.max(np.abs(hemisphere_inverse(grid, half, x) - full)) < 1e-14 * scale
+        exact = gaussian_test_field(GAUSS_CENTER, 1.0, (1.0, -0.5, 0.25))(x)
+        assert np.max(np.abs(full - exact)) < 5e-4 * scale  # the sphere rule limits it
+
+    def test_gamma_is_zero_in_the_nyquist_bin(self):
+        sphere = sphere_quadrature(4, 8, antipodal=True)
+        v = np.random.default_rng(41).normal(size=(sphere.n, 3))
+        for p0 in (-8.0, 0.3):
+            p = p0 + 0.5 * np.arange(32)
+            grid = GridProfile(p=p, sphere=sphere,
+                               samples=(-1.0) ** np.arange(32)[:, None, None] * v)
+            assert np.max(np.abs(gamma_apply(grid, "cross").samples)) < 1e-13
 
 
 def loop_atom_sum(profile, x, scale):

@@ -1,6 +1,7 @@
 """The verify report's margins, and the traced benchmark's hold on the
 package's entry points."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,15 @@ def test_no_tolerance_is_left_loose(records):
     loose = {r["name"]: r["margin"] for r in records
              if r["margin"] is not None and r["margin"] > MAX_MARGIN}
     assert loose == {}
+
+
+def test_record_count_matches_the_benchmark_pin():
+    # the verify workload expects a fixed record count and fails every op on
+    # another; read as text, so the benchmark package is neither run nor imported
+    text = (PERFBENCH / "workloads.py").read_text()
+    pinned = re.findall(r"^\s*N_RECORDS = (\d+)$", text, re.MULTILINE)
+    assert len(pinned) == 1
+    assert len(verify._CHECKS) == int(pinned[0])
 
 
 def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
