@@ -209,7 +209,7 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
         sidecar.update(mode="analytic", atoms=len(profile.frequencies),
                        support="equatorial-ring" if field_name == "lundquist" else "point-atoms")
     else:
-        plane = PlaneQuadrature(half_width=8.0 * width, n_per_axis=40)
+        plane = PlaneQuadrature(half_width=8.0 * width, n_per_axis=32)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", radon.TruncationWarning)
             grid = radon.radon_forward_grid(f, p, sphere, plane)
@@ -233,7 +233,8 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
                        truncated_planes=0 if truncation is None else truncation.n_truncated,
                        truncation_worst_ratio=None if truncation is None
                        else truncation.worst_ratio,
-                       n_p=n_p, n_directions=sphere.n)
+                       n_p=n_p, n_directions=sphere.n, plane_rule=plane.rule,
+                       plane_nodes_per_axis=plane.n_per_axis, plane_half_width=plane.half_width)
 
     _atomic_write(out_dir / "radon_meta.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     click.echo(f"wrote transform outputs to {out_dir}")

@@ -1,9 +1,10 @@
 """Geometry, quadrature, special functions and finite-difference oracles.
 
 Everything downstream (frames, fields, transforms) builds on the helpers
-here: unit directions on S^2, product quadratures on the sphere and on
-truncated planes, integer-order Bessel functions, and high-order central
-difference oracles for curl / divergence / gradient / Laplacian.
+here: unit directions on S^2, product quadratures on the sphere, the
+trapezoid rule on truncated planes, integer-order Bessel functions, and
+high-order central difference oracles for curl / divergence / gradient /
+Laplacian.
 
 Each numerical primitive has exactly one implementation, owned here:
 
@@ -11,6 +12,9 @@ Each numerical primitive has exactly one implementation, owned here:
   per order), :func:`gauss_tensor_rule` (3-D tensor rule on a cube) and
   :func:`_tensor_boundary` (the boundary nodes of a box or plane rule);
 - sphere product rule: :func:`sphere_quadrature`;
+- trapezoid plane rule: :meth:`PlaneQuadrature.nodes_1d` (1-D on
+  [-half_width, half_width], exactly antisymmetric nodes), the rule of every
+  plane integral;
 - 4th-order central-difference stencils: :func:`fd_field`, of which
   :func:`fd_derivative_oracle` is the one-point call;
 - real view of field values for float-only sums and magnitudes:
@@ -227,10 +231,19 @@ def plane_basis(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PlaneQuadrature:
-    """Tensor Gauss-Legendre quadrature over the square [-half_width, half_width]^2."""
+    """Tensor trapezoid rule over the square [-half_width, half_width]^2.
+
+    The plane integrals only ever see fields that decay towards the edge of
+    the square (TruncationWarning flags the planes where they do not), and
+    for those the trapezoid rule converges exponentially in the node count
+    (Trefethen & Weideman, SIAM Review 56, 2014): with 32 nodes on a
+    half-width of 8 widths a Gaussian integrates to within 4.4e-16 per
+    axis, where 40 Gauss-Legendre nodes are off by up to 2.7e-10.
+    """
 
     half_width: float
     n_per_axis: int
+    rule = "trapezoid"  # the name trk radon records; not a field
 
     def __post_init__(self):
         if not (np.isfinite(self.half_width) and self.half_width > 0):
@@ -239,9 +252,17 @@ class PlaneQuadrature:
             raise ValueError("need at least 2 nodes per axis")
 
     def nodes_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Legendre nodes and weights on [-half_width, half_width]."""
-        x, w = gauss_legendre(self.n_per_axis)
-        return self.half_width * x, self.half_width * w
+        """Trapezoid nodes and weights on [-half_width, half_width].
+
+        The nodes are h (i - (n - 1)/2) for h = 2 half_width / (n - 1), so
+        they are exactly antisymmetric, x[::-1] == -x (the centre node of an
+        odd rule is +0.0); the two end nodes weigh h/2 and the others h.
+        """
+        n = self.n_per_axis
+        h = 2.0 * self.half_width / (n - 1)
+        w = np.full(n, h)
+        w[[0, -1]] = 0.5 * h
+        return h * (np.arange(n) - 0.5 * (n - 1)), w
 
 
 # ---------------------------------------------------------------------------

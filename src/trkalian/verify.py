@@ -206,10 +206,10 @@ def _check_ampere_zero() -> float:
 # Radon transforms
 # ---------------------------------------------------------------------------
 
-_PLANE = PlaneQuadrature(half_width=8.0, n_per_axis=40)
+_PLANE = PlaneQuadrature(half_width=8.0, n_per_axis=32)
 
 
-@_register("radon_gaussian", "Plane integral of the unit Gaussian", 1e-8)
+@_register("radon_gaussian", "Plane integral of the unit Gaussian", 1e-14)
 def _check_radon_gaussian() -> float:
     g = fields.gaussian_scalar()
     p = 0.3
@@ -291,7 +291,7 @@ def _check_adjoint_eigen() -> float:
                            8.0 * np.pi**2 / mf.nu**2 * fields.eval_mode_field(mf, x))
 
 
-@_register("adjoint_riesz", "Double transform equals 8 pi^2 times the Riesz potential", 5e-7)
+@_register("adjoint_riesz", "Double transform equals 8 pi^2 times the Riesz potential", 2e-13)
 def _check_adjoint_riesz() -> float:
     f = fields.gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.5))
     sphere = sphere_quadrature(8, 16, antipodal=True)

@@ -185,6 +185,26 @@ class TestRadonCommand:
         assert 0 < meta["truncated_planes"] <= 16 * 32
         assert 1e-10 < meta["truncation_worst_ratio"] < 1.0
 
+    @pytest.mark.parametrize("offset, truncated", [(1.5, False), (6.5, True)],
+                             ids=["interior-1.5w", "edge-6.5w"])
+    def test_truncation_flag_on_the_trapezoid_plane(self, runner, tmp_path, offset, truncated):
+        # the plane's edge nodes sit at 8 w: a centre 1.5 w out leaves the
+        # edge below e^-42 of the peak, one 6.5 w out above e^-3
+        width = 1.3
+        center = offset * width * np.array([2.0, -1.0, 2.0]) / 3.0
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "radon", "--field", "gaussian", "--out", str(out), "--params",
+            json.dumps({"center": center.tolist(), "width": width}),
+        ])
+        assert result.exit_code == 0, result.output
+        meta = json.loads((out / "radon_meta.json").read_text())
+        assert meta["truncation_warning"] is truncated
+        assert (meta["truncated_planes"] > 0) is truncated
+        assert meta["plane_rule"] == "trapezoid"
+        assert meta["plane_nodes_per_axis"] == 32
+        assert meta["plane_half_width"] == 8.0 * width
+
     @pytest.mark.parametrize("params, verdict", [
         ({"center": [0.3, -0.2, 0.1]}, "pass"),
         ({"center": [7, 0, 0]}, "fail"),

@@ -150,11 +150,29 @@ class TestPlaneQuadrature:
         with pytest.raises(ValueError):
             PlaneQuadrature(half_width=1.0, n_per_axis=1)
 
-    def test_gauss_legendre_integrates_gaussian(self):
+    def test_trapezoid_integrates_gaussian(self):
         quad = PlaneQuadrature(half_width=8.0, n_per_axis=64)
         x, w = quad.nodes_1d()
         val = np.sum(w * np.exp(-x * x))
         assert abs(val - np.sqrt(np.pi)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 31, 32, 33])
+    def test_trapezoid_nodes_are_exactly_antisymmetric(self, n):
+        x, w = PlaneQuadrature(half_width=8.0, n_per_axis=n).nodes_1d()
+        # 0.0 - v is -v bit for bit, except that the centre node of an odd
+        # rule stays +0.0 instead of turning into -0.0
+        assert x.tobytes() == (0.0 - x[::-1]).tobytes()
+        assert w.tobytes() == w[::-1].tobytes()
+        assert (x[0], x[-1]) == (-8.0, 8.0)
+        h = 16.0 / (n - 1)
+        assert w[0] == w[-1] == 0.5 * h and np.all(w[1:-1] == h)
+
+    def test_cli_trapezoid_rule_integrates_off_centre_gaussian(self):
+        # half-width 8 and 32 nodes, the rule of trk radon at width 1; 40
+        # Gauss-Legendre nodes on the same interval are off by 2.6e-10
+        x, w = PlaneQuadrature(half_width=8.0, n_per_axis=32).nodes_1d()
+        val = np.sum(w * np.exp(-(x - 0.37) ** 2))
+        assert abs(val - np.sqrt(np.pi)) < 1e-14
 
 
 def test_tensor_rule_matches_meshgrid_construction():
