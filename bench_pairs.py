@@ -7,32 +7,42 @@ per workload, the median and interquartile range of every end-to-end
 metric, the seeds, the runs' correctness, and the environment the harness
 reports (core count, Python, numpy, scipy, BLAS, src.loc).  It reads the
 harness's printed JSON line and its ``.bench_out/results`` file; it imports
-nothing from ``perfbench/``.
+nothing from ``perfbench/``.  Before every run it deletes the
+``__pycache__`` directories inside the tree, so neither tree sets up faster
+for compiled bytecode that earlier runs left in it.
 
-    python3 bench_pairs.py PARENT_TREE HEAD_TREE --number 17 --seeds 1-8 --seconds 8
+    python3 bench_pairs.py PARENT_TREE HEAD_TREE --number 17 --seeds 1-8
 
-Each tree is a full checkout (``git archive`` of a commit will do).
+Each tree is a full checkout (``git archive`` of a commit will do).  The
+workloads are those of the head tree's ``BENCHMARK.json``; ``--seconds`` is
+passed on only when given, so the harness sets the run length otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
+    if seconds is not None:
+        cmd += ["--seconds", str(seconds)]
+    for cache in list(tree.rglob("__pycache__")):
+        shutil.rmtree(cache)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}\n{proc.stderr}")
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     results = tree / ".bench_out" / "results" / f"{workload}-seed{seed}-trace0.json"
-    report["environment"] = json.loads(results.read_text())["environment"]
+    full = json.loads(results.read_text())
+    report["environment"], report["seconds"] = full["environment"], full["seconds"]
     return report
 
 
@@ -41,25 +51,33 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "iqr": q3 - q1, "values": values}
 
 
+def seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    try:
+        seeds = list(range(int(first), int(last or first) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a seed range FIRST-LAST: {text!r}")
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 seeds for an IQR, got {text!r}")
+    return seeds
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs=2, type=Path, help="parent tree, then head tree")
     parser.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
-    parser.add_argument("--seeds", default="1-8", help="first-last")
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--workloads", default=None, help="comma list; default all")
+    parser.add_argument("--seeds", type=seed_range, default="1-8", help="FIRST-LAST")
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="run length per run; default the harness's")
     args = parser.parse_args()
     trees = [t.resolve() for t in args.trees]
-    first, last = map(int, args.seeds.split("-"))
-    seeds = list(range(first, last + 1))
     spec = json.loads((trees[1] / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
+    workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
 
     runs = {t: {w: [] for w in workloads} for t in trees}
     for w in workloads:
-        for s in seeds:
+        for s in args.seeds:
             for t in (trees if s % 2 else trees[::-1]):
                 runs[t][w].append(run(t, w, s, args.seconds))
                 m = runs[t][w][-1]["metrics"]
@@ -67,7 +85,7 @@ def main() -> None:
 
     for t in trees:
         env = runs[t][workloads[0]][0]["environment"]
-        out = {"tree": t.name, "seeds": seeds, "seconds": args.seconds,
+        out = {"tree": t.name, "seeds": args.seeds, "seconds": runs[t][workloads[0]][0]["seconds"],
                "nproc": env["nproc"], "python": env["python"], "numpy": env["numpy"],
                "scipy": env["scipy"], "blas": env["blas"], "src.loc": env["src.loc"],
                "workloads": {}}
