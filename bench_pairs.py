@@ -5,7 +5,9 @@ two trees alternating over the same seeds (the tree that goes first swaps
 from seed to seed), and writes one ``BENCH_<n>.json`` into each tree with,
 per workload, the median and interquartile range of every end-to-end
 metric, the seeds, the runs' correctness, and the environment the harness
-reports (core count, Python, numpy, scipy, BLAS, src.loc).  It reads the
+reports (core count, Python, numpy, scipy, BLAS, src.loc).  It also times
+the tier-1 suite of each tree, three alternating runs per tree, and writes
+their median and IQR with the counts of the suite's summary line.  It reads the
 harness's printed JSON line and its ``.bench_out/results`` file; it imports
 nothing from ``perfbench/``.  Before every run it deletes the
 ``__pycache__`` directories inside the tree, so neither tree sets up faster
@@ -22,11 +24,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+TIER1_RUNS = 3
+
+
+def clear_bytecode(tree: Path) -> None:
+    for cache in list(tree.rglob("__pycache__")):
+        shutil.rmtree(cache)
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
@@ -34,8 +45,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
            "--seed", str(seed), "--trace", "0"]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
-    for cache in list(tree.rglob("__pycache__")):
-        shutil.rmtree(cache)
+    clear_bytecode(tree)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}\n{proc.stderr}")
@@ -44,6 +54,21 @@ def run(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
     full = json.loads(results.read_text())
     report["environment"], report["seconds"] = full["environment"], full["seconds"]
     return report
+
+
+def tier1(tree: Path) -> tuple[float, str]:
+    """Wall time of one tier-1 run (``python -m pytest -q
+    --continue-on-collection-errors`` with the tree's ``src`` first on
+    PYTHONPATH) and the counts of the suite's summary line ("434 passed")."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    clear_bytecode(tree)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    elapsed = time.perf_counter() - start
+    last = (proc.stdout.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
+    return elapsed, last.rsplit(" in ", 1)[0]
 
 
 def summary(values: list[float]) -> dict:
@@ -83,12 +108,20 @@ def main() -> None:
                 m = runs[t][w][-1]["metrics"]
                 print(f"{w} seed {s} {t.name}: op_s {m['op_s']['value']:.4f}", flush=True)
 
+    suite = {t: [] for t in trees}
+    for i in range(TIER1_RUNS):
+        for t in (trees if i % 2 else trees[::-1]):
+            suite[t].append(tier1(t))
+            print(f"tier-1 run {i + 1} {t.name}: {suite[t][-1][0]:.2f} s, {suite[t][-1][1]}",
+                  flush=True)
+
     for t in trees:
         env = runs[t][workloads[0]][0]["environment"]
         out = {"tree": t.name, "seeds": args.seeds, "seconds": runs[t][workloads[0]][0]["seconds"],
                "nproc": env["nproc"], "python": env["python"], "numpy": env["numpy"],
                "scipy": env["scipy"], "blas": env["blas"], "src.loc": env["src.loc"],
-               "workloads": {}}
+               "tier1_s": summary([wall for wall, _ in suite[t]]),
+               "tier1_result": sorted({line for _, line in suite[t]}), "workloads": {}}
         for w in workloads:
             reports = runs[t][w]
             out["workloads"][w] = {
@@ -104,6 +137,8 @@ def main() -> None:
             wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(pa, pb))
             print(f"{w:10s} {m:12s} {statistics.median(pa):10.4g} -> {statistics.median(pb):10.4g}"
                   f"  head better in {wins}/{len(pa)} pairs")
+    print("tier-1 wall s " + " -> ".join(f"{statistics.median(w for w, _ in suite[t]):.2f}"
+                                         for t in trees))
 
 
 if __name__ == "__main__":

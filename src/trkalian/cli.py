@@ -98,11 +98,7 @@ def build_field(name: str, params: dict):
     if name == "lundquist":
         return fields.lundquist(float(params.get("f0", 1.0)), float(params.get("nu", 1.0)))
     if name == "gaussian":
-        return fields.gaussian_test_field(
-            params.get("center", (0.0, 0.0, 0.0)),
-            float(params.get("width", 1.0)),
-            params.get("polarization", (1.0, 0.0, 0.0)),
-        )
+        return fields.gaussian_test_field(*_gaussian_args(params))
     if name == "abc":
         return fields.abc_field(
             float(params.get("a", 1.0)), float(params.get("b", 1.0)),
@@ -111,6 +107,12 @@ def build_field(name: str, params: dict):
         m=int(params.get("m", 0)), k=float(params.get("k", 0.0)),
         nu=float(params.get("nu", 1.0)),
         amplitude=float(params.get("amplitude", 1.0))))
+
+
+def _gaussian_args(params: dict) -> tuple:
+    """(center, width, polarization) of the gaussian probe, defaults filled in."""
+    return (params.get("center", (0.0, 0.0, 0.0)), float(params.get("width", 1.0)),
+            params.get("polarization", (1.0, 0.0, 0.0)))
 
 
 def _mode_field_from_params(params: dict) -> fields.ModeField:
@@ -191,8 +193,9 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
         elif field_name == "modes":
             profile = radon.radon_mode_analytic(_mode_field_from_params(parsed))
         elif field_name == "gaussian":
-            f = build_field("gaussian", parsed)
-            width = float(parsed.get("width", 1.0))
+            build_field("gaussian", parsed)  # the key and value checks
+            center, width, pol = _gaussian_args(parsed)
+            envelope, pol = fields.gaussian_scalar(center, width), np.asarray(pol, dtype=complex)
             sphere = sphere_quadrature(*_parse_quad(quad_spec), antipodal=True)
             pieces = pgrid_spec.split(":")
             if len(pieces) != 3:
@@ -209,19 +212,22 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
         sidecar.update(mode="analytic", atoms=len(profile.frequencies),
                        support="equatorial-ring" if field_name == "lundquist" else "point-atoms")
     else:
+        # R[g P] = R[g] P: the real envelope g is integrated, one real per node,
+        # and its edge/peak ratios are those of g P unless P = 0, a zero field
         plane = PlaneQuadrature(half_width=8.0 * width, n_per_axis=32)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", radon.TruncationWarning)
-            grid = radon.radon_forward_grid(f, p, sphere, plane)
+            scalar = radon.radon_forward_grid(envelope, p, sphere, plane)
+        grid = radon.GridProfile(p=p, sphere=sphere, samples=scalar.samples[..., None] * pol)
         truncation = next((w.message for w in caught
-                           if w.category is radon.TruncationWarning), None)
+                           if w.category is radon.TruncationWarning and np.any(pol)), None)
         if truncation is not None:
             click.echo("warning: plane truncation boundary not negligible", err=True)
         _atomic_write(out_dir / "profile_grid.csv", radon.grid_to_csv(grid))
 
         # parity F^R(-p, -kappa) = F^R(p, kappa) of the grid's interpolant, atom by
         # atom; the wrap of the periodic p-range breaks it, and p_end_ratio names that
-        view = radon.grid_atoms(grid)
+        view = grid.atom_view
         parity = view.parity_defect()
         scale = float(np.max(np.abs(grid.samples))) or 1.0  # a zero grid has no defect
         parity_rel = parity / scale

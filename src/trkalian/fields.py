@@ -393,17 +393,16 @@ def _gaussian_envelope(x, c: np.ndarray, width: float) -> np.ndarray:
 
 
 def gaussian_test_field(center, width: float, polarization) -> SampledField:
-    """Schwartz-class probe P exp(-|x - c|^2 / width^2)."""
-    c = np.asarray(center, dtype=float)
+    """Schwartz-class probe P exp(-|x - c|^2 / width^2): the
+    :func:`gaussian_scalar` envelope, whose checks it shares, times P."""
+    envelope = gaussian_scalar(center, width)
     pol = np.asarray(polarization, dtype=complex)
-    if c.shape != (3,) or pol.shape != (3,):
-        raise ValueError(f"center and polarization must be 3-vectors, not {c.shape}, {pol.shape}")
-    _check_finite(center=c, width=width, polarization=pol)
-    if width <= 0:
-        raise ValueError("width must be positive")
+    if pol.shape != (3,):
+        raise ValueError(f"polarization takes 3-vectors only, not shape {pol.shape}")
+    _check_finite(polarization=pol)
 
     def evaluator(x):
-        return _gaussian_envelope(x, c, width)[..., None] * pol
+        return envelope.evaluator(x)[..., None] * pol
 
     return SampledField(
         name="gaussian",
@@ -412,10 +411,15 @@ def gaussian_test_field(center, width: float, polarization) -> SampledField:
 
 
 def gaussian_scalar(center=(0.0, 0.0, 0.0), width: float = 1.0) -> ScalarField:
-    """Scalar Gaussian exp(-|x - c|^2 / width^2) with analytic derivatives."""
+    """Scalar Gaussian exp(-|x - c|^2 / width^2) with analytic derivatives;
+    ValueError unless the centre is a finite 3-vector and the width finite
+    and positive."""
+    c = np.asarray(center, dtype=float)
+    if c.shape != (3,):
+        raise ValueError(f"center takes 3-vectors only, not shape {c.shape}")
+    _check_finite(center=c, width=width)
     if width <= 0:
         raise ValueError("width must be positive")
-    c = np.asarray(center, dtype=float)
 
     def evaluator(x):
         return _gaussian_envelope(x, c, width)

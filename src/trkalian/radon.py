@@ -185,7 +185,8 @@ class GridProfile:
 
     ``samples`` has shape (n_p, n_dir, 3) for vector data or (n_p, n_dir)
     for scalar data.  n_p must be a power of two; the grid covers one period
-    [p0, p0 + n_p dp).
+    [p0, p0 + n_p dp).  ``p`` and ``samples`` are private read-only copies,
+    so the cached :attr:`atom_view` cannot go stale.
     """
 
     p: np.ndarray
@@ -193,18 +194,24 @@ class GridProfile:
     samples: np.ndarray
 
     def __post_init__(self):
-        p = validate_p_grid(self.p)
-        samples = np.asarray(self.samples, dtype=complex)
+        p = np.array(validate_p_grid(self.p))
+        samples = np.array(self.samples, dtype=complex)
         if samples.shape[0] != p.size or samples.shape[1] != self.sphere.n:
             raise ValueError("samples must be shaped (n_p, n_dir[, 3])")
         if not np.all(np.isfinite(samples)):
             raise ValueError("grid samples must be finite")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "samples", samples)
+        for name, value in (("p", p), ("samples", samples)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def is_vector(self) -> bool:
         return self.samples.ndim == 3
+
+    @cached_property
+    def atom_view(self) -> AnalyticProfile:
+        """The grid's :func:`grid_atoms`, built on first use."""
+        return grid_atoms(self)
 
 
 def grid_atoms(grid: GridProfile) -> AnalyticProfile:
@@ -234,8 +241,8 @@ def _sample_atoms(grid: GridProfile, atoms: AnalyticProfile) -> GridProfile:
 
 
 def _atoms(profile) -> AnalyticProfile:
-    """An atom profile as it is, and a grid as its :func:`grid_atoms`."""
-    return grid_atoms(profile) if isinstance(profile, GridProfile) else profile
+    """An atom profile as it is, and a grid as its cached :func:`grid_atoms`."""
+    return profile.atom_view if isinstance(profile, GridProfile) else profile
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import PlaneQuadrature, as_direction, gauss_tensor_rule
 from .radon import (AnalyticProfile, GridProfile, RadonAtom, _sample_atoms, gamma_apply,
-                    grid_atoms, kappa_product, radon_forward_numeric)
+                    kappa_product, radon_forward_numeric)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -73,7 +73,7 @@ def radon_riesz(grid: GridProfile, dc_tol: float = DC_TOLERANCE) -> GridProfile:
     whose ``dc_content`` must be within ``dc_tol`` of the sample magnitude.
     Profiles built by numeric quadrature may need a looser threshold.
     """
-    atoms = grid_atoms(grid)
+    atoms = grid.atom_view
     dc = atoms.dc_content()
     if dc > dc_tol * max(np.max(np.abs(grid.samples)), 1e-300):
         raise ValueError(f"profile has non-negligible DC content ({dc:.3e})")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,52 @@ class TestRadonCommand:
         assert 0 < meta["truncated_planes"] <= 16 * 32
         assert 1e-10 < meta["truncation_worst_ratio"] < 1.0
 
+    @pytest.mark.parametrize("center", [[0.3, -0.2, 0.1], [7, 0, 0]], ids=["centred", "edge"])
+    def test_grid_is_the_envelope_transform_times_polarization(self, runner, tmp_path, center):
+        # R[g P] = R[g] P: the CLI integrates the real envelope only; the
+        # vector route differs in rounding, and its edge/peak ratios are g's
+        width, pol = 1.1, [0.3 + 1.2j, -0.7 + 0.1j, 2.1 - 0.4j]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "radon", "--field", "gaussian", "--quad", "4,8", "--pgrid", "-8:8:16", "--out",
+            str(out), "--params", json.dumps({"center": center, "width": width,
+                                              "polarization": [repr(z) for z in pol]}),
+        ])
+        assert result.exit_code == 0, result.output
+        meta = json.loads((out / "radon_meta.json").read_text())
+        sphere = trkalian.sphere_quadrature(4, 8, antipodal=True)
+        grid = trkalian.grid_from_csv((out / "profile_grid.csv").read_text(), sphere)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", trkalian.TruncationWarning)
+            vector = trkalian.radon_forward_grid(
+                trkalian.gaussian_test_field(center, width, pol), grid.p, sphere,
+                trkalian.PlaneQuadrature(half_width=8.0 * width, n_per_axis=32))
+        scale = np.max(np.abs(vector.samples))
+        assert np.max(np.abs(grid.samples - vector.samples)) <= 4e-15 * scale
+        warning = next((w.message for w in caught), None)
+        assert (warning is not None) is (center[0] == 7)
+        assert meta["truncation_warning"] is (warning is not None)
+        if warning is not None:
+            assert meta["truncated_planes"] == warning.n_truncated > 0
+            assert meta["truncation_worst_ratio"] == pytest.approx(warning.worst_ratio,
+                                                                   rel=1e-14)
+
+    def test_zero_polarization_gives_a_zero_grid_without_warning(self, runner, tmp_path):
+        # the envelope is truncated at an edge centre, but P = 0 is the zero field
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "radon", "--field", "gaussian", "--quad", "4,8", "--pgrid", "-8:8:16", "--out",
+            str(out), "--params", '{"center": [7, 0, 0], "polarization": [0, 0, 0]}',
+        ])
+        assert result.exit_code == 0, result.output
+        assert "warning" not in result.output
+        grid = trkalian.grid_from_csv((out / "profile_grid.csv").read_text(),
+                                      trkalian.sphere_quadrature(4, 8, antipodal=True))
+        assert not np.any(grid.samples)
+        meta = json.loads((out / "radon_meta.json").read_text())
+        assert meta["truncation_warning"] is False and meta["truncated_planes"] == 0
+        assert meta["parity_check"] == "pass"
+
     @pytest.mark.parametrize("offset, truncated", [(1.5, False), (6.5, True)],
                              ids=["interior-1.5w", "edge-6.5w"])
     def test_truncation_flag_on_the_trapezoid_plane(self, runner, tmp_path, offset, truncated):
@@ -324,6 +371,7 @@ class TestVerifyCommand:
     ["radon", "--field", "gaussian", "--params", '{"polarization": [1, 0]}', "--out", "out"],
     ["field-eval", "--field", "lundquist", "--params", '{"nu": NaN}', "--out", "out"],
     ["radon", "--field", "gaussian", "--params", '{"width": NaN}', "--out", "out"],
+    ["radon", "--field", "gaussian", "--params", '{"center": [0, NaN, 0]}', "--out", "out"],
     ["field-eval", "--field", "lundquist", "--grid", "a:1:3,-1:1:3,-1:1:3", "--out", "out"],
     ["field-eval", "--field", "lundquist", "--grid", "-1:1:2.5,-1:1:3,-1:1:3", "--out", "out"],
     ["field-eval", "--field", "lundquist", "--grid", "nan:1:3,-1:1:3,-1:1:3", "--out", "out"],
@@ -338,7 +386,7 @@ class TestVerifyCommand:
         "radon-lundquist-unknown-key", "radon-mode-record-unknown-key", "radon-mode-record-not-object",
         "field-eval-lundquist-unknown-key", "field-eval-gaussian-short-center",
         "radon-gaussian-short-polarization", "field-eval-lundquist-nan-nu",
-        "radon-gaussian-nan-width", "field-eval-grid-non-numeric-bound",
+        "radon-gaussian-nan-width", "radon-gaussian-nan-center", "field-eval-grid-non-numeric-bound",
         "field-eval-grid-non-integer-count", "field-eval-grid-nan-bound",
         "field-eval-grid-infinite-bound", "verify-nan-tolerance", "verify-infinite-tolerance",
         "verify-negative-tolerance"])

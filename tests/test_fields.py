@@ -347,6 +347,19 @@ def test_catalog_rejects_non_finite_parameters(build):
         build()
 
 
+@pytest.mark.parametrize("center, width, match", [
+    ((1.0, 2.0), 1.0, "center takes 3-vectors"), (0.0, 1.0, "center takes 3-vectors"),
+    ((0, NAN, 0), 1.0, "center must be finite"), ((0, 0, 0), NAN, "width must be finite"),
+    ((0, 0, 0), INF, "width must be finite"), ((0, 0, 0), 0.0, "width must be positive"),
+], ids=["short-center", "scalar-center", "nan-center", "nan-width", "inf-width", "zero-width"])
+def test_gaussian_scalar_names_the_bad_parameter(center, width, match):
+    # the probe field is built on the scalar envelope and fails the same way
+    with pytest.raises(ValueError, match=match):
+        gaussian_scalar(center, width)
+    with pytest.raises(ValueError, match=match):
+        gaussian_test_field(center, width, (1, 0, 0))
+
+
 class TestCatalogCertification:
     def test_all_catalog_members(self):
         rng = np.random.default_rng(35)

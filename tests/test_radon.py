@@ -490,6 +490,21 @@ class TestGridView:
         odd = GridProfile(p=grid.p, sphere=sphere, samples=np.ones((32, sphere.n, 3)))
         assert grid_atoms(odd).parity_defect() == np.inf
 
+    def test_grid_arrays_are_read_only_copies_and_the_view_is_cached(self):
+        sphere = sphere_quadrature(4, 8, antipodal=True)
+        p, samples = -4.0 + 8.0 * np.arange(16) / 16, np.ones((16, sphere.n, 3), dtype=complex)
+        grid = GridProfile(p=p, sphere=sphere, samples=samples)
+        p[3], samples[2, 1, 0] = 9.0, 5.0  # the caller's arrays are not the grid's
+        assert grid.p[3] == -2.5 and grid.samples[2, 1, 0] == 1.0
+        for value in (grid.p, grid.samples):
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+        view = grid.atom_view
+        assert grid.atom_view is view
+        assert view.amplitude_distance(grid_atoms(grid)) == 0.0
+        # a resampled grid is a new grid with its own view
+        assert replace(grid, samples=2.0 * grid.samples).atom_view is not view
+
     def test_hemisphere_inverse_of_a_numeric_grid(self):
         grid = numeric_gaussian_grid(sphere_quadrature(6, 12, antipodal=True))
         x = GAUSS_CENTER + np.random.default_rng(40).uniform(-0.5, 0.5, size=(4, 3))
