@@ -5,7 +5,10 @@ two trees alternating over the same seeds (the tree that goes first swaps
 from seed to seed), and writes one ``BENCH_<n>.json`` into each tree with,
 per workload, the median and interquartile range of every end-to-end
 metric, the seeds, the runs' correctness, and the environment the harness
-reports (core count, Python, numpy, scipy, BLAS, src.loc).  It also times
+reports (core count, Python, numpy, scipy, BLAS, src.loc).  It then runs
+``--trace 1`` on the first three seeds of each workload, alternating the
+same way, and writes the median of every per-layer metric under
+``per_layer``, workload by workload.  It also times
 the tier-1 suite of each tree, three alternating runs per tree, and writes
 their median and IQR with the counts of the suite's summary line.  It reads the
 harness's printed JSON line and its ``.bench_out/results`` file; it imports
@@ -33,6 +36,7 @@ import time
 from pathlib import Path
 
 TIER1_RUNS = 3
+TRACE_SEEDS = 3
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -40,9 +44,9 @@ def clear_bytecode(tree: Path) -> None:
         shutil.rmtree(cache)
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def run(tree: Path, workload: str, seed: int, seconds: float | None, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", "0"]
+           "--seed", str(seed), "--trace", str(trace)]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
     clear_bytecode(tree)
@@ -50,7 +54,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
     if proc.returncode != 0:
         sys.exit(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}\n{proc.stderr}")
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    results = tree / ".bench_out" / "results" / f"{workload}-seed{seed}-trace0.json"
+    results = tree / ".bench_out" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     full = json.loads(results.read_text())
     report["environment"], report["seconds"] = full["environment"], full["seconds"]
     return report
@@ -99,6 +103,7 @@ def main() -> None:
     spec = json.loads((trees[1] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
+    layer_metrics = [m["name"] for m in spec["per_layer"]]
 
     runs = {t: {w: [] for w in workloads} for t in trees}
     for w in workloads:
@@ -107,6 +112,13 @@ def main() -> None:
                 runs[t][w].append(run(t, w, s, args.seconds))
                 m = runs[t][w][-1]["metrics"]
                 print(f"{w} seed {s} {t.name}: op_s {m['op_s']['value']:.4f}", flush=True)
+
+    layers = {t: {w: [] for w in workloads} for t in trees}
+    for w in workloads:
+        for s in args.seeds[:TRACE_SEEDS]:
+            for t in (trees if s % 2 else trees[::-1]):
+                layers[t][w].append(run(t, w, s, args.seconds, trace=1)["metrics"])
+                print(f"{w} seed {s} {t.name}: traced", flush=True)
 
     suite = {t: [] for t in trees}
     for i in range(TIER1_RUNS):
@@ -121,7 +133,10 @@ def main() -> None:
                "nproc": env["nproc"], "python": env["python"], "numpy": env["numpy"],
                "scipy": env["scipy"], "blas": env["blas"], "src.loc": env["src.loc"],
                "tier1_s": summary([wall for wall, _ in suite[t]]),
-               "tier1_result": sorted({line for _, line in suite[t]}), "workloads": {}}
+               "tier1_result": sorted({line for _, line in suite[t]}), "workloads": {},
+               "trace_seeds": args.seeds[:TRACE_SEEDS],
+               "per_layer": {w: {m: statistics.median(r[m]["value"] for r in layers[t][w])
+                                 for m in layer_metrics} for w in workloads}}
         for w in workloads:
             reports = runs[t][w]
             out["workloads"][w] = {
@@ -137,6 +152,11 @@ def main() -> None:
             wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(pa, pb))
             print(f"{w:10s} {m:12s} {statistics.median(pa):10.4g} -> {statistics.median(pb):10.4g}"
                   f"  head better in {wins}/{len(pa)} pairs")
+    for w in workloads:
+        for m in layer_metrics:
+            pa, pb = (statistics.median(r[m]["value"] for r in layers[t][w]) for t in trees)
+            if pa or pb:
+                print(f"{w:10s} {m:34s} {pa:10.4g} -> {pb:10.4g}  (median of traced runs)")
     print("tier-1 wall s " + " -> ".join(f"{statistics.median(w for w, _ in suite[t]):.2f}"
                                          for t in trees))
 

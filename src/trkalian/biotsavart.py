@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,13 @@ class VolumeQuadrature:
                 raise ValueError(f"{name} must be a positive integer, got {n!r}")
         if not 0 < self.exclusion_radius < 0.25 * self.extent:
             raise ValueError("exclusion radius must be positive and small against the domain")
+
+    @cached_property
+    def box_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box's tensor rule, built once and shared, so read-only; not a field."""
+        nodes, weights = gauss_tensor_rule(self.extent, self.n_per_axis)
+        nodes.flags.writeable = weights.flags.writeable = False
+        return nodes, weights
 
 
 def ball_quadrature(radius: float, n_radial: int = 48, n_polar: int = 16,
@@ -175,7 +183,7 @@ def riesz_potential(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         # Gaussian bump of scale eps integrates to (1/4 pi) 2 pi eps^2 F(x)
         # exactly, and the compensated integrand (F(y) - bump F(x)) / |x - y|
         # is bounded at y = x; by linearity it is summed as two contractions
-        nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
+        nodes, weights = quad.box_rule
         vf, value_shape, cplx = field_reals(fn, nodes)
         edge = np.abs(np.take(vf, _tensor_boundary(quad.n_per_axis, 3), axis=0)).max()
         eps = quad.exclusion_radius
@@ -225,7 +233,7 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         # contribution for locally constant fields (odd kernel) and
         # +(eps^2/4) curl F(x) for locally linear ones: the angular average
         # gives (1/3) curl F times int (1 - W) r dr = 3 eps^2 / 4
-        nodes, weights = gauss_tensor_rule(quad.extent, quad.n_per_axis)
+        nodes, weights = quad.box_rule
         vf, value_shape, cplx = field_reals(fn, nodes)
         edge = np.abs(np.take(vf, _tensor_boundary(quad.n_per_axis, 3), axis=0)).max()
         eps = quad.exclusion_radius

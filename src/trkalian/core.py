@@ -248,8 +248,8 @@ class PlaneQuadrature:
     def __post_init__(self):
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
-        if self.n_per_axis < 2:
-            raise ValueError("need at least 2 nodes per axis")
+        if not (isinstance(n := self.n_per_axis, (int, np.integer)) and n >= 2):
+            raise ValueError(f"n_per_axis must be an integer >= 2, got {n!r}")
 
     def nodes_1d(self) -> tuple[np.ndarray, np.ndarray]:
         """Trapezoid nodes and weights on [-half_width, half_width].

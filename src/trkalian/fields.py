@@ -385,11 +385,16 @@ def gauge_gradient_field(u: ScalarField) -> SampledField:
 
 
 def _gaussian_envelope(x, c: np.ndarray, width: float) -> np.ndarray:
-    """exp(-|x - c|^2 / width^2) at points x (..., 3); the written-out square
-    sum rounds like np.sum(d * d, axis=-1) without a length-3 reduction."""
-    d = np.asarray(x, dtype=float) - c
-    d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
-    return np.exp(-(d0 * d0 + d1 * d1 + d2 * d2) / width**2)
+    """exp(-|x - c|^2 / width^2) at points x (..., 3), only read; the square sum
+    is written out (it rounds like np.sum(d * d, axis=-1)) and runs in place."""
+    x = np.asarray(x, dtype=float)
+    s, t = np.empty(x.shape[:-1]), np.empty(x.shape[:-1])
+    np.square(np.subtract(x[..., 0], c[0], out=s), out=s)
+    for i in (1, 2):
+        s += np.square(np.subtract(x[..., i], c[i], out=t), out=t)
+    np.negative(s, out=s)
+    s /= width**2
+    return np.exp(s, out=s)[()]  # [()]: one point gives a scalar
 
 
 def gaussian_test_field(center, width: float, polarization) -> SampledField:

@@ -278,6 +278,15 @@ class TestRieszPotential:
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             build()
 
+    def test_box_rule_is_built_once_and_stays_out_of_equality(self):
+        quad, twin = (box_quadrature(3.0, n_per_axis=6, exclusion_radius=0.3) for _ in "ab")
+        nodes, weights = quad.box_rule
+        assert quad.box_rule[0] is nodes and quad.box_rule[1] is weights
+        assert quad == twin and hash(quad) == hash(twin)
+        ref = gauss_tensor_rule(3.0, 6)
+        assert nodes.tobytes() == ref[0].tobytes() and weights.tobytes() == ref[1].tobytes()
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+
 
 class TestBSIntegral:
     def test_divergence_free_output(self):

@@ -150,6 +150,14 @@ class TestPlaneQuadrature:
         with pytest.raises(ValueError):
             PlaneQuadrature(half_width=1.0, n_per_axis=1)
 
+    @pytest.mark.parametrize("bad", [0, -3, True, 32.0, 2.5, np.nan, "32", None])
+    def test_rejects_node_count_that_is_not_an_integer_of_at_least_2(self, bad):
+        with pytest.raises(ValueError, match="n_per_axis"):
+            PlaneQuadrature(half_width=8.0, n_per_axis=bad)
+
+    def test_accepts_numpy_integer_node_count(self):
+        assert PlaneQuadrature(8.0, np.int64(32)).nodes_1d()[0].size == 32
+
     def test_trapezoid_integrates_gaussian(self):
         quad = PlaneQuadrature(half_width=8.0, n_per_axis=64)
         x, w = quad.nodes_1d()

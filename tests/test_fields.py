@@ -321,6 +321,24 @@ class TestGaussianProbe:
             gaussian_test_field(center, 1.0, pol)
 
 
+def written_out_envelope(x, c, width):
+    d = np.asarray(x, dtype=float) - c
+    d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
+    return np.exp(-(d0 * d0 + d1 * d1 + d2 * d2) / width**2)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(3,), (50, 3), (4, 7, 3)])
+def test_envelope_bitwise_equals_written_out_formula(shape, order):
+    x = np.asarray(np.random.default_rng(31).normal(scale=2.0, size=shape), order=order)
+    before = x.copy(order=order)
+    c, width = np.array([0.3, -0.7, 1.1]), 1.3
+    got = gaussian_scalar(c, width)(x)
+    assert got.tobytes() == written_out_envelope(x, c, width).tobytes()
+    assert x.tobytes(order="A") == before.tobytes(order="A")  # the input is only read
+    assert type(got) is (np.float64 if shape == (3,) else np.ndarray)
+
+
 NAN, INF = float("nan"), float("inf")
 
 

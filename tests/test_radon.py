@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from trkalian.cktransform import abc_omega_atoms, reconstruct_physical
-from trkalian.core import PlaneQuadrature, plane_basis, sphere_quadrature
+from trkalian.core import PlaneQuadrature, _tensor_boundary, plane_basis, sphere_quadrature
 from trkalian.fields import (HelicityMode, ModeField, eval_mode_field,
                              gaussian_scalar, gaussian_test_field, lundquist)
 from trkalian.moses import frame_antipodal_phase, moses_frame
-from trkalian.radon import (AnalyticProfile, GridProfile, Hemisphere, RadonAtom,
-                            TruncationWarning, adjoint_radon,
+from trkalian.radon import (TRUNCATION_THRESHOLD, AnalyticProfile, GridProfile,
+                            Hemisphere, RadonAtom, TruncationWarning, _plane_sums, adjoint_radon,
                             antipodal_profile, canonical_hemisphere,
                             cap_swapped_hemisphere, gamma_apply,
                             gamma_cross_eigendefect, grid_atoms, grid_from_csv,
@@ -193,6 +193,63 @@ class TestForwardNumeric:
             radon_forward_numeric(field, 0.0, EZ, PLANE)
         assert len(caught) == 1
         assert f"on 1 of 1 planes (worst ratio {edge / mag.max():.2e})" in str(caught[0].message)
+
+
+class TestReusedPointBuffer:
+    # 32^2 nodes make 16 planes a chunk: 40 planes are chunks of 16, 16 and 8
+    QUAD = PlaneQuadrature(half_width=8.0, n_per_axis=32)
+    P = np.linspace(-3.0, 3.0, 40)
+    K = np.stack([random_direction(s) for s in range(40)])
+
+    def transform(self, field):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = radon_forward_numeric(field, self.P, self.K, self.QUAD)
+        return out, [(w.message.n_truncated, w.message.worst_ratio) for w in caught]
+
+    @pytest.mark.parametrize("view", [lambda x: x, lambda x: x[..., 0]], ids=["x", "x0"])
+    def test_field_returning_a_view_of_its_points(self, view):
+        # each chunk is reduced before the next one overwrites the points
+        def copy(x):
+            return view(x).copy()
+
+        for got, ref in zip(_plane_sums(view, self.P, self.K, self.QUAD),
+                            _plane_sums(copy, self.P, self.K, self.QUAD)):
+            assert got.tobytes() == ref.tobytes()
+        (got, got_warned), (ref, ref_warned) = self.transform(view), self.transform(copy)
+        assert got.tobytes() == ref.tobytes()
+        assert got_warned == ref_warned and got_warned[0][0] > 0
+
+    def test_nan_in_the_last_chunk_only(self):
+        g, calls = gaussian_scalar((0.1, 0.2, -0.3), 1.0), []
+
+        def spoiled(x):
+            calls.append(x.shape[0])
+            out = g(x)
+            if len(calls) == 3:
+                out[-1] = np.nan
+            return out
+
+        with pytest.raises(ValueError, match="not finite"):
+            radon_forward_numeric(spoiled, self.P, self.K, self.QUAD)
+        assert calls == [16 * 32**2, 16 * 32**2, 8 * 32**2]
+
+    def test_complex_worst_ratio_matches_max_min_reference(self):
+        def field(x):
+            r0 = np.sum(x * x, axis=-1)
+            r1 = np.sum((x - [6.0, 1.0, 0.0]) ** 2, axis=-1)
+            return np.stack([2.0 * np.exp(-r0), (-0.5 + 0.25j) * np.exp(-0.5 * r1),
+                             (0.1 - 1j) * np.exp(-r1)], axis=-1)
+
+        seen = []
+        _, warned = self.transform(lambda x: seen.append(field(x)) or seen[-1])
+        vf = np.concatenate(seen).view(float).reshape(self.P.size, 32**2, -1)
+        ring = np.take(vf, _tensor_boundary(32, 2), axis=1)
+        peak = np.maximum(vf.max(axis=(1, 2)), -vf.min(axis=(1, 2)))
+        edge = np.maximum(ring.max(axis=(1, 2)), -ring.min(axis=(1, 2)))
+        truncated = edge > TRUNCATION_THRESHOLD * peak
+        assert 0 < np.count_nonzero(truncated) < self.P.size
+        assert warned == [(np.count_nonzero(truncated), np.max(edge[truncated] / peak[truncated]))]
 
 
 class TestForwardGrid:
