@@ -14,7 +14,10 @@ their median and IQR with the counts of the suite's summary line.  It reads the
 harness's printed JSON line and its ``.bench_out/results`` file; it imports
 nothing from ``perfbench/``.  Before every run it deletes the
 ``__pycache__`` directories inside the tree, so neither tree sets up faster
-for compiled bytecode that earlier runs left in it.
+for compiled bytecode that earlier runs left in it.  Last it prints, per
+workload and end-to-end metric, the shift of the head's median from the
+parent's in units of the larger of the two IQRs; run on two checkouts of one
+commit, this is the spread of the harness itself.
 
     python3 bench_pairs.py PARENT_TREE HEAD_TREE --number 17 --seeds 1-8
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -78,6 +82,14 @@ def tier1(tree: Path) -> tuple[float, str]:
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "iqr": q3 - q1, "values": values}
+
+
+def median_shift(a: list[float], b: list[float]) -> float:
+    """Median of b minus median of a, in units of the larger of their IQRs:
+    the agreement gate, which two checkouts of one commit should keep small."""
+    shift = statistics.median(b) - statistics.median(a)
+    spread = max(summary(a)["iqr"], summary(b)["iqr"])
+    return shift / spread if spread else math.copysign(math.inf, shift) if shift else 0.0
 
 
 def seed_range(text: str) -> list[int]:
@@ -152,6 +164,15 @@ def main() -> None:
             wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(pa, pb))
             print(f"{w:10s} {m:12s} {statistics.median(pa):10.4g} -> {statistics.median(pb):10.4g}"
                   f"  head better in {wins}/{len(pa)} pairs")
+    shifts = {}
+    for w in workloads:
+        for m in metrics:
+            shifts[w, m] = median_shift(*([r["metrics"][m]["value"] for r in runs[t][w]]
+                                          for t in trees))
+        print(f"{w:10s} median shift / larger IQR: "
+              + "  ".join(f"{m} {shifts[w, m]:+.2f}" for m in metrics))
+    (w, m), worst = max(shifts.items(), key=lambda item: abs(item[1]))
+    print(f"largest median shift: {worst:+.2f} IQR ({w} {m})")
     for w in workloads:
         for m in layer_metrics:
             pa, pb = (statistics.median(r[m]["value"] for r in layers[t][w]) for t in trees)

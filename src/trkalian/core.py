@@ -171,8 +171,9 @@ def sphere_quadrature(n_polar: int, n_azimuth: int, antipodal: bool = False) -> 
     With ``antipodal`` the azimuth count must be even and nodes are mirrored
     exactly so each node has a bitwise negated partner.
     """
-    if n_polar < 2 or n_azimuth < 4:
-        raise ValueError("need n_polar >= 2 and n_azimuth >= 4")
+    for name, n, least in (("n_polar", n_polar, 2), ("n_azimuth", n_azimuth, 4)):
+        if not (isinstance(n, (int, np.integer)) and n >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
     if antipodal and n_azimuth % 2 != 0:
         raise ValueError("antipodal closure requires an even azimuth count")
 
@@ -333,20 +334,23 @@ def fd_field(fn, kind: str, h: float = FD_DEFAULT_STEP):
     (Jacobian rows d/dx_i, for scalar or vector fields) or "laplacian"
     (either; acts componentwise).  Returns a callable accepting positions
     (..., 3); all stencil evaluations for a batch are fused into a single
-    call of ``fn``.  Error is O(h^4).
+    call of ``fn``, made only if they are all finite.  Error is O(h^4).
     """
     if kind not in ("curl", "divergence", "gradient", "laplacian"):
         raise ValueError(f"unknown derivative kind {kind!r}")
-    if not h > 0:
-        raise ValueError("step h must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and positive, got {h!r}")
     order = 2 if kind == "laplacian" else 1
     offsets, weights = _FD_STENCILS[order]
 
     def derived(x):
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, 3)
-        pts = (flat[:, None, None, :]
-               + h * offsets[None, :, None, None] * np.eye(3)[None, None, :, :])
+        with np.errstate(over="ignore", invalid="ignore"):  # a large h overflows: raise below
+            pts = (flat[:, None, None, :]
+                   + h * offsets[None, :, None, None] * np.eye(3)[None, None, :, :])
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"points and their stencil points (step h = {h!r}) must be finite")
         vals = np.asarray(fn(pts.reshape(-1, 3)))
         vals = vals.reshape((flat.shape[0], offsets.size, 3) + vals.shape[1:])
         d = np.tensordot(vals, weights, axes=(1, 0)) / h**order  # (n, 3[, comps])

@@ -392,8 +392,7 @@ def _gaussian_envelope(x, c: np.ndarray, width: float) -> np.ndarray:
     np.square(np.subtract(x[..., 0], c[0], out=s), out=s)
     for i in (1, 2):
         s += np.square(np.subtract(x[..., i], c[i], out=t), out=t)
-    np.negative(s, out=s)
-    s /= width**2
+    s /= -(width**2)  # IEEE division is sign-symmetric: bitwise -(s / width^2)
     return np.exp(s, out=s)[()]  # [()]: one point gives a scalar
 
 

@@ -302,7 +302,8 @@ def cap_swapped_hemisphere(axis, cos_cap: float = 0.9) -> Hemisphere:
 
 # Points per field call, the size of a transform's one point buffer (384 KiB
 # at 32^2 nodes); a plane is never split.  The default grid transform times
-# alike at 2^14 to 2^16, and 15-55 % slower at 2^12, 2^13 and 2^17 (2 cores).
+# alike at 2^14 and 2^15, about 10 % slower at 2^13 and 2^16 (2 cores, 8
+# interleaved runs each); 2^14 has the smaller buffer.
 _CHUNK_POINTS = 2**14
 
 
@@ -318,11 +319,17 @@ def _plane_sums(fn, p, k, quad: PlaneQuadrature):
     ring = _tensor_boundary(n, 2)
     step = max(1, _CHUNK_POINTS // n**2)
     buf = np.empty((3, min(step, p.size), n, n))
+    # A plane's points are the outer sum row[a] + col[b] (row = p k + x_a e1,
+    # col = x_b e2), built as the product [row, 1] @ [1, col]: by exact ones, the
+    # same rounded sum, FMA or not, but -0.0 + -0.0 may give +0.0 (only if
+    # p = +-0.0, or n is odd and kappa has a zero component; see README)
+    rows, cols = np.ones(buf.shape[:3] + (2,)), np.ones(buf.shape[:2] + (2, n))
     sums, peaks, edges = [], [], []
     for c in (slice(s, s + step) for s in range(0, p.size, step)):
-        # components first, so the broadcast sums run along plane rows
-        pts = np.add((p[c] * k[c].T)[..., None, None] + x1[:, None] * e1[c].T[..., None, None],
-                     x1 * e2[c].T[..., None, None], out=buf[:, :p[c].size])  # (3, planes, n, n)
+        q = p[c].size
+        np.add((p[c] * k[c].T)[..., None], x1 * e1[c].T[..., None], out=rows[:, :q, :, 0])
+        np.multiply(x1, e2[c].T[..., None], out=cols[:, :q, 1])
+        pts = np.matmul(rows[:, :q], cols[:, :q], out=buf[:, :q])  # (3, planes, n, n)
         # real view (planes, n^2, reals per node), reduced before the next chunk
         vf, value_shape, cplx = field_reals(fn, pts.reshape(3, -1).T)
         vf = vf.reshape(pts.shape[1], n * n, -1)

@@ -13,6 +13,17 @@ class TestSphereQuadrature:
         assert quad.n == 8
         assert abs(np.sum(quad.weights) - 4 * np.pi) < 1e-10
 
+    @pytest.mark.parametrize("n_polar, n_azimuth, name", [
+        (8.0, 16, "n_polar"), (np.nan, 16, "n_polar"), (1, 16, "n_polar"), ("8", 16, "n_polar"),
+        (8, 16.5, "n_azimuth"), (8, 16.0, "n_azimuth"), (8, 3, "n_azimuth"), (8, None, "n_azimuth"),
+    ])
+    def test_rejects_counts_that_are_not_integers_by_name(self, n_polar, n_azimuth, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sphere_quadrature(n_polar, n_azimuth)
+
+    def test_accepts_numpy_integer_counts(self):
+        assert sphere_quadrature(np.int64(8), np.int64(16)).n == 128
+
     def test_constant_and_odd_moment(self):
         quad = sphere_quadrature(8, 16)
         assert abs(np.sum(quad.weights) - 4 * np.pi) < 1e-12
@@ -251,6 +262,24 @@ class TestFdOracle:
             fd_field(lambda x: x, "curl", h=0.0)
         with pytest.raises(ValueError):
             fd_field(lambda x: np.sum(x, axis=-1), "curl")(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("h", [np.inf, -np.inf, np.nan, 0.0, -1e-3])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="step h must be finite and positive"):
+            fd_field(lambda x: x, "curl", h)
+
+    @pytest.mark.parametrize("kind", ["curl", "gradient", "laplacian"])
+    @pytest.mark.parametrize("x, h", [
+        ([np.inf, 0.0, 0.0], 1e-3), ([0.0, np.nan, 0.0], 1e-3),
+        ([[0.1, 0.2, 0.3], [0.0, 0.0, -np.inf]], 1e-3),
+        ([1.0, 0.0, 0.0], 1e308),  # finite, but 2 h overflows
+    ], ids=["inf", "nan", "one-of-two", "overflowing-stencil"])
+    def test_rejects_non_finite_points_before_calling_the_field(self, kind, x, h):
+        def never(x):
+            raise AssertionError("field called on non-finite points")
+
+        with pytest.raises(ValueError, match="points and their stencil points"):
+            fd_field(never, kind, h)(np.array(x))
 
 
 def test_as_direction_validation():

@@ -184,6 +184,12 @@ class TestCKField:
         div = fd_derivative_oracle(tor, np.array([0.1, 0.2, -0.3]), "divergence")
         assert abs(div) < 1e-7
 
+    def test_finite_difference_route_rejects_non_finite_points(self):
+        # bessel_j0 has no analytic Hessian, so the poloidal part is fd_field's curl
+        f = ck_field(bessel_j0_scalar(1.0, amplitude=-1.0), EZ, 1.0)
+        with pytest.raises(ValueError, match="points and their stencil points"):
+            f(np.array([np.inf, 0.0, 0.0]))
+
     def test_rejects_wrong_helmholtz_constant(self):
         psi = plane_wave_scalar((0.0, 0.0, 1.0))
         with pytest.raises(ValueError):

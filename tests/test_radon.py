@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from trkalian import radon
 from trkalian.cktransform import abc_omega_atoms, reconstruct_physical
 from trkalian.core import PlaneQuadrature, _tensor_boundary, plane_basis, sphere_quadrature
 from trkalian.fields import (HelicityMode, ModeField, eval_mode_field,
@@ -250,6 +251,34 @@ class TestReusedPointBuffer:
         truncated = edge > TRUNCATION_THRESHOLD * peak
         assert 0 < np.count_nonzero(truncated) < self.P.size
         assert warned == [(np.count_nonzero(truncated), np.max(edge[truncated] / peak[truncated]))]
+
+
+class TestPlanePoints:
+    # 40 planes, chunks of 16, 16 and 8 at every n.  Planes 0-27 are generic;
+    # 28-39 are the ones where -0.0 + -0.0 can occur: p = +-0.0, and kappa
+    # along an axis or with one zero component
+    P = np.concatenate([np.random.default_rng(20).uniform(-6.0, 6.0, 28),
+                        [0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 2.5, -1.5, -3.0, 4.0, -0.5, 1.0]])
+    K = np.concatenate([np.stack([random_direction(s) for s in range(100, 130)]),
+                        [EZ, -EZ, [-1.0, 0.0, 0.0], [0.0, -0.6, 0.8], EZ, [0.0, -1.0, 0.0],
+                         [0.6, 0.0, -0.8], [-0.8, 0.6, 0.0], [0.0, 0.6, 0.8], -EZ]])
+
+    @pytest.mark.parametrize("n", [2, 3, 31, 32])
+    def test_points_are_the_written_out_sums(self, n, monkeypatch):
+        monkeypatch.setattr(radon, "_CHUNK_POINTS", 16 * n**2)
+        quad, seen = PlaneQuadrature(half_width=8.0, n_per_axis=n), []
+        _plane_sums(lambda x: seen.append(x.copy()) or x[..., 0], self.P, self.K, quad)
+        assert [s.shape[0] for s in seen] == [16 * n**2, 16 * n**2, 8 * n**2]
+        got = np.concatenate(seen).reshape(40, n, n, 3)  # (plane, a, b, component)
+        e1, e2 = plane_basis(self.K)
+        x, _ = quad.nodes_1d()
+        ref = ((self.P[:, None, None, None] * self.K[:, None, None] + x[:, None, None] * e1[:, None, None])
+               + x[:, None] * e2[:, None, None])
+        assert got[:28].tobytes() == ref[:28].tobytes()
+        nonzero = ref != 0.0
+        assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+        # a coordinate that is -0.0 in ref may be +0.0 in got, on planes 28-39 only
+        assert np.array_equal(got, ref)
 
 
 class TestForwardGrid:
