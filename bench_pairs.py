@@ -17,7 +17,10 @@ nothing from ``perfbench/``.  Before every run it deletes the
 for compiled bytecode that earlier runs left in it.  Last it prints, per
 workload and end-to-end metric, the shift of the head's median from the
 parent's in units of the larger of the two IQRs; run on two checkouts of one
-commit, this is the spread of the harness itself.
+commit, this is the spread of the harness itself.  Each workload's entry
+records the checks the runs attempted and failed; the script exits 1, naming
+them, when any run of either tree is not correct or when the head fails a
+larger share of its checks on a workload than the parent.
 
     python3 bench_pairs.py PARENT_TREE HEAD_TREE --number 17 --seeds 1-8
 
@@ -92,6 +95,25 @@ def median_shift(a: list[float], b: list[float]) -> float:
     return shift / spread if spread else math.copysign(math.inf, shift) if shift else 0.0
 
 
+def failures(trees: list[Path], runs: dict, traced: dict, workloads: list[str]) -> list[str]:
+    """The runs, untraced or traced, with unexpected failed checks, and the
+    workloads on which the head's untraced runs (trees[1]) fail a larger share
+    of their attempted checks than the parent's; empty when there are none."""
+    found = []
+    for t in trees:
+        for w in workloads:
+            bad = [r["seed"] for r in runs[t][w] + traced[t][w] if not r["correct"]]
+            if bad:
+                found.append(f"{t.name} {w}: {len(bad)} runs not correct"
+                             f" (seeds {sorted(set(bad))})")
+    for w in workloads:
+        (pf, pa), (hf, ha) = ((sum(r["failed"] for r in runs[t][w]),
+                               sum(r["attempted"] for r in runs[t][w])) for t in trees)
+        if hf * max(pa, 1) > pf * max(ha, 1):
+            found.append(f"{w}: the head failed {hf} of {ha} checks, the parent {pf} of {pa}")
+    return found
+
+
 def seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     try:
@@ -121,7 +143,7 @@ def main() -> None:
     for w in workloads:
         for s in args.seeds:
             for t in (trees if s % 2 else trees[::-1]):
-                runs[t][w].append(run(t, w, s, args.seconds))
+                runs[t][w].append({"seed": s, **run(t, w, s, args.seconds)})
                 m = runs[t][w][-1]["metrics"]
                 print(f"{w} seed {s} {t.name}: op_s {m['op_s']['value']:.4f}", flush=True)
 
@@ -129,7 +151,7 @@ def main() -> None:
     for w in workloads:
         for s in args.seeds[:TRACE_SEEDS]:
             for t in (trees if s % 2 else trees[::-1]):
-                layers[t][w].append(run(t, w, s, args.seconds, trace=1)["metrics"])
+                layers[t][w].append({"seed": s, **run(t, w, s, args.seconds, trace=1)})
                 print(f"{w} seed {s} {t.name}: traced", flush=True)
 
     suite = {t: [] for t in trees}
@@ -147,12 +169,14 @@ def main() -> None:
                "tier1_s": summary([wall for wall, _ in suite[t]]),
                "tier1_result": sorted({line for _, line in suite[t]}), "workloads": {},
                "trace_seeds": args.seeds[:TRACE_SEEDS],
-               "per_layer": {w: {m: statistics.median(r[m]["value"] for r in layers[t][w])
+               "per_layer": {w: {m: statistics.median(r["metrics"][m]["value"]
+                                                      for r in layers[t][w])
                                  for m in layer_metrics} for w in workloads}}
         for w in workloads:
             reports = runs[t][w]
             out["workloads"][w] = {
                 "correct": all(r["correct"] for r in reports),
+                "attempted": sum(r["attempted"] for r in reports),
                 "failed": sum(r["failed"] for r in reports),
                 **{m: summary([r["metrics"][m]["value"] for r in reports]) for m in metrics}}
         (t / f"BENCH_{args.number}.json").write_text(json.dumps(out, indent=2) + "\n")
@@ -175,11 +199,15 @@ def main() -> None:
     print(f"largest median shift: {worst:+.2f} IQR ({w} {m})")
     for w in workloads:
         for m in layer_metrics:
-            pa, pb = (statistics.median(r[m]["value"] for r in layers[t][w]) for t in trees)
+            pa, pb = (statistics.median(r["metrics"][m]["value"] for r in layers[t][w])
+                      for t in trees)
             if pa or pb:
                 print(f"{w:10s} {m:34s} {pa:10.4g} -> {pb:10.4g}  (median of traced runs)")
     print("tier-1 wall s " + " -> ".join(f"{statistics.median(w for w, _ in suite[t]):.2f}"
                                          for t in trees))
+    found = failures(trees, runs, layers, workloads)
+    if found:
+        sys.exit("FAILED RUNS:\n" + "\n".join(found))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ Each numerical primitive has exactly one implementation, owned here:
 
 - Gauss-Legendre rule: :func:`gauss_legendre` (1-D on [-1, 1], built once
   per order), :func:`gauss_tensor_rule` (3-D tensor rule on a cube) and
-  :func:`_tensor_boundary` (the boundary nodes of a box or plane rule);
+  :func:`_tensor_boundary` (the boundary nodes of a plane rule);
 - sphere product rule: :func:`sphere_quadrature`;
 - trapezoid plane rule: :meth:`PlaneQuadrature.nodes_1d` (1-D on
   [-half_width, half_width], exactly antisymmetric nodes), the rule of every
@@ -20,7 +20,7 @@ Each numerical primitive has exactly one implementation, owned here:
 - real view of field values for float-only sums and magnitudes:
   :func:`field_reals` and its inverse :func:`from_reals`;
 - plane-wave sums at a batch of points: :func:`plane_wave_sum`, in the
-  point chunks of :func:`_chunks` that the volume integrals also use.
+  point chunks of :func:`_chunks`, whose cap the volume integrals also use.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def from_reals(reals: np.ndarray, value_shape: tuple, cplx: bool) -> np.ndarray:
 
 
 # Cap on the (point, node) pairs handled at once, a few MB per temporary;
-# a single point is never split.
+# a single point is never split.  The box rule of the volume integrals sums
+# its nodes in chunks of at most this many.
 _CHUNK_PAIRS = 2**16
 
 

@@ -28,6 +28,19 @@ def _check_finite(**params) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _finite_points(x) -> np.ndarray:
+    """Positions (..., 3) as floats; ValueError naming the points with a NaN
+    or infinite coordinate, where the Bessel and phase factors would turn
+    them into NaN values without a word."""
+    x = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(x).all(axis=-1)
+    if count := np.count_nonzero(bad):
+        shown = x[bad][:3].tolist()
+        raise ValueError(f"evaluation points must be finite; {count} of {bad.size} are not: "
+                         f"{shown}{' ...' if count > len(shown) else ''}")
+    return x
+
+
 @dataclass(frozen=True)
 class SampledField:
     """A complex 3-vector field evaluated on demand.
@@ -169,7 +182,7 @@ def lundquist(f0: float, nu: float) -> SampledField:
         raise ValueError("nu must be nonzero")
 
     def evaluator(x):
-        x = np.asarray(x, dtype=float)
+        x = _finite_points(x)
         px, py = x[..., 0], x[..., 1]
         r = np.hypot(px, py)
         # J_1(nu r) e_theta = nu * J_1(nu r)/(nu r) * (-y, x, 0)
@@ -272,7 +285,8 @@ def ck_field(psi: ScalarField, omega, nu: float) -> SampledField:
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
-        if use_analytic:
+        if use_analytic:  # the fd route rejects a non-finite point in fd_field
+            x = _finite_points(x)
             hess = np.asarray(psi.hessian(x))
             poloidal = (hess @ w + nu**2 * psi(x)[..., None] * w) / nu
         else:
@@ -336,7 +350,7 @@ def ck_circular(params: CKCircularParams) -> SampledField:
         raise ValueError("sigma must be nonzero")
 
     def evaluator(x):
-        x = np.asarray(x, dtype=float)
+        x = _finite_points(x)
         px, py = x[..., 0], x[..., 1]
         r = np.hypot(px, py)
         theta = np.arctan2(py, px)

@@ -97,17 +97,20 @@ def reference_bs(fn, x, quad):
 
 
 def counting(fn):
-    """fn with the number of its calls in ``.calls``."""
+    """fn with the number of its calls in ``.calls`` and of the points it
+    was evaluated at in ``.points``."""
     def wrapped(x):
         wrapped.calls += 1
+        wrapped.points += np.asarray(x).reshape(-1, 3).shape[0]
         return fn(x)
-    wrapped.calls = 0
+    wrapped.calls = wrapped.points = 0
     return wrapped
 
 
 VOLUME_RULES = {
     "ball": ball_quadrature(7.0, n_radial=24, n_polar=10, n_azimuth=20),
-    "box": box_quadrature(4.0, n_per_axis=24, exclusion_radius=0.4),
+    "box": box_quadrature(4.0, n_per_axis=24, exclusion_radius=0.4),  # one node chunk
+    "box_chunked": box_quadrature(4.0, n_per_axis=48, exclusion_radius=0.4),  # two chunks
 }
 VOLUME_FIELDS = {
     "complex": gaussian_test_field((0.1, -0.2, 0.05), 1.1, (1.0 + 0.3j, -0.4j, 0.5)),
@@ -153,7 +156,7 @@ class TestVolumeKernels:
             batch = integral(fn, VOLUME_POINTS, quad)
             single = np.stack([integral(fn, x, quad) for x in VOLUME_POINTS])
         assert batch.shape == VOLUME_POINTS.shape
-        if integral is bs_integral and rule == "box":
+        if integral is bs_integral and quad.kind == "box":
             # the eps^2/4 curl correction sums its stencil with one BLAS
             # product over the batch, whose rounding depends on the row
             # count; the 1/h stencil weights amplify it to ~1e-14
@@ -176,6 +179,33 @@ class TestVolumeKernels:
             warnings.simplefilter("ignore", BoundaryContributionWarning)
             integral(fn, VOLUME_POINTS, VOLUME_RULES["box"])
         assert fn.calls == 2
+
+    @pytest.mark.parametrize("integral, per_point", [(riesz_potential, 1), (bs_integral, 12)],
+                             ids=["riesz", "bs"])
+    def test_box_rule_evaluates_each_node_once_per_batch(self, integral, per_point):
+        # the nodes in one call per chunk of planes, then the centres
+        # (Riesz) or the 12-point curl stencils (Biot-Savart) of the points
+        quad = VOLUME_RULES["box_chunked"]
+        fn = counting(VOLUME_FIELDS["complex"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryContributionWarning)
+            integral(fn, VOLUME_POINTS, quad)
+        assert fn.points == quad.n_per_axis**3 + per_point * len(VOLUME_POINTS)
+        assert fn.calls >= 3  # the rule spans more than one chunk
+
+    @pytest.mark.parametrize("integral, reference", [(riesz_potential, reference_riesz),
+                                                     (bs_integral, reference_bs)],
+                             ids=["riesz", "bs"])
+    def test_box_rule_at_a_node(self, integral, reference):
+        # the kernel is zero on the node at x, and finite everywhere else
+        fn, quad = VOLUME_FIELDS["complex"], VOLUME_RULES["box"]
+        x = quad.box_rule[0][np.ravel_multi_index((12, 12, 11), (24, 24, 24))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryContributionWarning)
+            val = integral(fn, x, quad)
+        ref = reference(fn, x, quad)
+        assert np.all(np.isfinite(val))
+        assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("quad", [ball_quadrature(9.0), box_quadrature(6.0)],
                              ids=["ball", "box"])

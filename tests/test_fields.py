@@ -190,6 +190,11 @@ class TestCKField:
         with pytest.raises(ValueError, match="points and their stencil points"):
             f(np.array([np.inf, 0.0, 0.0]))
 
+    def test_analytic_route_rejects_non_finite_points(self):
+        f = ck_field(plane_wave_scalar((0.0, 0.6, 0.8)), EX, 1.0)
+        with pytest.raises(ValueError, match=r"1 of 2 are not: \[\[inf, 0.0, 0.0\]\]"):
+            f(np.array([[np.inf, 0.0, 0.0], [0.1, 0.2, 0.3]]))
+
     def test_rejects_wrong_helmholtz_constant(self):
         psi = plane_wave_scalar((0.0, 0.0, 1.0))
         with pytest.raises(ValueError):
@@ -369,6 +374,23 @@ NAN, INF = float("nan"), float("inf")
 def test_catalog_rejects_non_finite_parameters(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lundquist(1.0, 1.0),
+    lambda: lundquist_potential(1.0, 1.0)[0],
+    lambda: ck_circular(CKCircularParams(m=1, k=0.5, nu=1.0)),
+], ids=["lundquist", "lundquist-potential", "ck-circular"])
+@pytest.mark.parametrize("bad", [INF, -INF, NAN], ids=["inf", "-inf", "nan"])
+def test_bessel_fields_name_non_finite_points(build, bad):
+    # a ValueError, where the Bessel and phase factors gave NaN values
+    f = build()
+    with pytest.raises(ValueError, match=r"finite; 1 of 1 are not: \[\[0.0, [^]]+, 0.0\]\]"):
+        f(np.array([0.0, bad, 0.0]))
+    pts = np.zeros((5, 3))
+    pts[1:, 2] = bad
+    with pytest.raises(ValueError, match=r"4 of 5 are not: .* \.\.\.$"):
+        f(pts)
 
 
 @pytest.mark.parametrize("center, width, match", [

@@ -501,7 +501,8 @@ class TestInverse:
             x = rng.uniform(-2, 2, size=3)
             rec = inverse_radon(prof, x)
             ref = field(x)
-            assert np.linalg.norm(rec - ref) / np.linalg.norm(ref) < 1e-8
+            # measured 7.1e-16: the 64-point ring is exact to rounding at |x| <= 2
+            assert np.linalg.norm(rec - ref) / np.linalg.norm(ref) < 1e-14
 
     def test_grid_profile_inverse(self):
         # grid realization of a two-mode transform reconstructs the field;
