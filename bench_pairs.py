@@ -8,7 +8,8 @@ metric, the seeds, the runs' correctness, and the environment the harness
 reports (core count, Python, numpy, scipy, BLAS, src.loc).  It then runs
 ``--trace 1`` on the first three seeds of each workload, alternating the
 same way, and writes the median of every per-layer metric under
-``per_layer``, workload by workload.  It also times
+``per_layer`` and its minimum and maximum over those seeds under
+``per_layer_spread``, workload by workload.  It also times
 the tier-1 suite of each tree, three alternating runs per tree, and writes
 their median and IQR with the counts of the suite's summary line.  It reads the
 harness's printed JSON line and its ``.bench_out/results`` file; it imports
@@ -17,10 +18,12 @@ nothing from ``perfbench/``.  Before every run it deletes the
 for compiled bytecode that earlier runs left in it.  Last it prints, per
 workload and end-to-end metric, the shift of the head's median from the
 parent's in units of the larger of the two IQRs; run on two checkouts of one
-commit, this is the spread of the harness itself.  Each workload's entry
-records the checks the runs attempted and failed; the script exits 1, naming
-them, when any run of either tree is not correct or when the head fails a
-larger share of its checks on a workload than the parent.
+commit, this is the spread of the harness itself.  The per-layer lines give
+each tree's median and range, marked "overlap" where the two ranges overlap,
+so that a shift inside the runs' own spread is not read as a change.  Each
+workload's entry records the checks the runs attempted and failed; the script
+exits 1, naming them, when any run of either tree is not correct or when the
+head fails a larger share of its checks on a workload than the parent.
 
     python3 bench_pairs.py PARENT_TREE HEAD_TREE --number 17 --seeds 1-8
 
@@ -80,6 +83,11 @@ def tier1(tree: Path) -> tuple[float, str]:
     elapsed = time.perf_counter() - start
     last = (proc.stdout.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
     return elapsed, last.rsplit(" in ", 1)[0]
+
+
+def layer_values(reports: list[dict], metric: str) -> list[float]:
+    """One per-layer metric of the traced runs, seed by seed."""
+    return [r["metrics"][metric]["value"] for r in reports]
 
 
 def summary(values: list[float]) -> dict:
@@ -169,9 +177,11 @@ def main() -> None:
                "tier1_s": summary([wall for wall, _ in suite[t]]),
                "tier1_result": sorted({line for _, line in suite[t]}), "workloads": {},
                "trace_seeds": args.seeds[:TRACE_SEEDS],
-               "per_layer": {w: {m: statistics.median(r["metrics"][m]["value"]
-                                                      for r in layers[t][w])
-                                 for m in layer_metrics} for w in workloads}}
+               "per_layer": {w: {m: statistics.median(layer_values(layers[t][w], m))
+                                 for m in layer_metrics} for w in workloads},
+               "per_layer_spread": {w: {m: [min(layer_values(layers[t][w], m)),
+                                            max(layer_values(layers[t][w], m))]
+                                        for m in layer_metrics} for w in workloads}}
         for w in workloads:
             reports = runs[t][w]
             out["workloads"][w] = {
@@ -199,10 +209,13 @@ def main() -> None:
     print(f"largest median shift: {worst:+.2f} IQR ({w} {m})")
     for w in workloads:
         for m in layer_metrics:
-            pa, pb = (statistics.median(r["metrics"][m]["value"] for r in layers[t][w])
-                      for t in trees)
-            if pa or pb:
-                print(f"{w:10s} {m:34s} {pa:10.4g} -> {pb:10.4g}  (median of traced runs)")
+            va, vb = (layer_values(layers[t][w], m) for t in trees)
+            if any(va) or any(vb):
+                overlap = max(min(va), min(vb)) <= min(max(va), max(vb))
+                print(f"{w:10s} {m:34s} {statistics.median(va):10.4g} -> "
+                      f"{statistics.median(vb):10.4g}  (median of traced runs; range "
+                      f"{min(va):.4g}..{max(va):.4g} -> {min(vb):.4g}..{max(vb):.4g})"
+                      + ("  overlap" if overlap else ""))
     print("tier-1 wall s " + " -> ".join(f"{statistics.median(w for w, _ in suite[t]):.2f}"
                                          for t in trees))
     found = failures(trees, runs, layers, workloads)

@@ -4,8 +4,11 @@ semi-analytic Biot-Savart evaluation for the Lundquist field.
 Volume quadratures come in two kinds.  "ball" rules are re-centered on the
 evaluation point so the 1/|x-y| and 1/|x-y|^2 kernels are cancelled exactly
 by the spherical Jacobian; they are the accurate choice for decaying fields.
-"box" rules are fixed tensor grids with an exclusion ball around the
-evaluation point plus the analytic locally-constant correction.
+"box" rules are fixed tensor grids with an exclusion ball of two cells
+around the evaluation point (so more than 16 nodes per axis) plus the
+analytic correction for the excluded part.  Biot-Savart is the curl of the
+Riesz potential, and both operators share one walk over the nodes per rule;
+each supplies only its kernel and its finish.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (_CHUNK_PAIRS, _chunks, bessel_j, fd_field, field_reals, from_reals,
-                   gauss_legendre, gauss_tensor_rule, plane_basis, sphere_quadrature)
+from .core import (_CHUNK_PAIRS, _chunks, _finite_points, bessel_j, circle_rule, fd_field,
+                   field_reals, from_reals, gauss_legendre, gauss_tensor_rule, plane_basis,
+                   sphere_quadrature)
 
 TAIL_RESIDUAL_TOL = 1e-7
 
@@ -38,10 +42,10 @@ class TailTruncationWarning(UserWarning):
 class VolumeQuadrature:
     """Quadrature over a ball (re-centered per evaluation) or a fixed box.
 
-    ``extent`` is the ball radius or the box half-width.  The exclusion
-    radius bounds the singular ball around the evaluation point; it is only
-    consumed by the box rule (the ball rule is singularity-free by
-    construction) but must always be positive and small against the domain.
+    ``extent`` is the ball radius or the box half-width.  The ball rule is
+    singularity-free by construction; the box rule excludes a ball of two
+    cells around the evaluation point, :attr:`exclusion_radius`, so it needs
+    more than 16 nodes per axis for that ball to stay small against the box.
     """
 
     kind: str
@@ -50,7 +54,6 @@ class VolumeQuadrature:
     n_radial: int = 48
     n_polar: int = 16
     n_azimuth: int = 32
-    exclusion_radius: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in ("ball", "box"):
@@ -61,8 +64,14 @@ class VolumeQuadrature:
         for name in ("n_per_axis", "n_radial", "n_polar", "n_azimuth"):
             if not (isinstance(n := getattr(self, name), (int, np.integer)) and n > 0):
                 raise ValueError(f"{name} must be a positive integer, got {n!r}")
-        if not 0 < self.exclusion_radius < 0.25 * self.extent:
-            raise ValueError("exclusion radius must be positive and small against the domain")
+        if self.kind == "box" and self.n_per_axis <= 16:
+            raise ValueError(f"n_per_axis must exceed 16 for a box rule, whose exclusion ball of"
+                             f" two cells must be small against the box, got {self.n_per_axis}")
+
+    @property
+    def exclusion_radius(self) -> float:
+        """Radius of the box rule's exclusion ball: two cells, 4 extent / n_per_axis."""
+        return 4.0 * self.extent / self.n_per_axis
 
     @cached_property
     def box_rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -75,75 +84,86 @@ class VolumeQuadrature:
 def ball_quadrature(radius: float, n_radial: int = 48, n_polar: int = 16,
                     n_azimuth: int = 32) -> VolumeQuadrature:
     return VolumeQuadrature(kind="ball", extent=radius, n_radial=n_radial,
-                            n_polar=n_polar, n_azimuth=n_azimuth,
-                            exclusion_radius=1e-6 * radius)
+                            n_polar=n_polar, n_azimuth=n_azimuth)
 
 
-def box_quadrature(half_width: float, n_per_axis: int = 48,
-                   exclusion_radius: float | None = None) -> VolumeQuadrature:
-    if exclusion_radius is None:  # two cells; the constructor rejects a count below 1
-        exclusion_radius = 4.0 * half_width / max(n_per_axis, 1)
-    return VolumeQuadrature(kind="box", extent=half_width, n_per_axis=n_per_axis,
-                            exclusion_radius=exclusion_radius)
+def box_quadrature(half_width: float, n_per_axis: int = 48) -> VolumeQuadrature:
+    return VolumeQuadrature(kind="box", extent=half_width, n_per_axis=n_per_axis)
 
 
-def _ball_nodes(quad: VolumeQuadrature):
-    """Radii r, radial weights w_r, unit directions n_hat and angular weights w_omega."""
-    r, wr = gauss_legendre(quad.n_radial)
-    r = 0.5 * quad.extent * (r + 1.0)
-    wr = 0.5 * quad.extent * wr
-    sphere = sphere_quadrature(quad.n_polar, quad.n_azimuth)
-    return r, wr, sphere.nodes, sphere.weights
+def _walk(fn, x, quad: VolumeQuadrature, ball_weights, box_terms):
+    """The sums of one volume operator over the rule's nodes at the points x (..., 3).
 
-
-def _ball_points(points: np.ndarray, r: np.ndarray, nhat: np.ndarray) -> np.ndarray:
-    """Ball nodes x + r n_hat (k, radii, directions, 3) of the points (k, 3),
-    built in one array."""
-    pts = np.empty((points.shape[0], r.size, nhat.shape[0], 3))
-    np.multiply(r[:, None, None], nhat, out=pts)
-    pts += points[:, None, None, :]
-    return pts
-
-
-def _as_points(x) -> np.ndarray:
-    """Evaluation points (..., 3) as floats; ValueError unless a non-empty finite batch."""
+    The operator gives only its kernel: on a ball, ``ball_weights(r, w_r,
+    w_omega, n_hat)`` gives the weights of the ray sums (radii,) and the rows
+    of the direction sums, (directions,) or (m, directions); on a box,
+    ``box_terms(x - y, |x - y|^2, w, F reals)`` gives one point's terms over
+    a chunk of nodes.  Returns the points as floats, the sums per point
+    (k, ...), the field magnitude on the rule's outermost nodes, and the
+    value shape and complexness of the field.  Raises ValueError on an empty
+    or non-finite batch, before the field is evaluated.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != 3:
         raise ValueError(f"evaluation points must have shape (..., 3), got {x.shape}")
     if x.size == 0:
         raise ValueError("empty batch of evaluation points")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("evaluation points must be finite")
-    return x
+    x = _finite_points(x)
+    if quad.kind == "ball":
+        return (x, *_ball_walk(fn, x.reshape(-1, 3), quad, ball_weights))
+    return (x, *_box_walk(fn, x.reshape(-1, 3), quad, box_terms))
 
 
-def _box_chunks(fn, quad: VolumeQuadrature):
-    """Walk the box rule in chunks of whole planes of its first axis, at most
-    _CHUNK_PAIRS nodes each (one plane when a plane holds more).
+def _ball_walk(fn, flat: np.ndarray, quad: VolumeQuadrature, ball_weights):
+    """The ball rule of :func:`_walk`: the nodes x + r n_hat of the points (k, 3)
+    in the point chunks of :func:`_chunks`; each point's outermost shell is its edge."""
+    r, wr = gauss_legendre(quad.n_radial)
+    r = 0.5 * quad.extent * (r + 1.0)
+    wr = 0.5 * quad.extent * wr
+    sphere = sphere_quadrature(quad.n_polar, quad.n_azimuth)
+    nhat = sphere.nodes
+    ray_weights, rows = ball_weights(r, wr, sphere.weights, nhat)
+    sums, edges = [], []
+    for xc in _chunks(flat, r.size * nhat.shape[0]):
+        pts = np.empty((xc.shape[0], r.size, nhat.shape[0], 3))
+        np.multiply(r[:, None, None], nhat, out=pts)
+        pts += xc[:, None, None, :]
+        vf, value_shape, cplx = field_reals(fn, pts)
+        edges.append(np.abs(vf[:, -1]).max(axis=(1, 2)))
+        rays = ray_weights @ vf.reshape(xc.shape[0], r.size, -1)
+        sums.append(rows @ rays.reshape(xc.shape[0], nhat.shape[0], -1))
+    return np.concatenate(sums), np.concatenate(edges), value_shape, cplx
 
-    Yields per chunk the nodes components first (3, nodes), the weights
-    (nodes,), the field reals at the nodes (nodes, reals), the chunk's
-    largest magnitude on the faces of the box, and the value shape and
-    complexness of the field.  The field sees every node once, and the
-    chunks depend on the rule only, so a point's sum is the same in any
-    batch.
-    """
+
+def _box_walk(fn, flat: np.ndarray, quad: VolumeQuadrature, box_terms):
+    """The box rule of :func:`_walk`: the nodes in chunks of whole planes of
+    the first axis, at most _CHUNK_PAIRS nodes each (one plane when a plane
+    holds more); the faces of the box are the edge.  The field sees every
+    node once, and as the chunks depend on the rule only and each point has
+    its own products, a point's sum is the same in any batch."""
     nodes, weights = quad.box_rule
     n = quad.n_per_axis
     # on 2 cores the volume op's four 48^3 box calls took 33-35 ms for chunks
     # of 2^13 to 2^16 nodes alike, and 64 ms in one chunk of 2^17
     step = max(1, _CHUNK_PAIRS // (n * n))
+    sums = edge = 0.0
     for start in range(0, n, step):
         stop = min(start + step, n)
         rows = slice(start * n * n, stop * n * n)
+        ys, w = nodes[rows].T, weights[rows]
         vf, value_shape, cplx = field_reals(fn, nodes[rows])
         # the faces by slicing read a few per cent of the chunk, where
         # gathering the _tensor_boundary indices costs some 0.5 ms a chunk
         cube = vf.reshape(stop - start, n, n, -1)
         faces = [cube[:, [0, -1]], cube[:, :, [0, -1]]]
         faces += [cube[i - start] for i in {0, n - 1} if start <= i < stop]
-        edge = max(np.abs(face).max() for face in faces)
-        yield nodes[rows].T, weights[rows], vf, edge, value_shape, cplx
+        edge = max([edge] + [np.abs(face).max() for face in faces])
+        terms = []
+        for xp in flat:
+            d = xp[:, None] - ys
+            terms.append(box_terms(d, d[0] * d[0] + d[1] * d[1] + d[2] * d[2], w, vf))
+        sums = sums + np.array(terms)
+    return sums, edge, value_shape, cplx
 
 
 def _wedge(m: np.ndarray) -> np.ndarray:
@@ -188,43 +208,24 @@ def riesz_potential(fn, x, quad: VolumeQuadrature) -> np.ndarray:
     per batch (BoundaryContributionWarning) when the field is not
     negligible on the domain boundary.
     """
-    x = _as_points(x)
-    flat = x.reshape(-1, 3)
-    sums = []
-    if quad.kind == "ball":
-        r, wr, nhat, womega = _ball_nodes(quad)
-        edges = []
-        for xc in _chunks(flat, r.size * nhat.shape[0]):
-            vf, value_shape, cplx = field_reals(fn, _ball_points(xc, r, nhat))
-            edges.append(np.abs(vf[:, -1]).max(axis=(1, 2)))  # the outermost shell
-            # kernel 1/r times Jacobian r^2 leaves a factor r on each ray
-            rays = (wr * r) @ vf.reshape(xc.shape[0], r.size, -1)
-            sums.append(womega @ rays.reshape(xc.shape[0], nhat.shape[0], -1))
-        edge = np.concatenate(edges)
-        reals = np.concatenate(sums)
-    else:
+    eps = quad.exclusion_radius
+
+    def box_terms(d, d2, w, vf):
         # smooth singularity split: the locally constant part under a
         # Gaussian bump of scale eps integrates to (1/4 pi) 2 pi eps^2 F(x)
         # exactly, and the compensated integrand (F(y) - bump F(x)) / |x - y|
         # is bounded at y = x; by linearity it is summed as the kernel's
-        # products with the field and with the bump, chunk after chunk
-        eps = quad.exclusion_radius
-        edge = 0.0
-        for ys, w, vf, chunk_edge, value_shape, cplx in _box_chunks(fn, quad):
-            edge = max(edge, chunk_edge)
-            chunk = np.empty((flat.shape[0], vf.shape[1] + 1))
-            for p, xp in enumerate(flat):
-                d = xp[:, None] - ys
-                d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-                kern = w / np.where(d2 > 0, np.sqrt(d2), np.inf)  # zero on a node at x
-                # one product per point keeps a point's sum independent of the batch
-                chunk[p, :-1] = kern @ vf
-                chunk[p, -1] = kern @ np.exp(-d2 / eps**2)
-            sums.append(chunk)
-        acc = sum(sums)  # per point the field sums, then the bump's
-        center = field_reals(fn, flat)[0]
-        reals = acc[:, :-1] + (2.0 * np.pi * eps**2 - acc[:, -1:]) * center
-    result = from_reals(reals / (4.0 * np.pi), value_shape, cplx)
+        # products with the field and with the bump
+        kern = w / np.where(d2 > 0, np.sqrt(d2), np.inf)  # zero on a node at x
+        return np.append(kern @ vf, kern @ np.exp(-d2 / eps**2))
+
+    # on the ball, the kernel 1/r times the Jacobian r^2 leaves a factor r on each ray
+    x, sums, edge, value_shape, cplx = _walk(
+        fn, x, quad, lambda r, wr, womega, nhat: (wr * r, womega), box_terms)
+    if quad.kind == "box":  # per point the field sums, then the bump's
+        center = field_reals(fn, x.reshape(-1, 3))[0]
+        sums = sums[:, :-1] + (2.0 * np.pi * eps**2 - sums[:, -1:]) * center
+    result = from_reals(sums / (4.0 * np.pi), value_shape, cplx)
     _warn_boundary(quad, edge, result)
     return result.reshape(x.shape[:-1] + value_shape)
 
@@ -238,43 +239,28 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
     (BoundaryContributionWarning) when the field is not negligible on the
     domain boundary.
     """
-    x = _as_points(x)
-    flat = x.reshape(-1, 3)
-    sums = []
-    if quad.kind == "ball":
-        r, wr, nhat, womega = _ball_nodes(quad)
-        # (x - y)/|x - y|^3 = -n_hat / r^2 cancels the Jacobian exactly, so
-        # the kernel is linear in F along each ray: sum the rays first, then
-        # take one cross product per direction
-        wn = (womega[:, None] * nhat).T
-        edges = []
-        for xc in _chunks(flat, r.size * nhat.shape[0]):
-            vf, value_shape, cplx = field_reals(fn, _ball_points(xc, r, nhat))
-            edges.append(np.abs(vf[:, -1]).max(axis=(1, 2)))  # the outermost shell
-            rays = wr @ vf.reshape(xc.shape[0], r.size, -1)
-            sums.append(-_wedge(wn @ rays.reshape(xc.shape[0], nhat.shape[0], -1)))
-        edge = np.concatenate(edges)
-        result = from_reals(np.concatenate(sums), value_shape, cplx) / (4.0 * np.pi)
-    else:
+    eps = quad.exclusion_radius
+
+    def box_terms(d, d2, w, vf):
         # smooth cutoff W ~ (d/eps)^4 near the point keeps the integrand
         # bounded and the result smooth in x; the suppressed part carries no
         # contribution for locally constant fields (odd kernel) and
         # +(eps^2/4) curl F(x) for locally linear ones: the angular average
         # gives (1/3) curl F times int (1 - W) r dr = 3 eps^2 / 4
-        eps = quad.exclusion_radius
-        edge = 0.0
-        for ys, w, vf, chunk_edge, value_shape, cplx in _box_chunks(fn, quad):
-            edge = max(edge, chunk_edge)
-            moments = np.empty((flat.shape[0], 3, vf.shape[1]))
-            for p, xp in enumerate(flat):
-                d = xp[:, None] - ys
-                d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-                cutoff = (1.0 - np.exp(-d2 / eps**2)) ** 2
-                kern = w * cutoff / np.where(cutoff > 0, d2 * np.sqrt(d2), np.inf)
-                moments[p] = (kern * d) @ vf  # sum_y K d_a F_b
-            sums.append(moments)
-        result = from_reals(_wedge(sum(sums)), value_shape, cplx) / (4.0 * np.pi)
-        result = result + 0.25 * eps**2 * fd_field(fn, "curl")(flat)
+        cutoff = (1.0 - np.exp(-d2 / eps**2)) ** 2
+        kern = w * cutoff / np.where(cutoff > 0, d2 * np.sqrt(d2), np.inf)
+        return (kern * d) @ vf  # sum_y K d_a F_b
+
+    # on the ball, (x - y)/|x - y|^3 = -n_hat / r^2 cancels the Jacobian
+    # exactly, so the kernel is linear in F along each ray: the rays are
+    # summed first, then one cross product per direction
+    x, moments, edge, value_shape, cplx = _walk(
+        fn, x, quad, lambda r, wr, womega, nhat: (wr, (womega[:, None] * nhat).T), box_terms)
+    if quad.kind == "ball":
+        result = from_reals(-_wedge(moments), value_shape, cplx) / (4.0 * np.pi)
+    else:
+        result = (from_reals(_wedge(moments), value_shape, cplx) / (4.0 * np.pi)
+                  + 0.25 * eps**2 * fd_field(fn, "curl")(x.reshape(-1, 3)))
     _warn_boundary(quad, edge, result)
     return result.reshape(x.shape)
 
@@ -311,8 +297,7 @@ def ampere_fluxes(fn, radius: float, nu: float,
     r, wr = gauss_legendre(48)
     r = 0.5 * radius * (r + 1.0)
     wr = 0.5 * radius * wr
-    phi = 2.0 * np.pi * np.arange(64) / 64
-    dphi = 2.0 * np.pi / 64
+    phi, dphi = circle_rule(64)
 
     radial = np.cos(phi)[None, :, None] * e1 + np.sin(phi)[None, :, None] * e2
     nodes = center + r[:, None, None] * radial
@@ -357,9 +342,8 @@ def poisson_angular_moments(big_r: float, r: float, theta: float):
 
 def poisson_angular_moments_numeric(big_r: float, r: float, theta: float):
     """:func:`poisson_angular_moments` by the 8192-point trapezoid rule."""
-    phi = 2.0 * np.pi * np.arange(8192) / 8192
+    phi, w = circle_rule(8192)
     a2 = big_r**2 + r**2 - 2.0 * r * big_r * np.cos(phi - theta)
-    w = 2.0 * np.pi / 8192
     return (np.sum(w / a2), np.sum(w * np.sin(phi) / a2), np.sum(w * np.cos(phi) / a2))
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import circle_rule
 from .radon import AnalyticProfile, RadonAtom, gamma_apply, inverse_radon
 from .rbs import rbs_apply
 
@@ -154,9 +155,9 @@ def oscillator_contour_numeric(p: float, lam: int, nu: float, branch: str,
     rho = abs(nu) / 2.0 if radius is None else radius
     if not rho > 0.0:
         raise ValueError("contour radius must be positive")
-    t = 2.0 * np.pi * np.arange(64) / 64
+    t, dt = circle_rule(64)
     zeta = pole + rho * np.exp(1j * t)
-    dzeta = 1j * rho * np.exp(1j * t) * (2.0 * np.pi / 64)
+    dzeta = 1j * rho * np.exp(1j * t) * dt
     return complex(np.sum(np.exp(p * zeta) / (zeta - pole) * dzeta))
 
 

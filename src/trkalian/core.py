@@ -11,7 +11,7 @@ Each numerical primitive has exactly one implementation, owned here:
 - Gauss-Legendre rule: :func:`gauss_legendre` (1-D on [-1, 1], built once
   per order), :func:`gauss_tensor_rule` (3-D tensor rule on a cube) and
   :func:`_tensor_boundary` (the boundary nodes of a plane rule);
-- sphere product rule: :func:`sphere_quadrature`;
+- circle and sphere rules: :func:`circle_rule` (trapezoid), :func:`sphere_quadrature`;
 - trapezoid plane rule: :meth:`PlaneQuadrature.nodes_1d` (1-D on
   [-half_width, half_width], exactly antisymmetric nodes), the rule of every
   plane integral;
@@ -20,7 +20,8 @@ Each numerical primitive has exactly one implementation, owned here:
 - real view of field values for float-only sums and magnitudes:
   :func:`field_reals` and its inverse :func:`from_reals`;
 - plane-wave sums at a batch of points: :func:`plane_wave_sum`, in the
-  point chunks of :func:`_chunks`, whose cap the volume integrals also use.
+  point chunks of :func:`_chunks`, whose cap the volume integrals also use;
+- the check that evaluation points are finite: :func:`_finite_points`.
 """
 
 from __future__ import annotations
@@ -76,15 +77,26 @@ def _chunks(points: np.ndarray, n_nodes: int):
     return (points[s:s + step] for s in range(0, points.shape[0], step))
 
 
+def _finite_points(x) -> np.ndarray:
+    """Positions (..., 3) as floats; ValueError naming the points with a NaN
+    or infinite coordinate, which the Bessel, trigonometric and phase
+    factors of the fields would turn into NaN values without a word."""
+    x = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(x).all(axis=-1)
+    if count := np.count_nonzero(bad):
+        shown = x[bad][:3].tolist()
+        raise ValueError(f"evaluation points must be finite; {count} of {bad.size} are not: "
+                         f"{shown}{' ...' if count > len(shown) else ''}")
+    return x
+
+
 def plane_wave_sum(x, directions, frequencies, amplitudes) -> np.ndarray:
     """Sum over waves j of amplitudes_j exp(i frequencies_j directions_j . x)
     at x (..., 3), for directions (n, 3), frequencies (n,) and amplitudes
     (n, ...); shaped x.shape[:-1] + amplitudes.shape[1:], zeros when n = 0.
     Each chunk of points is one phase matrix and one matrix product.
     Raises ValueError on a non-finite point."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("evaluation points must be finite")
+    x = _finite_points(x)
     amplitudes = np.asarray(amplitudes, dtype=complex)
     flat = x.reshape(-1, 3)
     out = np.empty((flat.shape[0],) + amplitudes.shape[1:], dtype=complex)
@@ -137,8 +149,13 @@ def _tensor_boundary(n: int, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sphere quadrature
+# circle and sphere quadrature
 # ---------------------------------------------------------------------------
+
+def circle_rule(n: int) -> tuple[np.ndarray, float]:
+    """The n-point periodic trapezoid rule: angles 2 pi j / n and weight 2 pi / n."""
+    return 2.0 * np.pi * np.arange(n) / n, 2.0 * np.pi / n
+
 
 @dataclass(frozen=True)
 class SphereQuadrature:
@@ -182,14 +199,14 @@ def sphere_quadrature(n_polar: int, n_azimuth: int, antipodal: bool = False) -> 
     # enforce exact +/- symmetry of the Legendre nodes
     u = 0.5 * (u - u[::-1])
     wu = 0.5 * (wu + wu[::-1])
-    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    phi, dphi = circle_rule(n_azimuth)
 
     st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
     nodes = np.empty((n_polar, n_azimuth, 3))
     nodes[:, :, 0] = st[:, None] * np.cos(phi)[None, :]
     nodes[:, :, 1] = st[:, None] * np.sin(phi)[None, :]
     nodes[:, :, 2] = u[:, None]
-    weights = np.broadcast_to(wu[:, None] * (2.0 * np.pi / n_azimuth), (n_polar, n_azimuth)).copy()
+    weights = np.broadcast_to(wu[:, None] * dphi, (n_polar, n_azimuth)).copy()
 
     nodes = nodes.reshape(-1, 3)
     antipode_index = None

@@ -14,7 +14,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .core import as_direction, bessel_j, fd_field, plane_wave_sum
+from .core import _finite_points, as_direction, bessel_j, fd_field, plane_wave_sum
 from .moses import frame_index_of, moses_frame
 
 _INV_TWO_PI_32 = (2.0 * np.pi) ** -1.5
@@ -26,19 +26,6 @@ def _check_finite(**params) -> None:
         # cmath on a scalar is some ten times quicker than a numpy reduction
         if not (cmath.isfinite(value) if np.isscalar(value) else np.all(np.isfinite(value))):
             raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _finite_points(x) -> np.ndarray:
-    """Positions (..., 3) as floats; ValueError naming the points with a NaN
-    or infinite coordinate, where the Bessel and phase factors would turn
-    them into NaN values without a word."""
-    x = np.asarray(x, dtype=float)
-    bad = ~np.isfinite(x).all(axis=-1)
-    if count := np.count_nonzero(bad):
-        shown = x[bad][:3].tolist()
-        raise ValueError(f"evaluation points must be finite; {count} of {bad.size} are not: "
-                         f"{shown}{' ...' if count > len(shown) else ''}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -233,7 +220,7 @@ def abc_field(a: float, b: float, c: float, nu: float = 1.0) -> SampledField:
         raise ValueError("nu must be nonzero")
 
     def evaluator(x):
-        x = np.asarray(x, dtype=float)
+        x = _finite_points(x)
         sx, cx = np.sin(nu * x[..., 0]), np.cos(nu * x[..., 0])
         sy, cy = np.sin(nu * x[..., 1]), np.cos(nu * x[..., 1])
         sz, cz = np.sin(nu * x[..., 2]), np.cos(nu * x[..., 2])
@@ -457,8 +444,8 @@ def plane_wave_scalar(wavevector) -> ScalarField:
     """Scalar e^{i q . x} with analytic gradient and Hessian."""
     q = np.asarray(wavevector, dtype=float)
 
-    def evaluator(x):
-        return np.exp(1j * (np.asarray(x, float) @ q))
+    def evaluator(x):  # the gradient and Hessian check their points through it
+        return np.exp(1j * (_finite_points(x) @ q))
 
     def gradient(x):
         return 1j * q * evaluator(x)[..., None]
@@ -478,12 +465,12 @@ def bessel_j0_scalar(nu: float, amplitude: complex = 1.0) -> ScalarField:
     """Scalar amplitude * J_0(nu r), a Helmholtz solution with constant nu^2."""
 
     def evaluator(x):
-        x = np.asarray(x, dtype=float)
+        x = _finite_points(x)
         r = np.hypot(x[..., 0], x[..., 1])
         return amplitude * bessel_j(0, np.abs(nu) * r)
 
     def gradient(x):
-        x = np.asarray(x, dtype=float)
+        x = _finite_points(x)
         r = np.hypot(x[..., 0], x[..., 1])
         # psi'(r)/r = -nu^2 J_1(nu r)/(nu r)
         coeff = -amplitude * nu**2 * _jm_over_x(1, nu * r)

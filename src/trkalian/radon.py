@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, _tensor_boundary,
-                   as_direction, fd_field, field_reals, from_reals, plane_basis, plane_wave_sum)
+from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, _tensor_boundary, as_direction,
+                   circle_rule, fd_field, field_reals, from_reals, plane_basis, plane_wave_sum)
 from .fields import ModeField
 from .moses import frame_index_of, helicity_of, moses_frame
 
@@ -452,7 +452,7 @@ def lundquist_radon_profile(f0: float, nu: float, n_ring: int = 64) -> AnalyticP
     if n_ring < 4 or n_ring % 2 != 0:
         raise ValueError("n_ring must be even and at least 4")
     coeff = 2.0 * np.pi * 1j * f0 / nu**2
-    psi = 2.0 * np.pi * np.arange(n_ring) / n_ring
+    psi, w = circle_rule(n_ring)
     cos, sin = np.cos(psi), np.sin(psi)
     minus_i = np.full(n_ring, -1j)  # complex(-0.0, -1.0), as the literal -1j
     ell = np.stack([sin, -cos, minus_i], axis=1)
@@ -461,7 +461,7 @@ def lundquist_radon_profile(f0: float, nu: float, n_ring: int = 64) -> AnalyticP
         directions=np.repeat(np.stack([cos, sin, np.zeros(n_ring)], axis=1), 2, axis=0),
         frequencies=np.tile([nu, -nu], n_ring),
         amplitudes=(coeff * np.stack([ell, ellp], axis=1)).reshape(-1, 3),
-        weights=np.full(2 * n_ring, 2.0 * np.pi / n_ring), nu=nu, mu=1, g=1.0)
+        weights=np.full(2 * n_ring, w), nu=nu, mu=1, g=1.0)
 
 
 def scalar_wave_profile(kappa0, omega: float, coefficient: complex = 1.0) -> AnalyticProfile:

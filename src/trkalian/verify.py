@@ -15,7 +15,7 @@ from . import biotsavart as bs
 from . import cktransform as ckt
 from . import fields, moses, radon
 from . import rbs as rbs_mod
-from .core import (PlaneQuadrature, bessel_j, bessel_j1_first_zero,
+from .core import (PlaneQuadrature, bessel_j, bessel_j1_first_zero, circle_rule,
                    fd_derivative_oracle, sphere_quadrature)
 
 SEED = 20260810
@@ -488,9 +488,8 @@ def _check_ck_ring() -> float:
     f0, nu = 1.0, 1.0
     n_ring = 16
     target = radon.lundquist_radon_profile(f0, nu, n_ring=n_ring)
-    w = 2.0 * np.pi / n_ring
+    psi, w = circle_rule(n_ring)
     coeff = 2.0 * np.pi * 1j * f0 / nu**3
-    psi = 2.0 * np.pi * np.arange(n_ring) / n_ring
     ring = np.stack([np.cos(psi), np.sin(psi), np.zeros(n_ring)], axis=1)
     worst = 0.0
     # the +nu tones carry L = (sin, -cos, -i), the -nu tones L' = (-sin, cos, -i)

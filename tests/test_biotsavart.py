@@ -109,8 +109,8 @@ def counting(fn):
 
 VOLUME_RULES = {
     "ball": ball_quadrature(7.0, n_radial=24, n_polar=10, n_azimuth=20),
-    "box": box_quadrature(4.0, n_per_axis=24, exclusion_radius=0.4),  # one node chunk
-    "box_chunked": box_quadrature(4.0, n_per_axis=48, exclusion_radius=0.4),  # two chunks
+    "box": box_quadrature(4.0, n_per_axis=24),  # one node chunk
+    "box_chunked": box_quadrature(4.0, n_per_axis=48),  # two chunks
 }
 VOLUME_FIELDS = {
     "complex": gaussian_test_field((0.1, -0.2, 0.05), 1.1, (1.0 + 0.3j, -0.4j, 0.5)),
@@ -292,8 +292,14 @@ class TestRieszPotential:
                       lambda: ball_quadrature(np.inf), lambda: box_quadrature(np.nan)):
             with pytest.raises(ValueError, match="extent .* must be finite"):
                 build()
-        with pytest.raises(ValueError):
-            VolumeQuadrature(kind="box", extent=1.0, exclusion_radius=0.5)
+        # the exclusion radius of two cells is half the half-width at 16 nodes
+        with pytest.raises(ValueError, match="n_per_axis must exceed 16"):
+            box_quadrature(1.0, n_per_axis=16)
+
+    @pytest.mark.parametrize("half_width, n_per_axis", [(4.0, 24), (6.0, 48), (2.5, 17)])
+    def test_box_exclusion_radius_is_two_cells(self, half_width, n_per_axis):
+        quad = box_quadrature(half_width, n_per_axis)
+        assert quad.exclusion_radius == 4 * half_width / n_per_axis
 
     @pytest.mark.parametrize("build, name", [
         (lambda: box_quadrature(4.0, n_per_axis=0), "n_per_axis"),
@@ -309,11 +315,11 @@ class TestRieszPotential:
             build()
 
     def test_box_rule_is_built_once_and_stays_out_of_equality(self):
-        quad, twin = (box_quadrature(3.0, n_per_axis=6, exclusion_radius=0.3) for _ in "ab")
+        quad, twin = (box_quadrature(3.0, n_per_axis=17) for _ in "ab")
         nodes, weights = quad.box_rule
         assert quad.box_rule[0] is nodes and quad.box_rule[1] is weights
         assert quad == twin and hash(quad) == hash(twin)
-        ref = gauss_tensor_rule(3.0, 6)
+        ref = gauss_tensor_rule(3.0, 17)
         assert nodes.tobytes() == ref[0].tobytes() and weights.tobytes() == ref[1].tobytes()
         assert not (nodes.flags.writeable or weights.flags.writeable)
 
@@ -374,7 +380,7 @@ class TestBSIntegral:
         # +(eps^2/4) curl F; with it the box rule agrees with a fine ball
         # rule to O(eps^4), without it (or subtracted) they differ by > 0.2
         f = solenoidal_gaussian()
-        box = box_quadrature(4.0, n_per_axis=40, exclusion_radius=0.3)
+        box = box_quadrature(3.0, n_per_axis=40)  # eps = 0.3
         for x in (np.array([0.4, 0.1, -0.3]), np.array([0.2, -0.1, 0.3])):
             ref = quiet_bs(f, x, ball_quadrature(9.0))
             val = quiet_bs(f, x, box)

@@ -380,10 +380,17 @@ def test_catalog_rejects_non_finite_parameters(build):
     lambda: lundquist(1.0, 1.0),
     lambda: lundquist_potential(1.0, 1.0)[0],
     lambda: ck_circular(CKCircularParams(m=1, k=0.5, nu=1.0)),
-], ids=["lundquist", "lundquist-potential", "ck-circular"])
+    lambda: abc_field(1.0, 0.5, 0.25),
+    lambda: plane_wave_scalar((0.4, -0.3, 0.8)),
+    lambda: plane_wave_scalar((0.4, -0.3, 0.8)).gradient,
+    lambda: plane_wave_scalar((0.4, -0.3, 0.8)).hessian,
+    lambda: bessel_j0_scalar(1.0),
+    lambda: bessel_j0_scalar(1.0).gradient,
+], ids=["lundquist", "lundquist-potential", "ck-circular", "abc", "plane-wave",
+        "plane-wave-gradient", "plane-wave-hessian", "bessel-j0", "bessel-j0-gradient"])
 @pytest.mark.parametrize("bad", [INF, -INF, NAN], ids=["inf", "-inf", "nan"])
-def test_bessel_fields_name_non_finite_points(build, bad):
-    # a ValueError, where the Bessel and phase factors gave NaN values
+def test_catalog_fields_name_non_finite_points(build, bad):
+    # a ValueError, where the Bessel, trigonometric and phase factors gave NaN values
     f = build()
     with pytest.raises(ValueError, match=r"finite; 1 of 1 are not: \[\[0.0, [^]]+, 0.0\]\]"):
         f(np.array([0.0, bad, 0.0]))
