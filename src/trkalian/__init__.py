@@ -23,8 +23,8 @@ from .radon import (AnalyticProfile, GridProfile, Hemisphere, RadonAtom,
                     radon_mode_analytic, radon_of_hemisphere_inverse,
                     scalar_wave_profile, spherical_curl_transform,
                     transform_radon_linear)
-from .biotsavart import (BoundaryContributionWarning, LundquistBSTerms,
-                         TailTruncationWarning, VolumeQuadrature, ampere_fluxes,
+from .biotsavart import (BallQuadrature, BoundaryContributionWarning, BoxQuadrature,
+                         LundquistBSTerms, TailTruncationWarning, ampere_fluxes,
                          ball_quadrature, box_quadrature, bs_integral,
                          bs_lundquist_semianalytic, bs_lundquist_terms,
                          poisson_angular_moments, poisson_region_match,

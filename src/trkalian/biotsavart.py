@@ -1,20 +1,21 @@
 """Riesz potential, Biot-Savart integrals, Ampere fluxes and the
 semi-analytic Biot-Savart evaluation for the Lundquist field.
 
-Volume quadratures come in two kinds.  "ball" rules are re-centered on the
-evaluation point so the 1/|x-y| and 1/|x-y|^2 kernels are cancelled exactly
-by the spherical Jacobian; they are the accurate choice for decaying fields.
-"box" rules are fixed tensor grids with an exclusion ball of two cells
-around the evaluation point (so more than 16 nodes per axis) plus the
-analytic correction for the excluded part.  Biot-Savart is the curl of the
-Riesz potential, and both operators share one walk over the nodes per rule;
-each supplies only its kernel and its finish.
+Volume rules are of two types, each with only its own parameters.  A
+:class:`BallQuadrature` (radius; radial, polar and azimuthal node counts) is
+re-centered on the evaluation point, so the spherical Jacobian cancels the
+1/|x-y| and 1/|x-y|^2 kernels exactly: the accurate choice for decaying
+fields.  A :class:`BoxQuadrature` (half-width, nodes per axis) is a fixed
+tensor grid less a ball of two cells around the evaluation point, its
+``exclusion_radius`` (so more than 16 nodes per axis), plus the analytic
+correction for that ball.  Biot-Savart is the curl of the Riesz potential;
+both share one walk over the nodes per rule, each with its kernel and finish.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -39,59 +40,62 @@ class TailTruncationWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class VolumeQuadrature:
-    """Quadrature over a ball (re-centered per evaluation) or a fixed box.
+class _VolumeRule:
+    """The checks of ``extent`` and the node counts; ``kind`` is a class constant."""
 
-    ``extent`` is the ball radius or the box half-width.  The ball rule is
-    singularity-free by construction; the box rule excludes a ball of two
-    cells around the evaluation point, :attr:`exclusion_radius`, so it needs
-    more than 16 nodes per axis for that ball to stay small against the box.
-    """
-
-    kind: str
     extent: float
-    n_per_axis: int = 48
+
+    def __post_init__(self):
+        if not (np.isfinite(self.extent) and self.extent > 0):
+            raise ValueError(f"extent (ball radius or box half-width) must be finite and"
+                             f" positive, got {self.extent}")
+        for field in fields(self)[1:]:
+            if not (isinstance(n := getattr(self, field.name), (int, np.integer)) and n > 0):
+                raise ValueError(f"{field.name} must be a positive integer, got {n!r}")
+
+
+@dataclass(frozen=True)
+class BallQuadrature(_VolumeRule):
+    """Ball of radius ``extent`` around each evaluation point: Gauss-Legendre
+    radii times the sphere product rule; singularity-free by construction."""
+
+    kind = "ball"
     n_radial: int = 48
     n_polar: int = 16
     n_azimuth: int = 32
 
+
+@dataclass(frozen=True)
+class BoxQuadrature(_VolumeRule):
+    """Box of half-width ``extent``: the Gauss-Legendre tensor rule of ``n_per_axis``
+    nodes per axis, less the :attr:`exclusion_radius` ball around each point."""
+
+    kind = "box"
+    n_per_axis: int = 48
+
     def __post_init__(self):
-        if self.kind not in ("ball", "box"):
-            raise ValueError("kind must be 'ball' or 'box'")
-        if not (np.isfinite(self.extent) and self.extent > 0):
-            raise ValueError(f"extent (ball radius or box half-width) must be finite and"
-                             f" positive, got {self.extent}")
-        for name in ("n_per_axis", "n_radial", "n_polar", "n_azimuth"):
-            if not (isinstance(n := getattr(self, name), (int, np.integer)) and n > 0):
-                raise ValueError(f"{name} must be a positive integer, got {n!r}")
-        if self.kind == "box" and self.n_per_axis <= 16:
+        super().__post_init__()
+        if self.n_per_axis <= 16:
             raise ValueError(f"n_per_axis must exceed 16 for a box rule, whose exclusion ball of"
                              f" two cells must be small against the box, got {self.n_per_axis}")
 
     @property
     def exclusion_radius(self) -> float:
-        """Radius of the box rule's exclusion ball: two cells, 4 extent / n_per_axis."""
+        """Radius of the exclusion ball: two cells, 4 extent / n_per_axis."""
         return 4.0 * self.extent / self.n_per_axis
 
     @cached_property
     def box_rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """The box's tensor rule, built once and shared, so read-only; not a field."""
+        """The tensor rule, built once and shared, so read-only; not a field."""
         nodes, weights = gauss_tensor_rule(self.extent, self.n_per_axis)
         nodes.flags.writeable = weights.flags.writeable = False
         return nodes, weights
 
 
-def ball_quadrature(radius: float, n_radial: int = 48, n_polar: int = 16,
-                    n_azimuth: int = 32) -> VolumeQuadrature:
-    return VolumeQuadrature(kind="ball", extent=radius, n_radial=n_radial,
-                            n_polar=n_polar, n_azimuth=n_azimuth)
+ball_quadrature, box_quadrature = BallQuadrature, BoxQuadrature
 
 
-def box_quadrature(half_width: float, n_per_axis: int = 48) -> VolumeQuadrature:
-    return VolumeQuadrature(kind="box", extent=half_width, n_per_axis=n_per_axis)
-
-
-def _walk(fn, x, quad: VolumeQuadrature, ball_weights, box_terms):
+def _walk(fn, x, quad: BallQuadrature | BoxQuadrature, ball_weights, box_terms):
     """The sums of one volume operator over the rule's nodes at the points x (..., 3).
 
     The operator gives only its kernel: on a ball, ``ball_weights(r, w_r,
@@ -114,7 +118,7 @@ def _walk(fn, x, quad: VolumeQuadrature, ball_weights, box_terms):
     return (x, *_box_walk(fn, x.reshape(-1, 3), quad, box_terms))
 
 
-def _ball_walk(fn, flat: np.ndarray, quad: VolumeQuadrature, ball_weights):
+def _ball_walk(fn, flat: np.ndarray, quad: BallQuadrature, ball_weights):
     """The ball rule of :func:`_walk`: the nodes x + r n_hat of the points (k, 3)
     in the point chunks of :func:`_chunks`; each point's outermost shell is its edge."""
     r, wr = gauss_legendre(quad.n_radial)
@@ -135,7 +139,7 @@ def _ball_walk(fn, flat: np.ndarray, quad: VolumeQuadrature, ball_weights):
     return np.concatenate(sums), np.concatenate(edges), value_shape, cplx
 
 
-def _box_walk(fn, flat: np.ndarray, quad: VolumeQuadrature, box_terms):
+def _box_walk(fn, flat: np.ndarray, quad: BoxQuadrature, box_terms):
     """The box rule of :func:`_walk`: the nodes in chunks of whole planes of
     the first axis, at most _CHUNK_PAIRS nodes each (one plane when a plane
     holds more); the faces of the box are the edge.  The field sees every
@@ -179,7 +183,7 @@ def _wedge(m: np.ndarray) -> np.ndarray:
     return out.reshape(m.shape[0], -1)
 
 
-def _warn_boundary(quad: VolumeQuadrature, edge: np.ndarray, result: np.ndarray) -> None:
+def _warn_boundary(quad: _VolumeRule, edge: np.ndarray, result: np.ndarray) -> None:
     """Warn once when at some point of the batch the field magnitude on the
     outermost nodes of the rule, edge (k,) or one value for all points, times
     the extent, exceeds 1e-6 of the result (k, ...).  A magnitude is the
@@ -199,7 +203,7 @@ def _warn_boundary(quad: VolumeQuadrature, edge: np.ndarray, result: np.ndarray)
         )
 
 
-def riesz_potential(fn, x, quad: VolumeQuadrature) -> np.ndarray:
+def riesz_potential(fn, x, quad: BallQuadrature | BoxQuadrature) -> np.ndarray:
     """(1/4 pi) integral of F(y) / |x - y| over the quadrature domain.
 
     ``x (..., 3)`` is a batch of evaluation points; the result has the batch
@@ -208,29 +212,27 @@ def riesz_potential(fn, x, quad: VolumeQuadrature) -> np.ndarray:
     per batch (BoundaryContributionWarning) when the field is not
     negligible on the domain boundary.
     """
-    eps = quad.exclusion_radius
-
     def box_terms(d, d2, w, vf):
         # smooth singularity split: the locally constant part under a
-        # Gaussian bump of scale eps integrates to (1/4 pi) 2 pi eps^2 F(x)
-        # exactly, and the compensated integrand (F(y) - bump F(x)) / |x - y|
-        # is bounded at y = x; by linearity it is summed as the kernel's
-        # products with the field and with the bump
+        # Gaussian bump of scale eps, the exclusion radius, integrates to
+        # (1/4 pi) 2 pi eps^2 F(x) exactly, and the compensated integrand
+        # (F(y) - bump F(x)) / |x - y| is bounded at y = x; by linearity it
+        # is summed as the kernel's products with the field and with the bump
         kern = w / np.where(d2 > 0, np.sqrt(d2), np.inf)  # zero on a node at x
-        return np.append(kern @ vf, kern @ np.exp(-d2 / eps**2))
+        return np.append(kern @ vf, kern @ np.exp(-d2 / quad.exclusion_radius**2))
 
     # on the ball, the kernel 1/r times the Jacobian r^2 leaves a factor r on each ray
     x, sums, edge, value_shape, cplx = _walk(
         fn, x, quad, lambda r, wr, womega, nhat: (wr * r, womega), box_terms)
     if quad.kind == "box":  # per point the field sums, then the bump's
         center = field_reals(fn, x.reshape(-1, 3))[0]
-        sums = sums[:, :-1] + (2.0 * np.pi * eps**2 - sums[:, -1:]) * center
+        sums = sums[:, :-1] + (2.0 * np.pi * quad.exclusion_radius**2 - sums[:, -1:]) * center
     result = from_reals(sums / (4.0 * np.pi), value_shape, cplx)
     _warn_boundary(quad, edge, result)
     return result.reshape(x.shape[:-1] + value_shape)
 
 
-def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
+def bs_integral(fn, x, quad: BallQuadrature | BoxQuadrature) -> np.ndarray:
     """(1/4 pi) integral of F(y) x (x - y) / |x - y|^3 (the induced field).
 
     ``x (..., 3)`` is a batch of evaluation points and the result has shape
@@ -239,15 +241,13 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
     (BoundaryContributionWarning) when the field is not negligible on the
     domain boundary.
     """
-    eps = quad.exclusion_radius
-
     def box_terms(d, d2, w, vf):
-        # smooth cutoff W ~ (d/eps)^4 near the point keeps the integrand
-        # bounded and the result smooth in x; the suppressed part carries no
-        # contribution for locally constant fields (odd kernel) and
-        # +(eps^2/4) curl F(x) for locally linear ones: the angular average
-        # gives (1/3) curl F times int (1 - W) r dr = 3 eps^2 / 4
-        cutoff = (1.0 - np.exp(-d2 / eps**2)) ** 2
+        # smooth cutoff W ~ (d/eps)^4 near the point, eps the exclusion
+        # radius, keeps the integrand bounded and the result smooth in x; the
+        # suppressed part carries no contribution for locally constant fields
+        # (odd kernel) and +(eps^2/4) curl F(x) for locally linear ones: the
+        # angular average gives (1/3) curl F times int (1 - W) r dr = 3 eps^2 / 4
+        cutoff = (1.0 - np.exp(-d2 / quad.exclusion_radius**2)) ** 2
         kern = w * cutoff / np.where(cutoff > 0, d2 * np.sqrt(d2), np.inf)
         return (kern * d) @ vf  # sum_y K d_a F_b
 
@@ -260,7 +260,7 @@ def bs_integral(fn, x, quad: VolumeQuadrature) -> np.ndarray:
         result = from_reals(-_wedge(moments), value_shape, cplx) / (4.0 * np.pi)
     else:
         result = (from_reals(_wedge(moments), value_shape, cplx) / (4.0 * np.pi)
-                  + 0.25 * eps**2 * fd_field(fn, "curl")(x.reshape(-1, 3)))
+                  + 0.25 * quad.exclusion_radius**2 * fd_field(fn, "curl")(x.reshape(-1, 3)))
     _warn_boundary(quad, edge, result)
     return result.reshape(x.shape)
 
@@ -326,8 +326,12 @@ def poisson_angular_moments(big_r: float, r: float, theta: float):
     a^2 = R^2 + r^2 - 2 r R cos(phi - theta).
 
     The region split at r = R follows the interchange rule for the Poisson
-    kernel; the split is guarded by :func:`poisson_region_match`.
+    kernel; the split is guarded by :func:`poisson_region_match`.  Raises
+    ValueError naming a non-finite argument.
     """
+    for name, value in (("big_r", big_r), ("r", r), ("theta", theta)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if r == big_r:
         raise ValueError("moments are singular on the matching circle r = R")
     if r < big_r:

@@ -298,8 +298,8 @@ def bessel_j(m: int, x) -> np.ndarray | float:
     if m < 0 or int(m) != m:
         raise ValueError("order must be a non-negative integer")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("bessel_j requires x >= 0")
+    if not np.all(x >= 0):  # NaN fails the comparison
+        raise ValueError("bessel_j requires x >= 0, and x not NaN")
     from scipy import special
 
     m = int(m)

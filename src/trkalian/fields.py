@@ -28,6 +28,15 @@ def _check_finite(**params) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_3vector(name: str, value, dtype=float) -> np.ndarray:
+    """``value`` as an array; ValueError naming ``name`` unless a finite 3-vector."""
+    v = np.asarray(value, dtype=dtype)
+    if v.shape != (3,):
+        raise ValueError(f"{name} takes 3-vectors only, not shape {v.shape}")
+    _check_finite(**{name: v})
+    return v
+
+
 @dataclass(frozen=True)
 class SampledField:
     """A complex 3-vector field evaluated on demand.
@@ -255,11 +264,14 @@ def ck_field(psi: ScalarField, omega, nu: float) -> SampledField:
     (checked at sample points by the finite-difference Laplacian oracle);
     ``omega`` is a fixed 3-vector.  The result satisfies curl F = nu F.
     Analytic derivatives of psi are used when provided, otherwise the
-    finite-difference oracle.
+    finite-difference oracle.  Raises ValueError, before psi is evaluated,
+    unless nu is finite and nonzero and omega a finite 3-vector.
     """
+    _check_finite(nu=nu)
     if nu == 0.0:
         raise ValueError("nu must be nonzero")
-    w = np.asarray(omega, dtype=float)
+    w = _check_3vector("omega", omega)
+    toroidal = ck_toroidal(psi, w).evaluator
 
     pts = np.random.default_rng(1742).uniform(-1.0, 1.0, size=(6, 3))
     lap = fd_field(psi.evaluator, "laplacian")(pts)
@@ -268,7 +280,6 @@ def ck_field(psi: ScalarField, omega, nu: float) -> SampledField:
         raise ValueError("psi does not satisfy the Helmholtz equation with this nu")
 
     use_analytic = psi.gradient is not None and psi.hessian is not None
-    toroidal = ck_toroidal(psi, w).evaluator
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
@@ -289,8 +300,9 @@ def ck_field(psi: ScalarField, omega, nu: float) -> SampledField:
 
 
 def ck_toroidal(psi: ScalarField, omega) -> SampledField:
-    """Toroidal part curl(psi w) alone; divergence-free by construction."""
-    w = np.asarray(omega, dtype=float)
+    """Toroidal part curl(psi w) alone; divergence-free by construction.
+    ValueError unless omega is a finite 3-vector."""
+    w = _check_3vector("omega", omega)
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
@@ -401,10 +413,7 @@ def gaussian_test_field(center, width: float, polarization) -> SampledField:
     """Schwartz-class probe P exp(-|x - c|^2 / width^2): the
     :func:`gaussian_scalar` envelope, whose checks it shares, times P."""
     envelope = gaussian_scalar(center, width)
-    pol = np.asarray(polarization, dtype=complex)
-    if pol.shape != (3,):
-        raise ValueError(f"polarization takes 3-vectors only, not shape {pol.shape}")
-    _check_finite(polarization=pol)
+    pol = _check_3vector("polarization", polarization, complex)
 
     def evaluator(x):
         return envelope.evaluator(x)[..., None] * pol
@@ -419,10 +428,8 @@ def gaussian_scalar(center=(0.0, 0.0, 0.0), width: float = 1.0) -> ScalarField:
     """Scalar Gaussian exp(-|x - c|^2 / width^2) with analytic derivatives;
     ValueError unless the centre is a finite 3-vector and the width finite
     and positive."""
-    c = np.asarray(center, dtype=float)
-    if c.shape != (3,):
-        raise ValueError(f"center takes 3-vectors only, not shape {c.shape}")
-    _check_finite(center=c, width=width)
+    c = _check_3vector("center", center)
+    _check_finite(width=width)
     if width <= 0:
         raise ValueError("width must be positive")
 
@@ -441,8 +448,9 @@ def gaussian_scalar(center=(0.0, 0.0, 0.0), width: float = 1.0) -> ScalarField:
 
 
 def plane_wave_scalar(wavevector) -> ScalarField:
-    """Scalar e^{i q . x} with analytic gradient and Hessian."""
-    q = np.asarray(wavevector, dtype=float)
+    """Scalar e^{i q . x} with analytic gradient and Hessian; ValueError
+    unless the wavevector q is a finite 3-vector."""
+    q = _check_3vector("wavevector", wavevector)
 
     def evaluator(x):  # the gradient and Hessian check their points through it
         return np.exp(1j * (_finite_points(x) @ q))
@@ -462,7 +470,9 @@ def plane_wave_scalar(wavevector) -> ScalarField:
 
 
 def bessel_j0_scalar(nu: float, amplitude: complex = 1.0) -> ScalarField:
-    """Scalar amplitude * J_0(nu r), a Helmholtz solution with constant nu^2."""
+    """Scalar amplitude * J_0(nu r), a Helmholtz solution with constant nu^2;
+    ValueError unless nu and the amplitude are finite."""
+    _check_finite(nu=nu, amplitude=amplitude)
 
     def evaluator(x):
         x = _finite_points(x)

@@ -465,7 +465,10 @@ def lundquist_radon_profile(f0: float, nu: float, n_ring: int = 64) -> AnalyticP
 
 
 def scalar_wave_profile(kappa0, omega: float, coefficient: complex = 1.0) -> AnalyticProfile:
-    """Transform of the scalar plane wave c e^{i omega kappa0 . x} (atom pair)."""
+    """Transform of the scalar plane wave c e^{i omega kappa0 . x} (atom pair);
+    ValueError unless omega is finite and nonzero."""
+    if not (np.isfinite(omega) and omega != 0):
+        raise ValueError(f"omega must be finite and nonzero, got {omega}")
     k0 = as_direction(kappa0)
     amp = (2.0 * np.pi) ** 2 / omega**2 * complex(coefficient)
     return AnalyticProfile(directions=np.stack([k0, -k0]), frequencies=[omega, -omega],

@@ -1,9 +1,10 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from trkalian.biotsavart import (BoundaryContributionWarning, VolumeQuadrature,
+from trkalian.biotsavart import (BallQuadrature, BoundaryContributionWarning, BoxQuadrature,
                                  ampere_fluxes, ball_quadrature, box_quadrature,
                                  bs_integral, bs_lundquist_semianalytic,
                                  bs_lundquist_terms, poisson_angular_moments,
@@ -236,6 +237,19 @@ class TestVolumeKernels:
         assert "of 4 points" in str(boundary[0].message)
 
     @pytest.mark.parametrize("integral", [riesz_potential, bs_integral], ids=["riesz", "bs"])
+    @pytest.mark.parametrize("pts, match", [
+        (np.zeros((4, 2)), r"shape \(\.\.\., 3\), got \(4, 2\)"),
+        (np.array(0.5), r"shape \(\.\.\., 3\), got \(\)"),
+        (np.zeros((0, 3)), "empty batch"),
+    ], ids=["two-components", "scalar", "empty"])
+    def test_rejects_malformed_batch_before_evaluating(self, integral, pts, match):
+        fn = counting(VOLUME_FIELDS["complex"])
+        for quad in VOLUME_RULES.values():
+            with pytest.raises(ValueError, match=match):
+                integral(fn, pts, quad)
+        assert fn.calls == 0
+
+    @pytest.mark.parametrize("integral", [riesz_potential, bs_integral], ids=["riesz", "bs"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_point_before_evaluating(self, integral, bad):
         fn = counting(VOLUME_FIELDS["complex"])
@@ -285,10 +299,8 @@ class TestRieszPotential:
 
     def test_quadrature_validation(self):
         with pytest.raises(ValueError):
-            VolumeQuadrature(kind="cylinder", extent=1.0)
-        with pytest.raises(ValueError):
-            VolumeQuadrature(kind="ball", extent=-1.0)
-        for build in (lambda: VolumeQuadrature(kind="ball", extent=np.nan),
+            ball_quadrature(-1.0)
+        for build in (lambda: ball_quadrature(np.nan),
                       lambda: ball_quadrature(np.inf), lambda: box_quadrature(np.nan)):
             with pytest.raises(ValueError, match="extent .* must be finite"):
                 build()
@@ -303,7 +315,7 @@ class TestRieszPotential:
 
     @pytest.mark.parametrize("build, name", [
         (lambda: box_quadrature(4.0, n_per_axis=0), "n_per_axis"),
-        (lambda: VolumeQuadrature("box", 4.0, n_per_axis=-3), "n_per_axis"),
+        (lambda: box_quadrature(4.0, n_per_axis=-3), "n_per_axis"),
         (lambda: box_quadrature(4.0, n_per_axis=2.5), "n_per_axis"),
         (lambda: ball_quadrature(4.0, n_radial=0), "n_radial"),
         (lambda: ball_quadrature(4.0, n_polar=-1), "n_polar"),
@@ -313,6 +325,21 @@ class TestRieszPotential:
     def test_rejects_node_counts_that_are_not_positive_integers(self, build, name):
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             build()
+
+    def test_each_rule_holds_only_its_own_parameters(self):
+        ball, box = ball_quadrature(9.0), box_quadrature(6.0)
+        assert type(ball) is BallQuadrature and type(box) is BoxQuadrature
+        assert [f.name for f in dataclasses.fields(ball)] == [
+            "extent", "n_radial", "n_polar", "n_azimuth"]
+        assert [f.name for f in dataclasses.fields(box)] == ["extent", "n_per_axis"]
+        assert (ball.kind, box.kind) == ("ball", "box")
+        for name in ("exclusion_radius", "n_per_axis", "box_rule"):
+            assert not hasattr(ball, name)
+        for name in ("n_radial", "n_polar", "n_azimuth"):
+            assert not hasattr(box, name)
+        for build in (ball_quadrature, box_quadrature):  # the kind is the type
+            with pytest.raises(TypeError, match="kind"):
+                build(6.0, kind="box")
 
     def test_box_rule_is_built_once_and_stays_out_of_equality(self):
         quad, twin = (box_quadrature(3.0, n_per_axis=17) for _ in "ab")
@@ -556,3 +583,11 @@ class TestPoisson:
     def test_singular_on_matching_circle(self):
         with pytest.raises(ValueError):
             poisson_angular_moments(1.0, 1.0, 0.3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("slot, name", [(0, "big_r"), (1, "r"), (2, "theta")])
+    def test_names_a_non_finite_argument(self, slot, name, bad):
+        args = [1.0, 0.4, 0.3]
+        args[slot] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            poisson_angular_moments(*args)

@@ -50,6 +50,23 @@ class TestFieldEval:
                                         pts, trkalian.fields.lundquist(1.0, 1.0)(pts))
         assert (out / "field.csv").read_bytes() == expected.encode()
 
+    def test_ck_circular_csv_is_the_library_field(self, runner, tmp_path):
+        out = tmp_path / "out"
+        params = {"m": 2, "k": 0.5, "nu": 1.3, "amplitude": 0.7}
+        result = runner.invoke(main, [
+            "field-eval", "--field", "ck_circular", "--params", json.dumps(params),
+            "--grid", "-1:1:4,-1:1:3,0:1:2", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        pts = np.stack(np.meshgrid(np.linspace(-1, 1, 4), np.linspace(-1, 1, 3),
+                                   np.linspace(0, 1, 2), indexing="ij"), axis=-1).reshape(-1, 3)
+        field = trkalian.ck_circular(trkalian.CKCircularParams(**params))
+        expected = format_csv_reference("x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz",
+                                        pts, field(pts))
+        assert (out / "field.csv").read_bytes() == expected.encode()
+        meta = json.loads((out / "field_meta.json").read_text())
+        assert meta["eigenvalue"] == field.eigenvalue == np.hypot(1.3, 0.5)
+
     def test_mode_field_origin_row(self, runner, tmp_path):
         out = tmp_path / "out"
         amp = (2 * np.pi) ** 1.5
@@ -379,6 +396,12 @@ class TestVerifyCommand:
     ["verify", "--only", "frame", "--tol", "frame_metric=nan", "--out", "out"],
     ["verify", "--only", "frame", "--tol", "frame_metric=inf", "--out", "out"],
     ["verify", "--only", "frame", "--tol", "frame_metric=-1", "--out", "out"],
+    ["field-eval", "--field", "lundquist", "--grid", "-1:1,-1:1:3,-1:1:3", "--out", "out"],
+    ["field-eval", "--field", "lundquist", "--grid", "-1:1:3,-1:1:3", "--out", "out"],
+    ["radon", "--field", "gaussian", "--quad", "8", "--out", "out"],
+    ["radon", "--field", "gaussian", "--pgrid", "-8:8", "--out", "out"],
+    ["verify", "--only", "frame", "--tol", "frame_metric", "--out", "out"],
+    ["field-eval", "--field", "lundquist", "--params", "[1]", "--out", "out"],
 ], ids=["verify-empty-selection", "verify-unknown-tolerance", "radon-modes-without-modes",
         "radon-pgrid-not-power-of-two", "radon-pgrid-decreasing",
         "radon-quad-odd-azimuth",
@@ -389,7 +412,9 @@ class TestVerifyCommand:
         "radon-gaussian-nan-width", "radon-gaussian-nan-center", "field-eval-grid-non-numeric-bound",
         "field-eval-grid-non-integer-count", "field-eval-grid-nan-bound",
         "field-eval-grid-infinite-bound", "verify-nan-tolerance", "verify-infinite-tolerance",
-        "verify-negative-tolerance"])
+        "verify-negative-tolerance", "field-eval-grid-two-field-axis", "field-eval-grid-two-axes",
+        "radon-quad-one-count", "radon-pgrid-two-fields", "verify-tolerance-without-equals",
+        "field-eval-params-not-object"])
 def test_bad_input_is_usage_error(runner, tmp_path, args):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)

@@ -149,6 +149,10 @@ class TestBessel:
             bessel_j(-1, 1.0)
         with pytest.raises(ValueError):
             bessel_j(0, -0.5)
+        # NaN fails every comparison, so it once passed as x >= 0
+        for m, x in ((1, np.nan), (0, np.array([0.5, np.nan])), (3, np.nan)):
+            with pytest.raises(ValueError, match="x not NaN"):
+                bessel_j(m, x)
 
 
 class TestPlaneQuadrature:

@@ -376,6 +376,34 @@ def test_catalog_rejects_non_finite_parameters(build):
         build()
 
 
+def unevaluated_psi() -> ScalarField:
+    """A Debye scalar that fails the test when it is evaluated."""
+    def evaluator(x):
+        raise AssertionError("psi evaluated before the parameters were checked")
+    return ScalarField(name="unevaluated", evaluator=evaluator)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: ck_field(unevaluated_psi(), EZ, NAN), "nu must be finite"),
+    (lambda: ck_field(unevaluated_psi(), EZ, INF), "nu must be finite"),
+    (lambda: ck_field(unevaluated_psi(), (0, 1), 1.0), "omega takes 3-vectors only"),
+    (lambda: ck_field(unevaluated_psi(), (0, NAN, 1), 1.0), "omega must be finite"),
+    (lambda: ck_toroidal(unevaluated_psi(), (0, 0, 1, 0)), "omega takes 3-vectors only"),
+    (lambda: ck_toroidal(unevaluated_psi(), (INF, 0, 0)), "omega must be finite"),
+    (lambda: bessel_j0_scalar(NAN), "nu must be finite"),
+    (lambda: bessel_j0_scalar(1.0, amplitude=complex(0, INF)), "amplitude must be finite"),
+    (lambda: plane_wave_scalar((NAN, 0, 0)), "wavevector must be finite"),
+    (lambda: plane_wave_scalar((1.0, 0.0)), "wavevector takes 3-vectors only"),
+], ids=["ck-nan-nu", "ck-inf-nu", "ck-short-omega", "ck-nan-omega", "toroidal-long-omega",
+        "toroidal-inf-omega", "bessel-j0-nu", "bessel-j0-amplitude", "plane-wave-nan",
+        "plane-wave-short"])
+def test_debye_constructors_name_the_bad_parameter(build, match):
+    # a ValueError before any evaluation, where NaN passed the Helmholtz
+    # check and a 2-vector omega gave a wrong field without a word
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 @pytest.mark.parametrize("build", [
     lambda: lundquist(1.0, 1.0),
     lambda: lundquist_potential(1.0, 1.0)[0],

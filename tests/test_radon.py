@@ -864,6 +864,12 @@ class TestGaugeNormality:
             tangential = a.amplitude - (a.direction @ a.amplitude) * a.direction
             assert np.max(np.abs(tangential)) < 1e-10
 
+    @pytest.mark.parametrize("omega", [0.0, np.nan, np.inf])
+    def test_scalar_wave_needs_finite_nonzero_omega(self, omega):
+        # a ValueError, where omega = 0 divided by zero
+        with pytest.raises(ValueError, match="omega must be finite and nonzero"):
+            scalar_wave_profile(random_direction(34), omega)
+
 
 class TestSerialization:
     def test_profile_json_roundtrip(self):

@@ -4,9 +4,10 @@ package's entry points."""
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from trkalian import radon, verify
+from trkalian import biotsavart, fields, radon, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,7 +55,18 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     try:
         tracing.install(tracer)
         assert radon.radon_forward_numeric is not forward
+        # the Biot-Savart span is named after the rule's kind
+        tracer.active = True
+        f = fields.gaussian_test_field((0.0, 0.0, 0.0), 0.5, (1.0, 0.0, 0.0))
+        for quad in (biotsavart.ball_quadrature(3.0, 8, 4, 8),
+                     biotsavart.box_quadrature(3.0, 20)):
+            biotsavart.bs_integral(f, np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.1]]), quad)
     finally:
+        tracer.active = False
         tracer.uninstall()
+    assert [s[0] for s in tracer.spans if s[0].startswith("biotsavart.")] == [
+        "biotsavart.bs.ball", "biotsavart.bs.box"]
+    assert {k: n for k, n in tracer.counts.items() if k.startswith("biotsavart.")} == {
+        "biotsavart.bs.ball.points": 2, "biotsavart.bs.box.points": 2}
     assert radon.radon_forward_numeric is forward
     assert verify._CHECKS == checks
