@@ -16,14 +16,16 @@ harness's printed JSON line and its ``.bench_out/results`` file; it imports
 nothing from ``perfbench/``.  Before every run it deletes the
 ``__pycache__`` directories inside the tree, so neither tree sets up faster
 for compiled bytecode that earlier runs left in it.  Last it prints, per
-workload and end-to-end metric, the shift of the head's median from the
-parent's in units of the larger of the two IQRs; run on two checkouts of one
-commit, this is the spread of the harness itself.  The per-layer lines give
-each tree's median and range, marked "overlap" where the two ranges overlap,
-so that a shift inside the runs' own spread is not read as a change.  Each
-workload's entry records the checks the runs attempted and failed; the script
-exits 1, naming them, when any run of either tree is not correct or when the
-head fails a larger share of its checks on a workload than the parent.
+workload and end-to-end metric, the two medians, the head's change in per
+cent and the pairs in which the head is better, then the shift of the head's
+median from the parent's in units of the larger of the two IQRs; run on two
+checkouts of one commit, this is the spread of the harness itself.  The
+per-layer lines give each tree's median and range, marked "overlap" where
+the two ranges overlap, so that a shift inside the runs' own spread is not
+read as a change.  Each workload's entry records the checks the runs
+attempted and failed; the script exits 1, naming them, when any run of
+either tree is not correct or when the head fails a larger share of its
+checks on a workload than the parent.
 
     python3 bench_pairs.py PARENT_TREE HEAD_TREE --number 17 --seeds 1-8
 
@@ -196,7 +198,9 @@ def main() -> None:
             pa, pb = ([r["metrics"][m]["value"] for r in runs[t][w]] for t in trees)
             better = next(x["better"] for x in spec["end_to_end"] if x["name"] == m)
             wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(pa, pb))
-            print(f"{w:10s} {m:12s} {statistics.median(pa):10.4g} -> {statistics.median(pb):10.4g}"
+            ma, mb = statistics.median(pa), statistics.median(pb)
+            change = f"{100.0 * (mb - ma) / ma:+7.1f} %" if ma else "      n/a"
+            print(f"{w:10s} {m:12s} {ma:10.4g} -> {mb:10.4g} {change}"
                   f"  head better in {wins}/{len(pa)} pairs")
     shifts = {}
     for w in workloads:

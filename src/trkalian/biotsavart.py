@@ -167,6 +167,7 @@ def _box_walk(fn, flat: np.ndarray, quad: BoxQuadrature, box_terms):
             d = xp[:, None] - ys
             terms.append(box_terms(d, d[0] * d[0] + d[1] * d[1] + d[2] * d[2], w, vf))
         sums = sums + np.array(terms)
+        del vf, cube, faces, d  # freed first, so the next chunk reuses their heap, not new pages
     return sums, edge, value_shape, cplx
 
 
@@ -218,8 +219,10 @@ def riesz_potential(fn, x, quad: BallQuadrature | BoxQuadrature) -> np.ndarray:
         # (1/4 pi) 2 pi eps^2 F(x) exactly, and the compensated integrand
         # (F(y) - bump F(x)) / |x - y| is bounded at y = x; by linearity it
         # is summed as the kernel's products with the field and with the bump
-        kern = w / np.where(d2 > 0, np.sqrt(d2), np.inf)  # zero on a node at x
-        return np.append(kern @ vf, kern @ np.exp(-d2 / quad.exclusion_radius**2))
+        kern = np.sqrt(d2)
+        np.divide(w, kern, out=kern, where=kern > 0)  # zero on a node at x
+        np.exp(np.divide(d2, -quad.exclusion_radius**2, out=d2), out=d2)  # bitwise -d2/eps^2
+        return np.append(kern @ vf, kern @ d2)  # d2 holds the bump now
 
     # on the ball, the kernel 1/r times the Jacobian r^2 leaves a factor r on each ray
     x, sums, edge, value_shape, cplx = _walk(
@@ -247,9 +250,13 @@ def bs_integral(fn, x, quad: BallQuadrature | BoxQuadrature) -> np.ndarray:
         # suppressed part carries no contribution for locally constant fields
         # (odd kernel) and +(eps^2/4) curl F(x) for locally linear ones: the
         # angular average gives (1/3) curl F times int (1 - W) r dr = 3 eps^2 / 4
-        cutoff = (1.0 - np.exp(-d2 / quad.exclusion_radius**2)) ** 2
-        kern = w * cutoff / np.where(cutoff > 0, d2 * np.sqrt(d2), np.inf)
-        return (kern * d) @ vf  # sum_y K d_a F_b
+        den = np.sqrt(d2)
+        den *= d2  # |x - y|^3; in place, as the Riesz kernel
+        cutoff = np.exp(np.divide(d2, -quad.exclusion_radius**2, out=d2), out=d2)
+        np.square(np.subtract(1.0, cutoff, out=cutoff), out=cutoff)
+        live = cutoff > 0
+        cutoff *= w  # the kernel w cutoff / |x - y|^3, zero where the cutoff is
+        return np.multiply(d, np.divide(cutoff, den, out=cutoff, where=live), out=d) @ vf
 
     # on the ball, (x - y)/|x - y|^3 = -n_hat / r^2 cancels the Jacobian
     # exactly, so the kernel is linear in F along each ray: the rays are

@@ -82,9 +82,9 @@ def _finite_points(x) -> np.ndarray:
     or infinite coordinate, which the Bessel, trigonometric and phase
     factors of the fields would turn into NaN values without a word."""
     x = np.asarray(x, dtype=float)
-    bad = ~np.isfinite(x).all(axis=-1)
-    if count := np.count_nonzero(bad):
-        shown = x[bad][:3].tolist()
+    if not np.isfinite(x).all():  # quick; the row mask reduces over an axis of 3, a slow loop
+        bad = ~np.isfinite(x).all(axis=-1)
+        count, shown = np.count_nonzero(bad), x[bad][:3].tolist()
         raise ValueError(f"evaluation points must be finite; {count} of {bad.size} are not: "
                          f"{shown}{' ...' if count > len(shown) else ''}")
     return x
@@ -298,12 +298,14 @@ def bessel_j(m: int, x) -> np.ndarray | float:
     if m < 0 or int(m) != m:
         raise ValueError("order must be a non-negative integer")
     x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0):  # NaN fails the comparison
+    if not x.min(initial=np.inf) >= 0:  # NaN fails the comparison
         raise ValueError("bessel_j requires x >= 0, and x not NaN")
     from scipy import special
 
     m = int(m)
     out = special.j0(x) if m == 0 else special.j1(x) if m == 1 else special.jv(m, x)
+    if x.max(initial=0.0) == np.inf:  # scipy gives NaN, the limit is 0
+        out = np.where(x == np.inf, 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 

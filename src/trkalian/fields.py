@@ -183,11 +183,11 @@ def lundquist(f0: float, nu: float) -> SampledField:
         r = np.hypot(px, py)
         # J_1(nu r) e_theta = nu * J_1(nu r)/(nu r) * (-y, x, 0)
         ratio = _jm_over_x(1, nu * r)
-        out = np.empty(x.shape, dtype=complex)
-        out[..., 0] = -f0 * nu * ratio * py
-        out[..., 1] = f0 * nu * ratio * px
-        out[..., 2] = f0 * bessel_j(0, np.abs(nu) * r)
-        return out
+        out = np.zeros(r.shape + (6,))  # the reals: no complex strided assignment
+        np.multiply(np.multiply(-f0 * nu, ratio), py, out=out[..., 0])
+        np.multiply(np.multiply(f0 * nu, ratio, out=ratio), px, out=out[..., 2])
+        np.multiply(f0, bessel_j(0, np.abs(nu) * r), out=out[..., 4])
+        return out.view(complex)
 
     return SampledField(
         name="lundquist",
@@ -414,9 +414,15 @@ def gaussian_test_field(center, width: float, polarization) -> SampledField:
     :func:`gaussian_scalar` envelope, whose checks it shares, times P."""
     envelope = gaussian_scalar(center, width)
     pol = _check_3vector("polarization", polarization, complex)
+    # the reals g p in one product: the bits of the slow (g + 0i) P wherever no g p is zero
+    parts, zero = pol.view(float), pol.view(float) == 0
+    smallest = 0.0 if np.signbit(parts[zero]).any() else np.abs(parts[~zero]).min(initial=1.0)
 
     def evaluator(x):
-        return envelope.evaluator(x)[..., None] * pol
+        g = envelope.evaluator(x)
+        if np.min(g, initial=1.0) * smallest > 0:
+            return np.einsum("...,j->...j", g, parts, order="C").view(complex)
+        return g[..., None] * pol
 
     return SampledField(
         name="gaussian",

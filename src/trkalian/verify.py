@@ -356,15 +356,15 @@ def _check_riesz_inverse() -> float:
 
 def _curl_of_gaussian_potential() -> fields.SampledField:
     """Divergence-free decaying probe: curl of a Gaussian vector potential."""
+    envelope = fields.gaussian_scalar()  # exp(-|x|^2), the square sum written out
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
-        env = np.exp(-np.sum(x * x, axis=-1))
-        out = np.empty(x.shape, dtype=complex)
-        out[..., 0] = -2.0 * x[..., 1] * env
-        out[..., 1] = 2.0 * x[..., 0] * env
-        out[..., 2] = 0.0
-        return out
+        env = envelope(x)
+        out = np.zeros(x.shape[:-1] + (6,))  # the reals of the complex result
+        np.multiply(np.multiply(-2.0, x[..., 1]), env, out=out[..., 0])
+        np.multiply(np.multiply(2.0, x[..., 0]), env, out=out[..., 2])
+        return out.view(complex)
 
     return fields.SampledField(name="solenoidal_gaussian", evaluator=evaluator)
 

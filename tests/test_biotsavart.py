@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import trkalian.biotsavart
 from trkalian.biotsavart import (BallQuadrature, BoundaryContributionWarning, BoxQuadrature,
                                  ampere_fluxes, ball_quadrature, box_quadrature,
                                  bs_integral, bs_lundquist_semianalytic,
@@ -14,6 +15,7 @@ from trkalian.core import (bessel_j, bessel_j1_first_zero, fd_derivative_oracle,
                            gauss_legendre, gauss_tensor_rule, sphere_quadrature)
 from trkalian.fields import (SampledField, gaussian_scalar,
                              gaussian_test_field, lundquist)
+from trkalian.verify import _curl_of_gaussian_potential
 
 
 def solenoidal_gaussian() -> SampledField:
@@ -29,6 +31,17 @@ def solenoidal_gaussian() -> SampledField:
         return out
 
     return SampledField(name="solenoidal_gaussian", evaluator=evaluator)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(3,), (50, 3), (4, 7, 3)])
+def test_verify_probe_bitwise_equals_complex_assignment(shape, order):
+    # the verify records' probe writes through a real buffer; solenoidal_gaussian
+    # above is its first form, with a reduced square sum and complex assignments
+    x = np.asarray(np.random.default_rng(34).normal(size=shape), order=order)
+    got = _curl_of_gaussian_potential()(x)
+    assert got.tobytes() == solenoidal_gaussian()(x).tobytes()
+    assert got.shape == shape and got.dtype == complex and got.flags.c_contiguous
 
 
 def quiet_riesz(f, x, quad):
@@ -95,6 +108,21 @@ def reference_bs(fn, x, quad):
     kern = (cutoff / safe**3)[:, None] * d
     result = np.sum(weights[:, None] * np.cross(np.asarray(fn(nodes)), kern), axis=0)
     return result / (4.0 * np.pi) + 0.25 * eps**2 * fd_derivative_oracle(fn, x, "curl")
+
+
+def box_terms_with_temporaries(integral, quad):
+    """The box kernel of riesz_potential or bs_integral as first written, with
+    a temporary array per operation."""
+    def riesz(d, d2, w, vf):
+        kern = w / np.where(d2 > 0, np.sqrt(d2), np.inf)  # zero on a node at x
+        return np.append(kern @ vf, kern @ np.exp(-d2 / quad.exclusion_radius**2))
+
+    def bs(d, d2, w, vf):
+        cutoff = (1.0 - np.exp(-d2 / quad.exclusion_radius**2)) ** 2
+        kern = w * cutoff / np.where(cutoff > 0, d2 * np.sqrt(d2), np.inf)
+        return (kern * d) @ vf  # sum_y K d_a F_b
+
+    return riesz if integral is riesz_potential else bs
 
 
 def counting(fn):
@@ -207,6 +235,27 @@ class TestVolumeKernels:
         ref = reference(fn, x, quad)
         assert np.all(np.isfinite(val))
         assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("field", sorted(VOLUME_FIELDS))
+    @pytest.mark.parametrize("rule", ["box", "box_chunked"])
+    @pytest.mark.parametrize("integral", [riesz_potential, bs_integral], ids=["riesz", "bs"])
+    def test_box_kernel_bitwise_equals_expression_with_temporaries(self, monkeypatch, integral,
+                                                                   rule, field):
+        # the in-place kernel against the same walk with the first kernel, at
+        # generic points and on a node (d2 = 0 there)
+        fn, quad = VOLUME_FIELDS[field], VOLUME_RULES[rule]
+        n = quad.n_per_axis
+        node = quad.box_rule[0][np.ravel_multi_index((n // 2, n // 2, n // 2 - 1), (n,) * 3)]
+        pts = np.vstack([VOLUME_POINTS, node])
+        walk, first = trkalian.biotsavart._walk, box_terms_with_temporaries(integral, quad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryContributionWarning)
+            got = [integral(fn, x, quad) for x in (pts, node)]
+            monkeypatch.setattr(trkalian.biotsavart, "_walk",
+                                lambda fn, x, quad, ball, box: walk(fn, x, quad, ball, first))
+            expected = [integral(fn, x, quad) for x in (pts, node)]
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
 
     @pytest.mark.parametrize("quad", [ball_quadrature(9.0), box_quadrature(6.0)],
                              ids=["ball", "box"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trkalian.core import (PlaneQuadrature, as_direction, bessel_j,
+from trkalian.core import (PlaneQuadrature, _finite_points, as_direction, bessel_j,
                            bessel_j1_first_zero, fd_derivative_oracle,
                            fd_field, gauss_legendre, gauss_tensor_rule, plane_basis,
                            plane_wave_sum, sphere_quadrature)
@@ -153,6 +153,38 @@ class TestBessel:
         for m, x in ((1, np.nan), (0, np.array([0.5, np.nan])), (3, np.nan)):
             with pytest.raises(ValueError, match="x not NaN"):
                 bessel_j(m, x)
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_limit_zero_at_infinity(self, m):
+        # scipy gives NaN at +Inf; the finite values are scipy's, unchanged
+        from scipy import special
+
+        assert bessel_j(m, np.inf) == 0.0 and type(bessel_j(m, np.inf)) is float
+        x = np.array([[2.5, np.inf], [0.0, 1e308]])
+        got = bessel_j(m, x)
+        assert got[0, 1] == 0.0
+        finite = np.isfinite(x)
+        scipy_jm = {0: special.j0, 1: special.j1}.get(m, lambda x: special.jv(m, x))
+        assert got[finite].tobytes() == scipy_jm(x[finite]).tobytes()
+        assert bessel_j(m, np.empty(0)).shape == (0,)
+
+
+class TestFinitePoints:
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (2, 4, 3)])
+    def test_returns_float_input_as_it_is(self, shape):
+        x = np.random.default_rng(3).normal(size=shape)
+        assert _finite_points(x) is x
+        assert _finite_points(x.tolist()).tobytes() == x.tobytes()
+
+    def test_names_nan_and_infinite_rows_of_a_batch(self):
+        x = np.zeros((2, 4, 3))
+        x[0, 1, 2], x[1, 0, 0], x[1, 3, 1] = np.nan, np.inf, -np.inf
+        with pytest.raises(ValueError, match=r"finite; 3 of 8 are not: \[\[0.0, 0.0, nan\], "
+                                             r"\[inf, 0.0, 0.0\], \[0.0, -inf, 0.0\]\]$"):
+            _finite_points(x)
+        x[0, 2] = np.nan
+        with pytest.raises(ValueError, match=r"4 of 8 are not: .* \.\.\.$"):
+            _finite_points(x)
 
 
 class TestPlaneQuadrature:

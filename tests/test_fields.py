@@ -3,7 +3,7 @@ import pytest
 
 from trkalian.core import bessel_j, bessel_j1_first_zero, fd_derivative_oracle
 from trkalian.moses import frame_index_of, moses_frame
-from trkalian.fields import (CKCircularParams, HelicityMode, ModeField,
+from trkalian.fields import (CKCircularParams, HelicityMode, ModeField, _jm_over_x,
                              abc_field, bessel_j0_scalar, certify_trkalian,
                              ck_circular, ck_field, ck_toroidal,
                              eval_mode_field, gauge_gradient_field,
@@ -348,6 +348,70 @@ def test_envelope_bitwise_equals_written_out_formula(shape, order):
     assert got.tobytes() == written_out_envelope(x, c, width).tobytes()
     assert x.tobytes(order="A") == before.tobytes(order="A")  # the input is only read
     assert type(got) is (np.float64 if shape == (3,) else np.ndarray)
+
+
+def complex_product_probe(x, c, width, pol):
+    """The Gaussian probe as the broadcast complex product g P."""
+    return gaussian_scalar(c, width)(x)[..., None] * pol
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(3,), (50, 3), (4, 7, 3)])
+def test_gaussian_probe_bitwise_equals_complex_product(shape, order):
+    x = np.asarray(np.random.default_rng(32).normal(scale=2.0, size=shape), order=order)
+    c, width, pol = np.array([0.3, -0.7, 1.1]), 1.3, np.array([1.0 - 0.5j, -0.25 + 2.0j, 0.75])
+    got = gaussian_test_field(c, width, pol)(x)
+    assert got.tobytes() == complex_product_probe(x, c, width, pol).tobytes()
+    assert got.shape == shape and got.dtype == complex and got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("pol", [(-1.0, 0.0, 0.0), (1.0 - 1.0j, -2.0 + 0.5j, -0.3 - 0.1j),
+                                 (complex(-0.0, -1.0), complex(1.0, -0.0), 0.0),
+                                 (0.0, 0.0, 0.0)],
+                         ids=["real-negative", "complex", "signed-zero-parts", "zero"])
+def test_gaussian_probe_keeps_the_signs_of_zero(pol):
+    # where g p is zero (g underflows, or p = -0.0) the complex product
+    # decides the sign of each zero part; the probe keeps it
+    x = np.array([[0.0, 0.0, 0.0], [27.2, 0.0, 0.0], [30.0, 0.0, 0.0], [0.0, -60.0, 40.0]])
+    pol = np.array(pol, dtype=complex)
+    for pts in (x, x[0], x[1], x[1:3]):
+        got = gaussian_test_field((0.0, 0.0, 0.0), 1.0, pol)(pts)
+        assert got.tobytes() == complex_product_probe(pts, np.zeros(3), 1.0, pol).tobytes()
+
+
+def complex_assignment_lundquist(x, f0, nu):
+    """The Lundquist field with its components assigned into a complex array."""
+    x = np.asarray(x, dtype=float)
+    px, py = x[..., 0], x[..., 1]
+    r = np.hypot(px, py)
+    ratio = _jm_over_x(1, nu * r)
+    out = np.empty(x.shape, dtype=complex)
+    out[..., 0] = -f0 * nu * ratio * py
+    out[..., 1] = f0 * nu * ratio * px
+    out[..., 2] = f0 * bessel_j(0, np.abs(nu) * r)
+    return out
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(3,), (50, 3), (4, 7, 3)])
+def test_lundquist_bitwise_equals_complex_assignment(shape, order):
+    x = np.random.default_rng(33).normal(scale=2.0, size=shape)
+    flat = x.reshape(-1, 3)
+    flat[-1, :2] = 0.0  # on the axis, r = 0
+    if len(flat) > 1:
+        flat[0, :2] = (-3e-9, 2e-9)  # nu r < 1e-8: the series branch of J1(nu r)/(nu r)
+    x = np.asarray(x, order=order)
+    for f0, nu in ((1.3, 0.9), (-0.7, -2.5)):
+        got = lundquist(f0, nu)(x)
+        assert got.tobytes() == complex_assignment_lundquist(x, f0, nu).tobytes()
+        assert got.shape == shape and got.dtype == complex and got.flags.c_contiguous
+
+
+def test_lundquist_is_zero_where_nu_r_overflows():
+    # nu r = Inf, where J0 and J1 tend to 0; scipy's NaN there once came through
+    with np.errstate(over="ignore"):  # numpy's own warning on nu r
+        got = lundquist(1.0, 10.0)(np.array([[1e308, 0.0, 0.0], [0.0, -1e308, 5.0]]))
+    assert np.all(got == 0.0)
 
 
 NAN, INF = float("nan"), float("inf")
