@@ -9,7 +9,9 @@ reports (core count, Python, numpy, scipy, BLAS, src.loc).  It then runs
 ``--trace 1`` on the first three seeds of each workload, alternating the
 same way, and writes the median of every per-layer metric under
 ``per_layer`` and its minimum and maximum over those seeds under
-``per_layer_spread``, workload by workload.  It also times
+``per_layer_spread``, workload by workload, and the median and [min, max]
+of each verify record's traced time under ``verify_records``; it prints the
+records whose median moved most.  It also times
 the tier-1 suite of each tree, three alternating runs per tree, and writes
 their median and IQR with the counts of the suite's summary line.  It reads the
 harness's printed JSON line and its ``.bench_out/results`` file; it imports
@@ -49,6 +51,7 @@ from pathlib import Path
 
 TIER1_RUNS = 3
 TRACE_SEEDS = 3
+RECORDS_SHOWN = 8  # verify records printed, those whose median moved most
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -69,6 +72,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float | None, trace: int 
     results = tree / ".bench_out" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     full = json.loads(results.read_text())
     report["environment"], report["seconds"] = full["environment"], full["seconds"]
+    report["verify_records_s"] = full.get("verify_records_s", {})  # traced runs only
     return report
 
 
@@ -90,6 +94,17 @@ def tier1(tree: Path) -> tuple[float, str]:
 def layer_values(reports: list[dict], metric: str) -> list[float]:
     """One per-layer metric of the traced runs, seed by seed."""
     return [r["metrics"][metric]["value"] for r in reports]
+
+
+def record_times(reports: list[dict]) -> dict:
+    """Median and [min, max] of each verify record's time (s) over the runs
+    that timed it, the traced runs of the verify workload."""
+    times: dict[str, list[float]] = {}
+    for r in reports:
+        for name, value in r["verify_records_s"].items():
+            times.setdefault(name, []).append(value)
+    return {name: {"median": statistics.median(v), "range": [min(v), max(v)]}
+            for name, v in sorted(times.items())}
 
 
 def summary(values: list[float]) -> dict:
@@ -171,6 +186,7 @@ def main() -> None:
             print(f"tier-1 run {i + 1} {t.name}: {suite[t][-1][0]:.2f} s, {suite[t][-1][1]}",
                   flush=True)
 
+    records = {t: record_times([r for w in workloads for r in layers[t][w]]) for t in trees}
     for t in trees:
         env = runs[t][workloads[0]][0]["environment"]
         out = {"tree": t.name, "seeds": args.seeds, "seconds": runs[t][workloads[0]][0]["seconds"],
@@ -183,7 +199,8 @@ def main() -> None:
                                  for m in layer_metrics} for w in workloads},
                "per_layer_spread": {w: {m: [min(layer_values(layers[t][w], m)),
                                             max(layer_values(layers[t][w], m))]
-                                        for m in layer_metrics} for w in workloads}}
+                                        for m in layer_metrics} for w in workloads},
+               "verify_records": records[t]}
         for w in workloads:
             reports = runs[t][w]
             out["workloads"][w] = {
@@ -220,6 +237,15 @@ def main() -> None:
                       f"{statistics.median(vb):10.4g}  (median of traced runs; range "
                       f"{min(va):.4g}..{max(va):.4g} -> {min(vb):.4g}..{max(vb):.4g})"
                       + ("  overlap" if overlap else ""))
+    before, after = (records[t] for t in trees)
+    common = sorted(set(before) & set(after),
+                    key=lambda n: -abs(after[n]["median"] - before[n]["median"]))
+    for name in common[:RECORDS_SHOWN]:
+        (a, (lo_a, hi_a)), (b, (lo_b, hi_b)) = ((m[name]["median"], m[name]["range"])
+                                                for m in (before, after))
+        print(f"verify record {name:24s} {1e3 * a:8.3f} -> {1e3 * b:8.3f} ms  (median of traced"
+              f" runs; range {1e3 * lo_a:.3f}..{1e3 * hi_a:.3f} -> {1e3 * lo_b:.3f}..{1e3 * hi_b:.3f})"
+              + ("  overlap" if max(lo_a, lo_b) <= min(hi_a, hi_b) else ""))
     print("tier-1 wall s " + " -> ".join(f"{statistics.median(w for w, _ in suite[t]):.2f}"
                                          for t in trees))
     found = failures(trees, runs, layers, workloads)

@@ -9,9 +9,12 @@ Laplacian.
 Each numerical primitive has exactly one implementation, owned here:
 
 - Gauss-Legendre rule: :func:`gauss_legendre` (1-D on [-1, 1], built once
-  per order), :func:`gauss_tensor_rule` (3-D tensor rule on a cube) and
-  :func:`_tensor_boundary` (the boundary nodes of a plane rule);
-- circle and sphere rules: :func:`circle_rule` (trapezoid), :func:`sphere_quadrature`;
+  per order), :func:`gauss_tensor_rule` (3-D tensor rule on a cube, the
+  box volume rule's) and :func:`_tensor_boundary` (the boundary nodes of a
+  plane rule);
+- circle and sphere rules: :func:`circle_rule` (the periodic trapezoid
+  rule, also the Fourier-slice check's 3-D rule on [-8, 8)^3),
+  :func:`sphere_quadrature`;
 - trapezoid plane rule: :meth:`PlaneQuadrature.nodes_1d` (1-D on
   [-half_width, half_width], exactly antisymmetric nodes), the rule of every
   plane integral;
@@ -362,13 +365,18 @@ def fd_field(fn, kind: str, h: float = FD_DEFAULT_STEP):
         raise ValueError(f"step h must be finite and positive, got {h!r}")
     order = 2 if kind == "laplacian" else 1
     offsets, weights = _FD_STENCILS[order]
+    # displacement (offset, axis, coordinate) of each stencil point, +-0.0 off its axis
+    with np.errstate(over="ignore", invalid="ignore"):  # a large h overflows: raise below
+        shift = (h * offsets[:, None, None] * np.eye(3)).reshape(-1)
 
     def derived(x):
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, 3)
-        with np.errstate(over="ignore", invalid="ignore"):  # a large h overflows: raise below
-            pts = (flat[:, None, None, :]
-                   + h * offsets[None, :, None, None] * np.eye(3)[None, None, :, :])
+        # row i: point i once per stencil point, plus the shifts; the sums of
+        # the broadcast point + shift, without its slow loop over an axis of 3
+        pts = flat.repeat(shift.size // 3, axis=0).reshape(flat.shape[0], shift.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts += shift
         if not np.all(np.isfinite(pts)):
             raise ValueError(f"points and their stencil points (step h = {h!r}) must be finite")
         vals = np.asarray(fn(pts.reshape(-1, 3)))

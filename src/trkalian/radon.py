@@ -527,9 +527,11 @@ def intertwining_check(fn, kappa, p: float, kind: str, quad: PlaneQuadrature) ->
     """Residual of R[D F] = Gamma_D R[F] at one (p, kappa).
 
     The left side runs the numeric transform over the finite-difference
-    derivative field (step FD_DEFAULT_STEP); the right side differentiates
-    the numeric transform in p by 4th-order central differences (step 1e-2)
-    and applies the kappa product.
+    derivative field (step FD_DEFAULT_STEP).  The right side transforms 64
+    planes at p + (j - 32) / 4, one period [p - 8, p + 8) of a one-direction
+    grid, and reads :func:`gamma_apply` of that grid at p: the p-derivative
+    of the trigonometric interpolant, exact to rounding for fields whose
+    transform decays within 8 of p.
     """
     k = as_direction(kappa)
     kinds = {"curl": ("curl", "cross"), "div": ("divergence", "dot"), "grad": ("gradient", "grad")}
@@ -538,12 +540,10 @@ def intertwining_check(fn, kappa, p: float, kind: str, quad: PlaneQuadrature) ->
     fd_kind, product = kinds[kind]
     lhs = radon_forward_numeric(fd_field(fn, fd_kind), p, k, quad)
 
-    # the stencil runs along the first coordinate, which carries p; the
-    # partials along the other two axes are discarded
-    d_transform = fd_field(lambda y: radon_forward_numeric(fn, y[:, 0], k, quad),
-                           "gradient", 1e-2)
-    dproj = d_transform(np.array([p, 0.0, 0.0]))[0]
-    rhs = kappa_product(k, dproj, product)
+    ps = p + 0.25 * (np.arange(64) - 32)
+    line = SphereQuadrature(nodes=k.reshape(1, 3), weights=np.ones(1))
+    grid = GridProfile(p=ps, sphere=line, samples=radon_forward_numeric(fn, ps, k, quad)[:, None])
+    rhs = gamma_apply(grid, product).samples[32, 0]
     return float(np.max(np.abs(np.asarray(lhs) - rhs)))
 
 

@@ -344,14 +344,15 @@ def _check_riesz() -> float:
     return float(abs(val - oracle) / abs(oracle))
 
 
-@_register("riesz_left_inverse", "Negative Laplacian inverts the Riesz potential", 5e-5)
+@_register("riesz_left_inverse", "Negative Laplacian inverts the Riesz potential", 5e-14)
 def _check_riesz_inverse() -> float:
     f = fields.gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0))
     quad = bs.ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
     x = np.array([0.3, -0.2, 0.1])
-    lap = fd_derivative_oracle(lambda y: bs.riesz_potential(f, y, quad), x, "laplacian", h=2e-2)
+    # R[-Delta F] = F, with -Delta F = (6 - 4 |y|^2) F in closed form
+    neg_lap = lambda y: (6.0 - 4.0 * np.einsum("...i,...i", y, y))[..., None] * f(y)
     val = f(x)
-    return float(np.linalg.norm(-lap - val) / np.linalg.norm(val))
+    return float(np.linalg.norm(bs.riesz_potential(neg_lap, x, quad) - val) / np.linalg.norm(val))
 
 
 def _curl_of_gaussian_potential() -> fields.SampledField:
@@ -369,22 +370,34 @@ def _curl_of_gaussian_potential() -> fields.SampledField:
     return fields.SampledField(name="solenoidal_gaussian", evaluator=evaluator)
 
 
-@_register("bs_curl_left_inverse", "Curl inverts the induced-field integral", 3e-4)
+def _curl_of_probe(x) -> np.ndarray:
+    """curl of the :func:`_curl_of_gaussian_potential` probe in closed form,
+    (4xz, 4yz, 4 - 4x^2 - 4y^2) exp(-|x|^2), written through one real buffer."""
+    x = np.asarray(x, dtype=float)
+    env = 4.0 * fields.gaussian_scalar()(x)
+    out = np.empty(x.shape)
+    np.multiply(x[..., 0] * x[..., 2], env, out=out[..., 0])
+    np.multiply(x[..., 1] * x[..., 2], env, out=out[..., 1])
+    np.multiply(1.0 - x[..., 0] ** 2 - x[..., 1] ** 2, env, out=out[..., 2])
+    return out
+
+
+@_register("bs_curl_left_inverse", "Curl inverts the induced-field integral", 2e-14)
 def _check_bs_inverse() -> float:
-    f = _curl_of_gaussian_potential()
     quad = bs.ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
     x = np.array([0.4, 0.1, -0.3])
-    curl = fd_derivative_oracle(lambda y: bs.bs_integral(f, y, quad), x, "curl", h=2e-2)
-    val = f(x)
-    return float(np.linalg.norm(curl - val) / np.linalg.norm(val))
+    val = _curl_of_gaussian_potential()(x)  # BS[curl F] = F for the div-free F
+    return float(np.linalg.norm(bs.bs_integral(_curl_of_probe, x, quad) - val)
+                 / np.linalg.norm(val))
 
 
-@_register("bs_divergence_free", "The induced-field integral is divergence-free", 1e-5)
+@_register("bs_divergence_free", "The induced-field integral is divergence-free", 5e-11)
 def _check_bs_divergence() -> float:
     f = _curl_of_gaussian_potential()
     quad = bs.ball_quadrature(9.0, n_radial=32, n_polar=12, n_azimuth=24)
     x = np.array([0.2, -0.4, 0.3])
-    div = fd_derivative_oracle(lambda y: bs.bs_integral(f, y, quad), x, "divergence", h=2e-2)
+    # the smallest halved step whose residual still falls about 16x per halving
+    div = fd_derivative_oracle(lambda y: bs.bs_integral(f, y, quad), x, "divergence", h=2.5e-3)
     return float(abs(div) / np.linalg.norm(f(x)))
 
 
@@ -431,16 +444,16 @@ def _check_rbs_grid() -> float:
     return rbs_mod.rbs_left_inverse_check(_smooth_grid_profile(seed=SEED + 23))
 
 
-@_register("fourier_slice", "Slice theorem for the Gaussian probe", 5e-6)
+@_register("fourier_slice", "Slice theorem for the Gaussian probe", 2e-15)
 def _check_slice() -> float:
     f = fields.gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0))
     k = _random_directions(1, seed=SEED + 24)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return rbs_mod.fourier_slice_check(f, k, 1.0, _PLANE, n_p=96, n_box=40)
+        return rbs_mod.fourier_slice_check(f, k, 1.0, _PLANE, n_p=96, n_box=32)
 
 
-@_register("intertwining", "Numeric transform intertwines the vector derivatives", 1e-4)
+@_register("intertwining", "Numeric transform intertwines the vector derivatives", 2e-11)
 def _check_intertwining() -> float:
     f = fields.gaussian_test_field((0.1, 0.0, -0.2), 1.0, (0.8, -0.3, 0.5))
     g = fields.gaussian_scalar((0.0, 0.2, 0.1), 1.0)

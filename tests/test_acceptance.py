@@ -168,7 +168,7 @@ def test_criterion_06_transform_space_eigenrelation():
 
 
 def test_criterion_07_intertwining():
-    tol = 1e-4
+    tol = 2e-11
     start = time.time()
     plane = tk.PlaneQuadrature(half_width=8.0, n_per_axis=40)
     f = tk.gaussian_test_field((0.1, -0.2, 0.0), 1.0, (0.8, -0.3, 0.5))

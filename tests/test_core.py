@@ -289,6 +289,27 @@ class TestFdOracle:
             single = fd_derivative_oracle(f, p, "curl")
             assert np.max(np.abs(batch[i] - single)) < 1e-12
 
+    @pytest.mark.parametrize("kind, offsets", [
+        ("curl", [-2.0, -1.0, 1.0, 2.0]), ("laplacian", [-2.0, -1.0, 0.0, 1.0, 2.0])])
+    @pytest.mark.parametrize("h", [1e-3, 2.5e-3, 0.3])
+    def test_stencil_points_are_the_broadcast_sums_bit_for_bit(self, kind, offsets, h):
+        # the stencil as first written: a coordinate that is not displaced gets
+        # +0.0 added at offsets >= 0 and -0.0 at negative ones, so -0.0 stays
+        # -0.0 only at the negative offsets
+        x = np.random.default_rng(8).uniform(-1, 1, size=(5, 3))
+        x[0], x[1, 1], x[2] = -0.0, -0.0, [-0.0, 0.0, -0.0]
+        expected = (x[:, None, None, :]
+                    + h * np.array(offsets)[None, :, None, None] * np.eye(3)[None, None, :, :])
+        seen = []
+
+        def field(y):
+            seen.append(y.copy())
+            return y
+
+        fd_field(field, kind, h)(x)
+        assert seen[0].tobytes() == expected.reshape(-1, 3).tobytes()
+        assert np.signbit(seen[0][seen[0] == 0.0]).any()
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             fd_derivative_oracle(lambda x: x, np.zeros(3), "hessian")

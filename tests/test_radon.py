@@ -425,7 +425,7 @@ class TestIntertwining:
     def test_curl(self):
         f = gaussian_test_field((0.1, 0.0, -0.2), 1.0, (0.8, -0.3, 0.5))
         res = intertwining_check(f, random_direction(13), 0.3, "curl", PLANE)
-        assert res < 1e-4
+        assert res < 2e-11
 
     def test_divergence_free_field_gives_zero_both_sides(self):
         def solenoidal(x):
@@ -438,12 +438,12 @@ class TestIntertwining:
             return out
 
         res = intertwining_check(solenoidal, random_direction(14), 0.2, "div", PLANE)
-        assert res < 1e-6
+        assert res < 1e-12
 
     def test_gradient(self):
         g = gaussian_scalar((0.0, 0.2, 0.1), 1.0)
         res = intertwining_check(g, random_direction(15), 0.1, "grad", PLANE)
-        assert res < 1e-4
+        assert res < 2e-11
 
 
 class TestAdjoint:

@@ -48,9 +48,9 @@ class TestFourierSlice:
             lhs, rhs = fourier_slice_pair(g, np.array([0.0, 0.0, 1.0]), k, PLANE)
         # both sides equal 2 pi (2 pi)^{-3/2} pi^{3/2} e^{-k^2/4}
         target = np.pi**1.5 / SQRT_2PI * np.exp(-k * k / 4)
-        assert abs(lhs - target) / target < 1e-4
-        assert abs(rhs - target) / target < 1e-4
-        assert abs(lhs - rhs) / target < 1e-4
+        assert abs(lhs - target) / target < 5e-15
+        assert abs(rhs - target) / target < 1e-13
+        assert abs(lhs - rhs) / target < 1e-13
 
     def test_zero_frequency_reduces_to_space_integral(self):
         g = gaussian_scalar()
@@ -58,8 +58,8 @@ class TestFourierSlice:
             warnings.simplefilter("ignore")
             lhs, rhs = fourier_slice_pair(g, np.array([0.0, 0.0, 1.0]), 0.0, PLANE)
         target = np.pi**1.5 / SQRT_2PI  # (2 pi)^{-1/2} int F d^3x
-        assert abs(lhs - target) / target < 1e-6
-        assert abs(rhs - target) / target < 1e-6
+        assert abs(lhs - target) / target < 5e-15
+        assert abs(rhs - target) / target < 5e-15
 
     def test_polarization_carried_componentwise(self):
         pol = np.array([1.0, -0.5, 0.25])
@@ -68,14 +68,14 @@ class TestFourierSlice:
             warnings.simplefilter("ignore")
             lhs, rhs = fourier_slice_pair(f, np.array([0.0, 0.0, 1.0]), 0.7, PLANE)
         assert np.max(np.abs(lhs / lhs[0] - pol / pol[0])) < 1e-10
-        assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)) < 1e-4
+        assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)) < 2e-13
 
     def test_residual_api(self):
         g = gaussian_scalar()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = fourier_slice_check(g, np.array([0.0, 0.0, 1.0]), 1.0, PLANE)
-        assert res < 1e-4
+        assert res < 1e-13
 
 
 class TestRadonRiesz:

@@ -35,6 +35,15 @@ def test_no_tolerance_is_left_loose(records):
     assert loose == {}
 
 
+def test_only_the_fd_record_is_above_rounding(records):
+    # every record but bs_divergence_free checks its identity on an exact oracle;
+    # that one keeps a finite-difference divergence, gated within 30x of its residual
+    by_name = {r["name"]: r for r in records}
+    fd = by_name.pop("bs_divergence_free")
+    assert {name: r["residual"] for name, r in by_name.items() if r["residual"] > 1e-12} == {}
+    assert fd["margin"] <= 30
+
+
 def test_record_count_matches_the_benchmark_pin():
     # the verify workload expects a fixed record count and fails every op on
     # another; read as text, so the benchmark package is neither run nor imported
