@@ -26,8 +26,9 @@ per-layer lines give each tree's median and range, marked "overlap" where
 the two ranges overlap, so that a shift inside the runs' own spread is not
 read as a change.  Each workload's entry records the checks the runs
 attempted and failed; the script exits 1, naming them, when any run of
-either tree is not correct or when the head fails a larger share of its
-checks on a workload than the parent.
+either tree is not correct, when the head fails a larger share of its
+checks on a workload than the parent, or when the head's tier-1 summary
+line counts more failed or errored tests than the parent's.
 
     python3 bench_pairs.py PARENT_TREE HEAD_TREE --number 17 --seeds 1-8
 
@@ -42,6 +43,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -120,11 +122,24 @@ def median_shift(a: list[float], b: list[float]) -> float:
     return shift / spread if spread else math.copysign(math.inf, shift) if shift else 0.0
 
 
-def failures(trees: list[Path], runs: dict, traced: dict, workloads: list[str]) -> list[str]:
-    """The runs, untraced or traced, with unexpected failed checks, and the
+def broken_tests(line: str) -> int:
+    """Failed plus errored tests on a pytest summary line ("2 failed, 618 passed")."""
+    return sum(int(n) for n, word in re.findall(r"(\d+) (\w+)", line)
+               if word in ("failed", "error", "errors"))
+
+
+def failures(trees: list[Path], runs: dict, traced: dict, workloads: list[str],
+             suite: dict) -> list[str]:
+    """The runs, untraced or traced, with unexpected failed checks, the
     workloads on which the head's untraced runs (trees[1]) fail a larger share
-    of their attempted checks than the parent's; empty when there are none."""
+    of their attempted checks than the parent's, and the head's tier-1 suite
+    when its worst summary line counts more failed or errored tests than the
+    parent's worst; empty when there are none."""
     found = []
+    (pb, pline), (hb, hline) = (max((broken_tests(line), line) for _, line in suite[t])
+                                for t in trees)
+    if hb > pb:
+        found.append(f"tier-1: the head's suite reads {hline!r}, the parent's {pline!r}")
     for t in trees:
         for w in workloads:
             bad = [r["seed"] for r in runs[t][w] + traced[t][w] if not r["correct"]]
@@ -248,7 +263,7 @@ def main() -> None:
               + ("  overlap" if max(lo_a, lo_b) <= min(hi_a, hi_b) else ""))
     print("tier-1 wall s " + " -> ".join(f"{statistics.median(w for w, _ in suite[t]):.2f}"
                                          for t in trees))
-    found = failures(trees, runs, layers, workloads)
+    found = failures(trees, runs, layers, workloads, suite)
     if found:
         sys.exit("FAILED RUNS:\n" + "\n".join(found))
 

@@ -122,13 +122,16 @@ def ck_transform_potential_check(choice: DebyeChoice) -> tuple[float, float]:
 # contour representation of the oscillator tones
 # ---------------------------------------------------------------------------
 
-def _pole(lam: int, nu: float, branch: str) -> complex:
+def _pole(p: float, lam: int, nu: float, branch: str) -> complex:
     """The pole +i lam nu (branch "plus") or -i lam nu (branch "minus");
-    ValueError unless lam = +/-1, nu != 0 and the branch is one of the two."""
+    ValueError unless p is finite, lam = +/-1, nu is finite and nonzero and
+    the branch is one of the two."""
+    if not np.isfinite(p):
+        raise ValueError(f"p must be finite, got {p!r}")
     if lam not in (1, -1):
         raise ValueError("lam must be +1 or -1")
-    if nu == 0.0:
-        raise ValueError("nu must be nonzero")
+    if not (np.isfinite(nu) and nu != 0.0):
+        raise ValueError(f"nu must be finite and nonzero, got {nu!r}")
     if branch not in ("plus", "minus"):
         raise ValueError("branch must be 'plus' or 'minus'")
     return (1j if branch == "plus" else -1j) * lam * nu
@@ -141,7 +144,7 @@ def oscillator_residue(p: float, lam: int, nu: float, branch: str) -> complex:
     branch "minus" encircles zeta = -i lam nu.  The Laplace kernel
     normalization 1 / (4 pi i nu) turns the value into e^{+/- i lam nu p} / (2 nu).
     """
-    return complex(2.0j * np.pi * np.exp(p * _pole(lam, nu, branch)))
+    return complex(2.0j * np.pi * np.exp(p * _pole(p, lam, nu, branch)))
 
 
 def oscillator_contour_numeric(p: float, lam: int, nu: float, branch: str,
@@ -151,7 +154,7 @@ def oscillator_contour_numeric(p: float, lam: int, nu: float, branch: str,
     The default radius is |nu| / 2; ValueError on a radius <= 0 or on the
     arguments :func:`oscillator_residue` rejects.
     """
-    pole = _pole(lam, nu, branch)
+    pole = _pole(p, lam, nu, branch)
     rho = abs(nu) / 2.0 if radius is None else radius
     if not rho > 0.0:
         raise ValueError("contour radius must be positive")

@@ -275,47 +275,35 @@ def cmd_verify(out_path, only_filter, tol_overrides) -> None:
         raise SystemExit(1)
 
 
-_PLOT_KINDS = ("lundquist_radial", "radon_heatmap", "verify_residuals")
+_PLOT_KINDS = ("radon_heatmap", "verify_residuals")
 
 
 @main.command("plot")
 @click.option("--kind", required=True, type=click.Choice(_PLOT_KINDS))
-@click.option("--data", "data_path", required=True, type=click.Path(path_type=Path))
+@click.option("--data", "data_path", required=True,
+              type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
 def cmd_plot(kind, data_path, out_dir) -> None:
     """Emit a plain-text gnuplot script referencing previously written data."""
-    if not data_path.exists():
-        click.echo(f"missing input {data_path}", err=True)
-        raise SystemExit(2)
-
-    if kind == "lundquist_radial":
-        xs = np.linspace(0.0, 8.0, 161)
-        from .core import bessel_j
-        _atomic_write(out_dir / "lundquist_radial.csv", radon.format_csv(
-            "r,j0,j1", np.column_stack([xs, bessel_j(0, xs), bessel_j(1, xs)])))
-        script = (
-            "set datafile separator ','\n"
-            "set xlabel 'nu r'\n"
-            "set ylabel 'component'\n"
-            f"plot '{out_dir / 'lundquist_radial.csv'}' using 1:2 with lines title 'axial (J0)', \\\n"
-            f"     '{out_dir / 'lundquist_radial.csv'}' using 1:3 with lines title 'azimuthal (J1)'\n"
-        )
-        _atomic_write(out_dir / "lundquist_radial.gp", script)
-    elif kind == "radon_heatmap":
+    if kind == "radon_heatmap":
+        with data_path.open(errors="replace") as handle:
+            header = handle.readline().rstrip("\n")
+        if header != radon.GRID_CSV_HEADER:
+            raise click.UsageError(f"{data_path} is no trk radon profile_grid.csv:"
+                                   f" its header is {header!r}")
         script = (
             "set datafile separator ','\n"
             "set xlabel 'p'\n"
             "set ylabel 'direction azimuth'\n"
             "set view map\n"
-            f"splot '{data_path}' using 1:(atan2($3,$2)):5 with points pt 5 palette title '|Re F_x|'\n"
+            f"splot '{data_path}' using 1:(atan2($3,$2)):5 with points pt 5 palette title 'Re F_x'\n"
         )
-        _atomic_write(out_dir / "radon_heatmap.gp", script)
     else:
         row = ",".join(["%s", radon.FLOAT_FMT, radon.FLOAT_FMT])
         try:
-            records = json.loads(Path(data_path).read_text())["records"]
+            records = json.loads(data_path.read_text())["records"]
             rows = [row % (r["name"], r["residual"], r["tolerance"]) for r in records]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError: not JSON, not text
             raise click.UsageError(f"{data_path} is no trk verify report:"
                                    f" {type(exc).__name__}: {exc}") from exc
         _atomic_write(out_dir / "verify_residuals.csv",
@@ -328,7 +316,7 @@ def cmd_plot(kind, data_path, out_dir) -> None:
             f"plot '{out_dir / 'verify_residuals.csv'}' using 2:xtic(1) title 'residual', \\\n"
             f"     '{out_dir / 'verify_residuals.csv'}' using 3 title 'tolerance'\n"
         )
-        _atomic_write(out_dir / "verify_residuals.gp", script)
+    _atomic_write(out_dir / f"{kind}.gp", script)
     click.echo(f"wrote plot script to {out_dir}")
 
 

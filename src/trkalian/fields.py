@@ -157,15 +157,16 @@ def mode_sampled_field(f: ModeField) -> SampledField:
 # Lundquist field and potential
 # ---------------------------------------------------------------------------
 
-def _jm_over_x(m: int, x) -> np.ndarray:
+def _jm_over_x(m: int, x, jm=None) -> np.ndarray:
     """J_m(|x|)/|x| for m >= 1 (even in x, as J_m(x)/x is for odd m), stable
     at x = 0: below |x| = 1e-8 it is the leading series term
-    |x|^(m-1) / (2^m m!), whose next term lies below rounding."""
+    |x|^(m-1) / (2^m m!), whose next term lies below rounding.  ``jm``, when
+    given, holds J_m(|x|) already evaluated."""
     x = np.abs(np.asarray(x, dtype=float))
     small = x < 1e-8
     safe = np.where(small, 1.0, x)
     return np.where(small, x ** (m - 1) / (2.0**m * math.factorial(m)),
-                    bessel_j(m, safe) / safe)
+                    (bessel_j(m, safe) if jm is None else jm) / safe)
 
 
 def lundquist(f0: float, nu: float) -> SampledField:
@@ -357,13 +358,14 @@ def ck_circular(params: CKCircularParams) -> SampledField:
         xr = nu * r
         jm = bessel_j(m, xr)
         if m == 0:
-            dj = -bessel_j(1, xr)
+            dj, m_over_r = -bessel_j(1, xr), 0.0
         else:
-            dj = 0.5 * (bessel_j(m - 1, xr) - bessel_j(m + 1, xr))
+            # J_m' = J_{m-1} - m J_m/x, and psi(r) m/r, both finite at the axis
+            jm_x = _jm_over_x(m, xr, jm)
+            dj = bessel_j(m - 1, xr) - m * jm_x
+            m_over_r = m * amp * nu * jm_x
         psi = amp * jm
         dpsi = amp * nu * dj
-        # psi(r) m/r, finite at the axis
-        m_over_r = m * amp * nu * _jm_over_x(m, xr) if m > 0 else 0.0
         # cylindrical components, common factor e^{i(m theta - k z)}
         f_r = 1j * (k * dpsi - sigma * m_over_r)
         f_th = sigma * dpsi - k * m_over_r

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_direction
+from .core import _finite_points, as_direction
 
 # Width of the south-pole band evaluated through the antipodal relation.
 # The direct coframe formula amplifies the unit-norm rounding of the input
@@ -116,11 +116,13 @@ def eigenfunction(x, k, a: int) -> np.ndarray:
 
     For the transverse members curl chi = lambda |k| chi and div chi = 0.
     """
+    x = _finite_points(x)
     k = np.asarray(k, dtype=float)
+    if not np.isfinite(k).all():
+        raise ValueError(f"wave vector k must be finite, got {k.tolist()}")
     kn = np.linalg.norm(k)
     if kn == 0.0:
         raise ValueError("wave vector must be nonzero")
-    x = np.asarray(x, dtype=float)
     q = moses_frame(k / kn, a)
     phase = np.exp(1j * (x @ k))
     return _INV_TWO_PI_32 * phase[..., None] * q

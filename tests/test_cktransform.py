@@ -223,13 +223,16 @@ class TestOscillatorContour:
             oscillator_residue(0.0, 1, 1.0, "around")
 
     @pytest.mark.parametrize("loop", [oscillator_residue, oscillator_contour_numeric])
-    @pytest.mark.parametrize("lam, nu, branch", [
-        (5, 1.0, "plus"), (0, 1.0, "minus"), (1, 0.0, "plus"), (-1, 0.0, "minus"),
-        (1, 1.0, "around"),
-    ], ids=["lam-5", "lam-0", "nu-0-plus", "nu-0-minus", "bad-branch"])
-    def test_both_loops_reject_the_same_poles(self, loop, lam, nu, branch):
+    @pytest.mark.parametrize("p, lam, nu, branch", [
+        (0.3, 5, 1.0, "plus"), (0.3, 0, 1.0, "minus"), (0.3, 1, 0.0, "plus"),
+        (0.3, -1, 0.0, "minus"), (0.3, 1, 1.0, "around"), (0.3, 1, np.nan, "plus"),
+        (0.3, 1, np.inf, "plus"), (0.3, -1, -np.inf, "minus"), (np.nan, 1, 1.0, "plus"),
+        (np.inf, 1, 1.0, "minus"), (-np.inf, 1, 1.0, "plus"),
+    ], ids=["lam-5", "lam-0", "nu-0-plus", "nu-0-minus", "bad-branch", "nu-nan", "nu-inf",
+            "nu-minus-inf", "p-nan", "p-inf", "p-minus-inf"])
+    def test_both_loops_reject_the_same_poles(self, loop, p, lam, nu, branch):
         with pytest.raises(ValueError):
-            loop(0.3, lam, nu, branch)
+            loop(p, lam, nu, branch)
 
     @pytest.mark.parametrize("radius", [0.0, -0.5, np.nan])
     def test_contour_rejects_non_positive_radius(self, radius):

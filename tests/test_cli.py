@@ -424,29 +424,27 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
     assert not written
 
 
-class TestPlotCommand:
-    def test_lundquist_radial(self, runner, tmp_path):
-        data = tmp_path / "field.csv"
-        data.write_text("x,y,z\n0,0,0\n")
-        out = tmp_path / "plots"
-        result = runner.invoke(main, [
-            "plot", "--kind", "lundquist_radial",
-            "--data", str(data), "--out", str(out),
-        ])
-        assert result.exit_code == 0
-        script = (out / "lundquist_radial.gp").read_text()
-        assert "J0" in script and "J1" in script
+def _radon_grid_csv(runner, tmp_path) -> Path:
+    """A trk radon profile_grid.csv on a small rule."""
+    result = runner.invoke(main, ["radon", "--field", "gaussian", "--quad", "2,4",
+                                  "--pgrid=-4:4:8", "--out", str(tmp_path / "gauss")])
+    assert result.exit_code == 0, result.output
+    return tmp_path / "gauss" / "profile_grid.csv"
 
+
+class TestPlotCommand:
     def test_radon_heatmap(self, runner, tmp_path):
-        data = tmp_path / "profile_grid.csv"
-        data.write_text("p,kx,ky,kz\n0,0,0,1\n")
+        data = _radon_grid_csv(runner, tmp_path)
         out = tmp_path / "plots"
         result = runner.invoke(main, [
             "plot", "--kind", "radon_heatmap",
             "--data", str(data), "--out", str(out),
         ])
-        assert result.exit_code == 0
-        assert (out / "radon_heatmap.gp").exists()
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out.iterdir()) == ["radon_heatmap.gp"]
+        script = (out / "radon_heatmap.gp").read_text()
+        assert f"splot '{data}' using 1:(atan2($3,$2)):5" in script
+        assert "title 'Re F_x'" in script
 
     def test_verify_residual_chart(self, runner, tmp_path):
         data = tmp_path / "report.json"
@@ -459,6 +457,7 @@ class TestPlotCommand:
         ])
         assert result.exit_code == 0
         assert (out / "verify_residuals.csv").exists()
+        assert (out / "verify_residuals.gp").exists()
 
     @pytest.mark.parametrize("text", ["name,residual\n", '{"n_passed": 43}',
                                       '{"records": [{"name": "x"}]}'],
@@ -476,20 +475,71 @@ class TestPlotCommand:
 
     def test_missing_input_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, [
-            "plot", "--kind", "lundquist_radial",
-            "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "p"),
+            "plot", "--kind", "verify_residuals",
+            "--data", str(tmp_path / "absent.json"), "--out", str(tmp_path / "p"),
         ])
         assert result.exit_code == 2
+        assert "does not exist" in result.output
 
 
-def test_cli_import_leaves_scipy_unloaded():
+_GRID_ROW = "0,1,0,0,1,0,0,0,0,0\n"
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("lundquist_radial", ("field.csv", "x,y,z\n0,0,0\n")),
+    ("radon_heatmap", None),
+    ("verify_residuals", None),
+    ("radon_heatmap", "directory"),
+    ("radon_heatmap", ("profile_grid.csv", "p,kx,ky,kz\n0,0,0,1\n")),
+    ("radon_heatmap", ("field.csv", "x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz\n" + _GRID_ROW)),
+    ("radon_heatmap", ("profile_grid.csv", "")),
+    ("radon_heatmap", ("profile_grid.csv", b"\xff\xfe" + _GRID_ROW.encode())),
+    ("verify_residuals", ("report.json", b"\xff\xfe{}")),
+], ids=["lundquist-radial-kind", "heatmap-missing-data", "residuals-missing-data",
+        "heatmap-data-is-directory", "heatmap-header-only-directions", "heatmap-field-csv",
+        "heatmap-empty-file", "heatmap-not-text", "residuals-not-text"])
+def test_bad_plot_input_is_usage_error(runner, tmp_path, kind, data):
+    """Every bad --kind or --data exits 2 with a usage message before anything
+    is written under --out."""
+    if data is None:
+        data_path = tmp_path / "absent"
+    elif data == "directory":
+        data_path = tmp_path
+    else:
+        data_path = tmp_path / data[0]
+        if isinstance(data[1], bytes):
+            data_path.write_bytes(data[1])
+        else:
+            data_path.write_text(data[1])
+    out = tmp_path / "plots"
+    result = runner.invoke(main, ["plot", "--kind", kind, "--data", str(data_path),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "Usage:" in result.output
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # scipy is imported on the first Bessel evaluation only, so commands
-    # that never evaluate one (the default Gaussian transform) skip its cost
+    # that never evaluate one (the default Gaussian transform and both plot
+    # kinds) skip its cost
     env = {**os.environ, "PYTHONPATH": str(Path(trkalian.__file__).parents[1])}
-    probe = "import sys, trkalian.cli; print('scipy.special' in sys.modules)"
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"records": [
+        {"name": "x", "residual": 1e-10, "tolerance": 1e-6}]}))
+    gauss, plots = tmp_path / "gauss", tmp_path / "plots"
+    commands = [["radon", "--field", "gaussian", "--out", str(gauss)],
+                ["plot", "--kind", "radon_heatmap", "--data", str(gauss / "profile_grid.csv"),
+                 "--out", str(plots)],
+                ["plot", "--kind", "verify_residuals", "--data", str(report), "--out", str(plots)]]
+    probe = ("import sys; from trkalian.cli import main\n"
+             f"for args in {commands!r}: main(args, standalone_mode=False)\n"
+             "print('scipy.special' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip().splitlines()[-1] == "False"
+    assert sorted(p.name for p in plots.iterdir()) == [
+        "radon_heatmap.gp", "verify_residuals.csv", "verify_residuals.gp"]
 
 
 def test_module_entry_point_runs_the_command():

@@ -117,10 +117,19 @@ class TestBessel:
         assert bessel_j(0, 0.0) == 1.0
         assert bessel_j(1, 0.0) == 0.0
 
-    def test_first_zero_of_j1(self):
+    def test_first_zero_of_j1(self, monkeypatch):
+        import trkalian.core as core_mod
+        calls = []
+
+        def counted(order, x):
+            calls.append(order)
+            return bessel_j(order, x)
+
+        monkeypatch.setattr(core_mod, "bessel_j", counted)
         root = bessel_j1_first_zero()
-        assert abs(root - 3.8317059702) < 1e-9
+        assert root == 3.831705970207512  # the 1e-14 bisection's value, bit for bit
         assert abs(bessel_j(1, root)) < 1e-13
+        assert len(calls) <= 10
 
     def test_integral_identity_at_x_two(self):
         # (1/X) int_0^X J0(x) x dx = J1(X)

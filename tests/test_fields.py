@@ -232,6 +232,41 @@ class TestCKCircular:
         near, far = f(np.array([[5e-9, 0.0, 0.0], [2e-8, 0.0, 0.0]]))
         assert np.max(np.abs(near[:2] / far[:2] - 0.25)) < 1e-12 * 0.25
 
+    @pytest.mark.parametrize("k", [0.0, 0.5])
+    @pytest.mark.parametrize("m", range(5))
+    def test_matches_the_two_sided_derivative_form(self, m, k, monkeypatch):
+        """J_m' = J_{m-1} - m J_m/x, from two Bessel calls per evaluation,
+        gives the field of J_m' = (J_{m-1} - J_{m+1})/2 on a grid through
+        the axis."""
+        from scipy import special
+
+        import trkalian.fields as fields_mod
+        calls = []
+
+        def counted(order, x):
+            calls.append(order)
+            return bessel_j(order, x)
+
+        monkeypatch.setattr(fields_mod, "bessel_j", counted)
+        params = CKCircularParams(m=m, k=k, nu=1.3)
+        g = np.linspace(-2.0, 2.0, 9)
+        pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        got = ck_circular(params)(pts)
+        assert sorted(calls) == ([m - 1, m] if m else [0, 1])
+
+        r, theta, z = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0]), pts[:, 2]
+        xr = params.nu * r
+        dpsi = params.nu * special.jvp(m, xr)
+        on_axis = params.nu / 2 if m == 1 else 0.0  # lim m J_m(nu r)/r
+        m_over_r = np.where(r == 0, on_axis, m * special.jv(m, xr) / np.where(r == 0, 1, r))
+        f_r = 1j * (k * dpsi - params.sigma * m_over_r)
+        f_th = params.sigma * dpsi - k * m_over_r
+        phase = np.exp(1j * (m * theta - k * z))
+        ref = np.stack([(f_r * np.cos(theta) - f_th * np.sin(theta)) * phase,
+                        (f_r * np.sin(theta) + f_th * np.cos(theta)) * phase,
+                        -params.nu**2 * special.jv(m, xr) * phase], axis=-1)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             CKCircularParams(m=-1, k=0.0, nu=1.0)

@@ -150,6 +150,17 @@ class TestEigenfunction:
         with pytest.raises(ValueError):
             eigenfunction(np.zeros(3), np.zeros(3), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        x = np.array([[0.1, 0.2, 0.3], [0.0, bad, 1.0]])
+        with pytest.raises(ValueError, match="evaluation points must be finite; 1 of 2"):
+            eigenfunction(x, np.array([0.3, -1.2, 0.8]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_wavevector(self, bad):
+        with pytest.raises(ValueError, match="wave vector k must be finite"):
+            eigenfunction(np.zeros(3), np.array([0.3, bad, 0.8]), 1)
+
 
 def test_helicity_labels():
     assert helicity_of(1) == 1
