@@ -19,7 +19,9 @@ Each numerical primitive has exactly one implementation, owned here:
   [-half_width, half_width], exactly antisymmetric nodes), the rule of every
   plane integral;
 - 4th-order central-difference stencils: :func:`fd_field`, of which
-  :func:`fd_derivative_oracle` is the one-point call;
+  :func:`fd_derivative_oracle` is the one-point call; the field is called
+  once, on stencil points shaped x.shape[:-1] + (m, 3), m = 12 (15 for the
+  Laplacian);
 - real view of field values for float-only sums and magnitudes:
   :func:`field_reals` and its inverse :func:`from_reals`;
 - plane-wave sums at a batch of points: :func:`plane_wave_sum`, in the
@@ -342,8 +344,9 @@ _FD_STENCILS = {
 def fd_derivative_oracle(fn, x, kind: str, h: float = FD_DEFAULT_STEP):
     """4th-order central-difference derivative of a smooth field at one point.
 
-    The one-point call of :func:`fd_field`; ``fn`` must accept a batch of
-    positions (n, 3).  Error is O(h^4).
+    The one-point call of :func:`fd_field`: ``fn`` receives the point's m
+    stencil points as one array (m, 3), m = 12, or 15 for the Laplacian.
+    Error is O(h^4).
     """
     return fd_field(fn, kind, h)(x)
 
@@ -354,8 +357,12 @@ def fd_field(fn, kind: str, h: float = FD_DEFAULT_STEP):
     ``kind`` is one of "curl" / "divergence" (vector fields), "gradient"
     (Jacobian rows d/dx_i, for scalar or vector fields) or "laplacian"
     (either; acts componentwise).  Returns a callable accepting positions
-    (..., 3); all stencil evaluations for a batch are fused into a single
-    call of ``fn``, made only if they are all finite.  Error is O(h^4).
+    x (..., 3).  It calls ``fn`` once, on the stencil points of every point,
+    shaped x.shape[:-1] + (m, 3) with m = 12 (4 offsets by 3 axes), or 15 for
+    the Laplacian, and only if they are all finite; ``fn`` returns values
+    shaped x.shape[:-1] + (m,) + value shape.  A field with per-point
+    parameters (..., d) broadcasts them over the stencil axis as (..., 1, d).
+    Error is O(h^4).
     """
     if kind not in ("curl", "divergence", "gradient", "laplacian"):
         raise ValueError(f"unknown derivative kind {kind!r}")
@@ -366,19 +373,23 @@ def fd_field(fn, kind: str, h: float = FD_DEFAULT_STEP):
     # displacement (offset, axis, coordinate) of each stencil point, +-0.0 off its axis
     with np.errstate(over="ignore", invalid="ignore"):  # a large h overflows: raise below
         shift = (h * offsets[:, None, None] * np.eye(3)).reshape(-1)
+    m = shift.size // 3
 
     def derived(x):
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, 3)
         # row i: point i once per stencil point, plus the shifts; the sums of
         # the broadcast point + shift, without its slow loop over an axis of 3
-        pts = flat.repeat(shift.size // 3, axis=0).reshape(flat.shape[0], shift.size)
+        pts = flat.repeat(m, axis=0).reshape(flat.shape[0], shift.size)
         with np.errstate(over="ignore", invalid="ignore"):
             pts += shift
         if not np.all(np.isfinite(pts)):
             raise ValueError(f"points and their stencil points (step h = {h!r}) must be finite")
-        vals = np.asarray(fn(pts.reshape(-1, 3)))
-        vals = vals.reshape((flat.shape[0], offsets.size, 3) + vals.shape[1:])
+        vals = np.asarray(fn(pts.reshape(x.shape[:-1] + (m, 3))))
+        if vals.shape[:x.ndim] != x.shape[:-1] + (m,):
+            raise ValueError(f"field values {vals.shape} do not lead with the stencil "
+                             f"points' shape {x.shape[:-1] + (m,)}")
+        vals = vals.reshape((flat.shape[0], offsets.size, 3) + vals.shape[x.ndim:])
         d = np.tensordot(vals, weights, axes=(1, 0)) / h**order  # (n, 3[, comps])
         if kind == "laplacian":
             out = d[:, 0] + d[:, 1] + d[:, 2]

@@ -115,16 +115,23 @@ def eigenfunction(x, k, a: int) -> np.ndarray:
     """Curl eigenfunction chi_a(x | k) = (2 pi)^{-3/2} e^{i k.x} Q_a(k / |k|).
 
     For the transverse members curl chi = lambda |k| chi and div chi = 0.
+    ``k`` is one wave vector (3,) or one per point (..., 3); it broadcasts
+    against the points x (..., 3), so points (n, m, 3) take wave vectors
+    (n, 1, 3), and the values have the broadcast shape.  Raises ValueError,
+    before any arithmetic, naming the rows of k that are zero or not finite.
     """
     x = _finite_points(x)
     k = np.asarray(k, dtype=float)
-    if not np.isfinite(k).all():
-        raise ValueError(f"wave vector k must be finite, got {k.tolist()}")
-    kn = np.linalg.norm(k)
-    if kn == 0.0:
-        raise ValueError("wave vector must be nonzero")
-    q = moses_frame(k / kn, a)
-    phase = np.exp(1j * (x @ k))
+    if k.shape[-1:] != (3,):
+        raise ValueError(f"wave vector k must have 3 components, got shape {k.shape}")
+    kn = np.sqrt(k[..., 0] ** 2 + k[..., 1] ** 2 + k[..., 2] ** 2)
+    bad = ~(np.isfinite(kn) & (kn > 0.0))  # NaN, Inf, zero, or so large that |k| overflows
+    if bad.any():
+        where = f" at rows {np.flatnonzero(bad)[:3].tolist()}" if k.ndim > 1 else ""
+        raise ValueError(f"wave vector k must be finite and nonzero{where}, "
+                         f"got {k[bad][:3].tolist()}")
+    q = moses_frame(k / kn[..., None], a)
+    phase = np.exp(1j * (x[..., 0] * k[..., 0] + x[..., 1] * k[..., 1] + x[..., 2] * k[..., 2]))
     return _INV_TWO_PI_32 * phase[..., None] * q
 
 

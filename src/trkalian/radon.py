@@ -729,7 +729,12 @@ def grid_to_csv(grid: GridProfile) -> str:
 
 
 def grid_from_csv(text: str, sphere: SphereQuadrature) -> GridProfile:
-    """Rebuild a grid profile from CSV rows ordered as written by grid_to_csv."""
+    """Rebuild a grid profile from CSV rows ordered as written by grid_to_csv.
+
+    Raises ValueError unless the rows are n_p blocks of one row per sphere
+    node, in the sphere's node order, and every row of a block holds the
+    block's p bit for bit.  Rows count from 0, the line after the header.
+    """
     with warnings.catch_warnings():
         # a header-only text is the "rows" error below, not numpy's empty-input warning
         warnings.simplefilter("ignore", UserWarning)
@@ -738,6 +743,14 @@ def grid_from_csv(text: str, sphere: SphereQuadrature) -> GridProfile:
     n_p = data.shape[0] // n_dir
     if n_p == 0 or data.shape != (n_p * n_dir, 10):
         raise ValueError(f"CSV must hold n_p x {n_dir} rows of 10 columns")
+    # every row of a block of n_dir rows carries the block's p, bit for bit
+    bits = data[:, 0].reshape(n_p, n_dir).view(np.int64)
+    off = np.flatnonzero(bits != bits[:, :1])
+    if off.size:
+        row = int(off[0])
+        first = float(data[row - row % n_dir, 0])
+        raise ValueError(f"CSV row {row} has p = {float(data[row, 0])!r}, not its block's "
+                         f"p = {first!r} (each p is {n_dir} consecutive rows)")
     nodes = np.tile(sphere.nodes, (n_p, 1))
     if not np.all(np.linalg.norm(data[:, 1:4] - nodes, axis=1) <= DIRECTION_TOL):
         raise ValueError("CSV directions differ from the sphere quadrature nodes")

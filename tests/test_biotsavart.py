@@ -541,6 +541,13 @@ class TestAmpere:
         assert abs(phi_s) < 1e-9
         assert abs(phi_l) < 1e-9
 
+    def test_fluxes_are_pinned_bit_for_bit(self):
+        # the disc curl is one fd_field batch of 48 x 64 points; pinned so
+        # that a change to the stencil's batching cannot move the fluxes
+        q, phi_s, phi_l = ampere_fluxes(lundquist(1.0, 1.0), 0.5, 1.0)
+        assert [q, phi_s, phi_l] == [0.7611088068279133, 0.761108806827899, 0.7611088068279133]
+        assert q.imag == phi_s.imag == phi_l.imag == 0.0
+
     def test_small_radius_series(self):
         f0, nu = 1.0, 1.0
         radius = 0.01

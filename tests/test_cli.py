@@ -368,6 +368,22 @@ class TestVerifyCommand:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_batched_records_do_not_depend_on_blas_threads(self):
+        # the two records that evaluate a batch of points per call; one
+        # thread and the default thread count must give the same residuals
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(trkalian.__file__).parents[1])
+        script = ("from trkalian import verify\n"
+                  "for name in ('eigenfunction_curl', 'ck_abc_reconstruction'):\n"
+                  "    print(name, repr(verify.run_verify(only=name)['records'][0]['residual']))\n")
+        texts = [subprocess.run([sys.executable, "-c", script], env={**env, **threads}, check=True,
+                                capture_output=True, timeout=120).stdout
+                 for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {})]
+        assert texts[0] == texts[1]
+        names = [line.split()[0] for line in texts[0].decode().splitlines()]
+        assert names == ["eigenfunction_curl", "ck_abc_reconstruction"]
+
 
 @pytest.mark.parametrize("args", [
     ["verify", "--only", "zzz"],

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from trkalian.core import (PlaneQuadrature, _finite_points, as_direction, bessel_j,
-                           bessel_j1_first_zero, fd_derivative_oracle,
+from trkalian.core import (_FD_STENCILS, FD_DEFAULT_STEP, PlaneQuadrature, _finite_points,
+                           as_direction, bessel_j, bessel_j1_first_zero, fd_derivative_oracle,
                            fd_field, gauss_legendre, gauss_tensor_rule, plane_basis,
                            plane_wave_sum, sphere_quadrature)
 
@@ -297,6 +297,48 @@ class TestFdOracle:
         for i, p in enumerate(pts):
             single = fd_derivative_oracle(f, p, "curl")
             assert np.max(np.abs(batch[i] - single)) < 1e-12
+
+    @pytest.mark.parametrize("kind, m", [
+        ("curl", 12), ("divergence", 12), ("gradient", 12), ("laplacian", 15)])
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 5)])
+    def test_field_sees_each_points_stencil_as_one_batch(self, kind, m, lead):
+        seen = []
+
+        def field(y):
+            seen.append(y.shape)
+            return y
+
+        x = np.random.default_rng(9).uniform(-1, 1, size=lead + (3,))
+        fd_field(field, kind)(x)
+        assert seen == [lead + (m, 3)]
+
+    @pytest.mark.parametrize("kind", ["curl", "divergence", "gradient", "laplacian"])
+    @pytest.mark.parametrize("name", ["lundquist", "gaussian"])
+    def test_batch_equals_stacked_one_point_calls(self, kind, name):
+        from trkalian.fields import gaussian_test_field, lundquist
+        f = (lundquist(1.0, 1.3) if name == "lundquist"
+             else gaussian_test_field((0.1, 0.0, -0.2), 1.0, (1.0, 0.5j, -0.3)))
+        seen = []
+
+        def field(y):
+            seen.append(f(y))
+            return seen[-1]
+
+        pts = np.random.default_rng(10).uniform(-1.5, 1.5, size=(50, 3))
+        batch = fd_field(field, kind)(pts)
+        single = np.stack([fd_derivative_oracle(field, p, kind) for p in pts])
+        # each point's stencil values are the one-point call's, bit for bit
+        assert seen[0].tobytes() == np.stack(seen[1:]).tobytes()
+        # the stencil weights are a BLAS contraction, whose rounding depends
+        # on the batch's row count: within a few roundings of the weighted sum
+        order = 2 if kind == "laplacian" else 1
+        bound = (3 * np.finfo(float).eps * np.max(np.abs(seen[0]))
+                 * np.sum(np.abs(_FD_STENCILS[order][1])) / FD_DEFAULT_STEP**order)
+        assert np.max(np.abs(batch - single)) <= bound
+
+    def test_rejects_values_not_shaped_like_the_stencil(self):
+        with pytest.raises(ValueError, match="do not lead with the stencil"):
+            fd_field(lambda y: y.reshape(-1, 3), "curl")(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("kind, offsets", [
         ("curl", [-2.0, -1.0, 1.0, 2.0]), ("laplacian", [-2.0, -1.0, 0.0, 1.0, 2.0])])

@@ -146,6 +146,28 @@ class TestEigenfunction:
             div = fd_derivative_oracle(lambda y: eigenfunction(y, k, a), x, "divergence")
             assert abs(div) < 1e-7
 
+    def test_one_wavevector_per_point(self):
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-1, 1, size=(20, 3))
+        k = rng.normal(size=(20, 3))
+        for a in (1, 2, 3):
+            batch = eigenfunction(x, k, a)
+            single = np.stack([eigenfunction(xi, ki, a) for xi, ki in zip(x, k)])
+            assert batch.shape == (20, 3)
+            assert np.max(np.abs(batch - single)) <= 1e-15 * np.max(np.abs(single))
+        # points (20, 12, 3) with wave vectors (20, 1, 3): one k per row of points
+        y = x[:, None] + rng.uniform(-0.1, 0.1, size=(20, 12, 3))
+        stencil = eigenfunction(y, k[:, None], 1)
+        assert stencil.shape == (20, 12, 3)
+        assert np.array_equal(stencil[7], eigenfunction(y[7], k[7:8], 1))
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_rejects_a_zero_or_non_finite_row_by_index(self, bad):
+        k = np.random.default_rng(13).normal(size=(20, 3))
+        k[5] = [bad, 0.0, 0.0]
+        with pytest.raises(ValueError, match=r"finite and nonzero at rows \[5\]"):
+            eigenfunction(np.zeros((20, 3)), k, 1)
+
     def test_rejects_zero_wavevector(self):
         with pytest.raises(ValueError):
             eigenfunction(np.zeros(3), np.zeros(3), 1)

@@ -923,6 +923,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             grid_from_csv("\n".join(lines) + "\n", sphere)
 
+    @pytest.mark.parametrize("row, cell", [(2, "123.5"), (3, "nan"), (8 * 32 + 3, "-0")])
+    def test_grid_csv_rejects_a_row_off_its_blocks_p(self, row, cell):
+        # every p cell is read, not only each block's first; -0 is not 0 bit for bit
+        sphere = sphere_quadrature(4, 8, antipodal=True)
+        p = -4.0 + 8.0 * np.arange(16) / 16
+        lines = grid_to_csv(GridProfile(p=p, sphere=sphere,
+                                        samples=np.ones((16, sphere.n, 3)))).splitlines()
+        assert sphere.n == 32 and lines[1 + 8 * 32 + 3].startswith("0,")  # block 8, p = 0.0
+        cells = lines[1 + row].split(",")
+        cells[0] = cell
+        lines[1 + row] = ",".join(cells)
+        with pytest.raises(ValueError, match=f"CSV row {row} has p = "):
+            grid_from_csv("\n".join(lines) + "\n", sphere)
+
     def test_grid_requires_power_of_two(self):
         sphere = sphere_quadrature(4, 8)
         with pytest.raises(ValueError):
