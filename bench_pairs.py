@@ -13,10 +13,13 @@ same way, and writes the median of every per-layer metric under
 of each verify record's traced time under ``verify_records``; it prints the
 records whose median moved most.  It also times
 the tier-1 suite of each tree, three alternating runs per tree, and writes
-their median and IQR with the counts of the suite's summary line.  It reads the
-harness's printed JSON line and its ``.bench_out/results`` file; it imports
-nothing from ``perfbench/``.  Before every run it deletes the
-``__pycache__`` directories inside the tree, so neither tree sets up faster
+their median and IQR with the counts of the suite's summary line.  For
+information it prints the trees' ``src.loc`` and its change, and, after one
+``python -m trkalian.cli verify --out`` per tree, the count of bit-identical
+record residuals and each record whose residual moved, with both values.
+It reads the harness's printed JSON line and its ``.bench_out/results``
+file; it imports nothing from ``perfbench/``.  Before every run it deletes
+the ``__pycache__`` directories inside the tree, so neither tree sets up faster
 for compiled bytecode that earlier runs left in it.  Last it prints, per
 workload and end-to-end metric, the two medians, the head's change in per
 cent and the pairs in which the head is better, then the shift of the head's
@@ -78,19 +81,33 @@ def run(tree: Path, workload: str, seed: int, seconds: float | None, trace: int 
     return report
 
 
+def src_env(tree: Path) -> dict:
+    """The environment with the tree's ``src`` first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def tier1(tree: Path) -> tuple[float, str]:
     """Wall time of one tier-1 run (``python -m pytest -q
     --continue-on-collection-errors`` with the tree's ``src`` first on
     PYTHONPATH) and the counts of the suite's summary line ("434 passed")."""
-    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
     clear_bytecode(tree)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-                          cwd=tree, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          cwd=tree, capture_output=True, text=True, env=src_env(tree))
     elapsed = time.perf_counter() - start
     last = (proc.stdout.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
     return elapsed, last.rsplit(" in ", 1)[0]
+
+
+def verify_residuals(tree: Path) -> dict:
+    """Each record's residual, by name, from one ``python -m trkalian.cli
+    verify --out`` run of the tree; a failing record does not stop it."""
+    report = tree / ".bench_out" / "verify_report.json"
+    report.parent.mkdir(exist_ok=True)
+    subprocess.run([sys.executable, "-m", "trkalian.cli", "verify", "--out", str(report)],
+                   cwd=tree, capture_output=True, env=src_env(tree))
+    return {r["name"]: r["residual"] for r in json.loads(report.read_text())["records"]}
 
 
 def layer_values(reports: list[dict], metric: str) -> list[float]:
@@ -261,6 +278,14 @@ def main() -> None:
         print(f"verify record {name:24s} {1e3 * a:8.3f} -> {1e3 * b:8.3f} ms  (median of traced"
               f" runs; range {1e3 * lo_a:.3f}..{1e3 * hi_a:.3f} -> {1e3 * lo_b:.3f}..{1e3 * hi_b:.3f})"
               + ("  overlap" if max(lo_a, lo_b) <= min(hi_a, hi_b) else ""))
+    loc_a, loc_b = (runs[t][workloads[0]][0]["environment"]["src.loc"] for t in trees)
+    print(f"src.loc {loc_a} -> {loc_b} ({loc_b - loc_a:+d})")
+    before, after = (verify_residuals(t) for t in trees)
+    moved = [n for n in sorted(set(before) & set(after)) if repr(before[n]) != repr(after[n])]
+    print(f"verify residuals: {len(set(before) & set(after)) - len(moved)} bit-identical,"
+          f" {len(moved)} moved")
+    for name in moved:
+        print(f"verify residual {name:24s} {before[name]!r} -> {after[name]!r}")
     print("tier-1 wall s " + " -> ".join(f"{statistics.median(w for w, _ in suite[t]):.2f}"
                                          for t in trees))
     found = failures(trees, runs, layers, workloads, suite)

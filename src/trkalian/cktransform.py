@@ -178,8 +178,8 @@ def ck_integral_profile(omega1, omega2, lam: int, nu: float) -> AnalyticProfile:
     """
     if lam not in (1, -1):
         raise ValueError("lam must be +1 or -1")
-    if nu == 0.0:
-        raise ValueError("nu must be nonzero")
+    if not (np.isfinite(nu) and nu != 0.0):
+        raise ValueError(f"nu must be finite and nonzero, got {nu!r}")
     omegas = tuple(omega1) + tuple(omega2)
     sign = np.repeat([1.0, -1.0], [len(omega1), len(omega2)])
     d = np.reshape([oa.direction for oa in omegas], (-1, 3))

@@ -21,7 +21,9 @@ Each numerical primitive has exactly one implementation, owned here:
 - 4th-order central-difference stencils: :func:`fd_field`, of which
   :func:`fd_derivative_oracle` is the one-point call; the field is called
   once, on stencil points shaped x.shape[:-1] + (m, 3), m = 12 (15 for the
-  Laplacian);
+  Laplacian), and the weighted offset slices are summed in stencil order, so
+  a point's derivative has the same bits in any batch as in its one-point
+  call;
 - real view of field values for float-only sums and magnitudes:
   :func:`field_reals` and its inverse :func:`from_reals`;
 - plane-wave sums at a batch of points: :func:`plane_wave_sum`, in the
@@ -390,22 +392,23 @@ def fd_field(fn, kind: str, h: float = FD_DEFAULT_STEP):
             raise ValueError(f"field values {vals.shape} do not lead with the stencil "
                              f"points' shape {x.shape[:-1] + (m,)}")
         vals = vals.reshape((flat.shape[0], offsets.size, 3) + vals.shape[x.ndim:])
-        d = np.tensordot(vals, weights, axes=(1, 0)) / h**order  # (n, 3[, comps])
+        # weighted offset slices in stencil order: each point's own sum, in any batch
+        d = weights[0] * vals[:, 0]
+        for j in range(1, offsets.size):
+            d += weights[j] * vals[:, j]
+        d /= h**order  # (n, 3[, comps])
         if kind == "laplacian":
             out = d[:, 0] + d[:, 1] + d[:, 2]
-            return out.reshape(x.shape[:-1] + out.shape[1:])
-        if kind == "gradient":
-            return d.reshape(x.shape[:-1] + d.shape[1:])
-        if d.shape[2:] != (3,):
+        elif kind == "gradient":
+            out = d
+        elif d.shape[2:] != (3,):
             raise ValueError("curl/divergence need a 3-vector field")
-        if kind == "divergence":
+        elif kind == "divergence":
             out = d[:, 0, 0] + d[:, 1, 1] + d[:, 2, 2]
-            return out.reshape(x.shape[:-1])
-        out = np.stack([
-            d[:, 1, 2] - d[:, 2, 1],
-            d[:, 2, 0] - d[:, 0, 2],
-            d[:, 0, 1] - d[:, 1, 0],
-        ], axis=-1)
-        return out.reshape(x.shape[:-1] + (3,))
+        else:
+            out = np.stack([d[:, 1, 2] - d[:, 2, 1],
+                            d[:, 2, 0] - d[:, 0, 2],
+                            d[:, 0, 1] - d[:, 1, 0]], axis=-1)
+        return out.reshape(x.shape[:-1] + out.shape[1:])
 
     return derived

@@ -688,8 +688,17 @@ def profile_to_json(profile: AnalyticProfile) -> str:
 
 def profile_from_json(text: str) -> AnalyticProfile:
     """Rebuild an analytic profile from :func:`profile_to_json` output; a
-    one-component amplitude marks a scalar profile."""
+    one-component amplitude marks a scalar profile.  ValueError naming nu,
+    mu or g unless nu is finite and nonzero, mu = +1 or -1 and g is finite
+    and positive."""
     payload = json.loads(text)
+    nu, mu, g = payload["nu"], payload["mu"], payload["g"]
+    if not (np.isfinite(nu) and nu != 0.0):
+        raise ValueError(f"profile nu must be finite and nonzero, got {nu!r}")
+    if mu not in (1, -1):
+        raise ValueError(f"profile mu must be +1 or -1, got {mu!r}")
+    if not (np.isfinite(g) and g > 0.0):
+        raise ValueError(f"profile g must be finite and positive, got {g!r}")
     records = payload["atoms"]
     width = len(records[0]["amplitude_re"]) if records else 3
     amplitudes = np.array([r["amplitude_re"] for r in records], dtype=complex).reshape(-1, width)
@@ -699,7 +708,7 @@ def profile_from_json(text: str) -> AnalyticProfile:
         frequencies=[r["frequency"] for r in records],
         amplitudes=amplitudes[:, 0] if width == 1 else amplitudes,
         weights=[r["weight"] for r in records],
-        nu=payload["nu"], mu=payload["mu"], g=payload["g"])
+        nu=nu, mu=mu, g=g)
 
 
 GRID_CSV_HEADER = "p,kx,ky,kz,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz"

@@ -1,9 +1,10 @@
 """Fourier slice theorem and the Radon-Biot-Savart operator.
 
 The RBS operator acts per direction on the p-dependence only: the 1/k^2
-convolution in p, then Gamma x, i.e. (i / omega) kappa x on an atom e^{i omega p}.
-Grids act through their ``grid_atoms`` (Nyquist bin split between +-pi/dp, where
-Gamma x is zero), which must have no zero-frequency content (zero p-mean).
+convolution in p (:func:`radon_riesz`), then Gamma x, i.e. (i / omega) kappa x
+on an atom e^{i omega p}.  Both act on atoms, and on grids through their
+``grid_atoms`` (Nyquist bin split between +-pi/dp, where Gamma x is zero); the
+profile must have no zero-frequency content (for a grid, zero p-mean).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from .core import PlaneQuadrature, as_direction, circle_rule
-from .radon import (AnalyticProfile, GridProfile, RadonAtom, _sample_atoms, gamma_apply,
-                    kappa_product, radon_forward_numeric)
+from .radon import (AnalyticProfile, GridProfile, RadonAtom, _atoms, _sample_atoms, gamma_apply,
+                    radon_forward_numeric)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -23,14 +24,13 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Fourier slice theorem
 # ---------------------------------------------------------------------------
 
-def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature,
-                       n_p: int = 128, n_box: int = 32):
+def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature, n_p: int = 128):
     """Both sides of the slice identity at (k, kappa), symmetric conventions.
 
     Left: 1-D Fourier transform (2 pi)^{-1/2} int F^R(p) e^{-ikp} dp of the
     numeric plane transform on n_p points of [-8, 8).  Right: 2 pi times the
     3-D Fourier transform (2 pi)^{-3/2} int F(y) e^{-i k kappa . y} d^3 y by
-    the tensor trapezoid rule of n_box^3 nodes on the box [-8, 8)^3, the
+    the tensor trapezoid rule of 32^3 nodes on the box [-8, 8)^3, the
     periodic rule of :func:`circle_rule` scaled to each axis, which converges
     exponentially for fields that decay within the box.
     """
@@ -42,7 +42,7 @@ def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature,
     shape = (n_p,) + (1,) * (proj.ndim - 1)
     lhs = np.sum(phase.reshape(shape) * proj, axis=0) * dp / _SQRT_2PI
 
-    t, dt = circle_rule(n_box)
+    t, dt = circle_rule(32)
     y = (8.0 / np.pi) * t - 8.0
     nodes = np.stack(np.meshgrid(y, y, y, indexing="ij")).reshape(3, -1).T
     # numpy's own loop: a BLAS product may round by the thread count
@@ -51,10 +51,9 @@ def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature,
     return lhs, rhs
 
 
-def fourier_slice_check(fn, kappa, k: float, plane_quad: PlaneQuadrature,
-                        n_p: int = 128, n_box: int = 32) -> float:
+def fourier_slice_check(fn, kappa, k: float, plane_quad: PlaneQuadrature, n_p: int = 128) -> float:
     """Relative residual between the two sides of the slice identity."""
-    lhs, rhs = fourier_slice_pair(fn, kappa, k, plane_quad, n_p=n_p, n_box=n_box)
+    lhs, rhs = fourier_slice_pair(fn, kappa, k, plane_quad, n_p=n_p)
     scale = max(np.max(np.abs(np.atleast_1d(lhs))), np.max(np.abs(np.atleast_1d(rhs))))
     return float(np.max(np.abs(np.atleast_1d(lhs - rhs))) / max(scale, 1e-300))
 
@@ -66,33 +65,29 @@ def fourier_slice_check(fn, kappa, k: float, plane_quad: PlaneQuadrature,
 DC_TOLERANCE = 1e-12
 
 
-def radon_riesz(grid: GridProfile, dc_tol: float = DC_TOLERANCE) -> GridProfile:
+def radon_riesz(profile, dc_tol: float = DC_TOLERANCE):
     """Per-direction convolution with the 1/k^2 Fourier kernel.
 
-    Divides each atom of :func:`grid_atoms` by omega^2 and drops omega = 0,
-    whose ``dc_content`` must be within ``dc_tol`` of the sample magnitude.
-    Profiles built by numeric quadrature may need a looser threshold.
+    Divides each atom (a grid's :func:`grid_atoms`, sampled back) by omega^2
+    and drops omega = 0, whose ``dc_content`` must be within ``dc_tol`` of the
+    largest |sample| (grid) or |amplitude| (atoms).  Profiles built by numeric
+    quadrature may need a looser threshold.
     """
-    atoms = grid.atom_view
+    atoms = _atoms(profile)
+    values = atoms.amplitudes if atoms is profile else profile.samples
     dc = atoms.dc_content()
-    if dc > dc_tol * max(np.max(np.abs(grid.samples)), 1e-300):
+    if dc > dc_tol * max(np.max(np.abs(values), initial=0.0), 1e-300):
         raise ValueError(f"profile has non-negligible DC content ({dc:.3e})")
     omega = atoms.frequencies
     kern = np.divide(1.0, omega**2, out=np.zeros_like(omega), where=omega != 0.0)
-    return _sample_atoms(grid, replace(atoms, amplitudes=(kern * atoms.amplitudes.T).T))
+    result = replace(atoms, amplitudes=(kern * atoms.amplitudes.T).T)
+    return result if atoms is profile else _sample_atoms(profile, result)
 
 
 def rbs_apply(profile, dc_tol: float = DC_TOLERANCE):
-    """Radon-Biot-Savart operator Gamma x after the 1/k^2 kernel.
-
-    Exact on atoms: amplitude -> (i / frequency) kappa x amplitude.
-    """
-    if isinstance(profile, GridProfile):
-        return gamma_apply(radon_riesz(profile, dc_tol=dc_tol), "cross")
-    if np.any(profile.frequencies == 0.0):
-        raise ValueError("RBS undefined on zero-frequency atoms")
-    out = kappa_product(profile.directions, profile.amplitudes, "cross")
-    return replace(profile, amplitudes=(1j / profile.frequencies)[:, None] * out)
+    """Radon-Biot-Savart operator: Gamma x after the 1/k^2 kernel, on atoms
+    amplitude -> (i / frequency) kappa x amplitude."""
+    return gamma_apply(radon_riesz(profile, dc_tol), "cross")
 
 
 def rbs_left_inverse_check(grid: GridProfile) -> float:

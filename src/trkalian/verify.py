@@ -450,7 +450,7 @@ def _check_slice() -> float:
     k = _random_directions(1, seed=SEED + 24)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return rbs_mod.fourier_slice_check(f, k, 1.0, _PLANE, n_p=96, n_box=32)
+        return rbs_mod.fourier_slice_check(f, k, 1.0, _PLANE, n_p=96)
 
 
 @_register("intertwining", "Numeric transform intertwines the vector derivatives", 2e-11)

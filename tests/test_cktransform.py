@@ -285,6 +285,13 @@ class TestIntegralRepresentation:
         # emitted profiles are transverse by construction
         assert prof.transverse_defect() < 1e-13
 
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, 0.0])
+    def test_rejects_a_bad_nu_by_name(self, nu):
+        atoms = [OmegaAtom(random_direction(50), np.array([1.0, 0.5j, 0.0]))]
+        for omega1, omega2 in (([], []), (atoms, atoms)):
+            with pytest.raises(ValueError, match="nu must be finite and nonzero"):
+                ck_integral_profile(omega1, omega2, 1, nu)
+
     def test_emitted_debye_profiles_are_transverse(self):
         k0 = random_direction(49)
         choice = DebyeChoice(

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from trkalian.core import (_FD_STENCILS, FD_DEFAULT_STEP, PlaneQuadrature, _finite_points,
-                           as_direction, bessel_j, bessel_j1_first_zero, fd_derivative_oracle,
-                           fd_field, gauss_legendre, gauss_tensor_rule, plane_basis,
-                           plane_wave_sum, sphere_quadrature)
+from trkalian.core import (PlaneQuadrature, _finite_points, as_direction, bessel_j,
+                           bessel_j1_first_zero, fd_derivative_oracle, fd_field, gauss_legendre,
+                           gauss_tensor_rule, plane_basis, plane_wave_sum, sphere_quadrature)
 
 
 class TestSphereQuadrature:
@@ -329,12 +328,17 @@ class TestFdOracle:
         single = np.stack([fd_derivative_oracle(field, p, kind) for p in pts])
         # each point's stencil values are the one-point call's, bit for bit
         assert seen[0].tobytes() == np.stack(seen[1:]).tobytes()
-        # the stencil weights are a BLAS contraction, whose rounding depends
-        # on the batch's row count: within a few roundings of the weighted sum
-        order = 2 if kind == "laplacian" else 1
-        bound = (3 * np.finfo(float).eps * np.max(np.abs(seen[0]))
-                 * np.sum(np.abs(_FD_STENCILS[order][1])) / FD_DEFAULT_STEP**order)
-        assert np.max(np.abs(batch - single)) <= bound
+        assert batch.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("kind", ["curl", "divergence", "gradient", "laplacian"])
+    def test_derivative_does_not_depend_on_the_row(self, kind):
+        from trkalian.fields import lundquist
+        f = lundquist(1.0, 1.3)
+        pts = np.random.default_rng(11).uniform(-1.5, 1.5, size=(450, 3))
+        moved = np.roll(pts, 449, axis=0)  # row 0 of pts is row 449 of moved
+        one = fd_field(f, kind)(pts[0]).tobytes()
+        assert fd_field(f, kind)(pts)[0].tobytes() == one
+        assert fd_field(f, kind)(moved)[449].tobytes() == one
 
     def test_rejects_values_not_shaped_like_the_stencil(self):
         with pytest.raises(ValueError, match="do not lead with the stencil"):

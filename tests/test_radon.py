@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 
@@ -881,6 +882,15 @@ class TestSerialization:
             assert np.allclose(a.direction, b.direction)
             assert a.frequency == b.frequency
             assert np.allclose(a.amplitude, b.amplitude)
+
+    @pytest.mark.parametrize("name, value", [
+        ("nu", float("nan")), ("nu", 0.0), ("nu", float("inf")), ("mu", 0), ("mu", 2),
+        ("g", 0.0), ("g", -1.0), ("g", float("nan"))])
+    def test_profile_json_rejects_bad_scalars_by_name(self, name, value):
+        payload = json.loads(profile_to_json(lundquist_radon_profile(1.0, 1.3, n_ring=4)))
+        payload[name] = value
+        with pytest.raises(ValueError, match=f"profile {name} must be"):
+            profile_from_json(json.dumps(payload))
 
     def test_profile_json_golden(self):
         prof = AnalyticProfile(directions=[[0.6, 0.0, 0.8], [-0.6, -0.0, -0.8]],

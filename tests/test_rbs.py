@@ -6,7 +6,7 @@ import pytest
 from trkalian.core import PlaneQuadrature, sphere_quadrature
 from trkalian.fields import (HelicityMode, ModeField, SampledField,
                              gaussian_scalar, gaussian_test_field)
-from trkalian.radon import (GridProfile, gamma_apply, lundquist_radon_profile,
+from trkalian.radon import (AnalyticProfile, GridProfile, gamma_apply, lundquist_radon_profile,
                             radon_forward_grid, radon_forward_numeric,
                             radon_mode_analytic)
 from trkalian.rbs import (fourier_slice_check, fourier_slice_pair,
@@ -111,6 +111,14 @@ class TestRadonRiesz:
         with pytest.raises(ValueError):
             radon_riesz(grid)
 
+    def test_lundquist_ring_atoms_are_divided_by_frequency_squared(self):
+        prof = lundquist_radon_profile(1.0, 1.3)
+        out = radon_riesz(prof)
+        expected = prof.amplitudes / prof.frequencies[:, None] ** 2
+        assert np.array_equal(out.directions, prof.directions)
+        assert np.array_equal(out.frequencies, prof.frequencies)
+        assert np.max(np.abs(out.amplitudes - expected)) <= 1e-15 * np.max(np.abs(expected))
+
 
 class TestRBS:
     def test_trkalian_eigenrelation_exact(self):
@@ -137,6 +145,33 @@ class TestRBS:
         out = rbs_apply(gauge)
         for a in out.atoms:
             assert np.max(np.abs(a.amplitude)) < 1e-15
+
+    def test_atoms_match_the_written_out_formula(self):
+        rng = np.random.default_rng(12)
+        k0 = rng.normal(size=(5, 3))
+        modes = tuple(HelicityMode(lam=1, nu=1.37, kappa0=k / np.linalg.norm(k),
+                                   amplitude=complex(rng.normal(), rng.normal())) for k in k0)
+        prof = radon_mode_analytic(ModeField(modes=modes))
+        # the atom formula of RBS: amplitude -> (i / frequency) kappa x amplitude
+        ref = (1j / prof.frequencies)[:, None] * np.cross(prof.directions, prof.amplitudes)
+        out = rbs_apply(prof)
+        assert np.max(np.abs(out.amplitudes - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("apply", [radon_riesz, rbs_apply])
+    def test_zero_frequency_atom_is_dropped_or_rejected(self, apply):
+        k0 = np.array([0.0, 0.6, 0.8])
+        a = np.array([1.0, 0.8j, -0.6j])
+
+        def profile(dc_amplitude):
+            return AnalyticProfile([k0, -k0, k0], [1.2, -1.2, 0.0], [a, a, dc_amplitude],
+                                   [1.0, 1.0, 1.0], nu=1.2)
+
+        with pytest.raises(ValueError, match="DC content"):
+            apply(profile([0.0, 1e-3, 0.0]))
+        out = apply(profile(np.zeros(3)))
+        two = apply(AnalyticProfile([k0, -k0], [1.2, -1.2], [a, a], [1.0, 1.0], nu=1.2))
+        assert out.amplitudes[:2].tobytes() == two.amplitudes.tobytes()
+        assert not np.any(out.amplitudes[2])
 
     def test_gamma_cross_is_left_inverse_on_grid(self):
         grid = transverse_tone_grid(seed=4)
