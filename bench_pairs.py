@@ -13,7 +13,15 @@ same way, and writes the median of every per-layer metric under
 of each verify record's traced time under ``verify_records``; it prints the
 records whose median moved most.  It also times
 the tier-1 suite of each tree, three alternating runs per tree, and writes
-their median and IQR with the counts of the suite's summary line.  For
+their median and IQR with the counts of the suite's summary line.  It
+times four user-facing commands as fresh processes, 11 rounds with the two
+trees alternating which goes first and bytecode cleared before every
+process: ``python -c "import trkalian.cli"``, ``trk verify``, the default
+``trk radon --field gaussian`` and ``trk field-eval --field lundquist`` on
+21^3 points, each as ``python -m trkalian.cli`` with the tree's ``src``
+first on PYTHONPATH; it writes each command's wall-time median and IQR and
+its peak RSS (``ru_maxrss`` of that child, from ``os.wait4``) under
+``commands``.  For
 information it prints the trees' ``src.loc`` and its change, and, after one
 ``python -m trkalian.cli verify --out`` per tree, the count of bit-identical
 record residuals and each record whose residual moved, with both values.
@@ -22,9 +30,10 @@ file; it imports nothing from ``perfbench/``.  Before every run it deletes
 the ``__pycache__`` directories inside the tree, so neither tree sets up faster
 for compiled bytecode that earlier runs left in it.  Last it prints, per
 workload and end-to-end metric, the two medians, the head's change in per
-cent and the pairs in which the head is better, then the shift of the head's
-median from the parent's in units of the larger of the two IQRs; run on two
-checkouts of one commit, this is the spread of the harness itself.  The
+cent and the pairs in which the head is better, the same per command for
+wall time and peak RSS over the rounds, then the shift of the head's median
+from the parent's in units of the larger of the two IQRs, per workload and
+per command; run on two checkouts of one commit, this is the spread of the harness itself.  The
 per-layer lines give each tree's median and range, marked "overlap" where
 the two ranges overlap, so that a shift inside the runs' own spread is not
 read as a change.  Each workload's entry records the checks the runs
@@ -57,6 +66,16 @@ from pathlib import Path
 TIER1_RUNS = 3
 TRACE_SEEDS = 3
 RECORDS_SHOWN = 8  # verify records printed, those whose median moved most
+COMMAND_ROUNDS = 11  # two A/A runs at 11: every command median within 0.31 IQR
+# fresh-process commands: python arguments, with {out} an output directory in the tree
+COMMANDS = {
+    "import": ["-c", "import trkalian.cli"],
+    "verify": ["-m", "trkalian.cli", "verify"],
+    "radon": ["-m", "trkalian.cli", "radon", "--field", "gaussian", "--out", "{out}"],
+    "field-eval": ["-m", "trkalian.cli", "field-eval", "--field", "lundquist",
+                   "--grid", "-1:1:21,-1:1:21,-1:1:21", "--out", "{out}"],
+}
+COMMAND_METRICS = ("wall_s", "peak_rss_mb")  # the two values command() returns
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -98,6 +117,27 @@ def tier1(tree: Path) -> tuple[float, str]:
     elapsed = time.perf_counter() - start
     last = (proc.stdout.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
     return elapsed, last.rsplit(" in ", 1)[0]
+
+
+def command(tree: Path, name: str) -> tuple[float, float]:
+    """Wall time (s) and peak RSS (MB, ``ru_maxrss`` from ``os.wait4``) of one
+    fresh process of the command ``name`` of COMMANDS, run in the tree with
+    its ``src`` first on PYTHONPATH after its bytecode is cleared."""
+    work = tree / ".bench_out" / "commands"
+    work.mkdir(parents=True, exist_ok=True)
+    argv = [sys.executable] + [a.replace("{out}", str(work / name)) for a in COMMANDS[name]]
+    clear_bytecode(tree)
+    with (work / "stderr.txt").open("w+") as stderr:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=tree, env=src_env(tree),
+                                stdout=subprocess.DEVNULL, stderr=stderr)
+        _, status, usage = os.wait4(proc.pid, 0)
+        elapsed = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            stderr.seek(0)
+            sys.exit(f"{tree}: {' '.join(argv[1:])} exited {proc.returncode}\n{stderr.read()}")
+    return elapsed, usage.ru_maxrss / 1024.0
 
 
 def verify_residuals(tree: Path) -> dict:
@@ -218,6 +258,15 @@ def main() -> None:
             print(f"tier-1 run {i + 1} {t.name}: {suite[t][-1][0]:.2f} s, {suite[t][-1][1]}",
                   flush=True)
 
+    commands = {t: {c: [] for c in COMMANDS} for t in trees}
+    for i in range(COMMAND_ROUNDS):
+        for c in COMMANDS:
+            for t in (trees if i % 2 else trees[::-1]):
+                commands[t][c].append(command(t, c))
+        print(f"command round {i + 1}: " + "  ".join(
+            f"{c} " + " / ".join(f"{commands[t][c][-1][0]:.3f}" for t in trees) + " s"
+            for c in COMMANDS), flush=True)
+
     records = {t: record_times([r for w in workloads for r in layers[t][w]]) for t in trees}
     for t in trees:
         env = runs[t][workloads[0]][0]["environment"]
@@ -232,7 +281,12 @@ def main() -> None:
                "per_layer_spread": {w: {m: [min(layer_values(layers[t][w], m)),
                                             max(layer_values(layers[t][w], m))]
                                         for m in layer_metrics} for w in workloads},
-               "verify_records": records[t]}
+               "verify_records": records[t],
+               "command_rounds": COMMAND_ROUNDS, "command_bytecode": "cleared before every process",
+               "commands": {c: {"argv": ["python", *COMMANDS[c]],
+                                **{m: summary([run[k] for run in commands[t][c]])
+                                   for k, m in enumerate(COMMAND_METRICS)}}
+                            for c in COMMANDS}}
         for w in workloads:
             reports = runs[t][w]
             out["workloads"][w] = {
@@ -251,6 +305,13 @@ def main() -> None:
             change = f"{100.0 * (mb - ma) / ma:+7.1f} %" if ma else "      n/a"
             print(f"{w:10s} {m:12s} {ma:10.4g} -> {mb:10.4g} {change}"
                   f"  head better in {wins}/{len(pa)} pairs")
+    for c in COMMANDS:
+        for k, m in enumerate(COMMAND_METRICS):
+            pa, pb = ([run[k] for run in commands[t][c]] for t in trees)
+            wins = sum(y < x for x, y in zip(pa, pb))
+            ma, mb = statistics.median(pa), statistics.median(pb)
+            print(f"{'cmd ' + c:14s} {m:12s} {ma:10.4g} -> {mb:10.4g}"
+                  f" {100.0 * (mb - ma) / ma:+7.1f} %  head better in {wins}/{len(pa)} rounds")
     shifts = {}
     for w in workloads:
         for m in metrics:
@@ -258,6 +319,12 @@ def main() -> None:
                                           for t in trees))
         print(f"{w:10s} median shift / larger IQR: "
               + "  ".join(f"{m} {shifts[w, m]:+.2f}" for m in metrics))
+    for c in COMMANDS:
+        for k, m in enumerate(COMMAND_METRICS):
+            shifts["cmd " + c, m] = median_shift(*([run[k] for run in commands[t][c]]
+                                                   for t in trees))
+        print(f"{'cmd ' + c:14s} median shift / larger IQR: "
+              + "  ".join(f"{m} {shifts['cmd ' + c, m]:+.2f}" for m in COMMAND_METRICS))
     (w, m), worst = max(shifts.items(), key=lambda item: abs(item[1]))
     print(f"largest median shift: {worst:+.2f} IQR ({w} {m})")
     for w in workloads:

@@ -15,7 +15,6 @@ between -pi/dp and +pi/dp, so that the view is closed under parity.
 
 from __future__ import annotations
 
-import io
 import json
 import warnings
 from dataclasses import dataclass, replace
@@ -740,14 +739,20 @@ def grid_to_csv(grid: GridProfile) -> str:
 def grid_from_csv(text: str, sphere: SphereQuadrature) -> GridProfile:
     """Rebuild a grid profile from CSV rows ordered as written by grid_to_csv.
 
-    Raises ValueError unless the rows are n_p blocks of one row per sphere
-    node, in the sphere's node order, and every row of a block holds the
-    block's p bit for bit.  Rows count from 0, the line after the header.
+    Raises ValueError unless the first line is GRID_CSV_HEADER and the rows
+    are n_p blocks of one row per sphere node, in the sphere's node order,
+    and every row of a block holds the block's p bit for bit.  Rows count
+    from 0, the line after the header.
     """
+    lines = text.split("\n")  # only "\n" ends a line, as in a text stream; CRLF leaves "\r"
+    header = lines[0].removesuffix("\r")
+    if header != GRID_CSV_HEADER:
+        raise ValueError(f"CSV is no grid_to_csv text: its header is {header[:120]!r}")
     with warnings.catch_warnings():
         # a header-only text is the "rows" error below, not numpy's empty-input warning
         warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", skiprows=1, ndmin=2)
+    del lines  # freed before the samples are built, so the read peaks at about 2x the text
     n_dir = sphere.n
     n_p = data.shape[0] // n_dir
     if n_p == 0 or data.shape != (n_p * n_dir, 10):

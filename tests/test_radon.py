@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -907,9 +908,11 @@ class TestSerialization:
         small = PlaneQuadrature(half_width=8.0, n_per_axis=24)
         grid = radon_forward_grid(f, p, sphere, small)
         text = grid_to_csv(grid)
-        back = grid_from_csv(text, sphere)
-        assert np.allclose(back.p, grid.p)
-        assert np.max(np.abs(back.samples - grid.samples)) < 1e-16
+        # %.17g round-trips every float exactly, and CRLF line ends read the same
+        for csv in (text, text.replace("\n", "\r\n")):
+            back = grid_from_csv(csv, sphere)
+            assert back.p.tobytes() == grid.p.tobytes()
+            assert back.samples.tobytes() == grid.samples.tobytes()
         # a different sphere with the same node count, and a truncated file
         other = sphere_quadrature(2, 16, antipodal=True)
         assert other.n == sphere.n
@@ -932,6 +935,44 @@ class TestSerialization:
         lines[7] = lines[7].rsplit(",", 1)[0]
         with pytest.raises(ValueError):
             grid_from_csv("\n".join(lines) + "\n", sphere)
+
+    @pytest.mark.parametrize("case", ["swapped", "empty", "cr_line_ends"])
+    def test_grid_csv_reads_its_header(self, case):
+        # a 10-column text under another header is no grid: here re_fx and im_fx
+        # are swapped and relabelled, which the data rows alone cannot show
+        sphere = sphere_quadrature(4, 8, antipodal=True)
+        p = -4.0 + 8.0 * np.arange(16) / 16
+        rng = np.random.default_rng(31)
+        samples = rng.normal(size=(16, sphere.n, 3)) + 1j * rng.normal(size=(16, sphere.n, 3))
+        text = grid_to_csv(GridProfile(p=p, sphere=sphere, samples=samples))
+        if case == "swapped":
+            rows = [line.split(",") for line in text.splitlines()]
+            text = "\n".join(",".join(r[:4] + [r[5], r[4]] + r[6:]) for r in rows) + "\n"
+            assert text.startswith("p,kx,ky,kz,im_fx,re_fx,")
+        else:
+            text = {"empty": "", "cr_line_ends": text.replace("\n", "\r")}[case]
+        with pytest.raises(ValueError, match="header"):
+            grid_from_csv(text, sphere)
+
+    def test_grid_csv_read_peaks_near_twice_the_text(self):
+        # the reader holds the text's lines and the parsed table, about 1.8x
+        # the text; a 4-byte-per-character copy of the text would take 4.5x
+        sphere = sphere_quadrature(8, 16, antipodal=True)
+        assert sphere.n == 128
+        p = -8.0 + 16.0 * np.arange(64) / 64
+        rng = np.random.default_rng(64)
+        samples = rng.normal(size=(64, sphere.n, 3)) + 1j * rng.normal(size=(64, sphere.n, 3))
+        text = grid_to_csv(GridProfile(p=p, sphere=sphere, samples=samples))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            back = grid_from_csv(text, sphere)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert back.samples.tobytes() == samples.tobytes()
+        assert peak <= 2.5 * len(text)
 
     @pytest.mark.parametrize("row, cell", [(2, "123.5"), (3, "nan"), (8 * 32 + 3, "-0")])
     def test_grid_csv_rejects_a_row_off_its_blocks_p(self, row, cell):
