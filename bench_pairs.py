@@ -22,7 +22,8 @@ process: ``python -c "import trkalian.cli"``, ``trk verify``, the default
 first on PYTHONPATH; it writes each command's wall-time median and IQR and
 its peak RSS (``ru_maxrss`` of that child, from ``os.wait4``) under
 ``commands``.  For
-information it prints the trees' ``src.loc`` and its change, and, after one
+information it prints the trees' ``src.loc`` and its change (when it
+changed, also per ``src/trkalian/*.py`` module), and, after one
 ``python -m trkalian.cli verify --out`` per tree, the count of bit-identical
 record residuals and each record whose residual moved, with both values.
 It reads the harness's printed JSON line and its ``.bench_out/results``
@@ -148,6 +149,13 @@ def verify_residuals(tree: Path) -> dict:
     subprocess.run([sys.executable, "-m", "trkalian.cli", "verify", "--out", str(report)],
                    cwd=tree, capture_output=True, env=src_env(tree))
     return {r["name"]: r["residual"] for r in json.loads(report.read_text())["records"]}
+
+
+def module_lines(tree: Path) -> dict:
+    """Lines of each ``src/trkalian/*.py`` module by file name, counted as the
+    harness counts ``src.loc``."""
+    return {p.name: len(p.read_text().splitlines())
+            for p in sorted((tree / "src" / "trkalian").glob("*.py"))}
 
 
 def layer_values(reports: list[dict], metric: str) -> list[float]:
@@ -347,6 +355,12 @@ def main() -> None:
               + ("  overlap" if max(lo_a, lo_b) <= min(hi_a, hi_b) else ""))
     loc_a, loc_b = (runs[t][workloads[0]][0]["environment"]["src.loc"] for t in trees)
     print(f"src.loc {loc_a} -> {loc_b} ({loc_b - loc_a:+d})")
+    if loc_a != loc_b:
+        before, after = (module_lines(t) for t in trees)
+        for name in sorted(set(before) | set(after)):
+            a, b = before.get(name, 0), after.get(name, 0)
+            if a != b:
+                print(f"src.loc {name:16s} {a:5d} -> {b:5d} ({b - a:+d})")
     before, after = (verify_residuals(t) for t in trees)
     moved = [n for n in sorted(set(before) & set(after)) if repr(before[n]) != repr(after[n])]
     print(f"verify residuals: {len(set(before) & set(after)) - len(moved)} bit-identical,"

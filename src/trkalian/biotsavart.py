@@ -20,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (_CHUNK_PAIRS, _chunks, _finite_points, bessel_j, circle_rule, fd_field,
-                   field_reals, from_reals, gauss_legendre, gauss_tensor_rule, plane_basis,
-                   sphere_quadrature)
+from .core import (_CHUNK_PAIRS, _check_3vector, _check_finite, _chunks, _finite_points,
+                   bessel_j, circle_rule, fd_field, field_reals, from_reals, gauss_legendre,
+                   gauss_tensor_rule, plane_basis, sphere_quadrature)
 
 TAIL_RESIDUAL_TOL = 1e-7
 
@@ -46,9 +46,7 @@ class _VolumeRule:
     extent: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.extent) and self.extent > 0):
-            raise ValueError(f"extent (ball radius or box half-width) must be finite and"
-                             f" positive, got {self.extent}")
+        _check_finite("positive", extent=self.extent)  # ball radius or box half-width
         for field in fields(self)[1:]:
             if not (isinstance(n := getattr(self, field.name), (int, np.integer)) and n > 0):
                 raise ValueError(f"{field.name} must be a positive integer, got {n!r}")
@@ -290,14 +288,9 @@ def ampere_fluxes(fn, radius: float, nu: float,
     Raises ValueError, before the field is evaluated, unless the radius is
     finite and positive, the center finite and the normal finite and nonzero.
     """
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
-    center = np.asarray(center, dtype=float)
-    if center.shape != (3,) or not np.all(np.isfinite(center)):
-        raise ValueError(f"center must be a finite 3-vector, got {center}")
-    n_hat = np.asarray(normal, dtype=float)
-    if n_hat.shape != (3,) or not np.all(np.isfinite(n_hat)) or not np.any(n_hat):
-        raise ValueError(f"normal must be a finite nonzero 3-vector, got {n_hat}")
+    _check_finite("positive", radius=radius)
+    center = _check_3vector("center", center)
+    n_hat = _check_3vector("normal", normal, rule="nonzero")
     n_hat = n_hat / np.linalg.norm(n_hat)
     e1, e2 = plane_basis(n_hat)
 
@@ -336,9 +329,7 @@ def poisson_angular_moments(big_r: float, r: float, theta: float):
     kernel; the split is guarded by :func:`poisson_region_match`.  Raises
     ValueError naming a non-finite argument.
     """
-    for name, value in (("big_r", big_r), ("r", r), ("theta", theta)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _check_finite(big_r=big_r, r=r, theta=theta)
     if r == big_r:
         raise ValueError("moments are singular on the matching circle r = R")
     if r < big_r:
@@ -417,10 +408,8 @@ def bs_lundquist_terms(nu: float, radius: float) -> LundquistBSTerms:
     over [X, X + 60] closed by the exact remainder J_0(X + 60), and equals
     J_0(X).
     """
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
-    if not (np.isfinite(nu) and nu != 0.0):
-        raise ValueError(f"nu must be finite and nonzero, got {nu}")
+    _check_finite("positive", radius=radius)
+    _check_finite("nonzero", nu=nu)
     big_x = abs(nu) * radius
 
     xs, ws = _gauss_panels(0.0, big_x, n_panels=max(8, int(big_x / np.pi) + 4))
@@ -452,9 +441,7 @@ def bs_lundquist_semianalytic(f0: float, nu: float, radius: float, theta: float)
     Assembles the closed z and phi reductions; the result equals
     (1/nu) F_L(R, theta) for any radius.
     """
-    for name, value in (("f0", f0), ("theta", theta)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _check_finite(f0=f0, theta=theta)
     terms = bs_lundquist_terms(nu, radius)
     e_theta = np.array([-np.sin(theta), np.cos(theta), 0.0])
     e_z = np.array([0.0, 0.0, 1.0])

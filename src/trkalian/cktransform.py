@@ -11,12 +11,11 @@ every identity here is exact arithmetic.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import circle_rule
+from .core import _check_finite, circle_rule
 from .radon import AnalyticProfile, RadonAtom, gamma_apply, inverse_radon
 from .rbs import rbs_apply
 
@@ -35,17 +34,6 @@ class OmegaAtom:
     weight: float = 1.0
 
 
-def _reject_p_dependence(omega) -> None:
-    if callable(omega):
-        params = [p for p in inspect.signature(omega).parameters.values()
-                  if p.default is inspect.Parameter.empty
-                  and p.kind in (inspect.Parameter.POSITIONAL_ONLY,
-                                 inspect.Parameter.POSITIONAL_OR_KEYWORD)]
-        if len(params) != 1:
-            raise ValueError("omega must be a fixed vector or a function of kappa only;"
-                             " p-dependence violates d omega / dp = 0")
-
-
 @dataclass(frozen=True)
 class DebyeChoice:
     """Scalar tones plus a fixed vector omega (constant or kappa-dependent).
@@ -53,8 +41,8 @@ class DebyeChoice:
     ``tones`` is given as :class:`ScalarTone` rows and stored as one scalar
     :class:`AnalyticProfile`, whose checks cover directions, finiteness and
     weights; every frequency must satisfy f^2 = nu^2.  ``omega`` is a
-    3-vector or a function of kappa alone, called once on the tone
-    directions (n, 3) and returning (n, 3).
+    3-vector or a function of kappa alone (not of p), called once, here, on
+    the tone directions (n, 3); either is stored as the finite omegas (n, 3).
     """
 
     tones: AnalyticProfile
@@ -62,26 +50,31 @@ class DebyeChoice:
     nu: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.nu) and self.nu != 0.0):
-            raise ValueError("nu must be finite and nonzero")
+        _check_finite("nonzero", nu=self.nu)
         tones = AnalyticProfile.from_atoms(self.tones, self.nu)
         if tones.is_vector or np.any(
                 np.abs(tones.frequencies**2 - self.nu**2) > OSCILLATOR_TOL * self.nu**2):
             raise ValueError("tones must be scalar and satisfy the oscillator"
                              " equation: frequency^2 = nu^2")
-        _reject_p_dependence(self.omega)
+        omega = self.omega
+        if callable(omega):
+            try:
+                omega = omega(tones.directions)
+            except TypeError as err:
+                raise ValueError("omega must be a fixed vector or a function of kappa only;"
+                                 " p-dependence violates d omega / dp = 0") from err
+        omega = np.broadcast_to(np.array(omega, dtype=complex), tones.directions.shape)
+        _check_finite(omega=omega)
         object.__setattr__(self, "tones", tones)
+        object.__setattr__(self, "omega", omega)
 
 
 def _tone_profile(choice: DebyeChoice, amplitude) -> AnalyticProfile:
     """The tones with each amplitude times ``amplitude(d, frequency, w)`` on
     the tone directions (n, 3), frequencies (n, 1) and omegas (n, 3)."""
     tones = choice.tones
-    d = tones.directions
-    w = choice.omega(d) if callable(choice.omega) else choice.omega
-    w = np.broadcast_to(np.asarray(w, dtype=complex), d.shape)
     return replace(tones, amplitudes=tones.amplitudes[:, None]
-                   * amplitude(d, tones.frequencies[:, None], w))
+                   * amplitude(tones.directions, tones.frequencies[:, None], choice.omega))
 
 
 def ck_transform_solution(choice: DebyeChoice, include_poloidal: bool = True) -> AnalyticProfile:
@@ -126,12 +119,10 @@ def _pole(p: float, lam: int, nu: float, branch: str) -> complex:
     """The pole +i lam nu (branch "plus") or -i lam nu (branch "minus");
     ValueError unless p is finite, lam = +/-1, nu is finite and nonzero and
     the branch is one of the two."""
-    if not np.isfinite(p):
-        raise ValueError(f"p must be finite, got {p!r}")
+    _check_finite(p=p)
     if lam not in (1, -1):
         raise ValueError("lam must be +1 or -1")
-    if not (np.isfinite(nu) and nu != 0.0):
-        raise ValueError(f"nu must be finite and nonzero, got {nu!r}")
+    _check_finite("nonzero", nu=nu)
     if branch not in ("plus", "minus"):
         raise ValueError("branch must be 'plus' or 'minus'")
     return (1j if branch == "plus" else -1j) * lam * nu
@@ -151,13 +142,12 @@ def oscillator_contour_numeric(p: float, lam: int, nu: float, branch: str,
                                radius: float | None = None) -> complex:
     """64-point trapezoid quadrature of the same loop integral on a circle.
 
-    The default radius is |nu| / 2; ValueError on a radius <= 0 or on the
-    arguments :func:`oscillator_residue` rejects.
+    The default radius is |nu| / 2; ValueError on a radius that is not
+    finite and positive or on the arguments :func:`oscillator_residue` rejects.
     """
     pole = _pole(p, lam, nu, branch)
     rho = abs(nu) / 2.0 if radius is None else radius
-    if not rho > 0.0:
-        raise ValueError("contour radius must be positive")
+    _check_finite("positive", radius=rho)
     t, dt = circle_rule(64)
     zeta = pole + rho * np.exp(1j * t)
     dzeta = 1j * rho * np.exp(1j * t) * dt
@@ -178,8 +168,7 @@ def ck_integral_profile(omega1, omega2, lam: int, nu: float) -> AnalyticProfile:
     """
     if lam not in (1, -1):
         raise ValueError("lam must be +1 or -1")
-    if not (np.isfinite(nu) and nu != 0.0):
-        raise ValueError(f"nu must be finite and nonzero, got {nu!r}")
+    _check_finite("nonzero", nu=nu)
     omegas = tuple(omega1) + tuple(omega2)
     sign = np.repeat([1.0, -1.0], [len(omega1), len(omega2)])
     d = np.reshape([oa.direction for oa in omegas], (-1, 3))

@@ -8,33 +8,16 @@ speaks one coordinate convention.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .core import _finite_points, as_direction, bessel_j, fd_field, plane_wave_sum
+from .core import (_check_3vector, _check_finite, _finite_points, as_direction, bessel_j,
+                   fd_field, plane_wave_sum)
 from .moses import frame_index_of, moses_frame
 
 _INV_TWO_PI_32 = (2.0 * np.pi) ** -1.5
-
-
-def _check_finite(**params) -> None:
-    """ValueError naming the first parameter with a NaN or infinite entry."""
-    for name, value in params.items():
-        # cmath on a scalar is some ten times quicker than a numpy reduction
-        if not (cmath.isfinite(value) if np.isscalar(value) else np.all(np.isfinite(value))):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _check_3vector(name: str, value, dtype=float) -> np.ndarray:
-    """``value`` as an array; ValueError naming ``name`` unless a finite 3-vector."""
-    v = np.asarray(value, dtype=dtype)
-    if v.shape != (3,):
-        raise ValueError(f"{name} takes 3-vectors only, not shape {v.shape}")
-    _check_finite(**{name: v})
-    return v
 
 
 @dataclass(frozen=True)
@@ -113,15 +96,12 @@ class ModeField:
         if {(m.lam, m.nu, m.mu, m.g) for m in modes} != {shared}:
             raise ValueError("all modes must share (lam, nu, mu, g)")
         lam, nu, mu, g = shared
-        _check_finite(nu=nu, g=g)
+        _check_finite("nonzero", nu=nu)
+        _check_finite("positive", g=g)
         if lam not in (1, -1):
             raise ValueError("helicity lam must be +1 or -1")
         if mu not in (1, -1):
             raise ValueError("duality sign mu must be +1 or -1")
-        if nu == 0.0:
-            raise ValueError("eigenvalue nu must be nonzero")
-        if g <= 0.0:
-            raise ValueError("coupling g must be positive")
         if mu * lam * nu <= 0.0:
             raise ValueError("support condition mu*lam*nu > 0 violated")
         amplitudes = np.array([m.amplitude for m in modes], dtype=complex)
@@ -174,9 +154,8 @@ def lundquist(f0: float, nu: float) -> SampledField:
 
     Curl eigenvalue nu (helicity +1); the on-axis value is F0 e_z.
     """
-    _check_finite(f0=f0, nu=nu)
-    if nu == 0.0:
-        raise ValueError("nu must be nonzero")
+    _check_finite(f0=f0)
+    _check_finite("nonzero", nu=nu)
 
     def evaluator(x):
         x = _finite_points(x)
@@ -225,9 +204,8 @@ def lundquist_potential(f0: float, nu: float) -> tuple[SampledField, np.ndarray]
 
 def abc_field(a: float, b: float, c: float, nu: float = 1.0) -> SampledField:
     """Three-mode axis-aligned Trkalian field (ABC type), curl eigenvalue nu."""
-    _check_finite(a=a, b=b, c=c, nu=nu)
-    if nu == 0.0:
-        raise ValueError("nu must be nonzero")
+    _check_finite(a=a, b=b, c=c)
+    _check_finite("nonzero", nu=nu)
 
     def evaluator(x):
         x = _finite_points(x)
@@ -268,9 +246,7 @@ def ck_field(psi: ScalarField, omega, nu: float) -> SampledField:
     finite-difference oracle.  Raises ValueError, before psi is evaluated,
     unless nu is finite and nonzero and omega a finite 3-vector.
     """
-    _check_finite(nu=nu)
-    if nu == 0.0:
-        raise ValueError("nu must be nonzero")
+    _check_finite("nonzero", nu=nu)
     w = _check_3vector("omega", omega)
     toroidal = ck_toroidal(psi, w).evaluator
 
@@ -326,11 +302,10 @@ class CKCircularParams:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        _check_finite(k=self.k, nu=self.nu, amplitude=self.amplitude)
+        _check_finite(k=self.k, amplitude=self.amplitude)
+        _check_finite("positive", nu=self.nu)  # the radial wavenumber: sigma^2 - k^2 > 0
         if self.m < 0 or int(self.m) != self.m:
             raise ValueError("m must be a non-negative integer")
-        if self.nu <= 0.0:
-            raise ValueError("radial wavenumber nu must be positive (sigma^2 - k^2 > 0)")
 
     @property
     def sigma(self) -> float:
@@ -346,8 +321,6 @@ def ck_circular(params: CKCircularParams) -> SampledField:
     field.
     """
     m, k, nu, amp, sigma = params.m, params.k, params.nu, params.amplitude, params.sigma
-    if sigma == 0.0:
-        raise ValueError("sigma must be nonzero")
 
     def evaluator(x):
         x = _finite_points(x)
@@ -437,9 +410,7 @@ def gaussian_scalar(center=(0.0, 0.0, 0.0), width: float = 1.0) -> ScalarField:
     ValueError unless the centre is a finite 3-vector and the width finite
     and positive."""
     c = _check_3vector("center", center)
-    _check_finite(width=width)
-    if width <= 0:
-        raise ValueError("width must be positive")
+    _check_finite("positive", width=width)
 
     def evaluator(x):
         return _gaussian_envelope(x, c, width)
@@ -507,9 +478,11 @@ def bessel_j0_scalar(nu: float, amplitude: complex = 1.0) -> ScalarField:
 def certify_trkalian(f: SampledField, n_points: int = 10, rtol: float = 1e-6,
                      seed: int = 20260810) -> float:
     """Max relative curl-eigenvalue defect of a catalog field at random
-    points of the cube [-1.5, 1.5]^3."""
+    points of the cube [-1.5, 1.5]^3, n_points >= 1 of them."""
     if f.eigenvalue is None:
         raise ValueError("field carries no eigenvalue to certify")
+    if not (isinstance(n_points, (int, np.integer)) and n_points >= 1):
+        raise ValueError(f"n_points must be an integer >= 1, got {n_points!r}")
     x = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n_points, 3))
     curl = fd_field(f.evaluator, "curl")(x)
     val = f(x)

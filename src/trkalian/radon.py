@@ -22,8 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, _tensor_boundary, as_direction,
-                   circle_rule, fd_field, field_reals, from_reals, plane_basis, plane_wave_sum)
+from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, _check_finite,
+                   _tensor_boundary, as_direction, circle_rule, fd_field, field_reals, from_reals,
+                   plane_basis, plane_wave_sum)
 from .fields import ModeField
 from .moses import frame_index_of, helicity_of, moses_frame
 
@@ -167,11 +168,12 @@ class AnalyticProfile:
 
 
 def validate_p_grid(p) -> np.ndarray:
-    """The p-grid as floats; ValueError unless uniform, increasing and of
-    power-of-two size."""
+    """The p-grid as floats; ValueError unless finite, uniform, increasing
+    and of power-of-two size."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2 or (p.size & (p.size - 1)) != 0:
         raise ValueError("p-grid size must be a power of two")
+    _check_finite(p=p)
     dp = np.diff(p)
     if not (dp[0] > 0.0 and np.allclose(dp, dp[0], rtol=0, atol=1e-12 * dp[0])):
         raise ValueError("p-grid must be uniform and increasing")
@@ -284,8 +286,9 @@ def cap_swapped_hemisphere(axis, cos_cap: float = 0.9) -> Hemisphere:
     """Disconnected canonical hemisphere: lexicographic with a swapped polar cap.
 
     Membership is flipped inside the antipodally symmetric double cap
-    |kappa . axis| > cos_cap, which preserves the one-of-each-pair property.
+    |kappa . axis| > cos_cap, a finite number; this keeps one of each pair.
     """
+    _check_finite(cos_cap=cos_cap)
     base = canonical_hemisphere()
     ax = as_direction(axis)
 
@@ -367,11 +370,12 @@ def radon_forward_numeric(fn, p, kappa, quad: PlaneQuadrature):
     (3-vector).  The field is called on whole planes in chunks, and each
     plane's value depends on that plane only.  The chunks' points share one
     buffer, so ``fn`` must not keep a reference to its argument after it
-    returns.  Raises ValueError on an empty batch or a non-finite field.
-    Warns once (TruncationWarning) when on some plane the magnitude at the
-    boundary exceeds 1e-10 of that over the plane; a magnitude is the
-    largest |Re| or |Im| of any component.
+    returns.  Raises ValueError on a NaN or Inf p or an empty batch before the
+    field is called, and on a non-finite field.  Warns once (TruncationWarning)
+    when on some plane the magnitude at the boundary exceeds 1e-10 of that
+    over the plane; a magnitude is the largest |Re| or |Im| of any component.
     """
+    _check_finite(p=p)
     k = as_direction(kappa)
     shape = np.broadcast_shapes(np.shape(p), k.shape[:-1])
     if 0 in shape:
@@ -446,8 +450,8 @@ def lundquist_radon_profile(f0: float, nu: float, n_ring: int = 64) -> AnalyticP
     2 pi i F0 / nu^2 * L(psi), L'(psi) with L = (sin, -cos, -i),
     L' = (-sin, cos, -i).
     """
-    if nu == 0.0:
-        raise ValueError("nu must be nonzero")
+    _check_finite(f0=f0)
+    _check_finite("nonzero", nu=nu)
     if n_ring < 4 or n_ring % 2 != 0:
         raise ValueError("n_ring must be even and at least 4")
     coeff = 2.0 * np.pi * 1j * f0 / nu**2
@@ -466,8 +470,7 @@ def lundquist_radon_profile(f0: float, nu: float, n_ring: int = 64) -> AnalyticP
 def scalar_wave_profile(kappa0, omega: float, coefficient: complex = 1.0) -> AnalyticProfile:
     """Transform of the scalar plane wave c e^{i omega kappa0 . x} (atom pair);
     ValueError unless omega is finite and nonzero."""
-    if not (np.isfinite(omega) and omega != 0):
-        raise ValueError(f"omega must be finite and nonzero, got {omega}")
+    _check_finite("nonzero", omega=omega)
     k0 = as_direction(kappa0)
     amp = (2.0 * np.pi) ** 2 / omega**2 * complex(coefficient)
     return AnalyticProfile(directions=np.stack([k0, -k0]), frequencies=[omega, -omega],
@@ -513,7 +516,8 @@ def gamma_apply(profile, kind: str):
 
 
 def gamma_cross_eigendefect(profile: AnalyticProfile) -> float:
-    """Max atom-wise residual of Gamma x F = mu nu F."""
+    """Max atom-wise residual of Gamma x F = mu nu F, for a finite nonzero nu."""
+    _check_finite("nonzero", nu=profile.nu)
     return gamma_apply(profile, "cross").amplitude_distance(profile, profile.mu * profile.nu)
 
 
@@ -637,8 +641,9 @@ def spherical_curl_transform(profile: AnalyticProfile, kappa,
     with the Hermitian product conjugating the probe.  The phase prefactor
     cancels the matched tone, so the result is p-independent; for profiles
     supported on a line delta the returned value is the line density.
-    The probe reads the atoms within 1e-9 of kappa.
+    The probe reads the atoms within 1e-9 of kappa, at a finite p.
     """
+    _check_finite(p=p)
     k = as_direction(kappa)
     if not profile.is_vector:
         raise ValueError("probe requires vector amplitudes")
@@ -692,12 +697,10 @@ def profile_from_json(text: str) -> AnalyticProfile:
     and positive."""
     payload = json.loads(text)
     nu, mu, g = payload["nu"], payload["mu"], payload["g"]
-    if not (np.isfinite(nu) and nu != 0.0):
-        raise ValueError(f"profile nu must be finite and nonzero, got {nu!r}")
+    _check_finite("nonzero", nu=nu)
     if mu not in (1, -1):
-        raise ValueError(f"profile mu must be +1 or -1, got {mu!r}")
-    if not (np.isfinite(g) and g > 0.0):
-        raise ValueError(f"profile g must be finite and positive, got {g!r}")
+        raise ValueError(f"mu must be +1 or -1, got {mu!r}")
+    _check_finite("positive", g=g)
     records = payload["atoms"]
     width = len(records[0]["amplitude_re"]) if records else 3
     amplitudes = np.array([r["amplitude_re"] for r in records], dtype=complex).reshape(-1, width)

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import PlaneQuadrature, as_direction, circle_rule
+from .core import PlaneQuadrature, _check_finite, as_direction, circle_rule
 from .radon import (AnalyticProfile, GridProfile, RadonAtom, _atoms, _sample_atoms, gamma_apply,
                     radon_forward_numeric)
 
@@ -32,8 +32,9 @@ def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature, n_p: in
     3-D Fourier transform (2 pi)^{-3/2} int F(y) e^{-i k kappa . y} d^3 y by
     the tensor trapezoid rule of 32^3 nodes on the box [-8, 8)^3, the
     periodic rule of :func:`circle_rule` scaled to each axis, which converges
-    exponentially for fields that decay within the box.
+    exponentially for fields that decay within the box.  k must be finite.
     """
+    _check_finite(k=k)
     kdir = as_direction(kappa)
     p = -8.0 + (16.0 / n_p) * np.arange(n_p)
     proj = radon_forward_numeric(fn, p, kdir, plane_quad)  # (n_p[, 3])
@@ -105,7 +106,8 @@ def rbs_left_inverse_check(grid: GridProfile) -> float:
 
 
 def rbs_eigendefect(profile: AnalyticProfile) -> float:
-    """Max atom-wise residual of RBS[F] = (1 / (mu nu)) F."""
+    """Max atom-wise residual of RBS[F] = (1 / (mu nu)) F, for a finite nonzero nu."""
+    _check_finite("nonzero", nu=profile.nu)
     return rbs_apply(profile).amplitude_distance(profile, 1.0 / (profile.mu * profile.nu))
 
 

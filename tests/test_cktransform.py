@@ -117,19 +117,43 @@ class TestDebyeSolution:
             DebyeChoice(tones=(ScalarTone(np.array([0.0, 0.0, 1.0]), 1.0, 1.0),),
                         omega=lambda p, kappa: kappa, nu=1.0)
 
+    def test_omega_of_any_signature_taking_kappa_is_allowed(self):
+        # called on the tone directions, not judged by its signature
+        choice = DebyeChoice(tones=(ScalarTone(np.array([0.0, 0.0, 1.0]), 1.0, 1.0),),
+                             omega=lambda *k: np.cross(k[0], [1.0, 0.0, 0.0]), nu=1.0)
+        assert choice.omega.tolist() == [[0.0, 1.0, 0.0]]
+        assert gamma_cross_eigendefect(ck_transform_solution(choice)) < 1e-14
+
+    def test_omega_is_called_once_at_construction(self):
+        calls = []
+
+        def omega(kappa):
+            calls.append(kappa.shape)
+            return np.cross(kappa, [1.0, 0.5, 0.0])
+
+        k0 = random_direction(51)
+        choice = DebyeChoice(tones=(ScalarTone(k0, 1.0, 1.0), ScalarTone(-k0, -1.0, 1.0)),
+                             omega=omega, nu=1.0)
+        assert calls == [(2, 3)]
+        curl_res, rbs_res = ck_transform_potential_check(choice)
+        assert calls == [(2, 3)] and curl_res < 1e-14 and rbs_res < 1e-14
+
     @pytest.mark.parametrize("bad", [
         {"nu": np.nan}, {"nu": np.inf}, {"frequency": np.nan},
         {"coefficient": complex(np.nan, 0.0)}, {"weight": 0.0}, {"weight": -2.0},
         {"coefficient": [1.0, 0.5j, 0.0]}, {"direction": [0.0, 0.0, 1.1]},
+        {"omega": [np.nan, 0.0, 0.0]}, {"omega": lambda k: k + np.inf},
+        {"omega": [1.0, 0.0]},
     ], ids=["nan-nu", "infinite-nu", "nan-frequency", "nan-coefficient", "zero-weight",
-            "negative-weight", "vector-coefficient", "non-unit-direction"])
+            "negative-weight", "vector-coefficient", "non-unit-direction", "nan-omega",
+            "infinite-omega-of-kappa", "short-omega"])
     def test_bad_tones_rejected_at_construction(self, bad):
         a = {"direction": [0.0, 0.0, 1.0], "frequency": 1.0, "coefficient": 1.0,
-             "weight": 1.0, "nu": 1.0} | bad
+             "weight": 1.0, "nu": 1.0, "omega": np.array([1.0, 0.0, 0.0])} | bad
         with pytest.raises(ValueError):
             DebyeChoice(tones=(ScalarTone(a["direction"], a["frequency"], a["coefficient"],
                                           a["weight"]),),
-                        omega=np.array([1.0, 0.0, 0.0]), nu=a["nu"])
+                        omega=a["omega"], nu=a["nu"])
 
     def test_kappa_dependent_omega_allowed(self):
         shapes = []

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from trkalian.core import (PlaneQuadrature, _finite_points, as_direction, bessel_j,
-                           bessel_j1_first_zero, fd_derivative_oracle, fd_field, gauss_legendre,
-                           gauss_tensor_rule, plane_basis, plane_wave_sum, sphere_quadrature)
+from trkalian.core import (PlaneQuadrature, _check_3vector, _check_finite, _finite_points,
+                           as_direction, bessel_j, bessel_j1_first_zero, fd_derivative_oracle,
+                           fd_field, gauss_legendre, gauss_tensor_rule, plane_basis,
+                           plane_wave_sum, sphere_quadrature)
 
 
 class TestSphereQuadrature:
@@ -195,6 +196,42 @@ class TestFinitePoints:
             _finite_points(x)
 
 
+class TestCheckFinite:
+    @pytest.mark.parametrize("rule, value, message", [
+        ("", np.nan, "x must be finite, got nan"),
+        ("", complex(0.0, np.inf), "x must be finite, got infj"),
+        ("", np.array([1.0, -np.inf]), r"x must be finite, got array\(\[ +1\., -inf\]\)"),
+        ("positive", 0.0, "x must be finite and positive, got 0.0"),
+        ("positive", -np.inf, "x must be finite and positive, got -inf"),
+        ("positive", np.array([1.0, -2.0]), "x must be finite and positive, got array"),
+        ("nonzero", -0.0, "x must be finite and nonzero, got -0.0"),
+        ("nonzero", np.nan, "x must be finite and nonzero, got nan"),
+        ("nonzero", np.zeros(3), "x must be finite and nonzero, got array"),
+    ])
+    def test_one_message_form(self, rule, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _check_finite(rule, x=value)
+
+    @pytest.mark.parametrize("rule, value", [
+        ("", -1.0), ("", 0), ("", 1 + 2j), ("positive", 1e-300), ("positive", np.int64(3)),
+        ("nonzero", -5e-324), ("nonzero", np.array([0.0, 0.0, -1.0]))])
+    def test_accepts(self, rule, value):
+        _check_finite(rule, x=value)
+
+    def test_names_the_first_bad_parameter_in_order(self):
+        with pytest.raises(ValueError, match="^b must be"):
+            _check_finite(a=1.0, b=np.nan, c=np.inf)
+        with pytest.raises(ValueError, match="^rule must be finite"):  # any name, "rule" too
+            _check_finite("", rule=np.nan)
+
+    def test_3vector(self):
+        assert _check_3vector("v", [1, 2, 3]).tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="^v takes 3-vectors only, not shape"):
+            _check_3vector("v", [1.0, 2.0])
+        with pytest.raises(ValueError, match="^v must be finite and nonzero"):
+            _check_3vector("v", [0.0, -0.0, 0.0], rule="nonzero")
+
+
 class TestPlaneQuadrature:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -377,7 +414,7 @@ class TestFdOracle:
 
     @pytest.mark.parametrize("h", [np.inf, -np.inf, np.nan, 0.0, -1e-3])
     def test_rejects_a_step_that_is_not_finite_and_positive(self, h):
-        with pytest.raises(ValueError, match="step h must be finite and positive"):
+        with pytest.raises(ValueError, match="^h must be finite and positive"):
             fd_field(lambda x: x, "curl", h)
 
     @pytest.mark.parametrize("kind", ["curl", "gradient", "laplacian"])

@@ -9,7 +9,7 @@ from trkalian.fields import (CKCircularParams, HelicityMode, ModeField, _jm_over
                              eval_mode_field, gauge_gradient_field,
                              gaussian_scalar, gaussian_test_field, lundquist,
                              lundquist_potential, mode_sampled_field,
-                             plane_wave_scalar, ScalarField)
+                             plane_wave_scalar, SampledField, ScalarField)
 
 EZ = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])
@@ -530,7 +530,7 @@ def test_catalog_fields_name_non_finite_points(build, bad):
 @pytest.mark.parametrize("center, width, match", [
     ((1.0, 2.0), 1.0, "center takes 3-vectors"), (0.0, 1.0, "center takes 3-vectors"),
     ((0, NAN, 0), 1.0, "center must be finite"), ((0, 0, 0), NAN, "width must be finite"),
-    ((0, 0, 0), INF, "width must be finite"), ((0, 0, 0), 0.0, "width must be positive"),
+    ((0, 0, 0), INF, "width must be finite"), ((0, 0, 0), 0.0, "width must be finite and positive"),
 ], ids=["short-center", "scalar-center", "nan-center", "nan-width", "inf-width", "zero-width"])
 def test_gaussian_scalar_names_the_bad_parameter(center, width, match):
     # the probe field is built on the scalar envelope and fails the same way
@@ -538,6 +538,17 @@ def test_gaussian_scalar_names_the_bad_parameter(center, width, match):
         gaussian_scalar(center, width)
     with pytest.raises(ValueError, match=match):
         gaussian_test_field(center, width, (1, 0, 0))
+
+
+@pytest.mark.parametrize("n_points", [0, -1])
+def test_certify_rejects_fewer_than_one_point(n_points):
+    # a ValueError, where no points certified any field without evaluating it
+    def never(x):
+        raise AssertionError("field evaluated")
+
+    f = SampledField(name="never", evaluator=never, eigenvalue=1.0)
+    with pytest.raises(ValueError, match="^n_points must be an integer >= 1"):
+        certify_trkalian(f, n_points=n_points)
 
 
 class TestCatalogCertification:

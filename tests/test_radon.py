@@ -873,6 +873,40 @@ class TestGaugeNormality:
             scalar_wave_profile(random_direction(34), omega)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda fn: radon.validate_p_grid([0.0, np.inf]), "^p must be finite, got array"),
+    (lambda fn: radon_forward_grid(fn, [0.0, np.nan], sphere_quadrature(2, 4), PLANE),
+     "^p must be finite"),
+    (lambda fn: radon_forward_numeric(fn, np.nan, EZ, PLANE), "^p must be finite, got nan"),
+    (lambda fn: radon_forward_numeric(fn, [0.5, -np.inf], EZ, PLANE), "^p must be finite"),
+    (lambda fn: spherical_curl_transform(radon_mode_analytic(single_mode()), EZ, p=np.nan),
+     "^p must be finite"),
+    (lambda fn: cap_swapped_hemisphere(EZ, cos_cap=np.nan), "^cos_cap must be finite"),
+    (lambda fn: lundquist_radon_profile(1.0, np.nan), "^nu must be finite and nonzero"),
+    (lambda fn: lundquist_radon_profile(1.0, 0.0), "^nu must be finite and nonzero"),
+    (lambda fn: lundquist_radon_profile(np.inf, 1.0), "^f0 must be finite"),
+    (lambda fn: gamma_cross_eigendefect(replace(lundquist_radon_profile(1.0, 1.0), nu=np.nan)),
+     "^nu must be finite and nonzero"),
+    (lambda fn: gamma_cross_eigendefect(replace(lundquist_radon_profile(1.0, 1.0), nu=0.0)),
+     "^nu must be finite and nonzero"),
+], ids=["p-grid-inf", "forward-grid-nan", "forward-nan", "forward-minus-inf",
+        "curl-transform-p", "cap", "lundquist-nu-nan", "lundquist-nu-zero", "lundquist-f0",
+        "eigendefect-nu-nan", "eigendefect-nu-zero"])
+def test_names_a_bad_scalar_parameter_before_any_work(call, match):
+    # a ValueError through the one check, naming the parameter, where the p-grid
+    # passed with a RuntimeWarning, NaN gave NaN results or a whole plane was
+    # evaluated first, and NaN frequencies were reported as bad atoms
+    calls = []
+
+    def fn(x):
+        calls.append(len(x))
+        return gaussian_scalar()(x)
+
+    with pytest.raises(ValueError, match=match):
+        call(fn)
+    assert calls == []
+
+
 class TestSerialization:
     def test_profile_json_roundtrip(self):
         prof = radon_mode_analytic(random_mode_field(3, seed=35))
@@ -890,7 +924,7 @@ class TestSerialization:
     def test_profile_json_rejects_bad_scalars_by_name(self, name, value):
         payload = json.loads(profile_to_json(lundquist_radon_profile(1.0, 1.3, n_ring=4)))
         payload[name] = value
-        with pytest.raises(ValueError, match=f"profile {name} must be"):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             profile_from_json(json.dumps(payload))
 
     def test_profile_json_golden(self):

@@ -39,6 +39,32 @@ def transverse_tone_grid(seed=0, n_p=64):
     return tone_grid(coeffs, sphere=sphere, n_p=n_p)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda fn: fourier_slice_check(fn, np.array([0.0, 0.0, 1.0]), np.nan, PLANE),
+     "^k must be finite, got nan"),
+    (lambda fn: fourier_slice_pair(fn, np.array([0.0, 0.0, 1.0]), -np.inf, PLANE),
+     "^k must be finite"),
+    (lambda fn: rbs_eigendefect(AnalyticProfile([[0.0, 0.0, 1.0]], [1.0], [[1.0, 1j, 0.0]],
+                                                [1.0], nu=0.0)),
+     "^nu must be finite and nonzero"),
+    (lambda fn: rbs_eigendefect(AnalyticProfile([[0.0, 0.0, 1.0]], [1.0], [[1.0, 1j, 0.0]],
+                                                [1.0], nu=np.nan)),
+     "^nu must be finite and nonzero"),
+], ids=["slice-check-nan-k", "slice-pair-inf-k", "eigendefect-nu-zero", "eigendefect-nu-nan"])
+def test_names_a_bad_scalar_parameter_before_any_work(call, match):
+    # a ValueError naming the parameter, where NaN gave a NaN residual and
+    # nu = 0 a bare ZeroDivisionError
+    calls = []
+
+    def fn(x):
+        calls.append(len(x))
+        return gaussian_scalar()(x)
+
+    with pytest.raises(ValueError, match=match):
+        call(fn)
+    assert calls == []
+
+
 class TestFourierSlice:
     def test_gaussian_scalar_closed_form(self):
         g = gaussian_scalar()
