@@ -34,7 +34,12 @@ workload and end-to-end metric, the two medians, the head's change in per
 cent and the pairs in which the head is better, the same per command for
 wall time and peak RSS over the rounds, then the shift of the head's median
 from the parent's in units of the larger of the two IQRs, per workload and
-per command; run on two checkouts of one commit, this is the spread of the harness itself.  The
+per command; run on two checkouts of one commit, this is the spread of the harness itself.
+It prints one verdict per workload and end-to-end metric: "gain" when the
+head is better in at least 9/10 of the pairs and its median moved past the
+parent's by more than the parent's IQR, "regression" when the head's median
+is worse than the parent's by more than the metric's ``BENCHMARK.json``
+bound (a fraction of the parent's median), and "neutral" otherwise.  The
 per-layer lines give each tree's median and range, marked "overlap" where
 the two ranges overlap, so that a shift inside the runs' own spread is not
 read as a change.  Each workload's entry records the checks the runs
@@ -43,7 +48,7 @@ either tree is not correct, when the head fails a larger share of its
 checks on a workload than the parent, or when the head's tier-1 summary
 line counts more failed or errored tests than the parent's.
 
-    python3 bench_pairs.py PARENT_TREE HEAD_TREE --number 17 --seeds 1-8
+    python3 bench_pairs.py PARENT_TREE HEAD_TREE --number 17 --seeds 1-10
 
 Each tree is a full checkout (``git archive`` of a commit will do).  The
 workloads are those of the head tree's ``BENCHMARK.json``; ``--seconds`` is
@@ -77,6 +82,7 @@ COMMANDS = {
                    "--grid", "-1:1:21,-1:1:21,-1:1:21", "--out", "{out}"],
 }
 COMMAND_METRICS = ("wall_s", "peak_rss_mb")  # the two values command() returns
+GAIN_SHARE = 0.9  # a gain needs the head better in at least this share of the pairs
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -187,6 +193,21 @@ def median_shift(a: list[float], b: list[float]) -> float:
     return shift / spread if spread else math.copysign(math.inf, shift) if shift else 0.0
 
 
+def verdict(parent: list[float], head: list[float], better: str, bound: float) -> str:
+    """"regression" when the head's median is worse than the parent's by more
+    than ``bound`` times the parent's median, "gain" when the head is better in
+    at least GAIN_SHARE of the pairs and its median is better by more than the
+    parent's IQR, else "neutral"; ``better`` is "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    gain = sign * (statistics.median(parent) - statistics.median(head))
+    wins = sum(sign * (x - y) > 0 for x, y in zip(parent, head))
+    if -gain > bound * abs(statistics.median(parent)):
+        return "regression"
+    if wins >= GAIN_SHARE * len(parent) and gain > summary(parent)["iqr"]:
+        return "gain"
+    return "neutral"
+
+
 def broken_tests(line: str) -> int:
     """Failed plus errored tests on a pytest summary line ("2 failed, 618 passed")."""
     return sum(int(n) for n, word in re.findall(r"(\d+) (\w+)", line)
@@ -234,7 +255,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs=2, type=Path, help="parent tree, then head tree")
     parser.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
-    parser.add_argument("--seeds", type=seed_range, default="1-8", help="FIRST-LAST")
+    parser.add_argument("--seeds", type=seed_range, default="1-10", help="FIRST-LAST")
     parser.add_argument("--seconds", type=float, default=None,
                         help="run length per run; default the harness's")
     args = parser.parse_args()
@@ -307,12 +328,15 @@ def main() -> None:
     for w in workloads:
         for m in metrics:
             pa, pb = ([r["metrics"][m]["value"] for r in runs[t][w]] for t in trees)
-            better = next(x["better"] for x in spec["end_to_end"] if x["name"] == m)
+            better, bound = next((x["better"], x["bound"]) for x in spec["end_to_end"]
+                                 if x["name"] == m)
             wins = sum((y < x) if better == "lower" else (y > x) for x, y in zip(pa, pb))
             ma, mb = statistics.median(pa), statistics.median(pb)
             change = f"{100.0 * (mb - ma) / ma:+7.1f} %" if ma else "      n/a"
             print(f"{w:10s} {m:12s} {ma:10.4g} -> {mb:10.4g} {change}"
                   f"  head better in {wins}/{len(pa)} pairs")
+            print(f"{w:10s} {m:12s} verdict {verdict(pa, pb, better, bound)} (parent IQR"
+                  f" {summary(pa)['iqr']:.4g}, bound {100.0 * bound:.0f} %)")
     for c in COMMANDS:
         for k, m in enumerate(COMMAND_METRICS):
             pa, pb = ([run[k] for run in commands[t][c]] for t in trees)

@@ -11,11 +11,11 @@ every identity here is exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_finite, circle_rule
+from .core import _check_finite, circle_rule, cross
 from .radon import AnalyticProfile, RadonAtom, gamma_apply, inverse_radon
 from .rbs import rbs_apply
 
@@ -24,7 +24,7 @@ OSCILLATOR_TOL = 1e-10
 ScalarTone = RadonAtom  # amplitude * e^{i frequency p} with a scalar amplitude
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OmegaAtom:
     """A fixed vector attached to a direction (with line-measure weight);
     :func:`ck_integral_profile` checks the rows together."""
@@ -73,8 +73,8 @@ def _tone_profile(choice: DebyeChoice, amplitude) -> AnalyticProfile:
     """The tones with each amplitude times ``amplitude(d, frequency, w)`` on
     the tone directions (n, 3), frequencies (n, 1) and omegas (n, 3)."""
     tones = choice.tones
-    return replace(tones, amplitudes=tones.amplitudes[:, None]
-                   * amplitude(tones.directions, tones.frequencies[:, None], choice.omega))
+    return tones._derive(amplitudes=tones.amplitudes[:, None]
+                         * amplitude(tones.directions, tones.frequencies[:, None], choice.omega))
 
 
 def ck_transform_solution(choice: DebyeChoice, include_poloidal: bool = True) -> AnalyticProfile:
@@ -86,10 +86,10 @@ def ck_transform_solution(choice: DebyeChoice, include_poloidal: bool = True) ->
     nu = choice.nu
 
     def amplitude(d, freq, w):
-        toroidal = 1j * freq * np.cross(d, w)
+        toroidal = 1j * freq * cross(d, w)
         if not include_poloidal:
             return toroidal
-        return toroidal - (freq**2 / nu) * np.cross(d, np.cross(d, w))
+        return toroidal - (freq**2 / nu) * cross(d, cross(d, w))
 
     return _tone_profile(choice, amplitude)
 
@@ -97,7 +97,7 @@ def ck_transform_solution(choice: DebyeChoice, include_poloidal: bool = True) ->
 def ck_transform_potential(choice: DebyeChoice) -> AnalyticProfile:
     """H = Psi w + (1/nu) Gamma x (Psi w); satisfies Gamma x H = G."""
     return _tone_profile(
-        choice, lambda d, freq, w: w + (1j * freq / choice.nu) * np.cross(d, w))
+        choice, lambda d, freq, w: w + (1j * freq / choice.nu) * cross(d, w))
 
 
 def ck_transform_potential_check(choice: DebyeChoice) -> tuple[float, float]:
@@ -173,10 +173,10 @@ def ck_integral_profile(omega1, omega2, lam: int, nu: float) -> AnalyticProfile:
     sign = np.repeat([1.0, -1.0], [len(omega1), len(omega2)])
     d = np.reshape([oa.direction for oa in omegas], (-1, 3))
     w = np.reshape(np.array([oa.vector for oa in omegas], dtype=complex), d.shape)
-    dxw = np.cross(d, w)
+    dxw = cross(d, w)
     return AnalyticProfile(
         directions=d, frequencies=sign * lam * nu,
-        amplitudes=0.5 * ((sign * 1j * lam)[:, None] * dxw - np.cross(d, dxw)),
+        amplitudes=0.5 * ((sign * 1j * lam)[:, None] * dxw - cross(d, dxw)),
         weights=[oa.weight for oa in omegas], nu=nu, mu=1, g=1.0)
 
 

@@ -28,6 +28,7 @@ Each numerical primitive has exactly one implementation, owned here:
   :func:`field_reals` and its inverse :func:`from_reals`;
 - plane-wave sums at a batch of points: :func:`plane_wave_sum`, in the
   point chunks of :func:`_chunks`, whose cap the volume integrals also use;
+- the cross product of 3-vectors: :func:`cross`, bit for bit ``np.cross``;
 - the checks of evaluation points, :func:`_finite_points`, and of parameters,
   :func:`_check_finite` (finite, with a sign rule) and :func:`_check_3vector`.
 """
@@ -57,6 +58,17 @@ def as_direction(v) -> np.ndarray:
     if not (np.abs(n - 1.0) <= DIRECTION_TOL).all():
         raise ValueError(f"direction not unit: |norm - 1| = {np.max(np.abs(n - 1.0)):.3e}")
     return v
+
+
+def cross(a, b) -> np.ndarray:
+    """a x b for 3-vectors a, b (..., 3), broadcast against each other: each
+    component one product minus another in the ufuncs' result dtype, as
+    ``np.cross`` computes it and so bit for bit its result, without its axis
+    handling."""
+    a, b = np.asarray(a), np.asarray(b)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def field_reals(fn, pts: np.ndarray):
@@ -277,7 +289,7 @@ def plane_basis(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 = seed - np.take_along_axis(k, axis, axis=-1) * k
     # |e1|^2 as a matrix product rounds like the BLAS dot of one direction
     e1 /= np.sqrt(e1[..., None, :] @ e1[..., :, None])[..., 0]
-    e2 = np.cross(k, e1)
+    e2 = cross(k, e1)
     return e1, e2
 
 

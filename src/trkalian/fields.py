@@ -14,7 +14,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .core import (_check_3vector, _check_finite, _finite_points, as_direction, bessel_j,
-                   fd_field, plane_wave_sum)
+                   cross, fd_field, plane_wave_sum)
 from .moses import frame_index_of, moses_frame
 
 _INV_TWO_PI_32 = (2.0 * np.pi) ** -1.5
@@ -55,7 +55,7 @@ class ScalarField:
 # helicity modes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HelicityMode:
     """One atomic spherical curl-transform contribution: a plain row, checked
     by the :class:`ModeField` built from it.
@@ -283,7 +283,7 @@ def ck_toroidal(psi: ScalarField, omega) -> SampledField:
 
     def evaluator(x):
         x = np.asarray(x, dtype=float)
-        return np.cross(_scalar_gradient(psi, x), w)
+        return cross(_scalar_gradient(psi, x), w)
 
     return SampledField(name="ck_toroidal", evaluator=evaluator)
 

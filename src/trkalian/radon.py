@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, _check_finite,
-                   _tensor_boundary, as_direction, circle_rule, fd_field, field_reals, from_reals,
-                   plane_basis, plane_wave_sum)
+                   _tensor_boundary, as_direction, circle_rule, cross, fd_field, field_reals,
+                   from_reals, plane_basis, plane_wave_sum)
 from .fields import ModeField
 from .moses import frame_index_of, helicity_of, moses_frame
 
@@ -48,7 +48,7 @@ class TruncationWarning(UserWarning):
 # profile types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RadonAtom:
     """One row of an :class:`AnalyticProfile`: a tone exp(i frequency p) at a
     direction with a complex 3-vector or scalar amplitude and the solid-angle
@@ -65,12 +65,16 @@ class RadonAtom:
 # Fixed generic projection of (direction, frequency) that orders atoms for
 # matching; atoms within tol of each other project within sqrt(2) tol.
 _MATCH_AXIS = np.sqrt([2.0, 3.0, 5.0, 7.0]) / np.sqrt(17.0)
+_ATOM_ARRAYS = {"directions": float, "frequencies": float, "amplitudes": complex, "weights": float}
 
 
 @dataclass(frozen=True, eq=False)
 class AnalyticProfile:
     """Finite atom sum representing a transform-space field exactly; atom j
-    is row j of the arrays, amplitudes being (n, 3) or, for scalars, (n,)."""
+    is row j of the arrays, amplitudes being (n, 3) or, for scalars, (n,).
+    The arrays are private read-only copies.  An operator derives its result
+    from a validated profile (:meth:`_derive`), checking only the arrays it
+    computes and sharing the others; nu, mu and g are checked by their readers."""
 
     directions: np.ndarray
     frequencies: np.ndarray
@@ -81,10 +85,15 @@ class AnalyticProfile:
     g: float = 1.0
 
     def __post_init__(self):
-        # private read-only copies, so the validated rows cannot change later
-        for name, dtype in (("directions", float), ("frequencies", float),
-                            ("amplitudes", complex), ("weights", float)):
-            value = np.array(getattr(self, name), dtype=dtype)
+        self._check(_ATOM_ARRAYS)
+
+    def _check(self, names) -> None:
+        """Store the named atom arrays as private read-only copies, so the
+        validated rows cannot change later, and check them: the shapes of all
+        four, and of the named ones unit directions, finite frequencies and
+        amplitudes, and positive finite weights."""
+        for name in names:
+            value = np.array(getattr(self, name), dtype=_ATOM_ARRAYS[name])
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         n = self.frequencies.size
@@ -92,11 +101,22 @@ class AnalyticProfile:
                 or self.weights.shape != (n,) or self.amplitudes.shape not in ((n,), (n, 3))):
             raise ValueError("profile arrays must be shaped directions (n, 3), frequencies"
                              " (n,), amplitudes (n, 3) or (n,) and weights (n,)")
-        as_direction(self.directions)
-        if not (np.all(np.isfinite(self.frequencies)) and np.all(np.isfinite(self.amplitudes))):
+        if "directions" in names:
+            as_direction(self.directions)
+        if not all(np.isfinite(getattr(self, name)).all() for name in ("frequencies", "amplitudes")
+                   if name in names):
             raise ValueError("atom frequencies and amplitudes must be finite")
-        if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
+        if "weights" in names and not ((self.weights > 0.0) & np.isfinite(self.weights)).all():
             raise ValueError("atom weights must be positive and finite")
+
+    def _derive(self, **arrays) -> "AnalyticProfile":
+        """This profile with the given atom arrays, which alone are checked; the
+        arrays it keeps are this profile's own, being read-only."""
+        derived = object.__new__(AnalyticProfile)
+        for name in (*_ATOM_ARRAYS, "nu", "mu", "g"):
+            object.__setattr__(derived, name, arrays.get(name, getattr(self, name)))
+        derived._check(arrays)
+        return derived
 
     @classmethod
     def from_atoms(cls, atoms, nu: float) -> "AnalyticProfile":
@@ -165,6 +185,16 @@ class AnalyticProfile:
             raise ValueError("profiles pair atoms one to one")
         diff = self.amplitudes - scale * other.amplitudes
         return float(np.max(np.abs(diff), initial=0.0))
+
+
+def _check_scalars(nu, mu, g) -> None:
+    """ValueError naming nu, mu or g unless nu is finite and nonzero, mu is +1
+    or -1 and g is finite and positive: a profile's scalars, which its
+    constructor leaves to the functions that read them."""
+    _check_finite("nonzero", nu=nu)
+    if mu not in (1, -1):
+        raise ValueError(f"mu must be +1 or -1, got {mu!r}")
+    _check_finite("positive", g=g)
 
 
 def validate_p_grid(p) -> np.ndarray:
@@ -496,7 +526,7 @@ def kappa_product(kappa, values, kind: str) -> np.ndarray:
         need = "scalar" if kind == "grad" else "vector"
         raise ValueError(f"{kind} needs {need} amplitudes")
     if kind == "cross":
-        return np.cross(kappa, values)
+        return cross(kappa, values)
     if kind == "dot":
         return np.einsum("...k,...k->...", kappa, values)
     return values[..., None] * kappa
@@ -511,13 +541,14 @@ def gamma_apply(profile, kind: str):
     atoms = _atoms(profile)
     out = kappa_product(atoms.directions, atoms.amplitudes, kind)
     scale = (1j * atoms.frequencies).reshape((-1,) + (1,) * (out.ndim - 1))
-    result = replace(atoms, amplitudes=scale * out)
+    result = atoms._derive(amplitudes=scale * out)
     return result if atoms is profile else _sample_atoms(profile, result)
 
 
 def gamma_cross_eigendefect(profile: AnalyticProfile) -> float:
-    """Max atom-wise residual of Gamma x F = mu nu F, for a finite nonzero nu."""
-    _check_finite("nonzero", nu=profile.nu)
+    """Max atom-wise residual of Gamma x F = mu nu F (ValueError as for
+    :func:`_check_scalars` on the profile's nu, mu and g)."""
+    _check_scalars(profile.nu, profile.mu, profile.g)
     return gamma_apply(profile, "cross").amplitude_distance(profile, profile.mu * profile.nu)
 
 
@@ -605,11 +636,11 @@ def radon_of_hemisphere_inverse(profile: AnalyticProfile,
     """
     keep = hemisphere.members(profile.directions)
     directions, frequencies = profile.directions[keep], profile.frequencies[keep]
-    return replace(profile,
-                   directions=np.stack([directions, -directions], axis=1).reshape(-1, 3),
-                   frequencies=np.stack([frequencies, -frequencies], axis=1).reshape(-1),
-                   amplitudes=np.repeat(profile.amplitudes[keep], 2, axis=0),
-                   weights=np.repeat(profile.weights[keep], 2))
+    return profile._derive(
+        directions=np.stack([directions, -directions], axis=1).reshape(-1, 3),
+        frequencies=np.stack([frequencies, -frequencies], axis=1).reshape(-1),
+        amplitudes=np.repeat(profile.amplitudes[keep], 2, axis=0),
+        weights=np.repeat(profile.weights[keep], 2))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +652,7 @@ def transform_radon_linear(profile: AnalyticProfile, t: np.ndarray) -> AnalyticP
     t = np.asarray(t, dtype=float)
     if t.shape != (3, 3) or np.max(np.abs(t.T @ t - np.eye(3))) > 1e-12:
         raise ValueError("T must be an orthogonal 3x3 matrix")
-    return replace(profile, directions=profile.directions @ t.T)
+    return profile._derive(directions=profile.directions @ t.T)
 
 
 def antipodal_profile(profile: AnalyticProfile) -> AnalyticProfile:
@@ -641,8 +672,10 @@ def spherical_curl_transform(profile: AnalyticProfile, kappa,
     with the Hermitian product conjugating the probe.  The phase prefactor
     cancels the matched tone, so the result is p-independent; for profiles
     supported on a line delta the returned value is the line density.
-    The probe reads the atoms within 1e-9 of kappa, at a finite p.
+    The probe reads the atoms within 1e-9 of kappa, at a finite p, after
+    :func:`_check_scalars` on the profile's nu, mu and g.
     """
+    _check_scalars(profile.nu, profile.mu, profile.g)
     _check_finite(p=p)
     k = as_direction(kappa)
     if not profile.is_vector:
@@ -690,27 +723,49 @@ def profile_to_json(profile: AnalyticProfile) -> str:
             f'  "nu": {json.dumps(profile.nu)}\n}}')
 
 
+def _atom_table(records) -> np.ndarray:
+    """The atom records as one float table (n, 2 w + 5) of amplitude_re,
+    amplitude_im, direction, frequency and weight, w the amplitude width of the
+    first record; ValueError naming the first record and key whose value is
+    missing or not a number or a list of w (3 for a direction) numbers."""
+    width = 3
+    try:
+        if records:
+            width = len(records[0]["amplitude_re"])
+        # the width test per record: a plain table takes 4 + 2 amplitude values as 3 + 3
+        rows = [r["amplitude_re"] + r["amplitude_im"] + r["direction"]
+                + [r["frequency"], r["weight"]]
+                for r in records if len(r["amplitude_re"]) == len(r["amplitude_im"]) == width]
+        if len(rows) == len(records):
+            return np.array(rows, dtype=float).reshape(len(rows), 2 * width + 5)
+    except (KeyError, TypeError, ValueError):
+        pass
+    for i, record in enumerate(records):  # the first bad value, by name
+        for key, size in (("amplitude_re", width), ("amplitude_im", width), ("direction", 3),
+                          ("frequency", 0), ("weight", 0)):
+            value = record.get(key) if isinstance(record, dict) else None
+            if (size and not (isinstance(value, list) and len(value) == size)
+                    or not all(isinstance(v, (int, float)) for v in (value if size else [value]))):
+                kind = f"a list of {size} numbers" if size else "a number"
+                raise ValueError(f"atom {i}: {key} must be {kind}, got {value!r}")
+    raise ValueError("atom records must hold numbers")
+
+
 def profile_from_json(text: str) -> AnalyticProfile:
     """Rebuild an analytic profile from :func:`profile_to_json` output; a
-    one-component amplitude marks a scalar profile.  ValueError naming nu,
-    mu or g unless nu is finite and nonzero, mu = +1 or -1 and g is finite
-    and positive."""
+    one-component amplitude marks a scalar profile.  ValueError as for
+    :func:`_check_scalars` on nu, mu and g, and naming the atom and key of a
+    malformed atom record."""
     payload = json.loads(text)
     nu, mu, g = payload["nu"], payload["mu"], payload["g"]
-    _check_finite("nonzero", nu=nu)
-    if mu not in (1, -1):
-        raise ValueError(f"mu must be +1 or -1, got {mu!r}")
-    _check_finite("positive", g=g)
-    records = payload["atoms"]
-    width = len(records[0]["amplitude_re"]) if records else 3
-    amplitudes = np.array([r["amplitude_re"] for r in records], dtype=complex).reshape(-1, width)
-    amplitudes.imag = np.reshape([r["amplitude_im"] for r in records], (-1, width))
-    return AnalyticProfile(
-        directions=np.reshape([r["direction"] for r in records], (-1, 3)),
-        frequencies=[r["frequency"] for r in records],
-        amplitudes=amplitudes[:, 0] if width == 1 else amplitudes,
-        weights=[r["weight"] for r in records],
-        nu=nu, mu=mu, g=g)
+    _check_scalars(nu, mu, g)
+    table = _atom_table(payload["atoms"])
+    width = (table.shape[1] - 5) // 2
+    amplitudes = np.empty((len(table), width), dtype=complex)
+    amplitudes.real, amplitudes.imag = table[:, :width], table[:, width:2 * width]
+    return AnalyticProfile(directions=table[:, -5:-2], frequencies=table[:, -2],
+                           amplitudes=amplitudes[:, 0] if width == 1 else amplitudes,
+                           weights=table[:, -1], nu=nu, mu=mu, g=g)
 
 
 GRID_CSV_HEADER = "p,kx,ky,kz,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz"

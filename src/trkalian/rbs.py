@@ -9,13 +9,11 @@ profile must have no zero-frequency content (for a grid, zero p-mean).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .core import PlaneQuadrature, _check_finite, as_direction, circle_rule
-from .radon import (AnalyticProfile, GridProfile, RadonAtom, _atoms, _sample_atoms, gamma_apply,
-                    radon_forward_numeric)
+from .radon import (AnalyticProfile, GridProfile, RadonAtom, _atoms, _check_scalars, _sample_atoms,
+                    gamma_apply, radon_forward_numeric)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -81,7 +79,7 @@ def radon_riesz(profile, dc_tol: float = DC_TOLERANCE):
         raise ValueError(f"profile has non-negligible DC content ({dc:.3e})")
     omega = atoms.frequencies
     kern = np.divide(1.0, omega**2, out=np.zeros_like(omega), where=omega != 0.0)
-    result = replace(atoms, amplitudes=(kern * atoms.amplitudes.T).T)
+    result = atoms._derive(amplitudes=(kern * atoms.amplitudes.T).T)
     return result if atoms is profile else _sample_atoms(profile, result)
 
 
@@ -106,8 +104,9 @@ def rbs_left_inverse_check(grid: GridProfile) -> float:
 
 
 def rbs_eigendefect(profile: AnalyticProfile) -> float:
-    """Max atom-wise residual of RBS[F] = (1 / (mu nu)) F, for a finite nonzero nu."""
-    _check_finite("nonzero", nu=profile.nu)
+    """Max atom-wise residual of RBS[F] = (1 / (mu nu)) F (ValueError as for
+    ``radon._check_scalars`` on the profile's nu, mu and g)."""
+    _check_scalars(profile.nu, profile.mu, profile.g)
     return rbs_apply(profile).amplitude_distance(profile, 1.0 / (profile.mu * profile.nu))
 
 

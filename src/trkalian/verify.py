@@ -15,7 +15,7 @@ from . import biotsavart as bs
 from . import cktransform as ckt
 from . import fields, moses, radon
 from . import rbs as rbs_mod
-from .core import (PlaneQuadrature, bessel_j, bessel_j1_first_zero, circle_rule,
+from .core import (PlaneQuadrature, bessel_j, bessel_j1_first_zero, circle_rule, cross,
                    fd_derivative_oracle, fd_field, gauss_legendre, sphere_quadrature)
 
 SEED = 20260810
@@ -101,7 +101,7 @@ def _check_cross() -> float:
     worst = 0.0
     for a, lam in ((1, 1), (2, -1)):
         q = moses.moses_frame(dirs, a)
-        worst = max(worst, float(np.max(np.abs(np.cross(dirs, q) + 1j * lam * q))))
+        worst = max(worst, float(np.max(np.abs(cross(dirs, q) + 1j * lam * q))))
     return worst
 
 

@@ -18,7 +18,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from trkalian.cktransform import (DebyeChoice, OmegaAtom, ScalarTone, ck_transform_potential,
                                   ck_transform_solution, reconstruct_physical)
-from trkalian.core import PlaneQuadrature, as_direction, plane_wave_sum, sphere_quadrature
+from trkalian.core import PlaneQuadrature, as_direction, cross, plane_wave_sum, sphere_quadrature
 from trkalian.fields import HelicityMode, ModeField, eval_mode_field, gaussian_test_field
 from trkalian.moses import POLE_TOL, frame_index_of, moses_frame
 from trkalian.radon import (FLOAT_FMT, GRID_CSV_HEADER, AnalyticProfile, antipodal_profile,
@@ -519,3 +519,36 @@ def test_mode_sums_equal_per_mode_reference(inputs):
     assert_same_bits(radon_mode_analytic(field), mode_profile_reference(modes))
     got, want = eval_mode_field(field, x), mode_field_reference(modes, x)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the componentwise cross product against the np.cross it replaced
+# ---------------------------------------------------------------------------
+
+any_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+any_complex = st.builds(complex, any_floats, any_floats)
+
+
+@st.composite
+def cross_operands(draw):
+    """Two operands of shapes (n, 3) or (3,), each real or complex, whose
+    entries include signed zeros, infinities and NaN."""
+    n = draw(st.integers(1, 5))
+    operands = []
+    for shape in draw(st.sampled_from([((n, 3), (n, 3)), ((n, 3), (3,)), ((3,), (n, 3)),
+                                       ((3,), (3,))])):
+        dtype = draw(st.sampled_from([float, complex]))
+        size = int(np.prod(shape))
+        values = draw(st.lists(any_floats if dtype is float else any_complex,
+                               min_size=size, max_size=size))
+        operands.append(np.array(values, dtype=dtype).reshape(shape))
+    return operands
+
+
+@settings(SETTINGS, max_examples=100)
+@given(cross_operands())
+def test_cross_equals_np_cross_bit_for_bit(operands):
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf are NaN in both
+        got, want = cross(*operands), np.cross(*operands)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

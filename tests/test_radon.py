@@ -1,13 +1,15 @@
 import json
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from trkalian import radon
-from trkalian.cktransform import abc_omega_atoms, reconstruct_physical
+from trkalian import radon, rbs
+from trkalian.cktransform import (DebyeChoice, OmegaAtom, ScalarTone, abc_omega_atoms,
+                                  ck_transform_potential, ck_transform_solution,
+                                  reconstruct_physical)
 from trkalian.core import PlaneQuadrature, _tensor_boundary, plane_basis, sphere_quadrature
 from trkalian.fields import (HelicityMode, ModeField, eval_mode_field,
                              gaussian_scalar, gaussian_test_field, lundquist)
@@ -24,7 +26,7 @@ from trkalian.radon import (TRUNCATION_THRESHOLD, AnalyticProfile, GridProfile,
                             radon_forward_numeric, radon_mode_analytic,
                             radon_of_hemisphere_inverse, scalar_wave_profile,
                             spherical_curl_transform, transform_radon_linear)
-from trkalian.rbs import radon_riesz
+from trkalian.rbs import radon_riesz, rbs_apply, rbs_eigendefect
 
 EZ = np.array([0.0, 0.0, 1.0])
 PLANE = PlaneQuadrature(half_width=8.0, n_per_axis=48)
@@ -907,6 +909,84 @@ def test_names_a_bad_scalar_parameter_before_any_work(call, match):
     assert calls == []
 
 
+ATOM_ARRAYS = ("directions", "frequencies", "amplitudes", "weights")
+
+
+def _debye_choice():
+    ring = lundquist_radon_profile(1.0, 1.3, n_ring=8)
+    tones = [ScalarTone(d, f, 0.5 - 0.25j) for d, f in zip(ring.directions, ring.frequencies)]
+    return DebyeChoice(tones, (0.3, -0.2, 0.9), 1.3)
+
+
+class TestDerivedProfiles:
+    # each operator with the parent profile it derives from and the arrays it computes
+    OPERATORS = {
+        "gamma_apply": (lambda p: gamma_apply(p, "cross"), None, ("amplitudes",)),
+        "radon_riesz": (radon_riesz, None, ("amplitudes",)),
+        "rbs_apply": (rbs_apply, None, ("amplitudes",)),
+        "antipodal_profile": (antipodal_profile, None, ("directions",)),
+        "radon_of_hemisphere_inverse": (
+            lambda p: radon_of_hemisphere_inverse(p, canonical_hemisphere()), None, ATOM_ARRAYS),
+        "ck_transform_solution": (ck_transform_solution, "tones", ("amplitudes",)),
+        "ck_transform_potential": (ck_transform_potential, "tones", ("amplitudes",)),
+    }
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_computed_arrays_are_read_only_and_the_others_shared(self, name):
+        operator, parent_of, computed = self.OPERATORS[name]
+        arg = _debye_choice() if parent_of else lundquist_radon_profile(1.0, 1.3, n_ring=8)
+        parent = getattr(arg, parent_of) if parent_of else arg
+        derived = operator(arg)
+        assert (derived.nu, derived.mu, derived.g) == (parent.nu, parent.mu, parent.g)
+        for array in ATOM_ARRAYS:
+            value = getattr(derived, array)
+            assert not value.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+            assert (value is getattr(parent, array)) == (array not in computed)
+
+    def test_a_derived_profile_rejects_what_it_computes(self):
+        # the product overflows, and 1 / omega^2 is 1 / 0 at omega = 1e-200
+        huge = AnalyticProfile([EZ], [1e10], [[1e300, 0.0, 0.0]], [1.0], nu=1.0)
+        tiny = AnalyticProfile([EZ], [1e-200], [[1.0, 2.0, 0.0]], [1.0], nu=1.0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for call in (lambda: gamma_apply(huge, "cross"), lambda: rbs_apply(tiny)):
+                with pytest.raises(ValueError, match="frequencies and amplitudes must be finite"):
+                    call()
+
+    def test_row_classes_are_frozen_slots(self):
+        rows = (lundquist_radon_profile(1.0, 1.3, n_ring=4).atoms[0], OmegaAtom(EZ, EZ),
+                HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=1.0))
+        for row, field in zip(rows, ("frequency", "vector", "nu")):
+            assert not hasattr(row, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                setattr(row, field, 0.0)
+            # a name that is no field: TypeError on Python 3.11, whose frozen
+            # __setattr__ calls super() with the class slots=True replaced
+            with pytest.raises((FrozenInstanceError, TypeError)):
+                row.new_attribute = 0.0
+            assert not hasattr(row, "new_attribute")
+
+
+@pytest.mark.parametrize("call", [
+    lambda profile: spherical_curl_transform(profile, [1.0, 0.0, 0.0]),
+    gamma_cross_eigendefect, rbs_eigendefect], ids=["curl-transform", "gamma", "rbs"])
+@pytest.mark.parametrize("name, value, match", [
+    ("nu", np.nan, "^nu must be finite and nonzero"), ("nu", 0.0, "^nu must be finite and nonzero"),
+    ("mu", 7, r"^mu must be \+1 or -1, got 7"), ("mu", 0, r"^mu must be \+1 or -1, got 0"),
+    ("g", np.inf, "^g must be finite and positive"), ("g", -1.0, "^g must be finite and positive")])
+def test_readers_of_nu_mu_and_g_check_them_before_any_work(monkeypatch, call, name, value, match):
+    # NaN results, a RuntimeWarning, finite values for mu = 7 or a bare
+    # ZeroDivisionError before, as the constructor checks none of the three
+    profile = replace(lundquist_radon_profile(1.0, 1.0, n_ring=8), **{name: value})
+    work = []
+    for module, attr in ((radon, "as_direction"), (radon, "gamma_apply"), (rbs, "rbs_apply")):
+        monkeypatch.setattr(module, attr, lambda *args, attr=attr: work.append(attr))
+    with pytest.raises(ValueError, match=match):
+        call(profile)
+    assert work == []
+
+
 class TestSerialization:
     def test_profile_json_roundtrip(self):
         prof = radon_mode_analytic(random_mode_field(3, seed=35))
@@ -925,6 +1005,27 @@ class TestSerialization:
         payload = json.loads(profile_to_json(lundquist_radon_profile(1.0, 1.3, n_ring=4)))
         payload[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be"):
+            profile_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("atom, edit, match", [
+        (1, lambda a: a.pop("weight"), "^atom 1: weight must be a number, got None$"),
+        (1, lambda a: a["direction"].pop(), r"^atom 1: direction must be a list of 3 numbers"),
+        # a plain table would take these 4 + 2 amplitude values as 3 + 3
+        (1, lambda a: a.update(amplitude_re=a["amplitude_re"] + [0.0],
+                               amplitude_im=a["amplitude_im"][:2]),
+         r"^atom 1: amplitude_re must be a list of 3 numbers"),
+        (0, lambda a: a.update(amplitude_im=a["amplitude_im"][:2]),
+         r"^atom 0: amplitude_im must be a list of 3 numbers"),
+        (0, lambda a: a.pop("amplitude_re"), "^atom 0: amplitude_re must be a list of 3 numbers"),
+        (2, lambda a: a.update(frequency=[1.3]), r"^atom 2: frequency must be a number, got \[1.3\]"),
+        (3, lambda a: a["direction"].__setitem__(2, "x"),
+         r"^atom 3: direction must be a list of 3 numbers, got \[.*'x'\]"),
+    ], ids=["missing", "ragged", "4+2", "short-first", "first-missing", "list", "text"])
+    def test_profile_json_names_a_malformed_record(self, atom, edit, match):
+        # a bare KeyError or numpy's "inhomogeneous shape" message before
+        payload = json.loads(profile_to_json(lundquist_radon_profile(1.0, 1.3, n_ring=4)))
+        edit(payload["atoms"][atom])
+        with pytest.raises(ValueError, match=match):
             profile_from_json(json.dumps(payload))
 
     def test_profile_json_golden(self):
