@@ -2,8 +2,9 @@
 plot-script emission.
 
 Outputs are deterministic: fixed summation order, atomic writes (temp file +
-rename), and the per-value %.17g (CSV) and repr (JSON) text of every float,
-with each distinct float formatted once.
+rename), and the per-value %.17g (CSV) and repr (JSON) text of every float.
+The CSV writer formats each distinct value of each column once and joins the
+cells; the JSON writer formats each distinct float once into one template.
 """
 
 from __future__ import annotations
@@ -155,8 +156,16 @@ def cmd_field_eval(field_name, params, grid_spec, out_dir) -> None:
         raise click.UsageError(f"invalid {field_name} input: {exc}") from exc
     xx, yy, zz = np.meshgrid(xs, ys, zs, indexing="ij")
     pts = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
+    with np.errstate(all="ignore"):  # a value that is not finite is reported below
+        values = f(pts)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = ~finite.all(axis=-1)
+        raise click.ClickException(
+            f"{field_name} is not finite at {np.count_nonzero(bad)} of {len(pts)} grid"
+            f" points, the first at {pts[np.argmax(bad)].tolist()}; nothing written")
     _atomic_write(out_dir / "field.csv",
-                  radon.format_csv("x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz", pts, f(pts)))
+                  radon.format_csv("x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz", pts, values))
 
     meta = {
         "field": f.name,

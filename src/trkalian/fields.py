@@ -408,9 +408,11 @@ def gaussian_test_field(center, width: float, polarization) -> SampledField:
 def gaussian_scalar(center=(0.0, 0.0, 0.0), width: float = 1.0) -> ScalarField:
     """Scalar Gaussian exp(-|x - c|^2 / width^2) with analytic derivatives;
     ValueError unless the centre is a finite 3-vector and the width finite
-    and positive."""
+    and positive, with a square that does not underflow to 0."""
     c = _check_3vector("center", center)
     _check_finite("positive", width=width)
+    if width**2 == 0:  # the envelope would be 0 / 0 at the centre
+        raise ValueError(f"width must square to a positive float, got {width!r}")
 
     def evaluator(x):
         return _gaussian_envelope(x, c, width)

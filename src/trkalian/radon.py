@@ -697,7 +697,9 @@ def spherical_curl_transform(profile: AnalyticProfile, kappa,
 
 def _float_texts(table, fmt: str) -> tuple:
     """``fmt % v`` for each cell of a float table in row-major order, each distinct
-    value formatted once; told apart by bits, so -0.0 and 0.0 keep their own text."""
+    value formatted once; told apart by bits, so -0.0 and 0.0 keep their own text.
+    One sort over the whole table: on atom tables, whose columns share values
+    (amplitude parts, frequencies, weights), that is quicker than one per column."""
     bits = np.ascontiguousarray(table, dtype=float).view(np.int64).ravel()
     bits, index = np.unique(bits, return_inverse=True)
     texts = np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)
@@ -774,15 +776,24 @@ FLOAT_FMT = "%.17g"
 
 def format_csv(header: str, columns, values=None) -> str:
     """CSV text of a header line and rows of real columns (n, m), followed by
-    complex values (n, k) as re, im column pairs: the per-value FLOAT_FMT text,
-    with each distinct float formatted once and filled into one row template."""
+    complex values (n, k) as re, im column pairs: the per-value FLOAT_FMT text.
+    Each distinct value of each column, told apart by bits, is formatted once
+    with its separator, and the cells are joined in row order; a table of no
+    rows is the header line."""
     table = np.asarray(columns, dtype=float)
-    if values is not None:
-        values = np.asarray(values)
-        table = np.column_stack([table, np.stack([values.real, values.imag], axis=-1)
-                                 .reshape(table.shape[0], -1)])
-    row = ",".join(["%s"] * table.shape[1]) + "\n"
-    return header + "\n" + (row * table.shape[0]) % _float_texts(table, FLOAT_FMT)
+    if values is not None:  # a complex (n, k) viewed as floats is its (n, 2 k) re, im pairs
+        table = np.column_stack([table, np.ascontiguousarray(values, dtype=complex).view(float)])
+    n, m = table.shape
+    cells = np.empty(n * m + 1, dtype=object)
+    cells[0] = header + "\n"
+    rows = cells[1:].reshape(n, m)
+    bits = np.ascontiguousarray(table).view(np.int64)
+    for j in range(m):
+        distinct, index = np.unique(bits[:, j], return_inverse=True)
+        end = "," if j < m - 1 else "\n"
+        texts = [FLOAT_FMT % v + end for v in distinct.view(float).tolist()]
+        rows[:, j] = np.array(texts, dtype=object)[index]
+    return "".join(cells.tolist())
 
 
 def grid_to_csv(grid: GridProfile) -> str:

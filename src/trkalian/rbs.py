@@ -70,7 +70,8 @@ def radon_riesz(profile, dc_tol: float = DC_TOLERANCE):
     Divides each atom (a grid's :func:`grid_atoms`, sampled back) by omega^2
     and drops omega = 0, whose ``dc_content`` must be within ``dc_tol`` of the
     largest |sample| (grid) or |amplitude| (atoms).  Profiles built by numeric
-    quadrature may need a looser threshold.
+    quadrature may need a looser threshold.  ValueError naming the first
+    nonzero frequency whose 1/omega^2 overflows, before the division.
     """
     atoms = _atoms(profile)
     values = atoms.amplitudes if atoms is profile else profile.samples
@@ -78,7 +79,13 @@ def radon_riesz(profile, dc_tol: float = DC_TOLERANCE):
     if dc > dc_tol * max(np.max(np.abs(values), initial=0.0), 1e-300):
         raise ValueError(f"profile has non-negligible DC content ({dc:.3e})")
     omega = atoms.frequencies
-    kern = np.divide(1.0, omega**2, out=np.zeros_like(omega), where=omega != 0.0)
+    square = omega**2
+    drop = square <= 2.0**-1024  # 1 / omega^2 overflows: omega = 0, or |omega| up to 2^-512 = 7.5e-155
+    tiny = omega[drop]
+    if np.count_nonzero(tiny):
+        raise ValueError(f"atom frequency {float(tiny[tiny != 0][0])!r} is too small for"
+                         " the 1/omega^2 kernel: 1/omega^2 overflows")
+    kern = np.divide(1.0, square, out=np.zeros_like(omega), where=~drop)
     result = atoms._derive(amplitudes=(kern * atoms.amplitudes.T).T)
     return result if atoms is profile else _sample_atoms(profile, result)
 

@@ -50,6 +50,33 @@ class TestFieldEval:
                                         pts, trkalian.fields.lundquist(1.0, 1.0)(pts))
         assert (out / "field.csv").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("f0, nu", [(0.5, 2.0), (1.7305, 0.6172)])
+    def test_field_csv_on_the_benchmark_grid_equals_per_row_writer(self, runner, tmp_path,
+                                                                   f0, nu):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "field-eval", "--field", "lundquist", "--params", json.dumps({"f0": f0, "nu": nu}),
+            "--grid", "-2:2:21,-2:2:21,-2:2:21", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        axis = np.linspace(-2.0, 2.0, 21)
+        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        expected = format_csv_reference("x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz",
+                                        pts, trkalian.fields.lundquist(f0, nu)(pts))
+        assert (out / "field.csv").read_bytes() == expected.encode()
+
+    def test_values_that_are_not_finite_write_nothing(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "field-eval", "--field", "lundquist", "--params", '{"f0": 1e308, "nu": 10}',
+            "--grid", "0:1:2,0:0:1,0:0:1", "--out", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        # f0 nu = 1e309 overflows, and its product with the azimuthal factor is NaN
+        assert ("lundquist is not finite at 2 of 2 grid points, the first at [0.0, 0.0, 0.0]"
+                in result.output)
+        assert not out.exists()
+
     def test_ck_circular_csv_is_the_library_field(self, runner, tmp_path):
         out = tmp_path / "out"
         params = {"m": 2, "k": 0.5, "nu": 1.3, "amplitude": 0.7}
@@ -418,6 +445,8 @@ class TestVerifyCommand:
     ["radon", "--field", "gaussian", "--pgrid", "-8:8", "--out", "out"],
     ["verify", "--only", "frame", "--tol", "frame_metric", "--out", "out"],
     ["field-eval", "--field", "lundquist", "--params", "[1]", "--out", "out"],
+    ["radon", "--field", "gaussian", "--params", '{"width": 1e-200}', "--out", "out"],
+    ["field-eval", "--field", "gaussian", "--params", '{"width": 1e-200}', "--out", "out"],
 ], ids=["verify-empty-selection", "verify-unknown-tolerance", "radon-modes-without-modes",
         "radon-pgrid-not-power-of-two", "radon-pgrid-decreasing",
         "radon-quad-odd-azimuth",
@@ -430,7 +459,8 @@ class TestVerifyCommand:
         "field-eval-grid-infinite-bound", "verify-nan-tolerance", "verify-infinite-tolerance",
         "verify-negative-tolerance", "field-eval-grid-two-field-axis", "field-eval-grid-two-axes",
         "radon-quad-one-count", "radon-pgrid-two-fields", "verify-tolerance-without-equals",
-        "field-eval-params-not-object"])
+        "field-eval-params-not-object", "radon-gaussian-underflowing-width",
+        "field-eval-gaussian-underflowing-width"])
 def test_bad_input_is_usage_error(runner, tmp_path, args):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)

@@ -531,7 +531,9 @@ def test_catalog_fields_name_non_finite_points(build, bad):
     ((1.0, 2.0), 1.0, "center takes 3-vectors"), (0.0, 1.0, "center takes 3-vectors"),
     ((0, NAN, 0), 1.0, "center must be finite"), ((0, 0, 0), NAN, "width must be finite"),
     ((0, 0, 0), INF, "width must be finite"), ((0, 0, 0), 0.0, "width must be finite and positive"),
-], ids=["short-center", "scalar-center", "nan-center", "nan-width", "inf-width", "zero-width"])
+    ((0, 0, 0), 1e-200, "width must square to a positive float, got 1e-200"),
+], ids=["short-center", "scalar-center", "nan-center", "nan-width", "inf-width", "zero-width",
+        "underflowing-width"])
 def test_gaussian_scalar_names_the_bad_parameter(center, width, match):
     # the probe field is built on the scalar envelope and fails the same way
     with pytest.raises(ValueError, match=match):

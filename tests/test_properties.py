@@ -226,7 +226,7 @@ def format_csv_reference(header, columns, values=None):
     if values is not None:
         values = np.asarray(values)
         table = np.column_stack([table, np.stack([values.real, values.imag], axis=-1)
-                                 .reshape(table.shape[0], -1)])
+                                 .reshape(len(table), 2 * values.shape[1])])
     row = ",".join([FLOAT_FMT] * table.shape[1])
     return "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
 
@@ -249,7 +249,7 @@ def csv_tables(draw):
     values repeat, with no values, real values or complex values."""
     n = draw(st.integers(0, 12))
     m = draw(st.integers(1, 4))
-    k = draw(st.integers(0, 3)) if n else 0  # a zero-row table has no values
+    k = draw(st.integers(0, 3))
     specials = draw(st.permutations(SPECIAL_FLOATS))
     pool = draw(st.lists(csv_floats, min_size=1, max_size=6)) + specials[
         :draw(st.integers(0, len(specials)))]
@@ -283,6 +283,31 @@ def test_grid_csv_equals_per_row_writer(center):
     cells = np.column_stack([directions, samples.real, samples.imag])
     assert np.unique(cells).size < cells.size / 2  # the shared planes repeat values
     assert grid_to_csv(grid) == format_csv_reference(GRID_CSV_HEADER, directions, samples)
+
+
+@pytest.mark.parametrize("values", [None, np.zeros((0, 3), complex), np.zeros((0, 2))],
+                         ids=["columns", "complex", "real"])
+def test_csv_of_no_rows_is_the_header_line(values):
+    assert format_csv("a,b,c", np.zeros((0, 3)), values) == "a,b,c\n"
+    assert format_csv_reference("a,b,c", np.zeros((0, 3)), values) == "a,b,c\n"
+
+
+def test_csv_columns_are_told_apart_by_bits_not_shared_across_columns():
+    """One float in several columns and one column of signed zeros and NaNs of
+    both signs: each column's distinct values are its own."""
+    rng = np.random.default_rng(5)
+    n = 3000
+    columns = rng.choice([0.25, -1 / 3, 1e-300], size=(n, 3))
+    columns[::7] = 0.25  # the same float in every column of these rows
+    signed = np.array([0.0, -0.0, *_bits(0x7FF8000000000000, 0xFFF8000000000000), 0.25])
+    values = np.empty((n, 2), complex)
+    values.real = signed[rng.integers(0, len(signed), size=(n, 2))]
+    values.imag = rng.choice([0.25, -0.0, 1.0], size=(n, 2))
+    assert np.signbit(values.real[np.isnan(values.real)]).any()
+    assert not np.signbit(values.real[np.isnan(values.real)]).all()
+    expected = format_csv_reference("a,b,c,d,e,f,g", columns, values)
+    assert format_csv("a,b,c,d,e,f,g", columns, values) == expected
+    assert ",-0," in expected and ",0," in expected and ",nan," in expected
 
 
 # ---------------------------------------------------------------------------

@@ -946,11 +946,11 @@ class TestDerivedProfiles:
             assert (value is getattr(parent, array)) == (array not in computed)
 
     def test_a_derived_profile_rejects_what_it_computes(self):
-        # the product overflows, and 1 / omega^2 is 1 / 0 at omega = 1e-200
+        # the products overflow: i omega kappa x a, and a / omega^2 at omega = 1e-5
         huge = AnalyticProfile([EZ], [1e10], [[1e300, 0.0, 0.0]], [1.0], nu=1.0)
-        tiny = AnalyticProfile([EZ], [1e-200], [[1.0, 2.0, 0.0]], [1.0], nu=1.0)
+        slow = AnalyticProfile([EZ], [1e-5], [[1e300, 2.0, 0.0]], [1.0], nu=1.0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for call in (lambda: gamma_apply(huge, "cross"), lambda: rbs_apply(tiny)):
+            for call in (lambda: gamma_apply(huge, "cross"), lambda: rbs_apply(slow)):
                 with pytest.raises(ValueError, match="frequencies and amplitudes must be finite"):
                     call()
 

@@ -145,6 +145,18 @@ class TestRadonRiesz:
         assert np.array_equal(out.frequencies, prof.frequencies)
         assert np.max(np.abs(out.amplitudes - expected)) <= 1e-15 * np.max(np.abs(expected))
 
+    def test_names_a_frequency_whose_kernel_overflows_before_dividing(self):
+        ez = [0.0, 0.0, 1.0]
+        tiny = AnalyticProfile([ez, ez, ez], [0.0, 1.0, -1e-200], [[0, 0, 0], [1, 0, 0], [1, 0, 0]],
+                               np.ones(3), nu=1.0)  # omega = 0 is dropped, not named
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division warning comes first
+            with pytest.raises(ValueError, match=r"frequency -1e-200 .* 1/omega\^2 kernel"):
+                radon_riesz(tiny)
+        for omega in (1e-150, 2.0**-512 * (1 + 2.0**-52)):  # the smallest |omega| kept
+            out = radon_riesz(AnalyticProfile([ez], [omega], [[1.0, 0.0, 0.0]], [1.0], nu=1.0))
+            assert out.amplitudes[0, 0] == 1.0 / omega**2 < np.inf
+
 
 class TestRBS:
     def test_trkalian_eigenrelation_exact(self):
