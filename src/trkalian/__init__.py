@@ -10,19 +10,17 @@ from .moses import (eigenfunction, frame_antipodal_phase, frame_completeness,
 from .fields import (CKCircularParams, HelicityMode, ModeField, SampledField,
                      ScalarField, abc_field, bessel_j0_scalar, certify_trkalian,
                      ck_circular, ck_field, ck_toroidal, eval_mode_field,
-                     gauge_gradient_field, gaussian_scalar, gaussian_test_field,
-                     lundquist, lundquist_potential, mode_sampled_field,
-                     plane_wave_scalar)
+                     gaussian_scalar, gaussian_test_field, lundquist,
+                     lundquist_potential, mode_sampled_field)
 from .radon import (AnalyticProfile, GridProfile, Hemisphere, RadonAtom,
                     TruncationWarning, adjoint_radon, antipodal_profile,
-                    canonical_hemisphere, cap_swapped_hemisphere, gamma_apply,
-                    gamma_cross_eigendefect, grid_atoms, grid_from_csv, grid_to_csv,
-                    hemisphere_inverse, intertwining_check, inverse_radon,
-                    lundquist_radon_profile, profile_from_json, profile_to_json,
-                    radon_forward_grid, radon_forward_numeric,
-                    radon_mode_analytic, radon_of_hemisphere_inverse,
-                    scalar_wave_profile, spherical_curl_transform,
-                    transform_radon_linear)
+                    canonical_hemisphere, gamma_apply, gamma_cross_eigendefect,
+                    grid_atoms, grid_from_csv, grid_to_csv, hemisphere_inverse,
+                    intertwining_check, inverse_radon, lundquist_radon_profile,
+                    profile_from_json, profile_to_json, radon_forward_grid,
+                    radon_forward_numeric, radon_mode_analytic,
+                    radon_of_hemisphere_inverse, scalar_wave_profile,
+                    spherical_curl_transform, transform_radon_linear)
 from .biotsavart import (BallQuadrature, BoundaryContributionWarning, BoxQuadrature,
                          LundquistBSTerms, TailTruncationWarning, ampere_fluxes,
                          ball_quadrature, box_quadrature, bs_integral,

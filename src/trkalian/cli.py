@@ -81,6 +81,13 @@ _PARAM_KEYS = {
 _MODE_KEYS = ("lam", "nu", "kappa0", "amplitude_re", "amplitude_im", "mu")
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an int; ValueError naming ``key`` where int() would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_keys(what: str, params: dict, accepted) -> None:
     """UsageError naming the accepted keys when ``params`` has any other key."""
     unknown = sorted(set(params) - set(accepted))
@@ -105,7 +112,7 @@ def build_field(name: str, params: dict):
             float(params.get("a", 1.0)), float(params.get("b", 1.0)),
             float(params.get("c", 1.0)), float(params.get("nu", 1.0)))
     return fields.ck_circular(fields.CKCircularParams(
-        m=int(params.get("m", 0)), k=float(params.get("k", 0.0)),
+        m=_integer("m", params.get("m", 0)), k=float(params.get("k", 0.0)),
         nu=float(params.get("nu", 1.0)),
         amplitude=float(params.get("amplitude", 1.0))))
 
@@ -127,8 +134,8 @@ def _mode_field_from_params(params: dict) -> fields.ModeField:
             _check_keys("mode", rec, _MODE_KEYS)
             amp = complex(rec.get("amplitude_re", 1.0), rec.get("amplitude_im", 0.0))
             modes.append(fields.HelicityMode(
-                lam=int(rec["lam"]), nu=float(rec["nu"]), kappa0=np.asarray(rec["kappa0"]),
-                amplitude=amp, mu=int(rec.get("mu", 1)), g=g))
+                lam=_integer("lam", rec["lam"]), nu=float(rec["nu"]), amplitude=amp,
+                kappa0=np.asarray(rec["kappa0"]), mu=_integer("mu", rec.get("mu", 1)), g=g))
         return fields.ModeField(modes=tuple(modes))
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid mode parameters: {type(exc).__name__}: {exc}") from exc
@@ -198,7 +205,7 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
             _check_keys("lundquist", parsed, _PARAM_KEYS["lundquist"] + ("n_ring",))
             profile = radon.lundquist_radon_profile(
                 float(parsed.get("f0", 1.0)), float(parsed.get("nu", 1.0)),
-                n_ring=int(parsed.get("n_ring", 64)))
+                n_ring=_integer("n_ring", parsed.get("n_ring", 64)))
         elif field_name == "modes":
             profile = radon.radon_mode_analytic(_mode_field_from_params(parsed))
         elif field_name == "gaussian":
@@ -211,6 +218,10 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
                 raise click.UsageError("pgrid spec must be 'p0:p1:n'")
             p0, p1, n_p = float(pieces[0]), float(pieces[1]), int(pieces[2])
             p = radon.validate_p_grid(p0 + (p1 - p0) * np.arange(n_p) / n_p)
+            # pi width^2 bounds each plane integral, and the atom view's FFT sums n_p of them
+            if not np.isfinite(4 * n_p * np.pi * width**2 * float(np.abs(pol.view(float)).max())):
+                raise ValueError(f"polarization {pol.tolist()} overflows the transform at width"
+                                 f" {width!r}: 4 n_p pi width^2 max|P| is not finite")
         else:
             raise click.ClickException(f"unknown field name {field_name!r}")
     except (TypeError, ValueError) as exc:

@@ -40,12 +40,11 @@ class SampledField:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A complex scalar field, optionally with analytic first/second derivatives."""
+    """A complex scalar field, optionally with its analytic gradient."""
 
     name: str
     evaluator: object
     gradient: object = None
-    hessian: object = None
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float))
@@ -230,21 +229,16 @@ def abc_field(a: float, b: float, c: float, nu: float = 1.0) -> SampledField:
 # Chandrasekhar-Kendall constructions
 # ---------------------------------------------------------------------------
 
-def _scalar_gradient(psi: ScalarField, x: np.ndarray) -> np.ndarray:
-    if psi.gradient is not None:
-        return np.asarray(psi.gradient(x))
-    return fd_field(psi.evaluator, "gradient")(x)
-
-
 def ck_field(psi: ScalarField, omega, nu: float) -> SampledField:
     """Debye construction F = curl(psi w) + (1/nu) curl curl(psi w).
 
     ``psi`` must solve the scalar Helmholtz equation with constant nu^2
     (checked at sample points by the finite-difference Laplacian oracle);
     ``omega`` is a fixed 3-vector.  The result satisfies curl F = nu F.
-    Analytic derivatives of psi are used when provided, otherwise the
-    finite-difference oracle.  Raises ValueError, before psi is evaluated,
-    unless nu is finite and nonzero and omega a finite 3-vector.
+    The gradient of psi is analytic when psi carries one, otherwise from
+    finite differences; the poloidal curl is always the finite-difference
+    curl.  Raises ValueError, before psi is evaluated, unless nu is finite
+    and nonzero and omega a finite 3-vector.
     """
     _check_finite("nonzero", nu=nu)
     w = _check_3vector("omega", omega)
@@ -256,16 +250,9 @@ def ck_field(psi: ScalarField, omega, nu: float) -> SampledField:
     if np.any(np.abs(lap + nu**2 * val) > 1e-6 * np.maximum(1.0, np.abs(val))):
         raise ValueError("psi does not satisfy the Helmholtz equation with this nu")
 
-    use_analytic = psi.gradient is not None and psi.hessian is not None
-
     def evaluator(x):
         x = np.asarray(x, dtype=float)
-        if use_analytic:  # the fd route rejects a non-finite point in fd_field
-            x = _finite_points(x)
-            hess = np.asarray(psi.hessian(x))
-            poloidal = (hess @ w + nu**2 * psi(x)[..., None] * w) / nu
-        else:
-            poloidal = fd_field(toroidal, "curl")(x) / nu
+        poloidal = fd_field(toroidal, "curl")(x) / nu  # first: fd_field names bad points
         return toroidal(x) + poloidal
 
     return SampledField(
@@ -280,10 +267,10 @@ def ck_toroidal(psi: ScalarField, omega) -> SampledField:
     """Toroidal part curl(psi w) alone; divergence-free by construction.
     ValueError unless omega is a finite 3-vector."""
     w = _check_3vector("omega", omega)
+    gradient = psi.gradient or fd_field(psi.evaluator, "gradient")
 
     def evaluator(x):
-        x = np.asarray(x, dtype=float)
-        return cross(_scalar_gradient(psi, x), w)
+        return cross(np.asarray(gradient(np.asarray(x, dtype=float))), w)
 
     return SampledField(name="ck_toroidal", evaluator=evaluator)
 
@@ -360,17 +347,8 @@ def ck_circular(params: CKCircularParams) -> SampledField:
 
 
 # ---------------------------------------------------------------------------
-# gauge gradients and probe fields
+# probe fields
 # ---------------------------------------------------------------------------
-
-def gauge_gradient_field(u: ScalarField) -> SampledField:
-    """Curl-free field grad U (analytic when U carries a gradient, else fd)."""
-
-    def evaluator(x):
-        return _scalar_gradient(u, np.asarray(x, dtype=float)).astype(complex)
-
-    return SampledField(name=f"grad_{u.name}", evaluator=evaluator)
-
 
 def _gaussian_envelope(x, c: np.ndarray, width: float) -> np.ndarray:
     """exp(-|x - c|^2 / width^2) at points x (..., 3), only read; the square sum
@@ -406,9 +384,9 @@ def gaussian_test_field(center, width: float, polarization) -> SampledField:
 
 
 def gaussian_scalar(center=(0.0, 0.0, 0.0), width: float = 1.0) -> ScalarField:
-    """Scalar Gaussian exp(-|x - c|^2 / width^2) with analytic derivatives;
-    ValueError unless the centre is a finite 3-vector and the width finite
-    and positive, with a square that does not underflow to 0."""
+    """Scalar Gaussian exp(-|x - c|^2 / width^2); ValueError unless the
+    centre is a finite 3-vector and the width finite and positive, with a
+    square that does not underflow to 0."""
     c = _check_3vector("center", center)
     _check_finite("positive", width=width)
     if width**2 == 0:  # the envelope would be 0 / 0 at the centre
@@ -417,36 +395,9 @@ def gaussian_scalar(center=(0.0, 0.0, 0.0), width: float = 1.0) -> ScalarField:
     def evaluator(x):
         return _gaussian_envelope(x, c, width)
 
-    def gradient(x):
-        d = np.asarray(x, dtype=float) - c
-        return (-2.0 / width**2) * d * evaluator(x)[..., None]
-
     return ScalarField(
         name="gaussian_scalar",
         evaluator=evaluator,
-        gradient=gradient,
-    )
-
-
-def plane_wave_scalar(wavevector) -> ScalarField:
-    """Scalar e^{i q . x} with analytic gradient and Hessian; ValueError
-    unless the wavevector q is a finite 3-vector."""
-    q = _check_3vector("wavevector", wavevector)
-
-    def evaluator(x):  # the gradient and Hessian check their points through it
-        return np.exp(1j * (_finite_points(x) @ q))
-
-    def gradient(x):
-        return 1j * q * evaluator(x)[..., None]
-
-    def hessian(x):
-        return -np.multiply.outer(evaluator(x), np.outer(q, q))
-
-    return ScalarField(
-        name="plane_wave",
-        evaluator=evaluator,
-        gradient=gradient,
-        hessian=hessian,
     )
 
 

@@ -312,22 +312,6 @@ def canonical_hemisphere() -> Hemisphere:
     return Hemisphere(indicator=indicator)
 
 
-def cap_swapped_hemisphere(axis, cos_cap: float = 0.9) -> Hemisphere:
-    """Disconnected canonical hemisphere: lexicographic with a swapped polar cap.
-
-    Membership is flipped inside the antipodally symmetric double cap
-    |kappa . axis| > cos_cap, a finite number; this keeps one of each pair.
-    """
-    _check_finite(cos_cap=cos_cap)
-    base = canonical_hemisphere()
-    ax = as_direction(axis)
-
-    def indicator(k):
-        return base.indicator(k) ^ (np.abs(k @ ax) > cos_cap)
-
-    return Hemisphere(indicator=indicator)
-
-
 # ---------------------------------------------------------------------------
 # numeric forward transform
 # ---------------------------------------------------------------------------

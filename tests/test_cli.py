@@ -470,6 +470,43 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
     assert not written
 
 
+_ONE_MODE = {"lam": 1, "nu": 1.0, "kappa0": [0.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize("args, named", [
+    (["field-eval", "--field", "ck_circular", "--params", '{"m": 2.5}'],
+     "m must be an integer, got 2.5"),
+    (["radon", "--field", "lundquist", "--params", '{"n_ring": 16.9}'],
+     "n_ring must be an integer, got 16.9"),
+    (["field-eval", "--field", "modes", "--params",
+      json.dumps({"modes": [dict(_ONE_MODE, lam=1.7)]})], "lam must be an integer, got 1.7"),
+    (["radon", "--field", "modes", "--params",
+      json.dumps({"modes": [dict(_ONE_MODE, mu=1.5)]})], "mu must be an integer, got 1.5"),
+    (["radon", "--field", "gaussian", "--params", '{"polarization": [1e308, 0, 0]}'],
+     "polarization [(1e+308+0j), 0j, 0j] overflows the transform"),
+], ids=["ck-circular-m", "lundquist-n-ring", "mode-lam", "mode-mu", "gaussian-polarization"])
+def test_bad_value_is_usage_error_naming_it(runner, tmp_path, args, named):
+    # where int() truncated the value without a word, and where the product of
+    # the transform and the polarization overflowed into a traceback
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, args + ["--out", "out"])
+        written = Path("out").exists()
+    assert result.exit_code == 2, result.output
+    assert "Usage:" in result.output and named in result.output
+    assert not written
+
+
+def test_integral_float_reads_as_the_integer(runner, tmp_path):
+    written = []
+    for m in ("2", "2.0"):
+        result = runner.invoke(main, ["field-eval", "--field", "ck_circular", "--params",
+                                      f'{{"m": {m}}}', "--grid", "-1:1:3,-1:1:3,-1:1:3",
+                                      "--out", str(tmp_path / m)])
+        assert result.exit_code == 0, result.output
+        written.append((tmp_path / m / "field.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def _radon_grid_csv(runner, tmp_path) -> Path:
     """A trk radon profile_grid.csv on a small rule."""
     result = runner.invoke(main, ["radon", "--field", "gaussian", "--quad", "2,4",

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+from test_radon import cap_swapped_hemisphere
 
 from trkalian.cktransform import (DebyeChoice, OmegaAtom, ScalarTone, ck_transform_potential,
                                   ck_transform_solution, reconstruct_physical)
@@ -22,8 +23,8 @@ from trkalian.core import PlaneQuadrature, as_direction, cross, plane_wave_sum, 
 from trkalian.fields import HelicityMode, ModeField, eval_mode_field, gaussian_test_field
 from trkalian.moses import POLE_TOL, frame_index_of, moses_frame
 from trkalian.radon import (FLOAT_FMT, GRID_CSV_HEADER, AnalyticProfile, antipodal_profile,
-                            canonical_hemisphere, cap_swapped_hemisphere, format_csv,
-                            gamma_apply, gamma_cross_eigendefect, grid_to_csv,
+                            canonical_hemisphere, format_csv, gamma_apply,
+                            gamma_cross_eigendefect, grid_to_csv,
                             hemisphere_inverse, inverse_radon, lundquist_radon_profile,
                             profile_from_json, profile_to_json, radon_forward_grid,
                             radon_mode_analytic, radon_of_hemisphere_inverse)

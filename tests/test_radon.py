@@ -10,14 +10,14 @@ from trkalian import radon, rbs
 from trkalian.cktransform import (DebyeChoice, OmegaAtom, ScalarTone, abc_omega_atoms,
                                   ck_transform_potential, ck_transform_solution,
                                   reconstruct_physical)
-from trkalian.core import PlaneQuadrature, _tensor_boundary, plane_basis, sphere_quadrature
+from trkalian.core import (PlaneQuadrature, _tensor_boundary, as_direction, plane_basis,
+                           sphere_quadrature)
 from trkalian.fields import (HelicityMode, ModeField, eval_mode_field,
                              gaussian_scalar, gaussian_test_field, lundquist)
 from trkalian.moses import frame_antipodal_phase, moses_frame
 from trkalian.radon import (TRUNCATION_THRESHOLD, AnalyticProfile, GridProfile,
                             Hemisphere, RadonAtom, TruncationWarning, _plane_sums, adjoint_radon,
-                            antipodal_profile, canonical_hemisphere,
-                            cap_swapped_hemisphere, gamma_apply,
+                            antipodal_profile, canonical_hemisphere, gamma_apply,
                             gamma_cross_eigendefect, grid_atoms, grid_from_csv,
                             grid_to_csv, hemisphere_inverse,
                             intertwining_check, inverse_radon,
@@ -692,6 +692,14 @@ class TestAtomSums:
         assert isinstance(out, np.ndarray) and out.shape == (5,) and not np.any(out)
 
 
+def cap_swapped_hemisphere(axis, cos_cap) -> Hemisphere:
+    """A disconnected hemisphere: the canonical one with membership flipped
+    inside the antipodally symmetric double cap |kappa . axis| > cos_cap,
+    which keeps one of each antipodal pair."""
+    base, ax = canonical_hemisphere().indicator, as_direction(axis)
+    return Hemisphere(indicator=lambda k: base(k) ^ (np.abs(k @ ax) > cos_cap))
+
+
 def keeps_one_of_each_pair(hemi) -> bool:
     """Whether ``hemi`` holds exactly one node of each antipodal pair."""
     quad = sphere_quadrature(6, 8, antipodal=True)
@@ -883,7 +891,6 @@ class TestGaugeNormality:
     (lambda fn: radon_forward_numeric(fn, [0.5, -np.inf], EZ, PLANE), "^p must be finite"),
     (lambda fn: spherical_curl_transform(radon_mode_analytic(single_mode()), EZ, p=np.nan),
      "^p must be finite"),
-    (lambda fn: cap_swapped_hemisphere(EZ, cos_cap=np.nan), "^cos_cap must be finite"),
     (lambda fn: lundquist_radon_profile(1.0, np.nan), "^nu must be finite and nonzero"),
     (lambda fn: lundquist_radon_profile(1.0, 0.0), "^nu must be finite and nonzero"),
     (lambda fn: lundquist_radon_profile(np.inf, 1.0), "^f0 must be finite"),
@@ -892,7 +899,7 @@ class TestGaugeNormality:
     (lambda fn: gamma_cross_eigendefect(replace(lundquist_radon_profile(1.0, 1.0), nu=0.0)),
      "^nu must be finite and nonzero"),
 ], ids=["p-grid-inf", "forward-grid-nan", "forward-nan", "forward-minus-inf",
-        "curl-transform-p", "cap", "lundquist-nu-nan", "lundquist-nu-zero", "lundquist-f0",
+        "curl-transform-p", "lundquist-nu-nan", "lundquist-nu-zero", "lundquist-f0",
         "eigendefect-nu-nan", "eigendefect-nu-zero"])
 def test_names_a_bad_scalar_parameter_before_any_work(call, match):
     # a ValueError through the one check, naming the parameter, where the p-grid
