@@ -7,11 +7,10 @@ from .core import (PlaneQuadrature, SphereQuadrature, as_direction, bessel_j,
                    plane_basis, sphere_quadrature)
 from .moses import (eigenfunction, frame_antipodal_phase, frame_completeness,
                     frame_index_of, frame_metric, helicity_of, moses_frame)
-from .fields import (CKCircularParams, HelicityMode, ModeField, SampledField,
-                     ScalarField, abc_field, bessel_j0_scalar, certify_trkalian,
-                     ck_circular, ck_field, ck_toroidal, eval_mode_field,
-                     gaussian_scalar, gaussian_test_field, lundquist,
-                     lundquist_potential, mode_sampled_field)
+from .fields import (HelicityMode, ModeField, SampledField, ScalarField, abc_field,
+                     bessel_j0_scalar, certify_trkalian, ck_circular, ck_field,
+                     ck_toroidal, eval_mode_field, gaussian_scalar, gaussian_test_field,
+                     lundquist, lundquist_potential, mode_sampled_field)
 from .radon import (AnalyticProfile, GridProfile, Hemisphere, RadonAtom,
                     TruncationWarning, adjoint_radon, antipodal_profile,
                     canonical_hemisphere, gamma_apply, gamma_cross_eigendefect,

@@ -20,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (_CHUNK_PAIRS, _check_3vector, _check_finite, _chunks, _finite_points,
-                   bessel_j, circle_rule, fd_field, field_reals, from_reals, gauss_legendre,
-                   gauss_tensor_rule, plane_basis, sphere_quadrature)
+from .core import (_CHUNK_PAIRS, _check_finite, _chunks, _finite_points, bessel_j,
+                   circle_rule, fd_field, field_reals, from_reals, gauss_legendre,
+                   gauss_tensor_rule, sphere_quadrature)
 
 TAIL_RESIDUAL_TOL = 1e-7
 
@@ -274,25 +274,21 @@ def bs_integral(fn, x, quad: BallQuadrature | BoxQuadrature) -> np.ndarray:
 # Ampere fluxes
 # ---------------------------------------------------------------------------
 
-def ampere_fluxes(fn, radius: float, nu: float,
-                  center=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)):
-    """Flux of F, flux of curl F and circulation of F for a planar disc.
+def ampere_fluxes(fn, radius: float, nu: float):
+    """Flux of F, flux of curl F and circulation of F for the origin-centred
+    disc of given radius in the xy-plane, the disc of the paper's Ampere
+    relation for the Lundquist field.
 
-    The default disc is the origin-centered circle of given radius in the
-    xy-plane; any planar loop can be supplied through ``center`` and
-    ``normal``.  Returns (Q, Phi_surface, Phi_line); for a field with
-    curl F = nu F these satisfy Phi_surface = Phi_line = nu Q.  The three
+    Returns (Q, Phi_surface, Phi_line); for a field with curl F = nu F these
+    satisfy Phi_surface = Phi_line = nu Q.  ``nu`` is not read.  The three
     numbers come from independent rules: 48-node radial Gauss-Legendre x 64
     uniform azimuths for the two surface fluxes (curl by the finite-difference
     oracle) and the 64-point periodic trapezoid for the line integral.
     Raises ValueError, before the field is evaluated, unless the radius is
-    finite and positive, the center finite and the normal finite and nonzero.
+    finite and positive.
     """
     _check_finite("positive", radius=radius)
-    center = _check_3vector("center", center)
-    n_hat = _check_3vector("normal", normal, rule="nonzero")
-    n_hat = n_hat / np.linalg.norm(n_hat)
-    e1, e2 = plane_basis(n_hat)
+    e1, e2, n_hat = np.eye(3)
 
     r, wr = gauss_legendre(48)
     r = 0.5 * radius * (r + 1.0)
@@ -300,7 +296,7 @@ def ampere_fluxes(fn, radius: float, nu: float,
     phi, dphi = circle_rule(64)
 
     radial = np.cos(phi)[None, :, None] * e1 + np.sin(phi)[None, :, None] * e2
-    nodes = center + r[:, None, None] * radial
+    nodes = r[:, None, None] * radial
     area_w = (wr * r)[:, None] * dphi
 
     f_disc = np.asarray(fn(nodes.reshape(-1, 3))).reshape(nodes.shape)
@@ -309,7 +305,7 @@ def ampere_fluxes(fn, radius: float, nu: float,
     curl_disc = fd_field(fn, "curl")(nodes.reshape(-1, 3)).reshape(nodes.shape)
     phi_surface = np.sum(area_w * (curl_disc @ n_hat))
 
-    loop = center + radius * radial[0]
+    loop = radius * radial[0]
     tangent = -np.sin(phi)[:, None] * e1 + np.cos(phi)[:, None] * e2
     f_loop = np.asarray(fn(loop))
     phi_line = np.sum(np.einsum("jc,jc->j", f_loop, tangent)) * radius * dphi

@@ -26,12 +26,11 @@ ScalarTone = RadonAtom  # amplitude * e^{i frequency p} with a scalar amplitude
 
 @dataclass(frozen=True, slots=True)
 class OmegaAtom:
-    """A fixed vector attached to a direction (with line-measure weight);
+    """A fixed vector attached to a direction, a point atom of weight 1;
     :func:`ck_integral_profile` checks the rows together."""
 
     direction: np.ndarray
     vector: np.ndarray
-    weight: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -138,16 +137,16 @@ def oscillator_residue(p: float, lam: int, nu: float, branch: str) -> complex:
     return complex(2.0j * np.pi * np.exp(p * _pole(p, lam, nu, branch)))
 
 
-def oscillator_contour_numeric(p: float, lam: int, nu: float, branch: str,
-                               radius: float | None = None) -> complex:
-    """64-point trapezoid quadrature of the same loop integral on a circle.
+def oscillator_contour_numeric(p: float, lam: int, nu: float, branch: str) -> complex:
+    """64-point trapezoid quadrature of the same loop integral on the circle
+    of radius |nu| / 2 around the pole.
 
-    The default radius is |nu| / 2; ValueError on a radius that is not
-    finite and positive or on the arguments :func:`oscillator_residue` rejects.
+    ValueError on the arguments :func:`oscillator_residue` rejects, and on a
+    nu so small that the radius rounds to 0.
     """
     pole = _pole(p, lam, nu, branch)
-    rho = abs(nu) / 2.0 if radius is None else radius
-    _check_finite("positive", radius=rho)
+    rho = abs(nu) / 2.0
+    _check_finite("positive", radius=rho)  # a subnormal nu halves to 0
     t, dt = circle_rule(64)
     zeta = pole + rho * np.exp(1j * t)
     dzeta = 1j * rho * np.exp(1j * t) * dt
@@ -164,7 +163,7 @@ def ck_integral_profile(omega1, omega2, lam: int, nu: float) -> AnalyticProfile:
     G = (1/2) [ (i lam k x w1 - k x k x w1) e^{+i lam nu p}
               + (-i lam k x w2 - k x k x w2) e^{-i lam nu p} ],
     the 1/2 being the reduced contour prefactor (1 / 4 pi i) * 2 pi i.
-    ``omega1`` / ``omega2`` are lists of :class:`OmegaAtom`.
+    ``omega1`` / ``omega2`` are lists of :class:`OmegaAtom`, each atom of weight 1.
     """
     if lam not in (1, -1):
         raise ValueError("lam must be +1 or -1")
@@ -177,7 +176,7 @@ def ck_integral_profile(omega1, omega2, lam: int, nu: float) -> AnalyticProfile:
     return AnalyticProfile(
         directions=d, frequencies=sign * lam * nu,
         amplitudes=0.5 * ((sign * 1j * lam)[:, None] * dxw - cross(d, dxw)),
-        weights=[oa.weight for oa in omegas], nu=nu, mu=1, g=1.0)
+        weights=np.ones(len(omegas)), nu=nu, mu=1, g=1.0)
 
 
 def reconstruct_physical(omega1, omega2, lam: int, nu: float, x) -> np.ndarray:

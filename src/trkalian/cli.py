@@ -111,10 +111,9 @@ def build_field(name: str, params: dict):
         return fields.abc_field(
             float(params.get("a", 1.0)), float(params.get("b", 1.0)),
             float(params.get("c", 1.0)), float(params.get("nu", 1.0)))
-    return fields.ck_circular(fields.CKCircularParams(
-        m=_integer("m", params.get("m", 0)), k=float(params.get("k", 0.0)),
-        nu=float(params.get("nu", 1.0)),
-        amplitude=float(params.get("amplitude", 1.0))))
+    return fields.ck_circular(
+        _integer("m", params.get("m", 0)), float(params.get("k", 0.0)),
+        float(params.get("nu", 1.0)), float(params.get("amplitude", 1.0)))
 
 
 def _gaussian_args(params: dict) -> tuple:
@@ -269,20 +268,13 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
 @main.command("verify")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None)
 @click.option("--only", "only_filter", default=None, help="run records whose name contains this")
-@click.option("--tol", "tol_overrides", multiple=True, help="NAME=VALUE tolerance override")
-def cmd_verify(out_path, only_filter, tol_overrides) -> None:
+def cmd_verify(out_path, only_filter) -> None:
     """Run the identity suite; exit 0 iff every record passes."""
-    overrides = {}
-    for item in tol_overrides:
-        if "=" not in item:
-            raise click.UsageError("tolerance override must be NAME=VALUE")
-        name, value = item.split("=", 1)
-        overrides[name] = value
     try:
-        verify.select_checks(only_filter, overrides)
+        verify.select_checks(only_filter)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    report = verify.run_verify(only=only_filter, tolerances=overrides)
+    report = verify.run_verify(only=only_filter)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path is not None:
         _atomic_write(out_path, text)

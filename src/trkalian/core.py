@@ -126,12 +126,12 @@ def _check_finite(rule: str = "", /, **params) -> None:
             raise ValueError(f"{name} must be finite{rule and ' and ' + rule}, got {value!r}")
 
 
-def _check_3vector(name: str, value, dtype=float, rule: str = "") -> np.ndarray:
-    """``value`` as an array; ValueError naming ``name`` unless a finite 3-vector (by ``rule``)."""
+def _check_3vector(name: str, value, dtype=float) -> np.ndarray:
+    """``value`` as an array; ValueError naming ``name`` unless a finite 3-vector."""
     v = np.asarray(value, dtype=dtype)
     if v.shape != (3,):
         raise ValueError(f"{name} takes 3-vectors only, not shape {v.shape}")
-    _check_finite(rule, **{name: v})
+    _check_finite(**{name: v})
     return v
 
 

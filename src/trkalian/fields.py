@@ -275,39 +275,20 @@ def ck_toroidal(psi: ScalarField, omega) -> SampledField:
     return SampledField(name="ck_toroidal", evaluator=evaluator)
 
 
-@dataclass(frozen=True)
-class CKCircularParams:
-    """Parameters of the circular cylindrical Debye solution.
-
-    The Debye scalar is amplitude * J_m(nu r) e^{i(m theta - k z)}; the field
-    eigenvalue is sigma = sqrt(nu^2 + k^2).
-    """
-
-    m: int
-    k: float
-    nu: float
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        _check_finite(k=self.k, amplitude=self.amplitude)
-        _check_finite("positive", nu=self.nu)  # the radial wavenumber: sigma^2 - k^2 > 0
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError("m must be a non-negative integer")
-
-    @property
-    def sigma(self) -> float:
-        return float(np.hypot(self.nu, self.k))
-
-
-def ck_circular(params: CKCircularParams) -> SampledField:
-    """Circular cylindrical Debye field with curl eigenvalue sigma.
+def ck_circular(m: int, k: float, nu: float, amplitude: float = 1.0) -> SampledField:
+    """Circular cylindrical Debye field with curl eigenvalue sigma = sqrt(nu^2 + k^2).
 
     Built from F = -[sigma curl(psi e_z) + curl curl(psi e_z)] with
-    psi = J_m(nu r) e^{i(m theta - k z)}; derivatives taken analytically via
-    Bessel recurrences.  For m = 0, k = 0 this is the F0 = -nu^2 Lundquist
-    field.
+    psi = amplitude J_m(nu r) e^{i(m theta - k z)}; derivatives taken
+    analytically via Bessel recurrences.  For m = 0, k = 0 this is the
+    F0 = -nu^2 Lundquist field.  ValueError unless m is a non-negative
+    integer, k and the amplitude are finite and nu is finite and positive.
     """
-    m, k, nu, amp, sigma = params.m, params.k, params.nu, params.amplitude, params.sigma
+    _check_finite(k=k, amplitude=amplitude)
+    _check_finite("positive", nu=nu)  # the radial wavenumber: sigma^2 - k^2 > 0
+    if m < 0 or int(m) != m:
+        raise ValueError("m must be a non-negative integer")
+    sigma = float(np.hypot(nu, k))
 
     def evaluator(x):
         x = _finite_points(x)
@@ -323,9 +304,9 @@ def ck_circular(params: CKCircularParams) -> SampledField:
             # J_m' = J_{m-1} - m J_m/x, and psi(r) m/r, both finite at the axis
             jm_x = _jm_over_x(m, xr, jm)
             dj = bessel_j(m - 1, xr) - m * jm_x
-            m_over_r = m * amp * nu * jm_x
-        psi = amp * jm
-        dpsi = amp * nu * dj
+            m_over_r = m * amplitude * nu * jm_x
+        psi = amplitude * jm
+        dpsi = amplitude * nu * dj
         # cylindrical components, common factor e^{i(m theta - k z)}
         f_r = 1j * (k * dpsi - sigma * m_over_r)
         f_th = sigma * dpsi - k * m_over_r
@@ -386,11 +367,13 @@ def gaussian_test_field(center, width: float, polarization) -> SampledField:
 def gaussian_scalar(center=(0.0, 0.0, 0.0), width: float = 1.0) -> ScalarField:
     """Scalar Gaussian exp(-|x - c|^2 / width^2); ValueError unless the
     centre is a finite 3-vector and the width finite and positive, with a
-    square that does not underflow to 0."""
+    square that neither underflows to 0 nor overflows."""
     c = _check_3vector("center", center)
     _check_finite("positive", width=width)
-    if width**2 == 0:  # the envelope would be 0 / 0 at the centre
-        raise ValueError(f"width must square to a positive float, got {width!r}")
+    # a square of 0 makes the envelope 0 / 0 at the centre, and width**2 of a
+    # Python float raises OverflowError where width * width gives inf
+    if not 0 < width * width < np.inf:
+        raise ValueError(f"width must square to a positive finite float, got {width!r}")
 
     def evaluator(x):
         return _gaussian_envelope(x, c, width)
@@ -401,21 +384,21 @@ def gaussian_scalar(center=(0.0, 0.0, 0.0), width: float = 1.0) -> ScalarField:
     )
 
 
-def bessel_j0_scalar(nu: float, amplitude: complex = 1.0) -> ScalarField:
-    """Scalar amplitude * J_0(nu r), a Helmholtz solution with constant nu^2;
-    ValueError unless nu and the amplitude are finite."""
-    _check_finite(nu=nu, amplitude=amplitude)
+def bessel_j0_scalar(nu: float) -> ScalarField:
+    """Scalar J_0(nu r), a Helmholtz solution with constant nu^2; ValueError
+    unless nu is finite."""
+    _check_finite(nu=nu)
 
     def evaluator(x):
         x = _finite_points(x)
         r = np.hypot(x[..., 0], x[..., 1])
-        return amplitude * bessel_j(0, np.abs(nu) * r)
+        return bessel_j(0, np.abs(nu) * r)
 
     def gradient(x):
         x = _finite_points(x)
         r = np.hypot(x[..., 0], x[..., 1])
         # psi'(r)/r = -nu^2 J_1(nu r)/(nu r)
-        coeff = -amplitude * nu**2 * _jm_over_x(1, nu * r)
+        coeff = -nu**2 * _jm_over_x(1, nu * r)
         out = np.zeros(x.shape, dtype=complex)
         out[..., 0] = coeff * x[..., 0]
         out[..., 1] = coeff * x[..., 1]

@@ -667,9 +667,10 @@ def spherical_curl_transform(profile: AnalyticProfile, kappa,
     at_k = np.linalg.norm(profile.directions - k, axis=-1) < 1e-9
     tones = np.exp(1j * profile.frequencies[at_k] * p)
     pref = profile.g * profile.nu**2 / np.sqrt(2.0 * np.pi)
+    q1 = moses_frame(k, 1)
     out = []
-    for a_idx in (1, 2):
-        total = np.sum(tones * (profile.amplitudes[at_k] @ np.conj(moses_frame(k, a_idx))))
+    for a_idx, probe in ((1, np.conj(q1)), (2, -q1)):  # conj(Q_2) = -Q_1, bit for bit
+        total = np.sum(tones * (profile.amplitudes[at_k] @ probe))
         phase = np.exp(-1j * profile.mu * helicity_of(a_idx) * profile.nu * p)
         out.append(complex(pref * phase * total))
     return out[0], out[1]

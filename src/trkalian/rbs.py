@@ -22,18 +22,19 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Fourier slice theorem
 # ---------------------------------------------------------------------------
 
-def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature, n_p: int = 128):
+def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature):
     """Both sides of the slice identity at (k, kappa), symmetric conventions.
 
     Left: 1-D Fourier transform (2 pi)^{-1/2} int F^R(p) e^{-ikp} dp of the
-    numeric plane transform on n_p points of [-8, 8).  Right: 2 pi times the
-    3-D Fourier transform (2 pi)^{-3/2} int F(y) e^{-i k kappa . y} d^3 y by
+    numeric plane transform on the 96 points -8 + j/6 of [-8, 8).  Right: 2 pi
+    times the 3-D Fourier transform (2 pi)^{-3/2} int F(y) e^{-i k kappa . y} d^3 y by
     the tensor trapezoid rule of 32^3 nodes on the box [-8, 8)^3, the
     periodic rule of :func:`circle_rule` scaled to each axis, which converges
     exponentially for fields that decay within the box.  k must be finite.
     """
     _check_finite(k=k)
     kdir = as_direction(kappa)
+    n_p = 96
     p = -8.0 + (16.0 / n_p) * np.arange(n_p)
     proj = radon_forward_numeric(fn, p, kdir, plane_quad)  # (n_p[, 3])
     phase = np.exp(-1j * k * p)
@@ -50,9 +51,9 @@ def fourier_slice_pair(fn, kappa, k: float, plane_quad: PlaneQuadrature, n_p: in
     return lhs, rhs
 
 
-def fourier_slice_check(fn, kappa, k: float, plane_quad: PlaneQuadrature, n_p: int = 128) -> float:
+def fourier_slice_check(fn, kappa, k: float, plane_quad: PlaneQuadrature) -> float:
     """Relative residual between the two sides of the slice identity."""
-    lhs, rhs = fourier_slice_pair(fn, kappa, k, plane_quad, n_p=n_p)
+    lhs, rhs = fourier_slice_pair(fn, kappa, k, plane_quad)
     scale = max(np.max(np.abs(np.atleast_1d(lhs))), np.max(np.abs(np.atleast_1d(rhs))))
     return float(np.max(np.abs(np.atleast_1d(lhs - rhs))) / max(scale, 1e-300))
 

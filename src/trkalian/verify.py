@@ -169,9 +169,9 @@ def _check_bessel() -> float:
 def _check_catalog() -> float:
     catalog = [
         fields.lundquist(1.0, 1.0),
-        fields.ck_circular(fields.CKCircularParams(m=0, k=0.0, nu=1.0)),
-        fields.ck_circular(fields.CKCircularParams(m=1, k=0.5, nu=1.0)),
-        fields.ck_circular(fields.CKCircularParams(m=2, k=-0.7, nu=1.3)),
+        fields.ck_circular(0, 0.0, 1.0),
+        fields.ck_circular(1, 0.5, 1.0),
+        fields.ck_circular(2, -0.7, 1.3),
         fields.abc_field(1.0, 0.7, 0.4, nu=1.0),
         fields.mode_sampled_field(_mode_field(16, seed=SEED + 6)),
         fields.mode_sampled_field(_mode_field(4, seed=SEED + 7, nu=1.0, mu=-1)),
@@ -451,7 +451,7 @@ def _check_slice() -> float:
     k = _random_directions(1, seed=SEED + 24)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return rbs_mod.fourier_slice_check(f, k, 1.0, _PLANE, n_p=96)
+        return rbs_mod.fourier_slice_check(f, k, 1.0, _PLANE)
 
 
 @_register("intertwining", "Numeric transform intertwines the vector derivatives", 2e-11)
@@ -593,36 +593,23 @@ def _check_quantization() -> float:
 # runner
 # ---------------------------------------------------------------------------
 
-def select_checks(only: str | None = None, tolerances: dict | None = None) -> list:
+def select_checks(only: str | None = None) -> list:
     """The (name, description, tolerance, check) entries whose name contains
-    ``only``, with the tolerance overrides applied.
-
-    Raises ValueError, before any check runs, when nothing is selected, when
-    an override names no selected record or when its value is not a finite
-    number >= 0 (NaN or a negative value would fail every residual, inf none).
-    """
-    overrides = {name: float(value) for name, value in (tolerances or {}).items()}
-    bad = sorted(name for name, value in overrides.items() if not 0.0 <= value < np.inf)
-    if bad:
-        raise ValueError(f"tolerance override must be finite and >= 0: {', '.join(bad)}")
+    ``only``; ValueError, before any check runs, when nothing is selected."""
     selected = [c for c in _CHECKS if only is None or only in c[0]]
     if not selected:
         raise ValueError(f"no verify record name contains {only!r}")
-    unknown = sorted(set(overrides) - {c[0] for c in selected})
-    if unknown:
-        raise ValueError(f"tolerance override names no selected record: {', '.join(unknown)}")
-    return [(name, description, overrides.get(name, tol), fn)
-            for name, description, tol, fn in selected]
+    return selected
 
 
-def run_verify(only: str | None = None, tolerances: dict | None = None) -> dict:
+def run_verify(only: str | None = None) -> dict:
     """Run the identity suite; returns the report dictionary.
 
     Each record's ``margin`` is tolerance / residual (None for a residual of
     exactly 0): how far the residual may grow before the record fails.
     """
     records = []
-    for name, description, tol, fn in select_checks(only, tolerances):
+    for name, description, tol, fn in select_checks(only):
         residual = float(fn())
         records.append({
             "name": name,

@@ -75,9 +75,9 @@ def test_criterion_03_trkalian_certification():
     tol = 1e-6
     catalog = [
         tk.lundquist(1.0, 1.0),
-        tk.ck_circular(tk.CKCircularParams(m=0, k=0.0, nu=1.0)),
-        tk.ck_circular(tk.CKCircularParams(m=1, k=0.5, nu=1.0)),
-        tk.ck_circular(tk.CKCircularParams(m=2, k=-0.7, nu=1.3)),
+        tk.ck_circular(m=0, k=0.0, nu=1.0),
+        tk.ck_circular(m=1, k=0.5, nu=1.0),
+        tk.ck_circular(m=2, k=-0.7, nu=1.3),
         tk.abc_field(1.0, 0.6, 0.3, nu=1.0),
         tk.mode_sampled_field(random_mode_field(16, RNG_SEED + 2)),
         tk.mode_sampled_field(random_mode_field(16, RNG_SEED + 3, mu=-1)),

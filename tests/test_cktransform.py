@@ -258,10 +258,11 @@ class TestOscillatorContour:
         with pytest.raises(ValueError):
             loop(p, lam, nu, branch)
 
-    @pytest.mark.parametrize("radius", [0.0, -0.5, np.nan])
-    def test_contour_rejects_non_positive_radius(self, radius):
-        with pytest.raises(ValueError, match="radius"):
-            oscillator_contour_numeric(0.3, 1, 1.0, "plus", radius=radius)
+    @pytest.mark.parametrize("nu", [5e-324, -5e-324])
+    def test_contour_rejects_a_nu_whose_radius_rounds_to_zero(self, nu):
+        # the smallest subnormals pass the nonzero check, and |nu| / 2 is 0
+        with pytest.raises(ValueError, match="radius must be finite and positive, got 0.0"):
+            oscillator_contour_numeric(0.3, 1, nu, "plus")
 
 
 class TestIntegralRepresentation:
@@ -290,8 +291,9 @@ class TestIntegralRepresentation:
         for j in range(n_ring):
             psi = 2 * np.pi * j / n_ring
             k = np.array([np.cos(psi), np.sin(psi), 0.0])
-            omega1.append(OmegaAtom(k, scale * np.array([0.0, 0.0, 1.0]), weight=w))
-            omega2.append(OmegaAtom(k, scale * np.array([0.0, 0.0, 1.0]), weight=w))
+            # the ring's line measure w in each vector: atoms of weight 1
+            omega1.append(OmegaAtom(k, w * scale * np.array([0.0, 0.0, 1.0])))
+            omega2.append(OmegaAtom(k, w * scale * np.array([0.0, 0.0, 1.0])))
         prof = ck_integral_profile(omega1, omega2, 1, nu)
         assert gamma_cross_eigendefect(prof) < 1e-13
 

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from test_properties import format_csv_reference
 
 import trkalian
+from trkalian import verify
 from trkalian.cli import main
 
 
@@ -87,7 +88,7 @@ class TestFieldEval:
         assert result.exit_code == 0, result.output
         pts = np.stack(np.meshgrid(np.linspace(-1, 1, 4), np.linspace(-1, 1, 3),
                                    np.linspace(0, 1, 2), indexing="ij"), axis=-1).reshape(-1, 3)
-        field = trkalian.ck_circular(trkalian.CKCircularParams(**params))
+        field = trkalian.ck_circular(**params)
         expected = format_csv_reference("x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz",
                                         pts, field(pts))
         assert (out / "field.csv").read_bytes() == expected.encode()
@@ -375,14 +376,24 @@ class TestVerifyCommand:
         assert report["all_passed"]
         assert report["n_total"] >= 4
 
-    def test_tolerance_override_forces_failure(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "verify", "--only", "frame_orthonormality",
-            "--tol", "frame_orthonormality=1e-20",
-        ])
+    def test_help_offers_no_tolerance_override(self, runner):
+        # a run cannot loosen a record's tolerance; --only is the one filter
+        result = runner.invoke(main, ["verify", "--help"])
+        assert result.exit_code == 0
+        assert "--only" in result.output
+        assert "--tol" not in result.output
+
+    def test_failing_record_fails_the_run(self, runner, tmp_path, monkeypatch):
+        failing = ("zz_failing", "a residual above its tolerance", 1e-12, lambda: 1e-6)
+        monkeypatch.setattr(verify, "_CHECKS", verify._CHECKS + [failing])
+        report_path = tmp_path / "report.json"
+        result = runner.invoke(main, ["verify", "--only", "zz_", "--out", str(report_path)])
         assert result.exit_code == 1
-        assert "FAIL" in result.output
-        assert "residual=" in result.output
+        assert "FAIL  zz_failing  residual=1.000e-06" in result.output
+        assert "0/1 passed" in result.output
+        report = json.loads(report_path.read_text())
+        assert report["all_passed"] is False
+        assert report["records"][0]["margin"] == 1e-12 / 1e-6
 
     def test_report_is_deterministic(self, runner, tmp_path):
         blobs = []
@@ -414,7 +425,6 @@ class TestVerifyCommand:
 
 @pytest.mark.parametrize("args", [
     ["verify", "--only", "zzz"],
-    ["verify", "--only", "frame", "--tol", "no_such_record=1"],
     ["radon", "--field", "modes", "--params", "{}", "--out", "out"],
     ["radon", "--field", "gaussian", "--pgrid", "-8:8:12", "--out", "out"],
     ["radon", "--field", "gaussian", "--pgrid", "8:-8:16", "--out", "out"],
@@ -436,18 +446,16 @@ class TestVerifyCommand:
     ["field-eval", "--field", "lundquist", "--grid", "-1:1:2.5,-1:1:3,-1:1:3", "--out", "out"],
     ["field-eval", "--field", "lundquist", "--grid", "nan:1:3,-1:1:3,-1:1:3", "--out", "out"],
     ["field-eval", "--field", "lundquist", "--grid", "-1:inf:3,-1:1:3,-1:1:3", "--out", "out"],
-    ["verify", "--only", "frame", "--tol", "frame_metric=nan", "--out", "out"],
-    ["verify", "--only", "frame", "--tol", "frame_metric=inf", "--out", "out"],
-    ["verify", "--only", "frame", "--tol", "frame_metric=-1", "--out", "out"],
     ["field-eval", "--field", "lundquist", "--grid", "-1:1,-1:1:3,-1:1:3", "--out", "out"],
     ["field-eval", "--field", "lundquist", "--grid", "-1:1:3,-1:1:3", "--out", "out"],
     ["radon", "--field", "gaussian", "--quad", "8", "--out", "out"],
     ["radon", "--field", "gaussian", "--pgrid", "-8:8", "--out", "out"],
-    ["verify", "--only", "frame", "--tol", "frame_metric", "--out", "out"],
     ["field-eval", "--field", "lundquist", "--params", "[1]", "--out", "out"],
     ["radon", "--field", "gaussian", "--params", '{"width": 1e-200}', "--out", "out"],
     ["field-eval", "--field", "gaussian", "--params", '{"width": 1e-200}', "--out", "out"],
-], ids=["verify-empty-selection", "verify-unknown-tolerance", "radon-modes-without-modes",
+    ["radon", "--field", "gaussian", "--params", '{"width": 1e200}', "--out", "out"],
+    ["field-eval", "--field", "gaussian", "--params", '{"width": 1e200}', "--out", "out"],
+], ids=["verify-empty-selection", "radon-modes-without-modes",
         "radon-pgrid-not-power-of-two", "radon-pgrid-decreasing",
         "radon-quad-odd-azimuth",
         "radon-lundquist-zero-nu", "radon-lundquist-odd-ring", "radon-gaussian-unknown-key",
@@ -456,11 +464,11 @@ class TestVerifyCommand:
         "radon-gaussian-short-polarization", "field-eval-lundquist-nan-nu",
         "radon-gaussian-nan-width", "radon-gaussian-nan-center", "field-eval-grid-non-numeric-bound",
         "field-eval-grid-non-integer-count", "field-eval-grid-nan-bound",
-        "field-eval-grid-infinite-bound", "verify-nan-tolerance", "verify-infinite-tolerance",
-        "verify-negative-tolerance", "field-eval-grid-two-field-axis", "field-eval-grid-two-axes",
-        "radon-quad-one-count", "radon-pgrid-two-fields", "verify-tolerance-without-equals",
+        "field-eval-grid-infinite-bound", "field-eval-grid-two-field-axis",
+        "field-eval-grid-two-axes", "radon-quad-one-count", "radon-pgrid-two-fields",
         "field-eval-params-not-object", "radon-gaussian-underflowing-width",
-        "field-eval-gaussian-underflowing-width"])
+        "field-eval-gaussian-underflowing-width", "radon-gaussian-overflowing-width",
+        "field-eval-gaussian-overflowing-width"])
 def test_bad_input_is_usage_error(runner, tmp_path, args):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)

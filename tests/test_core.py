@@ -228,8 +228,8 @@ class TestCheckFinite:
         assert _check_3vector("v", [1, 2, 3]).tolist() == [1.0, 2.0, 3.0]
         with pytest.raises(ValueError, match="^v takes 3-vectors only, not shape"):
             _check_3vector("v", [1.0, 2.0])
-        with pytest.raises(ValueError, match="^v must be finite and nonzero"):
-            _check_3vector("v", [0.0, -0.0, 0.0], rule="nonzero")
+        with pytest.raises(ValueError, match="^v must be finite, got array"):
+            _check_3vector("v", [0.0, np.nan, 0.0])
 
 
 class TestPlaneQuadrature:

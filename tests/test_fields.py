@@ -3,7 +3,7 @@ import pytest
 
 from trkalian.core import bessel_j, bessel_j1_first_zero, fd_derivative_oracle, fd_field
 from trkalian.moses import frame_index_of, moses_frame
-from trkalian.fields import (CKCircularParams, HelicityMode, ModeField, _jm_over_x,
+from trkalian.fields import (HelicityMode, ModeField, _jm_over_x,
                              abc_field, bessel_j0_scalar, certify_trkalian,
                              ck_circular, ck_field, ck_toroidal,
                              eval_mode_field, gaussian_scalar, gaussian_test_field,
@@ -181,9 +181,8 @@ class TestCKField:
 
     def test_bessel_debye_reduces_to_lundquist(self):
         nu = 1.0
-        psi = bessel_j0_scalar(nu, amplitude=-nu)
-        f = ck_field(psi, EZ, nu)
-        ref = lundquist(-nu**2, nu)
+        f = ck_field(bessel_j0_scalar(nu), EZ, nu)
+        ref = lundquist(nu, nu)
         rng = np.random.default_rng(31)
         for _ in range(4):
             x = rng.uniform(-1.5, 1.5, size=3)
@@ -202,9 +201,16 @@ class TestCKField:
         fd, analytic = ck_toroidal(bare, EY)(x), ck_toroidal(psi, EY)(x)
         assert np.max(np.abs(fd - analytic)) < 1e-11
 
+    def test_bessel_scalar_has_unit_amplitude(self):
+        # J_0(|nu| r): 1 on the axis at any height, even in nu
+        psi, flipped = bessel_j0_scalar(1.3), bessel_j0_scalar(-1.3)
+        assert np.array_equal(psi(np.array([[0.0, 0.0, -2.0], [0.0, 0.0, 3.0]])), [1.0, 1.0])
+        x = np.array([0.7, -0.4, 0.2])
+        assert psi(x) == flipped(x) == bessel_j(0, 1.3 * np.hypot(0.7, -0.4))
+
     def test_finite_difference_route_rejects_non_finite_points(self):
         # the poloidal part, fd_field's curl, is computed first and names the point
-        f = ck_field(bessel_j0_scalar(1.0, amplitude=-1.0), EZ, 1.0)
+        f = ck_field(bessel_j0_scalar(1.0), EZ, 1.0)
         with pytest.raises(ValueError, match="points and their stencil points"):
             f(np.array([np.inf, 0.0, 0.0]))
 
@@ -218,7 +224,7 @@ class TestCKField:
 
 class TestCKCircular:
     def test_reduces_to_lundquist(self):
-        f = ck_circular(CKCircularParams(m=0, k=0.0, nu=1.0))
+        f = ck_circular(m=0, k=0.0, nu=1.0)
         ref = lundquist(-1.0, 1.0)
         rng = np.random.default_rng(32)
         for _ in range(5):
@@ -226,13 +232,12 @@ class TestCKCircular:
             assert np.max(np.abs(f(x) - ref(x))) < 1e-12
 
     def test_eigenvalue_with_axial_wavenumber(self):
-        params = CKCircularParams(m=1, k=0.5, nu=1.0)
-        assert abs(params.sigma - np.sqrt(1.25)) < 1e-15
-        f = ck_circular(params)
-        assert rel_curl_defect(f, np.array([0.6, -0.4, 0.3]), params.sigma) < 1e-6
+        f = ck_circular(m=1, k=0.5, nu=1.0)
+        assert abs(f.eigenvalue - np.sqrt(1.25)) < 1e-15
+        assert rel_curl_defect(f, np.array([0.6, -0.4, 0.3]), f.eigenvalue) < 1e-6
 
     def test_bounded_on_axis(self):
-        f = ck_circular(CKCircularParams(m=1, k=0.0, nu=1.0))
+        f = ck_circular(m=1, k=0.0, nu=1.0)
         vals = f(np.array([[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0]]))
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals[0] - vals[1])) < 1e-8
@@ -241,7 +246,7 @@ class TestCKCircular:
         # J_2(nu r)/r ~ nu^2 r / 8 and J_2'(nu r) ~ nu r / 4, so the
         # transverse components scale with r on both sides of the 1e-8
         # switch to the series term
-        f = ck_circular(CKCircularParams(m=2, k=0.5, nu=1.0))
+        f = ck_circular(m=2, k=0.5, nu=1.0)
         near, far = f(np.array([[5e-9, 0.0, 0.0], [2e-8, 0.0, 0.0]]))
         assert np.max(np.abs(near[:2] / far[:2] - 0.25)) < 1e-12 * 0.25
 
@@ -261,30 +266,53 @@ class TestCKCircular:
             return bessel_j(order, x)
 
         monkeypatch.setattr(fields_mod, "bessel_j", counted)
-        params = CKCircularParams(m=m, k=k, nu=1.3)
+        nu, sigma = 1.3, np.hypot(1.3, k)
+        field = ck_circular(m, k, nu)
         g = np.linspace(-2.0, 2.0, 9)
         pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-        got = ck_circular(params)(pts)
+        got = field(pts)
         assert sorted(calls) == ([m - 1, m] if m else [0, 1])
 
         r, theta, z = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0]), pts[:, 2]
-        xr = params.nu * r
-        dpsi = params.nu * special.jvp(m, xr)
-        on_axis = params.nu / 2 if m == 1 else 0.0  # lim m J_m(nu r)/r
+        xr = nu * r
+        dpsi = nu * special.jvp(m, xr)
+        on_axis = nu / 2 if m == 1 else 0.0  # lim m J_m(nu r)/r
         m_over_r = np.where(r == 0, on_axis, m * special.jv(m, xr) / np.where(r == 0, 1, r))
-        f_r = 1j * (k * dpsi - params.sigma * m_over_r)
-        f_th = params.sigma * dpsi - k * m_over_r
+        f_r = 1j * (k * dpsi - sigma * m_over_r)
+        f_th = sigma * dpsi - k * m_over_r
         phase = np.exp(1j * (m * theta - k * z))
         ref = np.stack([(f_r * np.cos(theta) - f_th * np.sin(theta)) * phase,
                         (f_r * np.sin(theta) + f_th * np.cos(theta)) * phase,
-                        -params.nu**2 * special.jv(m, xr) * phase], axis=-1)
+                        -nu**2 * special.jv(m, xr) * phase], axis=-1)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            CKCircularParams(m=-1, k=0.0, nu=1.0)
-        with pytest.raises(ValueError):
-            CKCircularParams(m=0, k=0.0, nu=0.0)
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            ck_circular(m=-1, k=0.0, nu=1.0)
+        with pytest.raises(ValueError, match="nu must be finite and positive"):
+            ck_circular(m=0, k=0.0, nu=0.0)
+
+    @pytest.mark.parametrize("args, match", [
+        ((1.5, 0.0, 1.0), "m must be a non-negative integer"),
+        ((0, 0.0, -1.0), "nu must be finite and positive"),
+        ((0, np.inf, 1.0), "k must be finite"),
+        ((0, 0.0, 1.0, complex(np.nan, 0.0)), "amplitude must be finite"),
+    ], ids=["fractional-m", "negative-nu", "infinite-k", "nan-amplitude"])
+    def test_names_the_bad_parameter(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            ck_circular(*args)
+
+    def test_eigenvalue_is_even_in_k(self):
+        # sigma = hypot(nu, k): the axial wave's direction leaves it unchanged
+        up, down = ck_circular(2, 0.7, 1.3), ck_circular(2, -0.7, 1.3)
+        assert up.eigenvalue == down.eigenvalue == np.hypot(1.3, 0.7)
+        assert rel_curl_defect(down, np.array([0.4, 0.5, -0.2]), down.eigenvalue) < 1e-6
+
+    def test_amplitude_scales_the_field(self):
+        pts = np.random.default_rng(33).uniform(-1.5, 1.5, size=(6, 3))
+        unit = ck_circular(1, 0.5, 1.0)(pts)
+        scaled = ck_circular(1, 0.5, 1.0, amplitude=-2.5)(pts)
+        assert np.max(np.abs(scaled - (-2.5) * unit)) <= 1e-15 * np.max(np.abs(unit))
 
 
 class TestGaugeGradient:
@@ -475,9 +503,9 @@ NAN, INF = float("nan"), float("inf")
     lambda: lundquist_potential(1.0, INF),
     lambda: abc_field(1.0, NAN, 1.0),
     lambda: abc_field(1.0, 1.0, 1.0, nu=-INF),
-    lambda: ck_circular(CKCircularParams(m=0, k=NAN, nu=1.0)),
-    lambda: ck_circular(CKCircularParams(m=0, k=0.0, nu=NAN)),
-    lambda: ck_circular(CKCircularParams(m=1, k=0.0, nu=1.0, amplitude=INF)),
+    lambda: ck_circular(m=0, k=NAN, nu=1.0),
+    lambda: ck_circular(m=0, k=0.0, nu=NAN),
+    lambda: ck_circular(m=1, k=0.0, nu=1.0, amplitude=INF),
     lambda: ModeField(modes=(HelicityMode(lam=1, nu=NAN, kappa0=EZ, amplitude=1.0),)),
     lambda: ModeField(modes=(HelicityMode(lam=1, nu=1.0, kappa0=EZ, amplitude=complex(NAN, 0.0)),)),
 ], ids=["gaussian-center", "gaussian-width-nan", "gaussian-width-inf", "gaussian-polarization",
@@ -503,9 +531,8 @@ def unevaluated_psi() -> ScalarField:
     (lambda: ck_toroidal(unevaluated_psi(), (0, 0, 1, 0)), "omega takes 3-vectors only"),
     (lambda: ck_toroidal(unevaluated_psi(), (INF, 0, 0)), "omega must be finite"),
     (lambda: bessel_j0_scalar(NAN), "nu must be finite"),
-    (lambda: bessel_j0_scalar(1.0, amplitude=complex(0, INF)), "amplitude must be finite"),
 ], ids=["ck-nan-nu", "ck-inf-nu", "ck-short-omega", "ck-nan-omega", "toroidal-long-omega",
-        "toroidal-inf-omega", "bessel-j0-nu", "bessel-j0-amplitude"])
+        "toroidal-inf-omega", "bessel-j0-nu"])
 def test_debye_constructors_name_the_bad_parameter(build, match):
     # a ValueError before any evaluation, where NaN passed the Helmholtz
     # check and a 2-vector omega gave a wrong field without a word
@@ -516,7 +543,7 @@ def test_debye_constructors_name_the_bad_parameter(build, match):
 @pytest.mark.parametrize("build", [
     lambda: lundquist(1.0, 1.0),
     lambda: lundquist_potential(1.0, 1.0)[0],
-    lambda: ck_circular(CKCircularParams(m=1, k=0.5, nu=1.0)),
+    lambda: ck_circular(m=1, k=0.5, nu=1.0),
     lambda: abc_field(1.0, 0.5, 0.25),
     lambda: bessel_j0_scalar(1.0),
     lambda: bessel_j0_scalar(1.0).gradient,
@@ -541,9 +568,10 @@ def test_catalog_fields_name_non_finite_points(build, bad):
     ((1.0, 2.0), 1.0, "center takes 3-vectors"), (0.0, 1.0, "center takes 3-vectors"),
     ((0, NAN, 0), 1.0, "center must be finite"), ((0, 0, 0), NAN, "width must be finite"),
     ((0, 0, 0), INF, "width must be finite"), ((0, 0, 0), 0.0, "width must be finite and positive"),
-    ((0, 0, 0), 1e-200, "width must square to a positive float, got 1e-200"),
+    ((0, 0, 0), 1e-200, "width must square to a positive finite float, got 1e-200"),
+    ((0, 0, 0), 1e200, r"width must square to a positive finite float, got 1e\+200"),
 ], ids=["short-center", "scalar-center", "nan-center", "nan-width", "inf-width", "zero-width",
-        "underflowing-width"])
+        "underflowing-width", "overflowing-width"])
 def test_gaussian_scalar_names_the_bad_parameter(center, width, match):
     # the probe field is built on the scalar envelope and fails the same way
     with pytest.raises(ValueError, match=match):
@@ -574,7 +602,7 @@ class TestCatalogCertification:
                                       amplitude=complex(rng.normal(), rng.normal())))
         catalog = [
             lundquist(1.0, 1.0),
-            ck_circular(CKCircularParams(m=1, k=0.5, nu=1.0)),
+            ck_circular(m=1, k=0.5, nu=1.0),
             abc_field(1.0, 0.5, 0.25),
             mode_sampled_field(ModeField(modes=tuple(modes))),
         ]

@@ -65,6 +65,23 @@ class TestFrameValues:
         q2 = moses_frame(dirs, 2)
         assert np.max(np.abs(q1 + np.conj(q2))) < 1e-12
 
+    @pytest.mark.parametrize("directions", ["random", "south-band", "poles"])
+    def test_second_member_is_minus_conjugate_of_first(self, directions):
+        # Q_2 = -conj(Q_1) value for value on random directions, in the
+        # south band read through the antipodal relation, and at both poles,
+        # so one frame call serves both helicity probes
+        if directions == "random":
+            dirs = random_directions(2000, seed=8)
+        elif directions == "south-band":
+            rng = np.random.default_rng(8)
+            dirs = random_directions(2000, seed=9)
+            dirs[:, 2] = -1.0 + rng.uniform(0.0, 1e-3, size=len(dirs))
+            dirs[:, :2] *= (np.sqrt(1.0 - dirs[:, 2] ** 2)
+                            / np.linalg.norm(dirs[:, :2], axis=1))[:, None]
+        else:
+            dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        assert np.array_equal(moses_frame(dirs, 2), -np.conj(moses_frame(dirs, 1)))
+
 
 class TestPoleHandling:
     def test_near_south_pole_stays_orthonormal(self):

@@ -483,7 +483,7 @@ def test_positional_row_constructors():
     assert np.array_equal(choice.tones.weights, [1.0, 0.5])
     v = np.array([1.0, 1j, 0.0])
     atom = OmegaAtom(d, v)
-    assert atom.direction is d and atom.vector is v and atom.weight == 1.0
+    assert atom.direction is d and atom.vector is v
 
 
 def test_non_unit_omega_direction_rejected_by_reconstruction():
