@@ -14,7 +14,7 @@ from .fields import (HelicityMode, ModeField, SampledField, ScalarField, abc_fie
 from .radon import (AnalyticProfile, GridProfile, Hemisphere, RadonAtom,
                     TruncationWarning, adjoint_radon, antipodal_profile,
                     canonical_hemisphere, gamma_apply, gamma_cross_eigendefect,
-                    grid_atoms, grid_from_csv, grid_to_csv, hemisphere_inverse,
+                    grid_from_csv, grid_to_csv, hemisphere_inverse,
                     intertwining_check, inverse_radon, lundquist_radon_profile,
                     profile_from_json, profile_to_json, radon_forward_grid,
                     radon_forward_numeric, radon_mode_analytic,

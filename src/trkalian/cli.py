@@ -37,11 +37,29 @@ def _atomic_write(path: Path, text: str) -> None:
 def _parse_params(text: str) -> dict:
     try:
         params = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer literal beyond int()'s digit limit
         raise click.UsageError(f"malformed JSON parameters: {exc}") from exc
     if not isinstance(params, dict):
         raise click.UsageError("parameters must be a JSON object")
+    _check_float_range(params)
     return params
+
+
+def _check_float_range(value, key: str = "") -> None:
+    """UsageError naming the key of the first JSON integer in ``value`` that no
+    float holds, which the catalog's float() would raise OverflowError on."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _check_float_range(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_float_range(item, f"{key}[{i}]")
+    elif isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise click.UsageError(f"parameter {key} is an integer beyond the float range"
+                                   f" ({value.bit_length()} bits)") from None
 
 
 def _parse_grid(spec: str):
@@ -56,7 +74,10 @@ def _parse_grid(spec: str):
             raise click.UsageError(f"malformed grid axis {part!r}: {exc}") from exc
         if not (np.isfinite([lo, hi]).all() and n >= 1):
             raise click.UsageError(f"grid axis {part!r} needs finite bounds, positive count")
-        axes.append(np.linspace(lo, hi, n))
+        try:
+            axes.append(np.linspace(lo, hi, n))
+        except (ValueError, IndexError) as exc:  # numpy refuses a count beyond its array size
+            raise click.UsageError(f"grid axis {part!r} has too many points: {exc}") from exc
     if len(axes) != 3:
         raise click.UsageError("grid spec needs three axes")
     return axes
@@ -217,7 +238,7 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
                 raise click.UsageError("pgrid spec must be 'p0:p1:n'")
             p0, p1, n_p = float(pieces[0]), float(pieces[1]), int(pieces[2])
             p = radon.validate_p_grid(p0 + (p1 - p0) * np.arange(n_p) / n_p)
-            # pi width^2 bounds each plane integral, and the atom view's FFT sums n_p of them
+            # pi width^2 bounds each plane integral, and the grid table's FFT sums n_p of them
             if not np.isfinite(4 * n_p * np.pi * width**2 * float(np.abs(pol.view(float)).max())):
                 raise ValueError(f"polarization {pol.tolist()} overflows the transform at width"
                                  f" {width!r}: 4 n_p pi width^2 max|P| is not finite")
@@ -244,15 +265,14 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
             click.echo("warning: plane truncation boundary not negligible", err=True)
         _atomic_write(out_dir / "profile_grid.csv", radon.grid_to_csv(grid))
 
-        # parity F^R(-p, -kappa) = F^R(p, kappa) of the grid's interpolant, atom by
-        # atom; the wrap of the periodic p-range breaks it, and p_end_ratio names that
-        view = grid.atom_view
-        parity = view.parity_defect()
+        # parity F^R(-p, -kappa) = F^R(p, kappa) of the grid's interpolant, row by
+        # row; the wrap of the periodic p-range breaks it, and p_end_ratio names that
+        parity = grid.parity_defect()
         scale = float(np.max(np.abs(grid.samples))) or 1.0  # a zero grid has no defect
         parity_rel = parity / scale
         sidecar.update(mode="grid", parity_defect=parity, parity_defect_rel=parity_rel,
                        parity_check="pass" if parity_rel < 1e-8 else "fail",
-                       dc_content_rel=view.dc_content() / scale,
+                       dc_content_rel=grid.dc_content() / scale,
                        p_end_ratio=float(np.max(np.abs(grid.samples[[0, -1]]))) / scale,
                        truncation_warning=truncation is not None,
                        truncated_planes=0 if truncation is None else truncation.n_truncated,

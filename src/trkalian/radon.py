@@ -8,9 +8,12 @@ sphere, 2 pi / n for nodes discretizing a line delta such as the equatorial
 ring).  The atoms are stored as four arrays, one row per atom, so every atom
 identity is an array expression; ``AnalyticProfile.atoms`` is a tuple of
 row views.  Grid profiles hold samples over a periodic p-grid times a sphere
-quadrature; the atom operators act on them through the atoms of their
-trigonometric interpolant (:func:`grid_atoms`), whose Nyquist bin is split
-between -pi/dp and +pi/dp, so that the view is closed under parity.
+quadrature, and their operators act on the coefficient table of their
+trigonometric interpolant (:attr:`GridProfile.table`), one row per frequency
+and one column per sphere node, whose Nyquist bin is split between -pi/dp
+and +pi/dp, so that the table is closed under parity: Gamma and the 1/k^2
+kernel multiply its rows and sample back by one inverse FFT, and the
+reconstructions sum it per direction as a polynomial in e^{i dw kappa . x}.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, _check_finite,
-                   _tensor_boundary, as_direction, circle_rule, cross, fd_field, field_reals,
-                   from_reals, plane_basis, plane_wave_sum)
+from .core import (DIRECTION_TOL, PlaneQuadrature, SphereQuadrature, _check_finite, _chunks,
+                   _finite_points, _tensor_boundary, as_direction, circle_rule, cross, fd_field,
+                   field_reals, from_reals, plane_basis, plane_wave_sum)
 from .fields import ModeField
 from .moses import frame_index_of, helicity_of, moses_frame
 
@@ -144,27 +147,9 @@ class AnalyticProfile:
 
     def index_of(self, directions, frequencies, tol: float = 1e-9) -> np.ndarray:
         """Lowest row j with |frequencies[j] - f| < tol and |directions[j] - d| < tol
-        for each query (d, f), or -1; after one O(n log n) sort of the atom
-        projections, a binary search finds each query's candidates."""
-        query_d = np.reshape(directions, (-1, 3))
-        query_f = np.reshape(frequencies, -1)
-        keys = self.directions @ _MATCH_AXIS[:3] + self.frequencies * _MATCH_AXIS[3]
-        query = query_d @ _MATCH_AXIS[:3] + query_f * _MATCH_AXIS[3]
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        # the window covers sqrt(2) tol plus the rounding of the projections
-        span = np.max(np.abs(keys), initial=1.0) + np.max(np.abs(query), initial=1.0)
-        half = 2.0 * tol + 8.0 * np.finfo(float).eps * span
-        lo = np.searchsorted(sorted_keys, query - half, side="left")
-        hi = np.searchsorted(sorted_keys, query + half, side="right")
-        found = np.full(query.shape, -1)
-        for step in range(int(np.max(hi - lo, initial=0))):
-            cand = order[np.minimum(lo + step, order.size - 1)]
-            hit = ((lo + step < hi)
-                   & (np.abs(self.frequencies[cand] - query_f) < tol)
-                   & (np.linalg.norm(self.directions[cand] - query_d, axis=-1) < tol))
-            found = np.where(hit & ((found < 0) | (cand < found)), cand, found)
-        return found
+        for each query (d, f), or -1 (:func:`_match`)."""
+        return _match(self.directions, self.frequencies, np.reshape(directions, (-1, 3)),
+                      np.reshape(frequencies, -1), tol)
 
     def dc_content(self) -> float:
         """Max |amplitude| over the zero-frequency atoms (0 when there are none)."""
@@ -185,6 +170,30 @@ class AnalyticProfile:
             raise ValueError("profiles pair atoms one to one")
         diff = self.amplitudes - scale * other.amplitudes
         return float(np.max(np.abs(diff), initial=0.0))
+
+
+def _match(directions, frequencies, query_d, query_f, tol: float) -> np.ndarray:
+    """Lowest row j of directions (n, 3) and frequencies (n,) with
+    |frequencies[j] - f| < tol and |directions[j] - d| < tol for each query
+    (d, f) of query_d (m, 3) and query_f (m,), or -1; after one O(n log n) sort
+    of the rows' projections, a binary search finds each query's candidates."""
+    keys = directions @ _MATCH_AXIS[:3] + frequencies * _MATCH_AXIS[3]
+    query = query_d @ _MATCH_AXIS[:3] + query_f * _MATCH_AXIS[3]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    # the window covers sqrt(2) tol plus the rounding of the projections
+    span = np.max(np.abs(keys), initial=1.0) + np.max(np.abs(query), initial=1.0)
+    half = 2.0 * tol + 8.0 * np.finfo(float).eps * span
+    lo = np.searchsorted(sorted_keys, query - half, side="left")
+    hi = np.searchsorted(sorted_keys, query + half, side="right")
+    found = np.full(query.shape, -1)
+    for step in range(int(np.max(hi - lo, initial=0))):
+        cand = order[np.minimum(lo + step, order.size - 1)]
+        hit = ((lo + step < hi)
+               & (np.abs(frequencies[cand] - query_f) < tol)
+               & (np.linalg.norm(directions[cand] - query_d, axis=-1) < tol))
+        found = np.where(hit & ((found < 0) | (cand < found)), cand, found)
+    return found
 
 
 def _check_scalars(nu, mu, g) -> None:
@@ -217,7 +226,7 @@ class GridProfile:
     ``samples`` has shape (n_p, n_dir, 3) for vector data or (n_p, n_dir)
     for scalar data.  n_p must be a power of two; the grid covers one period
     [p0, p0 + n_p dp).  ``p`` and ``samples`` are private read-only copies,
-    so the cached :attr:`atom_view` cannot go stale.
+    so the cached :attr:`table` cannot go stale.
     """
 
     p: np.ndarray
@@ -240,40 +249,55 @@ class GridProfile:
         return self.samples.ndim == 3
 
     @cached_property
-    def atom_view(self) -> AnalyticProfile:
-        """The grid's :func:`grid_atoms`, built on first use."""
-        return grid_atoms(self)
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trigonometric interpolant sum_i coeffs[i, j] e^{i omega_i p} at
+        node j, by one FFT along p, built on first use: read-only frequencies
+        omega (n_p + 1,) and coefficients (n_p + 1, n_dir[, 3]), c_ij
+        e^{-i omega_i p[0]} / n_p.  omega[:n_p] is 2 pi ``np.fft.fftfreq``; the
+        Nyquist term is halved between -pi/dp (i = n_p / 2) and +pi/dp
+        (i = n_p), so row i and row (n_p - i) mod n_p (n_p / 2 and n_p) hold
+        exactly negated frequencies.  ValueError if the table is not finite."""
+        n_p = self.p.size
+        omega = 2.0 * np.pi * np.fft.fftfreq(n_p, d=self.p[1] - self.p[0])
+        omega = np.append(omega, -omega[n_p // 2])
+        scale = np.exp(-1j * omega * self.p[0]) / np.where(np.abs(omega) == omega[-1], 2 * n_p, n_p)
+        coeffs = (scale * np.fft.fft(self.samples, axis=0)[np.r_[:n_p, n_p // 2]].T).T
+        if not (np.isfinite(omega).all() and np.isfinite(coeffs).all()):
+            raise ValueError("the grid's interpolant is not finite: its frequencies or FFT overflow")
+        omega.flags.writeable = coeffs.flags.writeable = False
+        return omega, coeffs
+
+    def dc_content(self) -> float:
+        """Max |coefficient| in the omega = 0 row of :attr:`table`."""
+        omega, coeffs = self.table
+        return float(np.max(np.abs(coeffs[omega == 0.0]), initial=0.0))
+
+    def parity_defect(self) -> float:
+        """Max |coeffs[i, j] - coeffs[i', j']| over :attr:`table`, where row i'
+        holds -omega_i and node j' is -kappa_j: the sphere's ``antipode_index``,
+        else the lowest node within 1e-9 of it (inf when some node has none).
+        This is the parity defect of the interpolant, F(-p, -kappa) = F(p, kappa)."""
+        n_p, nodes = self.p.size, self.sphere.nodes
+        omega, coeffs = self.table
+        anti = self.sphere.antipode_index
+        if anti is None:
+            zero = np.zeros(len(nodes))
+            anti = _match(nodes, zero, -nodes, zero, 1e-9)
+            if np.any(anti < 0):
+                return np.inf
+        half = n_p // 2
+        neg = np.r_[0, n_p - 1:half:-1, n_p, half - 1:0:-1, half]
+        return float(np.max(np.abs(coeffs - coeffs[neg][:, anti]), initial=0.0))
 
 
-def grid_atoms(grid: GridProfile) -> AnalyticProfile:
-    """The grid's trigonometric interpolant as atoms, by one FFT along p: row
-    i n_dir + j is frequency i at node j, with that node's weight and amplitude
-    c_ij e^{-i omega_i p[0]} / n_p (nu = 1 is unread).  Frequencies i < n_p are
-    ``np.fft.fftfreq``; the Nyquist term is halved between -pi/dp (i = n_p / 2)
-    and +pi/dp (i = n_p), so on an antipodal sphere each atom has a partner."""
-    n_p, nodes = grid.p.size, grid.sphere.nodes
-    omega = 2.0 * np.pi * np.fft.fftfreq(n_p, d=grid.p[1] - grid.p[0])
-    omega = np.append(omega, -omega[n_p // 2])
-    scale = np.exp(-1j * omega * grid.p[0]) / np.where(np.abs(omega) == omega[-1], 2 * n_p, n_p)
-    coeffs = (scale * np.fft.fft(grid.samples, axis=0)[np.r_[:n_p, n_p // 2]].T).T
-    return AnalyticProfile(np.tile(nodes, (n_p + 1, 1)), np.repeat(omega, len(nodes)),
-                           coeffs.reshape((-1,) + coeffs.shape[2:]),
-                           np.tile(grid.sphere.weights, n_p + 1), nu=1.0)
-
-
-def _sample_atoms(grid: GridProfile, atoms: AnalyticProfile) -> GridProfile:
-    """``grid`` resampled from ``atoms`` laid out as by :func:`grid_atoms`:
-    the Nyquist halves folded back, then one inverse FFT along p."""
+def _resample(grid: GridProfile, coeffs: np.ndarray) -> GridProfile:
+    """``grid`` sampled from ``coeffs`` (n_p + 1, n_dir[, 3]) over the
+    frequencies of its :attr:`~GridProfile.table`: the p[0] shift undone, the
+    Nyquist halves folded back, then one inverse FFT along p."""
     n_p = grid.p.size
-    coeffs = atoms.amplitudes.reshape((n_p + 1, grid.sphere.n) + atoms.amplitudes.shape[1:])
-    coeffs = (np.exp(1j * atoms.frequencies[::grid.sphere.n] * grid.p[0]) * n_p * coeffs.T).T
+    coeffs = (np.exp(1j * grid.table[0] * grid.p[0]) * n_p * coeffs.T).T
     coeffs[n_p // 2] += coeffs[n_p]
     return replace(grid, samples=np.fft.ifft(coeffs[:n_p], axis=0))
-
-
-def _atoms(profile) -> AnalyticProfile:
-    """An atom profile as it is, and a grid as its cached :func:`grid_atoms`."""
-    return profile.atom_view if isinstance(profile, GridProfile) else profile
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +434,7 @@ def radon_forward_grid(fn, p_grid, sphere: SphereQuadrature, quad: PlaneQuadratu
     every p whose exact negation is on the grid, the plane of its partner,
     R(p, -kappa) = R(-p, kappa).  Both name the same plane with the same
     nodes and weights, so a shared value differs from a separate integral
-    only in summation order, so the parity of :func:`grid_atoms` tests the
+    only in summation order, so :meth:`GridProfile.parity_defect` tests the
     interpolant and the wrap of the p-range, not the plane quadrature; that
     needs two :func:`radon_forward_numeric` planes (verify record ``radon_parity``).
     Warns once (TruncationWarning), counting over all n_p x n_dir planes.
@@ -519,14 +543,16 @@ def kappa_product(kappa, values, kind: str) -> np.ndarray:
 def gamma_apply(profile, kind: str):
     """Apply Gamma = kappa d/dp composed with the requested kappa product.
 
-    Exact frequency multiplication on atoms; a periodic grid is resampled
-    from its :func:`grid_atoms`.  ``kind`` is "cross", "dot" or "grad".
+    Exact frequency multiplication on atoms, and on the rows of a periodic
+    grid's :attr:`~GridProfile.table`, which is sampled back.  ``kind`` is
+    "cross", "dot" or "grad".
     """
-    atoms = _atoms(profile)
-    out = kappa_product(atoms.directions, atoms.amplitudes, kind)
-    scale = (1j * atoms.frequencies).reshape((-1,) + (1,) * (out.ndim - 1))
-    result = atoms._derive(amplitudes=scale * out)
-    return result if atoms is profile else _sample_atoms(profile, result)
+    grid = isinstance(profile, GridProfile)
+    omega, amplitudes = profile.table if grid else (profile.frequencies, profile.amplitudes)
+    out = kappa_product(profile.sphere.nodes[None] if grid else profile.directions,
+                        amplitudes, kind)
+    out = (1j * omega).reshape((-1,) + (1,) * (out.ndim - 1)) * out
+    return _resample(profile, out) if grid else profile._derive(amplitudes=out)
 
 
 def gamma_cross_eigendefect(profile: AnalyticProfile) -> float:
@@ -595,18 +621,63 @@ def adjoint_radon(profile, x, quad: SphereQuadrature | None = None):
 def inverse_radon(profile, x):
     """Reconstruction -(1/8 pi^2) integral of d^2/dp^2 F^R(kappa . x, kappa).
 
-    Exact on atoms, at points x (..., 3); a grid profile reconstructs as its
-    :func:`grid_atoms`, the trigonometric interpolant on the grid's sphere.
+    Exact on atoms, at points x (..., 3); a grid profile reconstructs its
+    trigonometric interpolant on the grid's sphere (:func:`_grid_sum`).
     """
-    atoms = _atoms(profile)
-    return _atom_sum(atoms, x, atoms.weights * atoms.frequencies**2 / (8.0 * np.pi**2))
+    if isinstance(profile, GridProfile):
+        return _grid_sum(profile, x, slice(None), 8.0 * np.pi**2)
+    return _atom_sum(profile, x, profile.weights * profile.frequencies**2 / (8.0 * np.pi**2))
 
 
 def hemisphere_inverse(profile, hemisphere: Hemisphere, x):
     """Refined reconstruction -(1/4 pi^2) over a canonical hemisphere only, grids included."""
-    atoms = _atoms(profile)
-    scale = atoms.weights * atoms.frequencies**2 / (4.0 * np.pi**2)
-    return _atom_sum(atoms, x, np.where(hemisphere.members(atoms.directions), scale, 0.0))
+    if isinstance(profile, GridProfile):
+        return _grid_sum(profile, x, hemisphere.members(profile.sphere.nodes), 4.0 * np.pi**2)
+    scale = profile.weights * profile.frequencies**2 / (4.0 * np.pi**2)
+    return _atom_sum(profile, x, np.where(hemisphere.members(profile.directions), scale, 0.0))
+
+
+def _grid_sum(grid: GridProfile, x, keep, denominator: float):
+    """Sum over the nodes j in ``keep`` and the rows i of the grid's table of
+    w_j omega_i^2 / denominator coeffs[i, j] e^{i omega_i kappa_j . x}, at x (..., 3).
+
+    Row i holds k dw with |k| <= K = n_p / 2, so per node the sum is a
+    polynomial of degree K in z = e^{i dw kappa_j . x} and one in conj(z),
+    both without constant term, as omega = 0 carries no weight.  The two are
+    evaluated side by side by Horner's rule, in point chunks, with kappa . x
+    written as three products, not a BLAS product that rounds by the shape of
+    the batch, and each point's terms are summed over the nodes in one
+    reduction of its own: a point's value has the same bits in any batch.
+    Raises ValueError on a non-finite point.
+    """
+    x = _finite_points(x)
+    omega, coeffs = grid.table
+    n_p, half = grid.p.size, grid.p.size // 2
+    nodes, weights = grid.sphere.nodes[keep], grid.sphere.weights[keep] / denominator
+    d_omega = omega[n_p] / half  # +pi/dp over K; omega[1] is -pi/dp when n_p = 2
+    # pair k - 1: the rows of +k dw and -k dw, the terms of z^k and conj(z)^k
+    k = np.arange(1, half + 1)
+    rows = np.stack([np.where(k < half, k, n_p), n_p - k], axis=1)
+    # (K, 2, [3,] nodes) in one gather, so each Horner step runs over whole rows
+    terms = np.moveaxis(coeffs[:, keep], 1, -1)[rows]
+    value_axes = (1,) * (coeffs.ndim - 2)  # broadcast over the components of a vector grid
+    terms *= (omega[rows, None] ** 2 * weights).reshape((half, 2) + value_axes + (len(nodes),))
+    flat = x.reshape(-1, 3)
+    out = np.empty((flat.shape[0],) + coeffs.shape[2:], dtype=complex)
+    start = 0
+    for xc in _chunks(flat, terms[0].size):
+        phase = xc[:, :1] * nodes[:, 0] + xc[:, 1:2] * nodes[:, 1] + xc[:, 2:] * nodes[:, 2]
+        z = np.exp(1j * d_omega * phase)
+        z = np.stack([z, z.conj()], axis=1).reshape((len(xc), 2) + value_axes + (len(nodes),))
+        acc = np.repeat(terms[-1:], len(xc), axis=0)
+        for row in terms[-2::-1]:
+            acc *= z
+            acc += row
+        acc *= z
+        total = acc.sum(axis=-1)  # (points, 2[, 3]): each point's own sums
+        out[start:start + len(xc)] = total[:, 0] + total[:, 1]
+        start += len(xc)
+    return out.reshape(x.shape[:-1] + coeffs.shape[2:])
 
 
 def radon_of_hemisphere_inverse(profile: AnalyticProfile,

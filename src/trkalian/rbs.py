@@ -2,9 +2,10 @@
 
 The RBS operator acts per direction on the p-dependence only: the 1/k^2
 convolution in p (:func:`radon_riesz`), then Gamma x, i.e. (i / omega) kappa x
-on an atom e^{i omega p}.  Both act on atoms, and on grids through their
-``grid_atoms`` (Nyquist bin split between +-pi/dp, where Gamma x is zero); the
-profile must have no zero-frequency content (for a grid, zero p-mean).
+on an atom e^{i omega p}.  Both act on atoms, and on the rows of a grid's
+coefficient table (``GridProfile.table``, Nyquist bin split between +-pi/dp,
+where Gamma x is zero); the profile must have no zero-frequency content (for
+a grid, zero p-mean).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import PlaneQuadrature, _check_finite, as_direction, circle_rule
-from .radon import (AnalyticProfile, GridProfile, RadonAtom, _atoms, _check_scalars, _sample_atoms,
+from .radon import (AnalyticProfile, GridProfile, RadonAtom, _check_scalars, _resample,
                     gamma_apply, radon_forward_numeric)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -68,18 +69,18 @@ DC_TOLERANCE = 1e-12
 def radon_riesz(profile, dc_tol: float = DC_TOLERANCE):
     """Per-direction convolution with the 1/k^2 Fourier kernel.
 
-    Divides each atom (a grid's :func:`grid_atoms`, sampled back) by omega^2
-    and drops omega = 0, whose ``dc_content`` must be within ``dc_tol`` of the
-    largest |sample| (grid) or |amplitude| (atoms).  Profiles built by numeric
+    Divides each atom (a grid's table row, sampled back) by omega^2 and drops
+    omega = 0, whose ``dc_content`` must be within ``dc_tol`` of the largest
+    |sample| (grid) or |amplitude| (atoms).  Profiles built by numeric
     quadrature may need a looser threshold.  ValueError naming the first
     nonzero frequency whose 1/omega^2 overflows, before the division.
     """
-    atoms = _atoms(profile)
-    values = atoms.amplitudes if atoms is profile else profile.samples
-    dc = atoms.dc_content()
-    if dc > dc_tol * max(np.max(np.abs(values), initial=0.0), 1e-300):
+    grid = isinstance(profile, GridProfile)
+    omega, amplitudes = profile.table if grid else (profile.frequencies, profile.amplitudes)
+    dc = profile.dc_content()
+    largest = np.max(np.abs(profile.samples if grid else amplitudes), initial=0.0)
+    if dc > dc_tol * max(largest, 1e-300):
         raise ValueError(f"profile has non-negligible DC content ({dc:.3e})")
-    omega = atoms.frequencies
     square = omega**2
     drop = square <= 2.0**-1024  # 1 / omega^2 overflows: omega = 0, or |omega| up to 2^-512 = 7.5e-155
     tiny = omega[drop]
@@ -87,8 +88,8 @@ def radon_riesz(profile, dc_tol: float = DC_TOLERANCE):
         raise ValueError(f"atom frequency {float(tiny[tiny != 0][0])!r} is too small for"
                          " the 1/omega^2 kernel: 1/omega^2 overflows")
     kern = np.divide(1.0, square, out=np.zeros_like(omega), where=~drop)
-    result = atoms._derive(amplitudes=(kern * atoms.amplitudes.T).T)
-    return result if atoms is profile else _sample_atoms(profile, result)
+    out = (kern * amplitudes.T).T
+    return _resample(profile, out) if grid else profile._derive(amplitudes=out)
 
 
 def rbs_apply(profile, dc_tol: float = DC_TOLERANCE):

@@ -492,10 +492,28 @@ _ONE_MODE = {"lam": 1, "nu": 1.0, "kappa0": [0.0, 0.0, 1.0]}
       json.dumps({"modes": [dict(_ONE_MODE, mu=1.5)]})], "mu must be an integer, got 1.5"),
     (["radon", "--field", "gaussian", "--params", '{"polarization": [1e308, 0, 0]}'],
      "polarization [(1e+308+0j), 0j, 0j] overflows the transform"),
-], ids=["ck-circular-m", "lundquist-n-ring", "mode-lam", "mode-mu", "gaussian-polarization"])
+    (["field-eval", "--field", "lundquist", "--params", '{"nu": 1%s}' % ("0" * 400)],
+     "parameter nu is an integer beyond the float range"),
+    (["radon", "--field", "gaussian", "--params", '{"width": 1%s}' % ("0" * 400)],
+     "parameter width is an integer beyond the float range"),
+    (["radon", "--field", "modes", "--params",
+      '{"modes": [{"lam": 1, "nu": 1, "kappa0": [0, 0, -1%s]}]}' % ("0" * 400)],
+     "parameter modes[0].kappa0[2] is an integer beyond the float range"),
+    (["field-eval", "--field", "lundquist", "--params", '{"nu": 1%s}' % ("0" * 5000)],
+     "malformed JSON parameters: Exceeds the limit (4300 digits)"),
+    # numpy refuses these counts before allocating anything
+    (["field-eval", "--field", "lundquist", "--grid", "0:1:100000000000000000000000,0:1:2,0:1:2"],
+     "grid axis '0:1:100000000000000000000000' has too many points"),
+    (["field-eval", "--field", "lundquist", "--grid", f"0:1:2,0:1:{2**63 - 1},0:1:2"],
+     f"grid axis '0:1:{2**63 - 1}' has too many points"),
+], ids=["ck-circular-m", "lundquist-n-ring", "mode-lam", "mode-mu", "gaussian-polarization",
+        "field-eval-int-beyond-float", "radon-int-beyond-float", "radon-nested-int-beyond-float",
+        "field-eval-int-beyond-digit-limit", "field-eval-grid-count-beyond-array-size",
+        "field-eval-grid-count-at-index-limit"])
 def test_bad_value_is_usage_error_naming_it(runner, tmp_path, args, named):
-    # where int() truncated the value without a word, and where the product of
-    # the transform and the polarization overflowed into a traceback
+    # where int() truncated the value without a word, where the product of the
+    # transform and the polarization overflowed into a traceback, and where
+    # float() of a JSON integer or numpy's grid axis raised one
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args + ["--out", "out"])
         written = Path("out").exists()

@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 import warnings
@@ -18,7 +19,7 @@ from trkalian.moses import frame_antipodal_phase, moses_frame
 from trkalian.radon import (TRUNCATION_THRESHOLD, AnalyticProfile, GridProfile,
                             Hemisphere, RadonAtom, TruncationWarning, _plane_sums, adjoint_radon,
                             antipodal_profile, canonical_hemisphere, gamma_apply,
-                            gamma_cross_eigendefect, grid_atoms, grid_from_csv,
+                            gamma_cross_eigendefect, grid_from_csv,
                             grid_to_csv, hemisphere_inverse,
                             intertwining_check, inverse_radon,
                             lundquist_radon_profile, profile_from_json,
@@ -570,31 +571,174 @@ def numeric_gaussian_grid(sphere):
     return radon_forward_grid(field, p, sphere, PlaneQuadrature(half_width=8.0, n_per_axis=32))
 
 
+def grid_atoms(grid: GridProfile) -> AnalyticProfile:
+    """Reference: the grid's trigonometric interpolant as atoms, by one FFT
+    along p: row i n_dir + j is frequency i at node j, with that node's weight
+    and amplitude c_ij e^{-i omega_i p[0]} / n_p.  Frequencies i < n_p are 2 pi
+    ``np.fft.fftfreq``; the Nyquist term is halved between -pi/dp (i = n_p / 2)
+    and +pi/dp (i = n_p)."""
+    n_p, nodes = grid.p.size, grid.sphere.nodes
+    omega = 2.0 * np.pi * np.fft.fftfreq(n_p, d=grid.p[1] - grid.p[0])
+    omega = np.append(omega, -omega[n_p // 2])
+    scale = np.exp(-1j * omega * grid.p[0]) / np.where(np.abs(omega) == omega[-1], 2 * n_p, n_p)
+    coeffs = (scale * np.fft.fft(grid.samples, axis=0)[np.r_[:n_p, n_p // 2]].T).T
+    return AnalyticProfile(np.tile(nodes, (n_p + 1, 1)), np.repeat(omega, len(nodes)),
+                           coeffs.reshape((-1,) + coeffs.shape[2:]),
+                           np.tile(grid.sphere.weights, n_p + 1), nu=1.0)
+
+
+def sample_atoms(grid: GridProfile, atoms: AnalyticProfile) -> GridProfile:
+    """Reference: ``grid`` resampled from atoms laid out as by :func:`grid_atoms`,
+    the Nyquist halves folded back, then one inverse FFT along p."""
+    n_p = grid.p.size
+    coeffs = atoms.amplitudes.reshape((n_p + 1, grid.sphere.n) + atoms.amplitudes.shape[1:])
+    coeffs = (np.exp(1j * atoms.frequencies[::grid.sphere.n] * grid.p[0]) * n_p * coeffs.T).T
+    coeffs[n_p // 2] += coeffs[n_p]
+    return replace(grid, samples=np.fft.ifft(coeffs[:n_p], axis=0))
+
+
+def atom_riesz(atoms: AnalyticProfile) -> AnalyticProfile:
+    """Reference: the 1/k^2 kernel on atoms, omega = 0 dropped."""
+    kern = np.divide(1.0, atoms.frequencies**2, out=np.zeros(atoms.frequencies.size),
+                     where=atoms.frequencies != 0.0)
+    return replace(atoms, amplitudes=(kern * atoms.amplitudes.T).T)
+
+
+@functools.lru_cache(maxsize=1)
+def cli_default_grid() -> GridProfile:
+    """The grid of ``trk radon --field gaussian`` at its defaults (8 x 16
+    antipodal sphere, 64 p on [-8, 8), 32 trapezoid nodes per plane axis) for
+    the field with a nonzero centre and a complex polarization."""
+    field = gaussian_test_field(GAUSS_CENTER, 1.0, (1.0, -0.5j, 0.25 + 0.1j))
+    p = -8.0 + 16.0 * np.arange(64) / 64
+    return radon_forward_grid(field, p, sphere_quadrature(8, 16, antipodal=True),
+                              PlaneQuadrature(half_width=8.0, n_per_axis=32))
+
+
+def noise_grid(sphere, seed=0, n_p=32):
+    """Complex Gaussian noise on n_p points of [-3, 3), with its p-mean removed
+    (the 1/k^2 kernel refuses DC content)."""
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(n_p, sphere.n, 3)) + 1j * rng.normal(size=(n_p, sphere.n, 3))
+    return GridProfile(p=-3.0 + 6.0 * np.arange(n_p) / n_p, sphere=sphere,
+                       samples=samples - samples.mean(axis=0))
+
+
+GRIDS = {"cli-default": cli_default_grid,
+         "non-antipodal": lambda: noise_grid(sphere_quadrature(4, 8)),
+         "no-antipodes": lambda: noise_grid(sphere_quadrature(4, 5))}
+
+
+class TestGridTable:
+    """The table operators against the atom reference :func:`grid_atoms`."""
+
+    @pytest.fixture(scope="class", params=sorted(GRIDS))
+    def grid(self, request):
+        return GRIDS[request.param]()
+
+    def test_table_is_the_reference_atoms(self, grid):
+        omega, coeffs = grid.table
+        atoms = grid_atoms(grid)
+        assert np.repeat(omega, grid.sphere.n).tobytes() == atoms.frequencies.tobytes()
+        assert coeffs.reshape(atoms.amplitudes.shape).tobytes() == atoms.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("kind", ["cross", "dot", "grad"])
+    def test_gamma_is_the_reference_bit_for_bit(self, grid, kind):
+        if kind == "grad":  # a scalar grid: one component of the vector one
+            grid = replace(grid, samples=grid.samples[..., 1])
+        expected = sample_atoms(grid, gamma_apply(grid_atoms(grid), kind)).samples
+        assert gamma_apply(grid, kind).samples.tobytes() == expected.tobytes()
+
+    def test_riesz_and_rbs_are_the_reference_bit_for_bit(self, grid):
+        zero_mean = replace(grid, samples=grid.samples - grid.samples.mean(axis=0))
+        riesz = sample_atoms(zero_mean, atom_riesz(grid_atoms(zero_mean)))
+        assert radon_riesz(zero_mean).samples.tobytes() == riesz.samples.tobytes()
+        rbs = sample_atoms(riesz, gamma_apply(grid_atoms(riesz), "cross"))
+        assert rbs_apply(zero_mean).samples.tobytes() == rbs.samples.tobytes()
+
+    def test_parity_and_dc_are_the_reference_bit_for_bit(self, grid):
+        for g in (grid, replace(grid, samples=grid.samples[..., 0])):
+            atoms = grid_atoms(g)
+            assert g.parity_defect() == atoms.parity_defect()
+            assert g.dc_content() == atoms.dc_content()
+
+    def test_reconstruction_is_the_reference_to_rounding(self, grid):
+        # points out to |x| = 16, with the phase out to 16 pi / dp
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=(64, 3))
+        x = v / np.linalg.norm(v, axis=1, keepdims=True) * np.linspace(0.0, 16.0, 64)[:, None]
+        atoms = grid_atoms(grid)
+        expected = inverse_radon(atoms, x)
+        tol = 1e-14 if grid.sphere.n == 128 else 1e-13  # noise tables: phases up to 270 rad
+        assert np.max(np.abs(inverse_radon(grid, x) - expected)) <= tol * np.max(np.abs(expected))
+        for half in (canonical_hemisphere(), canonical_hemisphere().complement()):
+            ref = hemisphere_inverse(atoms, half, x)
+            assert np.max(np.abs(hemisphere_inverse(grid, half, x) - ref)) <= tol * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_p", [2, 4, 8])
+    def test_reconstruction_of_short_grids(self, n_p):
+        # p0 = 0.3: the Nyquist halves carry different shifts e^{-+i pi p0 / dp}
+        grid = replace(noise_grid(sphere_quadrature(4, 8, antipodal=True), seed=n_p, n_p=n_p),
+                       p=0.3 + 0.5 * np.arange(n_p))
+        x = np.random.default_rng(11).uniform(-4.0, 4.0, size=(16, 3))
+        expected = inverse_radon(grid_atoms(grid), x)
+        assert np.max(np.abs(inverse_radon(grid, x) - expected)) <= (
+            1e-14 * np.max(np.abs(expected)))
+
+    def test_batch_rows_are_their_one_point_calls_bit_for_bit(self, grid):
+        # 300 points span four point chunks of the default grid
+        x = np.random.default_rng(8).uniform(-16.0, 16.0, size=(300, 3))
+        half = canonical_hemisphere()
+        for g in (grid, replace(grid, samples=grid.samples[..., 2])):
+            for call in (lambda y: inverse_radon(g, y), lambda y: hemisphere_inverse(g, half, y)):
+                single = np.array([call(xi) for xi in x])
+                for n in (1, 2, 85, 86, 300):
+                    assert call(x[:n]).tobytes() == single[:n].tobytes(), n
+
+    def test_hemisphere_inverse_is_the_full_inverse_to_rounding(self):
+        grid = cli_default_grid()
+        x = GAUSS_CENTER + np.random.default_rng(9).uniform(-1.0, 1.0, size=(64, 3))
+        full = inverse_radon(grid, x)
+        for half in (canonical_hemisphere(), canonical_hemisphere().complement()):
+            assert np.max(np.abs(hemisphere_inverse(grid, half, x) - full)) <= (
+                1e-14 * np.max(np.abs(full)))
+
+
 class TestGridView:
     def test_grid_view_is_closed_under_parity_on_antipodal_spheres(self):
         grid = numeric_gaussian_grid(sphere_quadrature(4, 8, antipodal=True))
         view = grid_atoms(grid)
         assert view.frequencies.size == (32 + 1) * grid.sphere.n
-        assert view.parity_defect() < 1e-15 * np.max(np.abs(grid.samples))
+        assert grid.table[0].size == 32 + 1
+        assert grid.parity_defect() == view.parity_defect() < 1e-15 * np.max(np.abs(grid.samples))
         # an odd azimuth count leaves nodes without an antipode
         sphere = sphere_quadrature(4, 5)
         odd = GridProfile(p=grid.p, sphere=sphere, samples=np.ones((32, sphere.n, 3)))
-        assert grid_atoms(odd).parity_defect() == np.inf
+        assert odd.parity_defect() == grid_atoms(odd).parity_defect() == np.inf
 
-    def test_grid_arrays_are_read_only_copies_and_the_view_is_cached(self):
+    def test_grid_arrays_are_read_only_copies_and_the_table_is_cached(self):
         sphere = sphere_quadrature(4, 8, antipodal=True)
         p, samples = -4.0 + 8.0 * np.arange(16) / 16, np.ones((16, sphere.n, 3), dtype=complex)
         grid = GridProfile(p=p, sphere=sphere, samples=samples)
         p[3], samples[2, 1, 0] = 9.0, 5.0  # the caller's arrays are not the grid's
         assert grid.p[3] == -2.5 and grid.samples[2, 1, 0] == 1.0
-        for value in (grid.p, grid.samples):
+        table = grid.table
+        assert grid.table is table
+        for value in (grid.p, grid.samples) + table:
             with pytest.raises(ValueError, match="read-only"):
                 value[0] = 0.0
-        view = grid.atom_view
-        assert grid.atom_view is view
-        assert view.amplitude_distance(grid_atoms(grid)) == 0.0
-        # a resampled grid is a new grid with its own view
-        assert replace(grid, samples=2.0 * grid.samples).atom_view is not view
+        # a resampled grid is a new grid with its own table
+        assert replace(grid, samples=2.0 * grid.samples).table is not table
+
+    def test_an_interpolant_that_overflows_is_refused(self):
+        sphere = sphere_quadrature(4, 8, antipodal=True)
+        p = -4.0 + 8.0 * np.arange(16) / 16
+        grid = GridProfile(p=p, sphere=sphere, samples=np.full((16, sphere.n, 3), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in (grid.parity_defect, lambda: gamma_apply(grid, "cross"),
+                         lambda: inverse_radon(grid, EZ)):
+                with pytest.raises(ValueError, match="interpolant is not finite"):
+                    call()
 
     def test_hemisphere_inverse_of_a_numeric_grid(self):
         grid = numeric_gaussian_grid(sphere_quadrature(6, 12, antipodal=True))
@@ -690,6 +834,11 @@ class TestAtomSums:
                                 amplitudes=np.ones(2), weights=np.ones(2), nu=1.0)
         out = inverse_radon(still, x)
         assert isinstance(out, np.ndarray) and out.shape == (5,) and not np.any(out)
+        # a grid with no node in the hemisphere, and a grid at no points
+        grid = noise_grid(sphere_quadrature(4, 8, antipodal=True), n_p=8)
+        out = hemisphere_inverse(grid, nowhere, x)
+        assert out.shape == (5, 3) and not np.any(out)
+        assert inverse_radon(grid, np.zeros((0, 3))).shape == (0, 3)
 
 
 def cap_swapped_hemisphere(axis, cos_cap) -> Hemisphere:
