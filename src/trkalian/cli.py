@@ -62,6 +62,10 @@ def _check_float_range(value, key: str = "") -> None:
                                    f" ({value.bit_length()} bits)") from None
 
 
+# the most points whose (points, 3) float64 array numpy can index in bytes
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // 24
+
+
 def _parse_grid(spec: str):
     axes = []
     for part in spec.split(","):
@@ -74,13 +78,17 @@ def _parse_grid(spec: str):
             raise click.UsageError(f"malformed grid axis {part!r}: {exc}") from exc
         if not (np.isfinite([lo, hi]).all() and n >= 1):
             raise click.UsageError(f"grid axis {part!r} needs finite bounds, positive count")
-        try:
-            axes.append(np.linspace(lo, hi, n))
-        except (ValueError, IndexError) as exc:  # numpy refuses a count beyond its array size
-            raise click.UsageError(f"grid axis {part!r} has too many points: {exc}") from exc
+        if n > _MAX_GRID_POINTS:
+            raise click.UsageError(f"grid axis {part!r} has too many points:"
+                                   f" numpy indexes at most {_MAX_GRID_POINTS}")
+        axes.append((lo, hi, n))
     if len(axes) != 3:
         raise click.UsageError("grid spec needs three axes")
-    return axes
+    total = axes[0][2] * axes[1][2] * axes[2][2]
+    if total > _MAX_GRID_POINTS:
+        raise click.UsageError(f"grid {spec!r} has too many points: {total} of at most"
+                               f" {_MAX_GRID_POINTS} that numpy indexes")
+    return [np.linspace(lo, hi, n) for lo, hi, n in axes]
 
 
 def _parse_quad(spec: str):

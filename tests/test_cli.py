@@ -501,15 +501,17 @@ _ONE_MODE = {"lam": 1, "nu": 1.0, "kappa0": [0.0, 0.0, 1.0]}
      "parameter modes[0].kappa0[2] is an integer beyond the float range"),
     (["field-eval", "--field", "lundquist", "--params", '{"nu": 1%s}' % ("0" * 5000)],
      "malformed JSON parameters: Exceeds the limit (4300 digits)"),
-    # numpy refuses these counts before allocating anything
+    # counts whose points numpy cannot index, refused before any array is made
     (["field-eval", "--field", "lundquist", "--grid", "0:1:100000000000000000000000,0:1:2,0:1:2"],
      "grid axis '0:1:100000000000000000000000' has too many points"),
     (["field-eval", "--field", "lundquist", "--grid", f"0:1:2,0:1:{2**63 - 1},0:1:2"],
      f"grid axis '0:1:{2**63 - 1}' has too many points"),
+    (["field-eval", "--field", "lundquist", "--grid", "0:1:10000000,0:1:10000000,0:1:10000000"],
+     "grid '0:1:10000000,0:1:10000000,0:1:10000000' has too many points: 1000000000000000000000"),
 ], ids=["ck-circular-m", "lundquist-n-ring", "mode-lam", "mode-mu", "gaussian-polarization",
         "field-eval-int-beyond-float", "radon-int-beyond-float", "radon-nested-int-beyond-float",
         "field-eval-int-beyond-digit-limit", "field-eval-grid-count-beyond-array-size",
-        "field-eval-grid-count-at-index-limit"])
+        "field-eval-grid-count-at-index-limit", "field-eval-grid-product-beyond-array-size"])
 def test_bad_value_is_usage_error_naming_it(runner, tmp_path, args, named):
     # where int() truncated the value without a word, where the product of the
     # transform and the polarization overflowed into a traceback, and where
