@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import fields, radon, verify
-from .core import PlaneQuadrature, sphere_quadrature
+from .core import PlaneQuadrature, _check_finite, sphere_quadrature
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -88,7 +88,7 @@ def _parse_grid(spec: str):
     if total > _MAX_GRID_POINTS:
         raise click.UsageError(f"grid {spec!r} has too many points: {total} of at most"
                                f" {_MAX_GRID_POINTS} that numpy indexes")
-    return [np.linspace(lo, hi, n) for lo, hi, n in axes]
+    return axes
 
 
 def _parse_quad(spec: str):
@@ -183,24 +183,28 @@ def main() -> None:
 def cmd_field_eval(field_name, params, grid_spec, out_dir) -> None:
     """Evaluate a catalog field on a grid; writes CSV plus a metadata sidecar."""
     parsed = _parse_params(params)
-    xs, ys, zs = _parse_grid(grid_spec)
+    axes = _parse_grid(grid_spec)
     # catalog parameters are usage errors, raised before any evaluation
     try:
         f = build_field(field_name, parsed)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid {field_name} input: {exc}") from exc
-    xx, yy, zz = np.meshgrid(xs, ys, zs, indexing="ij")
-    pts = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
-    with np.errstate(all="ignore"):  # a value that is not finite is reported below
-        values = f(pts)
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = ~finite.all(axis=-1)
-        raise click.ClickException(
-            f"{field_name} is not finite at {np.count_nonzero(bad)} of {len(pts)} grid"
-            f" points, the first at {pts[np.argmax(bad)].tolist()}; nothing written")
-    _atomic_write(out_dir / "field.csv",
-                  radon.format_csv("x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz", pts, values))
+    try:
+        xx, yy, zz = np.meshgrid(*[np.linspace(*axis) for axis in axes], indexing="ij")
+        pts = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
+        with np.errstate(all="ignore"):  # a value that is not finite is reported below
+            values = f(pts)
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = ~finite.all(axis=-1)
+            raise click.ClickException(
+                f"{field_name} is not finite at {np.count_nonzero(bad)} of {len(pts)} grid"
+                f" points, the first at {pts[np.argmax(bad)].tolist()}; nothing written")
+        text = radon.format_csv("x,y,z,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz", pts, values)
+    except MemoryError:
+        raise click.ClickException(f"not enough memory for --grid {grid_spec};"
+                                   " nothing written") from None
+    _atomic_write(out_dir / "field.csv", text)
 
     meta = {
         "field": f.name,
@@ -225,6 +229,9 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
     """Transform a catalog field; numeric grids go to CSV, atoms to JSON."""
     parsed = _parse_params(params)
     sidecar: dict = {"field": field_name, "params": parsed}
+    sizes = (f"--quad {quad_spec} --pgrid {pgrid_spec}" if field_name == "gaussian"
+             else f"--params {params}")  # n_ring sizes a lundquist profile
+    no_memory = f"not enough memory for {sizes}; nothing written"
 
     # malformed specs and catalog parameters are usage errors, raised before
     # the grid transform runs
@@ -240,11 +247,13 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
             build_field("gaussian", parsed)  # the key and value checks
             center, width, pol = _gaussian_args(parsed)
             envelope, pol = fields.gaussian_scalar(center, width), np.asarray(pol, dtype=complex)
-            sphere = sphere_quadrature(*_parse_quad(quad_spec), antipodal=True)
             pieces = pgrid_spec.split(":")
             if len(pieces) != 3:
                 raise click.UsageError("pgrid spec must be 'p0:p1:n'")
             p0, p1, n_p = float(pieces[0]), float(pieces[1]), int(pieces[2])
+            # as scalars, before the grid's (p1 - p0) k for k < n can overflow
+            _check_finite(p0=p0, p1=p1, **{"p1 - p0": p1 - p0, "(p1 - p0) n": (p1 - p0) * n_p})
+            sphere = sphere_quadrature(*_parse_quad(quad_spec), antipodal=True)
             p = radon.validate_p_grid(p0 + (p1 - p0) * np.arange(n_p) / n_p)
             # pi width^2 bounds each plane integral, and the grid table's FFT sums n_p of them
             if not np.isfinite(4 * n_p * np.pi * width**2 * float(np.abs(pol.view(float)).max())):
@@ -254,24 +263,29 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
             raise click.ClickException(f"unknown field name {field_name!r}")
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid {field_name} input: {exc}") from exc
+    except MemoryError:
+        raise click.ClickException(no_memory) from None
 
     if field_name != "gaussian":
         _atomic_write(out_dir / "profile_atoms.json", radon.profile_to_json(profile) + "\n")
         sidecar.update(mode="analytic", atoms=len(profile.frequencies),
                        support="equatorial-ring" if field_name == "lundquist" else "point-atoms")
     else:
-        # R[g P] = R[g] P: the real envelope g is integrated, one real per node,
-        # and its edge/peak ratios are those of g P unless P = 0, a zero field
-        plane = PlaneQuadrature(half_width=8.0 * width, n_per_axis=32)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", radon.TruncationWarning)
-            scalar = radon.radon_forward_grid(envelope, p, sphere, plane)
-        grid = radon.GridProfile(p=p, sphere=sphere, samples=scalar.samples[..., None] * pol)
-        truncation = next((w.message for w in caught
-                           if w.category is radon.TruncationWarning and np.any(pol)), None)
-        if truncation is not None:
-            click.echo("warning: plane truncation boundary not negligible", err=True)
-        _atomic_write(out_dir / "profile_grid.csv", radon.grid_to_csv(grid))
+        try:
+            # R[g P] = R[g] P: the real envelope g is integrated, one real per node,
+            # and its edge/peak ratios are those of g P unless P = 0, a zero field
+            plane = PlaneQuadrature(half_width=8.0 * width, n_per_axis=32)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", radon.TruncationWarning)
+                scalar = radon.radon_forward_grid(envelope, p, sphere, plane)
+            grid = radon.GridProfile(p=p, sphere=sphere, samples=scalar.samples[..., None] * pol)
+            truncation = next((w.message for w in caught
+                               if w.category is radon.TruncationWarning and np.any(pol)), None)
+            if truncation is not None:
+                click.echo("warning: plane truncation boundary not negligible", err=True)
+            _atomic_write(out_dir / "profile_grid.csv", radon.grid_to_csv(grid))
+        except MemoryError:
+            raise click.ClickException(no_memory) from None
 
         # parity F^R(-p, -kappa) = F^R(p, kappa) of the grid's interpolant, row by
         # row; the wrap of the periodic p-range breaks it, and p_end_ratio names that

@@ -751,79 +751,65 @@ def spherical_curl_transform(profile: AnalyticProfile, kappa,
 # serialization
 # ---------------------------------------------------------------------------
 
-def _float_texts(table, fmt: str) -> tuple:
-    """``fmt % v`` for each cell of a float table in row-major order, each distinct
-    value formatted once; told apart by bits, so -0.0 and 0.0 keep their own text.
-    One sort over the whole table: on atom tables, whose columns share values
-    (amplitude parts, frequencies, weights), that is quicker than one per column."""
-    bits = np.ascontiguousarray(table, dtype=float).view(np.int64).ravel()
+def _float_texts(values, fmt: str) -> tuple:
+    """``fmt % v`` for each value of a flat float array, each distinct value formatted
+    once; told apart by bits, so -0.0 and 0.0 keep their own text.  One sort over
+    a profile's columns, which share values, is quicker than one per column."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
     bits, index = np.unique(bits, return_inverse=True)
     texts = np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)
     return tuple(texts[index].tolist())
 
 
+_JSON_COLUMNS = ("amplitude_im", "amplitude_re", "direction", "frequency", "weight")
+
+
 def profile_to_json(profile: AnalyticProfile) -> str:
-    """Serialize an analytic profile as a JSON atom list: the text of
-    json.dumps(indent=2, sort_keys=True), with the atoms filled into one
-    template, as json writes a finite float as its repr and a profile holds
-    finite values only.  Each distinct float is formatted once."""
-    amplitudes = profile.amplitudes if profile.is_vector else profile.amplitudes[:, None]
-    width = amplitudes.shape[1]
-    lists = [f'      "{key}": [\n' + ",\n".join(["        %s"] * n) + "\n      ]"
-             for key, n in (("amplitude_im", width), ("amplitude_re", width), ("direction", 3))]
-    atom = ("    {\n" + ",\n".join(lists + ['      "frequency": %s', '      "weight": %s'])
-            + "\n    }")
-    values = np.column_stack([amplitudes.imag, amplitudes.real, profile.directions,
-                              profile.frequencies, profile.weights])
-    atoms = "[\n" + ",\n".join([atom] * len(values)) + "\n  ]" if len(values) else "[]"
-    return (f'{{\n  "atoms": {atoms % _float_texts(values, "%r")},\n'
-            f'  "g": {json.dumps(profile.g)},\n  "mu": {json.dumps(profile.mu)},\n'
-            f'  "nu": {json.dumps(profile.nu)}\n}}')
-
-
-def _atom_table(records) -> np.ndarray:
-    """The atom records as one float table (n, 2 w + 5) of amplitude_re,
-    amplitude_im, direction, frequency and weight, w the amplitude width of the
-    first record; ValueError naming the first record and key whose value is
-    missing or not a number or a list of w (3 for a direction) numbers."""
-    width = 3
-    try:
-        if records:
-            width = len(records[0]["amplitude_re"])
-        # the width test per record: a plain table takes 4 + 2 amplitude values as 3 + 3
-        rows = [r["amplitude_re"] + r["amplitude_im"] + r["direction"]
-                + [r["frequency"], r["weight"]]
-                for r in records if len(r["amplitude_re"]) == len(r["amplitude_im"]) == width]
-        if len(rows) == len(records):
-            return np.array(rows, dtype=float).reshape(len(rows), 2 * width + 5)
-    except (KeyError, TypeError, ValueError):
-        pass
-    for i, record in enumerate(records):  # the first bad value, by name
-        for key, size in (("amplitude_re", width), ("amplitude_im", width), ("direction", 3),
-                          ("frequency", 0), ("weight", 0)):
-            value = record.get(key) if isinstance(record, dict) else None
-            if (size and not (isinstance(value, list) and len(value) == size)
-                    or not all(isinstance(v, (int, float)) for v in (value if size else [value]))):
-                kind = f"a list of {size} numbers" if size else "a number"
-                raise ValueError(f"atom {i}: {key} must be {kind}, got {value!r}")
-    raise ValueError("atom records must hold numbers")
+    """Serialize an analytic profile as the text of json.dumps(indent=2,
+    sort_keys=True) over g, mu, nu and the columns: flat row-major float lists
+    of n w amplitude parts (w = 3, or 1 for a scalar profile), 3 n direction
+    components and n frequencies and weights.  The floats fill one template, as
+    json writes a finite float as its repr; each distinct one is formatted once."""
+    columns = (profile.amplitudes.imag, profile.amplitudes.real, profile.directions,
+               profile.frequencies, profile.weights)
+    entries = {key: "[\n" + ",\n".join(["    %s"] * col.size) + "\n  ]" if col.size else "[]"
+               for key, col in zip(_JSON_COLUMNS, columns)}
+    entries.update((key, json.dumps(getattr(profile, key))) for key in ("g", "mu", "nu"))
+    template = "{\n" + ",\n".join(f'  "{key}": {entries[key]}' for key in sorted(entries)) + "\n}"
+    return template % _float_texts(np.concatenate([column.ravel() for column in columns]), "%r")
 
 
 def profile_from_json(text: str) -> AnalyticProfile:
-    """Rebuild an analytic profile from :func:`profile_to_json` output; a
-    one-component amplitude marks a scalar profile.  ValueError as for
-    :func:`_check_scalars` on nu, mu and g, and naming the atom and key of a
-    malformed atom record."""
+    """Rebuild an analytic profile from :func:`profile_to_json` output, of amplitude
+    width len(amplitude_re) / len(frequency), 3 when empty.  ValueError as for
+    :func:`_check_scalars`, then one naming a column that is missing, not a flat list
+    of numbers or not of its length, or naming ``atoms`` for older per-atom records."""
     payload = json.loads(text)
     nu, mu, g = payload["nu"], payload["mu"], payload["g"]
     _check_scalars(nu, mu, g)
-    table = _atom_table(payload["atoms"])
-    width = (table.shape[1] - 5) // 2
-    amplitudes = np.empty((len(table), width), dtype=complex)
-    amplitudes.real, amplitudes.imag = table[:, :width], table[:, width:2 * width]
-    return AnalyticProfile(directions=table[:, -5:-2], frequencies=table[:, -2],
-                           amplitudes=amplitudes[:, 0] if width == 1 else amplitudes,
-                           weights=table[:, -1], nu=nu, mu=mu, g=g)
+    if "atoms" in payload:
+        raise ValueError("atoms: the text holds per-atom 'atoms' records, not the columns")
+    columns = {}
+    for key in _JSON_COLUMNS:  # any other JSON value has another kind or dimension
+        try:
+            column = np.array(payload.get(key))
+        except ValueError:  # nested lists of unequal lengths
+            column = np.array(None)
+        if column.dtype.kind not in "iuf" or column.ndim != 1:
+            raise ValueError(f"{key} must be a flat list of numbers, got {payload.get(key)!r:.80}")
+        columns[key] = column
+    n, re = columns["frequency"].size, columns["amplitude_re"]
+    width = 3 if re.size == 3 * n else 1
+    for key, size, wanted in (("amplitude_re", width * n, "n or 3 n numbers"),
+                              ("amplitude_im", re.size, "as many numbers as amplitude_re"),
+                              ("direction", 3 * n, "3 n numbers"), ("weight", n, "n numbers")):
+        if columns[key].size != size:
+            raise ValueError(f"{key} must hold {wanted}, got {columns[key].size} for n = {n}")
+    amplitudes = np.column_stack([re, columns["amplitude_im"]]).astype(float).view(complex)[:, 0]
+    return AnalyticProfile(directions=columns["direction"].reshape(n, 3),
+                           frequencies=columns["frequency"], weights=columns["weight"],
+                           amplitudes=amplitudes.reshape(n, 3) if width == 3 else amplitudes,
+                           nu=nu, mu=mu, g=g)
 
 
 GRID_CSV_HEADER = "p,kx,ky,kz,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz"

@@ -185,7 +185,7 @@ class TestRadonCommand:
         ])
         assert result.exit_code == 0, result.output
         payload = json.loads((out / "profile_atoms.json").read_text())
-        assert len(payload["atoms"]) == 16  # two tones per ring node
+        assert len(payload["frequency"]) == 16  # two tones per ring node
         meta = json.loads((out / "radon_meta.json").read_text())
         assert meta["support"] == "equatorial-ring"
 
@@ -362,7 +362,7 @@ class TestRadonCommand:
         ])
         assert result.exit_code == 0, result.output
         payload = json.loads((out / "profile_atoms.json").read_text())
-        assert len(payload["atoms"]) == 2
+        assert len(payload["frequency"]) == 2
 
 
 class TestVerifyCommand:
@@ -508,10 +508,17 @@ _ONE_MODE = {"lam": 1, "nu": 1.0, "kappa0": [0.0, 0.0, 1.0]}
      f"grid axis '0:1:{2**63 - 1}' has too many points"),
     (["field-eval", "--field", "lundquist", "--grid", "0:1:10000000,0:1:10000000,0:1:10000000"],
      "grid '0:1:10000000,0:1:10000000,0:1:10000000' has too many points: 1000000000000000000000"),
+    # bounds checked as scalars before the grid: not the whole array in the message,
+    # nor numpy's overflow warning on (p1 - p0) k
+    (["radon", "--field", "gaussian", "--pgrid", "nan:8:64"],
+     "invalid gaussian input: p0 must be finite, got nan"),
+    (["radon", "--field", "gaussian", "--pgrid", "0:1e308:64"],
+     "invalid gaussian input: (p1 - p0) n must be finite, got inf"),
 ], ids=["ck-circular-m", "lundquist-n-ring", "mode-lam", "mode-mu", "gaussian-polarization",
         "field-eval-int-beyond-float", "radon-int-beyond-float", "radon-nested-int-beyond-float",
         "field-eval-int-beyond-digit-limit", "field-eval-grid-count-beyond-array-size",
-        "field-eval-grid-count-at-index-limit", "field-eval-grid-product-beyond-array-size"])
+        "field-eval-grid-count-at-index-limit", "field-eval-grid-product-beyond-array-size",
+        "radon-pgrid-nan-bound", "radon-pgrid-overflowing-span"])
 def test_bad_value_is_usage_error_naming_it(runner, tmp_path, args, named):
     # where int() truncated the value without a word, where the product of the
     # transform and the polarization overflowed into a traceback, and where
@@ -521,6 +528,35 @@ def test_bad_value_is_usage_error_naming_it(runner, tmp_path, args, named):
         written = Path("out").exists()
     assert result.exit_code == 2, result.output
     assert "Usage:" in result.output and named in result.output
+    assert not written
+
+
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("target, patch, args, named", [
+    ("trkalian.cli.build_field", lambda name, params: _raise_memory_error,
+     ["field-eval", "--field", "lundquist", "--grid", "0:1:3,0:1:3,0:1:3"],
+     "--grid 0:1:3,0:1:3,0:1:3"),
+    ("trkalian.cli.sphere_quadrature", _raise_memory_error,
+     ["radon", "--field", "gaussian", "--quad", "3000,6000"], "--quad 3000,6000 --pgrid -8:8:64"),
+    ("trkalian.radon.radon_forward_grid", _raise_memory_error,
+     ["radon", "--field", "gaussian", "--quad", "2,4", "--pgrid", "-4:4:8"],
+     "--quad 2,4 --pgrid -4:4:8"),
+    ("trkalian.radon.lundquist_radon_profile", _raise_memory_error,
+     ["radon", "--field", "lundquist", "--params", '{"n_ring": 1000000000000000}'],
+     '--params {"n_ring": 1000000000000000}'),
+], ids=["field-eval-evaluation", "radon-sphere-rule", "radon-transform", "radon-lundquist-ring"])
+def test_allocation_failure_is_one_line_error_naming_the_input(runner, tmp_path, monkeypatch,
+                                                               target, patch, args, named):
+    # numpy's _ArrayMemoryError traceback before; no array here is large
+    monkeypatch.setattr(target, patch)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, args + ["--out", "out"])
+        written = Path("out").exists()
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: not enough memory for {named}; nothing written\n"
     assert not written
 
 

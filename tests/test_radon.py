@@ -1143,6 +1143,17 @@ def test_readers_of_nu_mu_and_g_check_them_before_any_work(monkeypatch, call, na
     assert work == []
 
 
+def _to_per_atom_records(payload):
+    """Rewrite a vector profile payload in the older layout of one record per atom."""
+    columns = {key: payload.pop(key) for key in
+               ("amplitude_im", "amplitude_re", "direction", "frequency", "weight")}
+    payload["atoms"] = [{"amplitude_im": columns["amplitude_im"][3 * i:3 * i + 3],
+                         "amplitude_re": columns["amplitude_re"][3 * i:3 * i + 3],
+                         "direction": columns["direction"][3 * i:3 * i + 3],
+                         "frequency": f, "weight": w}
+                        for i, (f, w) in enumerate(zip(columns["frequency"], columns["weight"]))]
+
+
 class TestSerialization:
     def test_profile_json_roundtrip(self):
         prof = radon_mode_analytic(random_mode_field(3, seed=35))
@@ -1163,24 +1174,33 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             profile_from_json(json.dumps(payload))
 
-    @pytest.mark.parametrize("atom, edit, match", [
-        (1, lambda a: a.pop("weight"), "^atom 1: weight must be a number, got None$"),
-        (1, lambda a: a["direction"].pop(), r"^atom 1: direction must be a list of 3 numbers"),
-        # a plain table would take these 4 + 2 amplitude values as 3 + 3
-        (1, lambda a: a.update(amplitude_re=a["amplitude_re"] + [0.0],
-                               amplitude_im=a["amplitude_im"][:2]),
-         r"^atom 1: amplitude_re must be a list of 3 numbers"),
-        (0, lambda a: a.update(amplitude_im=a["amplitude_im"][:2]),
-         r"^atom 0: amplitude_im must be a list of 3 numbers"),
-        (0, lambda a: a.pop("amplitude_re"), "^atom 0: amplitude_re must be a list of 3 numbers"),
-        (2, lambda a: a.update(frequency=[1.3]), r"^atom 2: frequency must be a number, got \[1.3\]"),
-        (3, lambda a: a["direction"].__setitem__(2, "x"),
-         r"^atom 3: direction must be a list of 3 numbers, got \[.*'x'\]"),
-    ], ids=["missing", "ragged", "4+2", "short-first", "first-missing", "list", "text"])
-    def test_profile_json_names_a_malformed_record(self, atom, edit, match):
-        # a bare KeyError or numpy's "inhomogeneous shape" message before
+    @pytest.mark.parametrize("edit, match", [
+        (lambda p: p.pop("weight"), "^weight must be a flat list of numbers, got None$"),
+        (lambda p: p.update(frequency=1.5), "^frequency must be a flat list of numbers, got 1.5$"),
+        (lambda p: p["direction"].__setitem__(2, "x"),
+         r"^direction must be a flat list of numbers, got \[.*'x'"),
+        (lambda p: p["weight"].__setitem__(0, None),
+         r"^weight must be a flat list of numbers, got \[None"),
+        (lambda p: p.update(amplitude_re=[p["amplitude_re"][:3], p["amplitude_re"][3:6]]),
+         r"^amplitude_re must be a flat list of numbers, got \[\["),
+        (lambda p: p.update(direction=[p["direction"][:3], p["direction"][3:5]]),
+         r"^direction must be a flat list of numbers, got \[\["),
+        (lambda p: p["direction"].pop(), "^direction must hold 3 n numbers, got 23 for n = 8"),
+        (lambda p: p["weight"].append(1.0), "^weight must hold n numbers, got 9 for n = 8"),
+        (lambda p: p["amplitude_im"].pop(),
+         "^amplitude_im must hold as many numbers as amplitude_re"),
+        (lambda p: p.update(amplitude_re=p["amplitude_re"][:16],
+                            amplitude_im=p["amplitude_im"][:16]),
+         "^amplitude_re must hold n or 3 n numbers, got 16 for n = 8"),
+        (lambda p: _to_per_atom_records(p),
+         "^atoms: the text holds per-atom 'atoms' records, not the columns"),
+    ], ids=["missing", "non-list", "string", "null", "nested", "nested-ragged",
+            "direction-short", "weight-long", "amplitude-parts", "width-2", "per-atom-file"])
+    def test_profile_json_names_a_malformed_column(self, edit, match):
+        # a bare KeyError or numpy's "inhomogeneous shape" message otherwise
         payload = json.loads(profile_to_json(lundquist_radon_profile(1.0, 1.3, n_ring=4)))
-        edit(payload["atoms"][atom])
+        assert len(payload["frequency"]) == 8
+        edit(payload)
         with pytest.raises(ValueError, match=match):
             profile_from_json(json.dumps(payload))
 
@@ -1327,47 +1347,39 @@ class TestTransformSpaceAmpere:
 
 
 GOLDEN_JSON = """{
-  "atoms": [
-    {
-      "amplitude_im": [
-        1e-20,
-        -2.5,
-        0.0
-      ],
-      "amplitude_re": [
-        0.1,
-        -0.0,
-        0.3333333333333333
-      ],
-      "direction": [
-        0.6,
-        0.0,
-        0.8
-      ],
-      "frequency": 1.5,
-      "weight": 1.0
-    },
-    {
-      "amplitude_im": [
-        0.0,
-        0.0,
-        -7.0
-      ],
-      "amplitude_re": [
-        1e+300,
-        0.0,
-        -0.0
-      ],
-      "direction": [
-        -0.6,
-        -0.0,
-        -0.8
-      ],
-      "frequency": -1.5,
-      "weight": 0.5
-    }
+  "amplitude_im": [
+    1e-20,
+    -2.5,
+    0.0,
+    0.0,
+    0.0,
+    -7.0
+  ],
+  "amplitude_re": [
+    0.1,
+    -0.0,
+    0.3333333333333333,
+    1e+300,
+    0.0,
+    -0.0
+  ],
+  "direction": [
+    0.6,
+    0.0,
+    0.8,
+    -0.6,
+    -0.0,
+    -0.8
+  ],
+  "frequency": [
+    1.5,
+    -1.5
   ],
   "g": 0.25,
   "mu": -1,
-  "nu": 1.5
+  "nu": 1.5,
+  "weight": [
+    1.0,
+    0.5
+  ]
 }"""
