@@ -66,24 +66,26 @@ def _check_float_range(value, key: str = "") -> None:
 _MAX_GRID_POINTS = np.iinfo(np.intp).max // 24
 
 
+def _parse_axis(part: str, option: str) -> tuple[float, float, int]:
+    """(lo, hi, n) of one axis 'lo:hi:n' of ``option``: finite bounds and a count
+    from 1 to _MAX_GRID_POINTS, else a UsageError naming the option and the axis."""
+    try:
+        lo, hi, n = part.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError as exc:  # not three fields, or one that is no number
+        raise click.UsageError(f"{option} axis {part!r} is not lo:hi:n: {exc}") from exc
+    if not (np.isfinite([lo, hi]).all() and n >= 1):
+        raise click.UsageError(f"{option} axis {part!r} needs finite bounds, positive count")
+    if n > _MAX_GRID_POINTS:
+        raise click.UsageError(f"{option} axis {part!r} has too many points:"
+                               f" numpy indexes at most {_MAX_GRID_POINTS}")
+    return lo, hi, n
+
+
 def _parse_grid(spec: str):
-    axes = []
-    for part in spec.split(","):
-        pieces = part.split(":")
-        if len(pieces) != 3:
-            raise click.UsageError("grid spec must be 'x0:x1:n,y0:y1:n,z0:z1:n'")
-        try:
-            lo, hi, n = float(pieces[0]), float(pieces[1]), int(pieces[2])
-        except ValueError as exc:
-            raise click.UsageError(f"malformed grid axis {part!r}: {exc}") from exc
-        if not (np.isfinite([lo, hi]).all() and n >= 1):
-            raise click.UsageError(f"grid axis {part!r} needs finite bounds, positive count")
-        if n > _MAX_GRID_POINTS:
-            raise click.UsageError(f"grid axis {part!r} has too many points:"
-                                   f" numpy indexes at most {_MAX_GRID_POINTS}")
-        axes.append((lo, hi, n))
+    axes = [_parse_axis(part, "--grid") for part in spec.split(",")]
     if len(axes) != 3:
-        raise click.UsageError("grid spec needs three axes")
+        raise click.UsageError("grid spec needs three axes x0:x1:n,y0:y1:n,z0:z1:n")
     total = axes[0][2] * axes[1][2] * axes[2][2]
     if total > _MAX_GRID_POINTS:
         raise click.UsageError(f"grid {spec!r} has too many points: {total} of at most"
@@ -222,11 +224,20 @@ def cmd_field_eval(field_name, params, grid_spec, out_dir) -> None:
 @click.option("--field", "field_name", required=True,
               help="gaussian (numeric grid) or lundquist / modes (analytic atoms)")
 @click.option("--params", default="{}", help="JSON parameter object")
-@click.option("--quad", "quad_spec", default="8,16", help="sphere rule npolar,nazimuth")
-@click.option("--pgrid", "pgrid_spec", default="-8:8:64", help="p-grid spec p0:p1:n")
+@click.option("--quad", "quad_spec", default=None,
+              help="sphere rule npolar,nazimuth, --field gaussian only [default: 8,16]")
+@click.option("--pgrid", "pgrid_spec", default=None,
+              help="p-grid spec p0:p1:n, --field gaussian only [default: -8:8:64]")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
 def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
     """Transform a catalog field; numeric grids go to CSV, atoms to JSON."""
+    given = [option for option, spec in (("--quad", quad_spec), ("--pgrid", pgrid_spec))
+             if spec is not None]
+    if field_name in ("lundquist", "modes") and given:
+        raise click.UsageError(f"--field {field_name} is exact atoms, sized by --params:"
+                               f" it takes no {' or '.join(given)}")
+    quad_spec = "8,16" if quad_spec is None else quad_spec
+    pgrid_spec = "-8:8:64" if pgrid_spec is None else pgrid_spec
     parsed = _parse_params(params)
     sidecar: dict = {"field": field_name, "params": parsed}
     sizes = (f"--quad {quad_spec} --pgrid {pgrid_spec}" if field_name == "gaussian"
@@ -247,12 +258,9 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
             build_field("gaussian", parsed)  # the key and value checks
             center, width, pol = _gaussian_args(parsed)
             envelope, pol = fields.gaussian_scalar(center, width), np.asarray(pol, dtype=complex)
-            pieces = pgrid_spec.split(":")
-            if len(pieces) != 3:
-                raise click.UsageError("pgrid spec must be 'p0:p1:n'")
-            p0, p1, n_p = float(pieces[0]), float(pieces[1]), int(pieces[2])
+            p0, p1, n_p = _parse_axis(pgrid_spec, "--pgrid")
             # as scalars, before the grid's (p1 - p0) k for k < n can overflow
-            _check_finite(p0=p0, p1=p1, **{"p1 - p0": p1 - p0, "(p1 - p0) n": (p1 - p0) * n_p})
+            _check_finite(**{"p1 - p0": p1 - p0, "(p1 - p0) n": (p1 - p0) * n_p})
             sphere = sphere_quadrature(*_parse_quad(quad_spec), antipodal=True)
             p = radon.validate_p_grid(p0 + (p1 - p0) * np.arange(n_p) / n_p)
             # pi width^2 bounds each plane integral, and the grid table's FFT sums n_p of them
@@ -274,7 +282,7 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
         try:
             # R[g P] = R[g] P: the real envelope g is integrated, one real per node,
             # and its edge/peak ratios are those of g P unless P = 0, a zero field
-            plane = PlaneQuadrature(half_width=8.0 * width, n_per_axis=32)
+            plane = PlaneQuadrature(half_width=8.0 * width)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", radon.TruncationWarning)
                 scalar = radon.radon_forward_grid(envelope, p, sphere, plane)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,11 +186,11 @@ def gauss_tensor_rule(half_width: float, n: int) -> tuple[np.ndarray, np.ndarray
     return nodes, weights
 
 
-def _tensor_boundary(n: int, d: int) -> np.ndarray:
-    """Flat indices of the boundary nodes of an n^d tensor rule in C order:
+def _tensor_boundary(n: int) -> np.ndarray:
+    """Flat indices of the boundary nodes of an n x n tensor rule in C order:
     the nodes that are first or last along some axis."""
     side = np.isin(np.arange(n), (0, n - 1))
-    return np.flatnonzero(reduce(np.logical_or.outer, (side,) * d))
+    return np.flatnonzero(np.logical_or.outer(side, side))
 
 
 # ---------------------------------------------------------------------------
@@ -295,31 +295,29 @@ def plane_basis(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PlaneQuadrature:
-    """Tensor trapezoid rule over the square [-half_width, half_width]^2.
+    """Tensor trapezoid rule of 32 nodes per axis over [-half_width, half_width]^2.
 
     The plane integrals only ever see fields that decay towards the edge of
     the square (TruncationWarning flags the planes where they do not), and
     for those the trapezoid rule converges exponentially in the node count
     (Trefethen & Weideman, SIAM Review 56, 2014), where Gauss-Legendre
     spends its nodes on polynomial degree.  README gives the measured error
-    of the rule trk radon uses.
+    of the rule.
     """
 
     half_width: float
-    n_per_axis: int
-    rule = "trapezoid"  # the name trk radon records; not a field
+    n_per_axis = 32  # the node count and rule name trk radon records; not fields
+    rule = "trapezoid"
 
     def __post_init__(self):
         _check_finite("positive", half_width=self.half_width)
-        if not (isinstance(n := self.n_per_axis, (int, np.integer)) and n >= 2):
-            raise ValueError(f"n_per_axis must be an integer >= 2, got {n!r}")
 
     def nodes_1d(self) -> tuple[np.ndarray, np.ndarray]:
         """Trapezoid nodes and weights on [-half_width, half_width].
 
         The nodes are h (i - (n - 1)/2) for h = 2 half_width / (n - 1), so
-        they are exactly antisymmetric, x[::-1] == -x (the centre node of an
-        odd rule is +0.0); the two end nodes weigh h/2 and the others h.
+        they are exactly antisymmetric, x[::-1] == -x; the two end nodes
+        weigh h/2 and the others h.
         """
         n = self.n_per_axis
         h = 2.0 * self.half_width / (n - 1)

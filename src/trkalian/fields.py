@@ -15,9 +15,7 @@ import numpy as np
 
 from .core import (_check_3vector, _check_finite, _finite_points, as_direction, bessel_j,
                    cross, fd_field, plane_wave_sum)
-from .moses import frame_index_of, moses_frame
-
-_INV_TWO_PI_32 = (2.0 * np.pi) ** -1.5
+from .moses import _INV_TWO_PI_32, frame_index_of, moses_frame
 
 
 @dataclass(frozen=True)

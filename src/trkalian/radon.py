@@ -236,7 +236,7 @@ class GridProfile:
     def __post_init__(self):
         p = np.array(validate_p_grid(self.p))
         samples = np.array(self.samples, dtype=complex)
-        if samples.shape[0] != p.size or samples.shape[1] != self.sphere.n:
+        if samples.shape[:2] != (p.size, self.sphere.n) or samples.shape[2:] not in ((), (3,)):
             raise ValueError("samples must be shaped (n_p, n_dir[, 3])")
         if not np.all(np.isfinite(samples)):
             raise ValueError("grid samples must be finite")
@@ -356,13 +356,13 @@ def _plane_sums(fn, p, k, quad: PlaneQuadrature):
     x1, w1 = quad.nodes_1d()
     n = quad.n_per_axis
     w = (w1[:, None] * w1[None, :]).reshape(-1)
-    ring = _tensor_boundary(n, 2)
+    ring = _tensor_boundary(n)
     step = max(1, _CHUNK_POINTS // n**2)
     buf = np.empty((3, min(step, p.size), n, n))
     # A plane's points are the outer sum row[a] + col[b] (row = p k + x_a e1,
     # col = x_b e2), built as the product [row, 1] @ [1, col]: by exact ones, the
     # same rounded sum, FMA or not, but -0.0 + -0.0 may give +0.0 (only if
-    # p = +-0.0, or n is odd and kappa has a zero component; see README)
+    # p = +-0.0; see README)
     rows, cols = np.ones(buf.shape[:3] + (2,)), np.ones(buf.shape[:2] + (2, n))
     sums, peaks, edges = [], [], []
     for c in (slice(s, s + step) for s in range(0, p.size, step)):
@@ -490,8 +490,8 @@ def lundquist_radon_profile(f0: float, nu: float, n_ring: int = 64) -> AnalyticP
     """
     _check_finite(f0=f0)
     _check_finite("nonzero", nu=nu)
-    if n_ring < 4 or n_ring % 2 != 0:
-        raise ValueError("n_ring must be even and at least 4")
+    if not (isinstance(n_ring, (int, np.integer)) and n_ring >= 4 and n_ring % 2 == 0):
+        raise ValueError(f"n_ring must be an even integer >= 4, got {n_ring!r}")
     coeff = 2.0 * np.pi * 1j * f0 / nu**2
     psi, w = circle_rule(n_ring)
     cos, sin = np.cos(psi), np.sin(psi)
@@ -751,14 +751,13 @@ def spherical_curl_transform(profile: AnalyticProfile, kappa,
 # serialization
 # ---------------------------------------------------------------------------
 
-def _float_texts(values, fmt: str) -> tuple:
-    """``fmt % v`` for each value of a flat float array, each distinct value formatted
-    once; told apart by bits, so -0.0 and 0.0 keep their own text.  One sort over
-    a profile's columns, which share values, is quicker than one per column."""
+def _float_texts(values, fmt: str) -> np.ndarray:
+    """``fmt % v`` for each value of a flat float array, as an object array, each distinct
+    value formatted once; told apart by bits, so -0.0 and 0.0 keep their own text.  A
+    profile's columns share values, so one sort over them beats one per column."""
     bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
     bits, index = np.unique(bits, return_inverse=True)
-    texts = np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)
-    return tuple(texts[index].tolist())
+    return np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)[index]
 
 
 _JSON_COLUMNS = ("amplitude_im", "amplitude_re", "direction", "frequency", "weight")
@@ -776,7 +775,8 @@ def profile_to_json(profile: AnalyticProfile) -> str:
                for key, col in zip(_JSON_COLUMNS, columns)}
     entries.update((key, json.dumps(getattr(profile, key))) for key in ("g", "mu", "nu"))
     template = "{\n" + ",\n".join(f'  "{key}": {entries[key]}' for key in sorted(entries)) + "\n}"
-    return template % _float_texts(np.concatenate([column.ravel() for column in columns]), "%r")
+    texts = _float_texts(np.concatenate([column.ravel() for column in columns]), "%r")
+    return template % tuple(texts.tolist())
 
 
 def profile_from_json(text: str) -> AnalyticProfile:
@@ -816,25 +816,19 @@ GRID_CSV_HEADER = "p,kx,ky,kz,re_fx,im_fx,re_fy,im_fy,re_fz,im_fz"
 FLOAT_FMT = "%.17g"
 
 
-def format_csv(header: str, columns, values=None) -> str:
+def format_csv(header: str, columns, values) -> str:
     """CSV text of a header line and rows of real columns (n, m), followed by
     complex values (n, k) as re, im column pairs: the per-value FLOAT_FMT text.
-    Each distinct value of each column, told apart by bits, is formatted once
-    with its separator, and the cells are joined in row order; a table of no
-    rows is the header line."""
-    table = np.asarray(columns, dtype=float)
-    if values is not None:  # a complex (n, k) viewed as floats is its (n, 2 k) re, im pairs
-        table = np.column_stack([table, np.ascontiguousarray(values, dtype=complex).view(float)])
+    Each column's text, its separator included, comes from :func:`_float_texts`,
+    and the cells are joined in row order; a table of no rows is the header line."""
+    table = np.column_stack([np.asarray(columns, dtype=float),  # then (n, 2 k) re, im pairs
+                             np.ascontiguousarray(values, dtype=complex).view(float)])
     n, m = table.shape
     cells = np.empty(n * m + 1, dtype=object)
     cells[0] = header + "\n"
     rows = cells[1:].reshape(n, m)
-    bits = np.ascontiguousarray(table).view(np.int64)
     for j in range(m):
-        distinct, index = np.unique(bits[:, j], return_inverse=True)
-        end = "," if j < m - 1 else "\n"
-        texts = [FLOAT_FMT % v + end for v in distinct.view(float).tolist()]
-        rows[:, j] = np.array(texts, dtype=object)[index]
+        rows[:, j] = _float_texts(table[:, j], FLOAT_FMT + ("," if j < m - 1 else "\n"))
     return "".join(cells.tolist())
 
 

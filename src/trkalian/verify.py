@@ -207,7 +207,7 @@ def _check_ampere_zero() -> float:
 # Radon transforms
 # ---------------------------------------------------------------------------
 
-_PLANE = PlaneQuadrature(half_width=8.0, n_per_axis=32)
+_PLANE = PlaneQuadrature(half_width=8.0)
 
 
 @_register("radon_gaussian", "Plane integral of the unit Gaussian", 1e-14)

@@ -170,7 +170,7 @@ def test_criterion_06_transform_space_eigenrelation():
 def test_criterion_07_intertwining():
     tol = 2e-11
     start = time.time()
-    plane = tk.PlaneQuadrature(half_width=8.0, n_per_axis=40)
+    plane = tk.PlaneQuadrature(half_width=8.0)
     f = tk.gaussian_test_field((0.1, -0.2, 0.0), 1.0, (0.8, -0.3, 0.5))
     g = tk.gaussian_scalar((0.0, 0.2, 0.1), 1.0)
     rng = np.random.default_rng(RNG_SEED + 30)
@@ -209,7 +209,7 @@ def test_criterion_08_composition_identities():
 
     f = tk.gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.5))
     sphere = tk.sphere_quadrature(8, 16, antipodal=True)
-    plane = tk.PlaneQuadrature(half_width=8.0, n_per_axis=40)
+    plane = tk.PlaneQuadrature(half_width=8.0)
     x = np.zeros(3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -589,7 +589,7 @@ class TestConsistencyTriangle:
 
         f = gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.5))
         sphere = sphere_quadrature(8, 16, antipodal=True)
-        plane = PlaneQuadrature(half_width=8.0, n_per_axis=40)
+        plane = PlaneQuadrature(half_width=8.0)
 
         def double_transform(pts):
             pts = np.asarray(pts, dtype=float)

@@ -250,7 +250,7 @@ class TestRadonCommand:
             warnings.simplefilter("always", trkalian.TruncationWarning)
             vector = trkalian.radon_forward_grid(
                 trkalian.gaussian_test_field(center, width, pol), grid.p, sphere,
-                trkalian.PlaneQuadrature(half_width=8.0 * width, n_per_axis=32))
+                trkalian.PlaneQuadrature(half_width=8.0 * width))
         scale = np.max(np.abs(vector.samples))
         assert np.max(np.abs(grid.samples - vector.samples)) <= 4e-15 * scale
         warning = next((w.message for w in caught), None)
@@ -423,6 +423,9 @@ class TestVerifyCommand:
         assert names == ["eigenfunction_curl", "ck_abc_reconstruction"]
 
 
+_ONE_MODE = {"lam": 1, "nu": 1.0, "kappa0": [0.0, 0.0, 1.0]}
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "--only", "zzz"],
     ["radon", "--field", "modes", "--params", "{}", "--out", "out"],
@@ -455,6 +458,10 @@ class TestVerifyCommand:
     ["field-eval", "--field", "gaussian", "--params", '{"width": 1e-200}', "--out", "out"],
     ["radon", "--field", "gaussian", "--params", '{"width": 1e200}', "--out", "out"],
     ["field-eval", "--field", "gaussian", "--params", '{"width": 1e200}', "--out", "out"],
+    ["radon", "--field", "lundquist", "--pgrid", "nan:8:64", "--quad", "x", "--out", "out"],
+    ["radon", "--field", "lundquist", "--pgrid", "-8:8:64", "--out", "out"],
+    ["radon", "--field", "modes", "--params", json.dumps({"modes": [_ONE_MODE]}),
+     "--quad", "8,16", "--out", "out"],
 ], ids=["verify-empty-selection", "radon-modes-without-modes",
         "radon-pgrid-not-power-of-two", "radon-pgrid-decreasing",
         "radon-quad-odd-azimuth",
@@ -468,7 +475,8 @@ class TestVerifyCommand:
         "field-eval-grid-two-axes", "radon-quad-one-count", "radon-pgrid-two-fields",
         "field-eval-params-not-object", "radon-gaussian-underflowing-width",
         "field-eval-gaussian-underflowing-width", "radon-gaussian-overflowing-width",
-        "field-eval-gaussian-overflowing-width"])
+        "field-eval-gaussian-overflowing-width", "radon-lundquist-bad-quad-and-pgrid",
+        "radon-lundquist-pgrid", "radon-modes-quad"])
 def test_bad_input_is_usage_error(runner, tmp_path, args):
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)
@@ -476,9 +484,6 @@ def test_bad_input_is_usage_error(runner, tmp_path, args):
     assert result.exit_code == 2, result.output
     assert "Usage:" in result.output
     assert not written
-
-
-_ONE_MODE = {"lam": 1, "nu": 1.0, "kappa0": [0.0, 0.0, 1.0]}
 
 
 @pytest.mark.parametrize("args, named", [
@@ -511,14 +516,19 @@ _ONE_MODE = {"lam": 1, "nu": 1.0, "kappa0": [0.0, 0.0, 1.0]}
     # bounds checked as scalars before the grid: not the whole array in the message,
     # nor numpy's overflow warning on (p1 - p0) k
     (["radon", "--field", "gaussian", "--pgrid", "nan:8:64"],
-     "invalid gaussian input: p0 must be finite, got nan"),
+     "--pgrid axis 'nan:8:64' needs finite bounds, positive count"),
     (["radon", "--field", "gaussian", "--pgrid", "0:1e308:64"],
      "invalid gaussian input: (p1 - p0) n must be finite, got inf"),
+    # the grid options of a Gaussian, which an atom field ignored without a word
+    (["radon", "--field", "lundquist", "--quad", "4,8", "--pgrid", "nan:8:64"],
+     "--field lundquist is exact atoms, sized by --params: it takes no --quad or --pgrid"),
+    (["radon", "--field", "modes", "--pgrid", "-8:8:64"], "it takes no --pgrid"),
 ], ids=["ck-circular-m", "lundquist-n-ring", "mode-lam", "mode-mu", "gaussian-polarization",
         "field-eval-int-beyond-float", "radon-int-beyond-float", "radon-nested-int-beyond-float",
         "field-eval-int-beyond-digit-limit", "field-eval-grid-count-beyond-array-size",
         "field-eval-grid-count-at-index-limit", "field-eval-grid-product-beyond-array-size",
-        "radon-pgrid-nan-bound", "radon-pgrid-overflowing-span"])
+        "radon-pgrid-nan-bound", "radon-pgrid-overflowing-span", "radon-lundquist-grid-options",
+        "radon-modes-pgrid"])
 def test_bad_value_is_usage_error_naming_it(runner, tmp_path, args, named):
     # where int() truncated the value without a word, where the product of the
     # transform and the polarization overflowed into a traceback, and where
@@ -529,6 +539,14 @@ def test_bad_value_is_usage_error_naming_it(runner, tmp_path, args, named):
     assert result.exit_code == 2, result.output
     assert "Usage:" in result.output and named in result.output
     assert not written
+
+
+def test_radon_help_states_the_grid_defaults(runner):
+    result = runner.invoke(main, ["radon", "--help"])
+    assert result.exit_code == 0, result.output
+    text = " ".join(result.output.split())  # click wraps the help text
+    assert "npolar,nazimuth, --field gaussian only [default: 8,16]" in text
+    assert "p0:p1:n, --field gaussian only [default: -8:8:64]" in text
 
 
 def _raise_memory_error(*args, **kwargs):

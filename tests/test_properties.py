@@ -235,13 +235,11 @@ def test_json_text_equals_reference_encoder_on_any_profile(profile):
 # the CSV template writer against the per-row writer it replaced
 # ---------------------------------------------------------------------------
 
-def format_csv_reference(header, columns, values=None):
+def format_csv_reference(header, columns, values):
     """FLOAT_FMT applied to every cell, one row at a time."""
-    table = np.asarray(columns, dtype=float)
-    if values is not None:
-        values = np.asarray(values)
-        table = np.column_stack([table, np.stack([values.real, values.imag], axis=-1)
-                                 .reshape(len(table), 2 * values.shape[1])])
+    table, values = np.asarray(columns, dtype=float), np.asarray(values)
+    table = np.column_stack([table, np.stack([values.real, values.imag], axis=-1)
+                             .reshape(len(table), 2 * values.shape[1])])
     row = ",".join([FLOAT_FMT] * table.shape[1])
     return "\n".join([header] + [row % tuple(r) for r in table.tolist()]) + "\n"
 
@@ -261,7 +259,7 @@ csv_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 @st.composite
 def csv_tables(draw):
     """(columns, values): a small pool of floats drawn many times, so that
-    values repeat, with no values, real values or complex values."""
+    values repeat, with no value columns, real values or complex values."""
     n = draw(st.integers(0, 12))
     m = draw(st.integers(1, 4))
     k = draw(st.integers(0, 3))
@@ -273,7 +271,7 @@ def csv_tables(draw):
     flat = np.array(draw(cells), dtype=float)
     columns = flat[:n * m].reshape(n, m)
     if k == 0:
-        return columns, None
+        return columns, np.zeros((n, 0), dtype=complex)
     values = np.empty((n, k), dtype=complex)
     values.real = flat[n * m:n * m + n * k].reshape(n, k)
     values.imag = flat[n * m + n * k:].reshape(n, k)
@@ -292,7 +290,7 @@ def test_csv_text_equals_per_row_writer(table):
 def test_grid_csv_equals_per_row_writer(center):
     sphere = sphere_quadrature(4, 8, antipodal=True)
     grid = radon_forward_grid(gaussian_test_field(center, 1.0, (1.0, 0.0, 0.0)),
-                              -8.0 + np.arange(16), sphere, PlaneQuadrature(8.0, 16))
+                              -8.0 + np.arange(16), sphere, PlaneQuadrature(8.0))
     directions = np.column_stack([np.repeat(grid.p, sphere.n), np.tile(sphere.nodes, (16, 1))])
     samples = grid.samples.reshape(-1, 3)
     cells = np.column_stack([directions, samples.real, samples.imag])
@@ -300,7 +298,8 @@ def test_grid_csv_equals_per_row_writer(center):
     assert grid_to_csv(grid) == format_csv_reference(GRID_CSV_HEADER, directions, samples)
 
 
-@pytest.mark.parametrize("values", [None, np.zeros((0, 3), complex), np.zeros((0, 2))],
+@pytest.mark.parametrize("values", [np.zeros((0, 0), complex), np.zeros((0, 3), complex),
+                                    np.zeros((0, 2))],
                          ids=["columns", "complex", "real"])
 def test_csv_of_no_rows_is_the_header_line(values):
     assert format_csv("a,b,c", np.zeros((0, 3)), values) == "a,b,c\n"

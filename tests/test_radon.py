@@ -30,7 +30,7 @@ from trkalian.radon import (TRUNCATION_THRESHOLD, AnalyticProfile, GridProfile,
 from trkalian.rbs import radon_riesz, rbs_apply, rbs_eigendefect
 
 EZ = np.array([0.0, 0.0, 1.0])
-PLANE = PlaneQuadrature(half_width=8.0, n_per_axis=48)
+PLANE = PlaneQuadrature(half_width=8.0)
 
 
 def random_direction(seed):
@@ -89,7 +89,7 @@ class TestForwardNumeric:
 
     def test_truncation_warning(self):
         f = gaussian_test_field((0.0, 0.0, 0.0), 2.0, (1.0, 0.0, 0.0))
-        small = PlaneQuadrature(half_width=5.0, n_per_axis=32)
+        small = PlaneQuadrature(half_width=5.0)
         with pytest.warns(TruncationWarning):
             radon_forward_numeric(f, 0.0, EZ, small)
 
@@ -97,8 +97,9 @@ class TestForwardNumeric:
         gaussian_test_field((0.3, -0.2, 0.1), 1.0, (1.0, 0.5j, -0.25)),
         gaussian_scalar((0.0, 0.2, 0.1), 1.0),
     ], ids=["vector", "scalar"])
-    def test_batch_equals_single_planes_bitwise(self, field):
-        # 5 x 4 planes of 48^2 points span three field calls, the last partial
+    def test_batch_equals_single_planes_bitwise(self, field, monkeypatch):
+        # 5 x 4 planes of 32^2 points span three field calls, the last partial
+        monkeypatch.setattr(radon, "_CHUNK_POINTS", 7 * 32**2)
         p = np.array([-1.5, -0.2, 0.0, 0.7, 2.0])
         kappa = np.stack([EZ, -EZ] + [random_direction(s) for s in (21, 22)])
         batch = radon_forward_numeric(field, p[:, None], kappa, PLANE)
@@ -112,13 +113,13 @@ class TestForwardNumeric:
         # 448 of the 512 planes are truncated; one warning counts them all
         sphere = sphere_quadrature(4, 8, antipodal=True)
         p = -8.0 + np.arange(16.0)
-        plane = PlaneQuadrature(half_width=8.0, n_per_axis=40)
+        plane = PlaneQuadrature(half_width=8.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             radon_forward_grid(gaussian_test_field((7.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0)),
                                p, sphere, plane)
             assert len(caught) == 1 and caught[0].category is TruncationWarning
-            assert "on 448 of 512 planes (worst ratio 3.80e-01)" in str(caught[0].message)
+            assert "on 448 of 512 planes (worst ratio 3.68e-01)" in str(caught[0].message)
             radon_forward_grid(gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0)),
                                p, sphere, plane)
             assert len(caught) == 1
@@ -203,7 +204,7 @@ class TestForwardNumeric:
 
 class TestReusedPointBuffer:
     # 32^2 nodes make 16 planes a chunk: 40 planes are chunks of 16, 16 and 8
-    QUAD = PlaneQuadrature(half_width=8.0, n_per_axis=32)
+    QUAD = PlaneQuadrature(half_width=8.0)
     P = np.linspace(-3.0, 3.0, 40)
     K = np.stack([random_direction(s) for s in range(40)])
 
@@ -250,7 +251,7 @@ class TestReusedPointBuffer:
         seen = []
         _, warned = self.transform(lambda x: seen.append(field(x)) or seen[-1])
         vf = np.concatenate(seen).view(float).reshape(self.P.size, 32**2, -1)
-        ring = np.take(vf, _tensor_boundary(32, 2), axis=1)
+        ring = np.take(vf, _tensor_boundary(32), axis=1)
         peak = np.maximum(vf.max(axis=(1, 2)), -vf.min(axis=(1, 2)))
         edge = np.maximum(ring.max(axis=(1, 2)), -ring.min(axis=(1, 2)))
         truncated = edge > TRUNCATION_THRESHOLD * peak
@@ -259,19 +260,17 @@ class TestReusedPointBuffer:
 
 
 class TestPlanePoints:
-    # 40 planes, chunks of 16, 16 and 8 at every n.  Planes 0-27 are generic;
-    # 28-39 are the ones where -0.0 + -0.0 can occur: p = +-0.0, and kappa
-    # along an axis or with one zero component
+    # 40 planes, chunks of 16, 16 and 8 of 32^2 points.  Planes 0-27 are generic;
+    # 28-39 have p = +-0.0, where -0.0 + -0.0 can occur, or kappa along an axis
+    # or with one zero component
     P = np.concatenate([np.random.default_rng(20).uniform(-6.0, 6.0, 28),
                         [0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 2.5, -1.5, -3.0, 4.0, -0.5, 1.0]])
     K = np.concatenate([np.stack([random_direction(s) for s in range(100, 130)]),
                         [EZ, -EZ, [-1.0, 0.0, 0.0], [0.0, -0.6, 0.8], EZ, [0.0, -1.0, 0.0],
                          [0.6, 0.0, -0.8], [-0.8, 0.6, 0.0], [0.0, 0.6, 0.8], -EZ]])
 
-    @pytest.mark.parametrize("n", [2, 3, 31, 32])
-    def test_points_are_the_written_out_sums(self, n, monkeypatch):
-        monkeypatch.setattr(radon, "_CHUNK_POINTS", 16 * n**2)
-        quad, seen = PlaneQuadrature(half_width=8.0, n_per_axis=n), []
+    def test_points_are_the_written_out_sums(self):
+        n, quad, seen = 32, PlaneQuadrature(half_width=8.0), []
         _plane_sums(lambda x: seen.append(x.copy()) or x[..., 0], self.P, self.K, quad)
         assert [s.shape[0] for s in seen] == [16 * n**2, 16 * n**2, 8 * n**2]
         got = np.concatenate(seen).reshape(40, n, n, 3)  # (plane, a, b, component)
@@ -290,7 +289,7 @@ class TestForwardGrid:
     # 16 antipodal pairs x 16 p; every p but -8 has its negation on the grid
     SPHERE = sphere_quadrature(4, 8, antipodal=True)
     P = -8.0 + np.arange(16.0)
-    QUAD = PlaneQuadrature(half_width=8.0, n_per_axis=40)
+    QUAD = PlaneQuadrature(half_width=8.0)
     FIELD = gaussian_test_field((0.3, -0.2, 0.1), 1.0, (1.0, 0.5j, -0.25))
 
     def direct(self, sphere=SPHERE, p=P):
@@ -347,7 +346,7 @@ class TestForwardGrid:
             assert len(caught) == 1
             w = caught[0].message
             assert (w.n_truncated, w.n_planes) == (448, 512)
-            assert f"{w.worst_ratio:.2e}" == "3.80e-01"
+            assert f"{w.worst_ratio:.2e}" == "3.68e-01"
         assert grid_caught[0].message.worst_ratio == direct_caught[0].message.worst_ratio
 
 
@@ -424,6 +423,17 @@ class TestGamma:
             gamma_apply(scalar, "cross")
         with pytest.raises(ValueError):
             gamma_apply(scalar, "dot")
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 32, 2), (16, 32, 3, 1), (16, 31), (8, 32, 3), ()],
+                         ids=["no-directions", "two-components", "trailing-axis",
+                              "direction-count", "p-count", "scalar"])
+def test_grid_profile_refuses_samples_of_another_shape(shape):
+    # (n_p,) raised IndexError, and (n_p, n_dir, 2) or (n_p, n_dir, 3, 1) failed
+    # only later, in gamma_apply or grid_to_csv
+    sphere = sphere_quadrature(4, 8)  # 32 directions
+    with pytest.raises(ValueError, match=r"^samples must be shaped \(n_p, n_dir\[, 3\]\)$"):
+        GridProfile(p=np.arange(16) * 0.1, sphere=sphere, samples=np.zeros(shape))
 
 
 class TestIntertwining:
@@ -568,7 +578,7 @@ def numeric_gaussian_grid(sphere):
     points of [-8, 8)."""
     field = gaussian_test_field(GAUSS_CENTER, 1.0, (1.0, -0.5, 0.25))
     p = -8.0 + 0.5 * np.arange(32)
-    return radon_forward_grid(field, p, sphere, PlaneQuadrature(half_width=8.0, n_per_axis=32))
+    return radon_forward_grid(field, p, sphere, PlaneQuadrature(half_width=8.0))
 
 
 def grid_atoms(grid: GridProfile) -> AnalyticProfile:
@@ -612,7 +622,7 @@ def cli_default_grid() -> GridProfile:
     field = gaussian_test_field(GAUSS_CENTER, 1.0, (1.0, -0.5j, 0.25 + 0.1j))
     p = -8.0 + 16.0 * np.arange(64) / 64
     return radon_forward_grid(field, p, sphere_quadrature(8, 16, antipodal=True),
-                              PlaneQuadrature(half_width=8.0, n_per_axis=32))
+                              PlaneQuadrature(half_width=8.0))
 
 
 def noise_grid(sphere, seed=0, n_p=32):
@@ -985,6 +995,16 @@ class TestLundquistProfile:
         prof = lundquist_radon_profile(1.0, 1.0, n_ring=16)
         assert prof.parity_defect() < 1e-14
 
+    @pytest.mark.parametrize("n_ring", [6.0, 8.5, "8", None, True, 2, 7, -4])
+    def test_rejects_ring_size_that_is_not_an_even_integer_of_at_least_4(self, n_ring):
+        # a float reached np.full as a shape, and numpy raised TypeError
+        with pytest.raises(ValueError, match="^n_ring must be an even integer >= 4, got"):
+            lundquist_radon_profile(1.0, 1.0, n_ring=n_ring)
+
+    def test_accepts_numpy_integer_ring_size(self):
+        prof = lundquist_radon_profile(1.0, 1.0, n_ring=np.int64(8))
+        assert profile_to_json(prof) == profile_to_json(lundquist_radon_profile(1.0, 1.0, n_ring=8))
+
 
 class TestSphericalCurlTransform:
     def test_recovers_mode_amplitude(self):
@@ -1216,8 +1236,7 @@ class TestSerialization:
         sphere = sphere_quadrature(4, 8, antipodal=True)
         f = gaussian_test_field((0.0, 0.0, 0.0), 1.0, (1.0, 0.5j, 0.0))
         p = -4.0 + 8.0 * np.arange(16) / 16
-        small = PlaneQuadrature(half_width=8.0, n_per_axis=24)
-        grid = radon_forward_grid(f, p, sphere, small)
+        grid = radon_forward_grid(f, p, sphere, PLANE)
         text = grid_to_csv(grid)
         # %.17g round-trips every float exactly, and CRLF line ends read the same
         for csv in (text, text.replace("\n", "\r\n")):
