@@ -14,6 +14,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -94,22 +95,12 @@ def _parse_grid(spec: str):
 
 
 def _parse_quad(spec: str):
-    pieces = spec.split(",")
-    if len(pieces) != 2:
-        raise click.UsageError("quad spec must be 'npolar,nazimuth'")
-    return int(pieces[0]), int(pieces[1])
-
-
-# the --params keys each catalog field reads; trk radon --field lundquist
-# also reads n_ring
-_PARAM_KEYS = {
-    "lundquist": ("f0", "nu"),
-    "gaussian": ("center", "width", "polarization"),
-    "abc": ("a", "b", "c", "nu"),
-    "ck_circular": ("m", "k", "nu", "amplitude"),
-    "modes": ("g", "modes"),
-}
-_MODE_KEYS = ("lam", "nu", "kappa0", "amplitude_re", "amplitude_im", "mu")
+    """(n_polar, n_azimuth, antipodal sphere rule) of --quad, else a UsageError naming it."""
+    try:
+        n_polar, n_azimuth = map(int, spec.split(","))
+        return n_polar, n_azimuth, sphere_quadrature(n_polar, n_azimuth, antipodal=True)
+    except ValueError as exc:  # not two integers, or no sphere rule
+        raise click.UsageError(f"--quad {spec!r} is no sphere rule npolar,nazimuth: {exc}") from exc
 
 
 def _integer(key: str, value) -> int:
@@ -119,56 +110,66 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
-def _check_keys(what: str, params: dict, accepted) -> None:
-    """UsageError naming the accepted keys when ``params`` has any other key."""
-    unknown = sorted(set(params) - set(accepted))
+def _mode_field(p: dict) -> fields.ModeField:
+    return fields.ModeField(modes=tuple(fields.HelicityMode(
+        lam=_integer("lam", m["lam"]), nu=float(m["nu"]), kappa0=np.asarray(m["kappa0"]),
+        amplitude=complex(m["amplitude_re"], m["amplitude_im"]), mu=_integer("mu", m["mu"]),
+        g=float(p["g"])) for m in p["modes"]))
+
+
+class _Entry(NamedTuple):
+    defaults: dict  # each --params key with its default, or _REQUIRED
+    build: Callable  # resolved parameters -> field
+    transform: Callable | None = None  # resolved parameters -> exact atom profile
+    transform_defaults: dict = {}  # the keys that only the transform reads
+
+
+_REQUIRED = object()
+_MODE_DEFAULTS = {"lam": _REQUIRED, "nu": _REQUIRED, "kappa0": _REQUIRED,
+                  "amplitude_re": 1.0, "amplitude_im": 0.0, "mu": 1}
+_CATALOG = {
+    "lundquist": _Entry(
+        {"f0": 1.0, "nu": 1.0}, lambda p: fields.lundquist(float(p["f0"]), float(p["nu"])),
+        lambda p: radon.lundquist_radon_profile(float(p["f0"]), float(p["nu"]),
+                                                n_ring=_integer("n_ring", p["n_ring"])),
+        {"n_ring": 64}),
+    "gaussian": _Entry(
+        {"center": [0.0, 0.0, 0.0], "width": 1.0, "polarization": [1.0, 0.0, 0.0]},
+        lambda p: fields.gaussian_test_field(p["center"], float(p["width"]), p["polarization"])),
+    "abc": _Entry({"a": 1.0, "b": 1.0, "c": 1.0, "nu": 1.0}, lambda p: fields.abc_field(
+        float(p["a"]), float(p["b"]), float(p["c"]), float(p["nu"]))),
+    "ck_circular": _Entry(
+        {"m": 0, "k": 0.0, "nu": 1.0, "amplitude": 1.0}, lambda p: fields.ck_circular(
+            _integer("m", p["m"]), float(p["k"]), float(p["nu"]), float(p["amplitude"]))),
+    "modes": _Entry(
+        {"g": 1.0, "modes": _REQUIRED}, lambda p: fields.mode_sampled_field(_mode_field(p)),
+        lambda p: radon.radon_mode_analytic(_mode_field(p))),
+}
+# trk radon samples the gaussian on a grid and gives the others their exact atoms
+_RADON_FIELDS = ("gaussian",) + tuple(name for name, e in _CATALOG.items() if e.transform)
+
+
+def _resolve(what: str, given, defaults: dict) -> dict:
+    """The defaults updated by the given keys, and a modes object's records by
+    theirs: a UsageError naming the accepted keys on any other key."""
+    if not isinstance(given, dict):
+        raise TypeError(f"each {what} must be a JSON object")
+    unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise click.UsageError(f"unknown {what} parameter(s) {', '.join(unknown)};"
-                               f" accepted: {', '.join(accepted)}")
+                               f" accepted: {', '.join(defaults)}")
+    resolved = {**defaults, **given}
+    missing = [key for key, value in resolved.items() if value is _REQUIRED]
+    if missing:
+        raise ValueError(f"missing {what} parameter(s) {', '.join(missing)}")
+    if what == "modes":
+        resolved["modes"] = [_resolve("mode", m, _MODE_DEFAULTS) for m in resolved["modes"]]
+    return resolved
 
 
 def build_field(name: str, params: dict):
-    """Field catalog addressable by name plus JSON parameters."""
-    if name == "modes":
-        return fields.mode_sampled_field(_mode_field_from_params(params))
-    if name not in _PARAM_KEYS:
-        raise click.ClickException(f"unknown field name {name!r}")
-    _check_keys(name, params, _PARAM_KEYS[name])
-    if name == "lundquist":
-        return fields.lundquist(float(params.get("f0", 1.0)), float(params.get("nu", 1.0)))
-    if name == "gaussian":
-        return fields.gaussian_test_field(*_gaussian_args(params))
-    if name == "abc":
-        return fields.abc_field(
-            float(params.get("a", 1.0)), float(params.get("b", 1.0)),
-            float(params.get("c", 1.0)), float(params.get("nu", 1.0)))
-    return fields.ck_circular(
-        _integer("m", params.get("m", 0)), float(params.get("k", 0.0)),
-        float(params.get("nu", 1.0)), float(params.get("amplitude", 1.0)))
-
-
-def _gaussian_args(params: dict) -> tuple:
-    """(center, width, polarization) of the gaussian probe, defaults filled in."""
-    return (params.get("center", (0.0, 0.0, 0.0)), float(params.get("width", 1.0)),
-            params.get("polarization", (1.0, 0.0, 0.0)))
-
-
-def _mode_field_from_params(params: dict) -> fields.ModeField:
-    _check_keys("modes", params, _PARAM_KEYS["modes"])
-    try:
-        g = float(params.get("g", 1.0))
-        modes = []
-        for rec in params["modes"]:
-            if not isinstance(rec, dict):
-                raise TypeError("each mode must be a JSON object")
-            _check_keys("mode", rec, _MODE_KEYS)
-            amp = complex(rec.get("amplitude_re", 1.0), rec.get("amplitude_im", 0.0))
-            modes.append(fields.HelicityMode(
-                lam=_integer("lam", rec["lam"]), nu=float(rec["nu"]), amplitude=amp,
-                kappa0=np.asarray(rec["kappa0"]), mu=_integer("mu", rec.get("mu", 1)), g=g))
-        return fields.ModeField(modes=tuple(modes))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"invalid mode parameters: {type(exc).__name__}: {exc}") from exc
+    """Catalog field ``name`` of its resolved parameters (:func:`_resolve`)."""
+    return _CATALOG[name].build(params)
 
 
 @click.group()
@@ -187,8 +188,11 @@ def cmd_field_eval(field_name, params, grid_spec, out_dir) -> None:
     parsed = _parse_params(params)
     axes = _parse_grid(grid_spec)
     # catalog parameters are usage errors, raised before any evaluation
+    if field_name not in _CATALOG:
+        raise click.UsageError(f"unknown field name {field_name!r}; accepted: {', '.join(_CATALOG)}")
     try:
-        f = build_field(field_name, parsed)
+        resolved = _resolve(field_name, parsed, _CATALOG[field_name].defaults)
+        f = build_field(field_name, resolved)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid {field_name} input: {exc}") from exc
     try:
@@ -208,14 +212,8 @@ def cmd_field_eval(field_name, params, grid_spec, out_dir) -> None:
                                    " nothing written") from None
     _atomic_write(out_dir / "field.csv", text)
 
-    meta = {
-        "field": f.name,
-        "params": parsed,
-        "rows": int(pts.shape[0]),
-        "eigenvalue": f.eigenvalue,
-        "mu": f.mu,
-        "helicity": f.helicity,
-    }
+    meta = {"field": f.name, "params": resolved, "grid": axes, "rows": int(pts.shape[0]),
+            "eigenvalue": f.eigenvalue, "mu": f.mu, "helicity": f.helicity}
     _atomic_write(out_dir / "field_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     click.echo(f"wrote {pts.shape[0]} rows to {out_dir / 'field.csv'}")
 
@@ -231,49 +229,47 @@ def cmd_field_eval(field_name, params, grid_spec, out_dir) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
 def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
     """Transform a catalog field; numeric grids go to CSV, atoms to JSON."""
+    if field_name not in _RADON_FIELDS:
+        raise click.UsageError(f"trk radon transforms --field {', '.join(_RADON_FIELDS)};"
+                               f" not {field_name!r}")
     given = [option for option, spec in (("--quad", quad_spec), ("--pgrid", pgrid_spec))
              if spec is not None]
-    if field_name in ("lundquist", "modes") and given:
+    if field_name != "gaussian" and given:
         raise click.UsageError(f"--field {field_name} is exact atoms, sized by --params:"
                                f" it takes no {' or '.join(given)}")
     quad_spec = "8,16" if quad_spec is None else quad_spec
     pgrid_spec = "-8:8:64" if pgrid_spec is None else pgrid_spec
     parsed = _parse_params(params)
-    sidecar: dict = {"field": field_name, "params": parsed}
     sizes = (f"--quad {quad_spec} --pgrid {pgrid_spec}" if field_name == "gaussian"
              else f"--params {params}")  # n_ring sizes a lundquist profile
     no_memory = f"not enough memory for {sizes}; nothing written"
 
-    # malformed specs and catalog parameters are usage errors, raised before
-    # the grid transform runs
+    # malformed specs and catalog parameters are usage errors, raised before any transform
+    entry = _CATALOG[field_name]
     try:
-        if field_name == "lundquist":
-            _check_keys("lundquist", parsed, _PARAM_KEYS["lundquist"] + ("n_ring",))
-            profile = radon.lundquist_radon_profile(
-                float(parsed.get("f0", 1.0)), float(parsed.get("nu", 1.0)),
-                n_ring=_integer("n_ring", parsed.get("n_ring", 64)))
-        elif field_name == "modes":
-            profile = radon.radon_mode_analytic(_mode_field_from_params(parsed))
-        elif field_name == "gaussian":
-            build_field("gaussian", parsed)  # the key and value checks
-            center, width, pol = _gaussian_args(parsed)
-            envelope, pol = fields.gaussian_scalar(center, width), np.asarray(pol, dtype=complex)
+        resolved = _resolve(field_name, parsed, {**entry.defaults, **entry.transform_defaults})
+        if field_name != "gaussian":
+            profile = entry.transform(resolved)
+        else:
+            build_field("gaussian", resolved)  # the value checks
+            width = float(resolved["width"])
+            pol = np.asarray(resolved["polarization"], dtype=complex)
+            envelope = fields.gaussian_scalar(resolved["center"], width)
             p0, p1, n_p = _parse_axis(pgrid_spec, "--pgrid")
             # as scalars, before the grid's (p1 - p0) k for k < n can overflow
             _check_finite(**{"p1 - p0": p1 - p0, "(p1 - p0) n": (p1 - p0) * n_p})
-            sphere = sphere_quadrature(*_parse_quad(quad_spec), antipodal=True)
+            n_polar, n_azimuth, sphere = _parse_quad(quad_spec)
             p = radon.validate_p_grid(p0 + (p1 - p0) * np.arange(n_p) / n_p)
             # pi width^2 bounds each plane integral, and the grid table's FFT sums n_p of them
             if not np.isfinite(4 * n_p * np.pi * width**2 * float(np.abs(pol.view(float)).max())):
                 raise ValueError(f"polarization {pol.tolist()} overflows the transform at width"
                                  f" {width!r}: 4 n_p pi width^2 max|P| is not finite")
-        else:
-            raise click.ClickException(f"unknown field name {field_name!r}")
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid {field_name} input: {exc}") from exc
     except MemoryError:
         raise click.ClickException(no_memory) from None
 
+    sidecar: dict = {"field": field_name, "params": resolved}
     if field_name != "gaussian":
         _atomic_write(out_dir / "profile_atoms.json", radon.profile_to_json(profile) + "\n")
         sidecar.update(mode="analytic", atoms=len(profile.frequencies),
@@ -308,7 +304,8 @@ def cmd_radon(field_name, params, quad_spec, pgrid_spec, out_dir) -> None:
                        truncated_planes=0 if truncation is None else truncation.n_truncated,
                        truncation_worst_ratio=None if truncation is None
                        else truncation.worst_ratio,
-                       n_p=n_p, n_directions=sphere.n, plane_rule=plane.rule,
+                       n_polar=n_polar, n_azimuth=n_azimuth, p0=p0, p1=p1, n_p=n_p,
+                       n_directions=sphere.n, plane_rule=plane.rule,
                        plane_nodes_per_axis=plane.n_per_axis, plane_half_width=plane.half_width)
 
     _atomic_write(out_dir / "radon_meta.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

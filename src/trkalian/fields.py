@@ -142,8 +142,9 @@ def _jm_over_x(m: int, x, jm=None) -> np.ndarray:
     x = np.abs(np.asarray(x, dtype=float))
     small = x < 1e-8
     safe = np.where(small, 1.0, x)
-    return np.where(small, x ** (m - 1) / (2.0**m * math.factorial(m)),
-                    (bessel_j(m, safe) if jm is None else jm) / safe)
+    # 2^m m! as a float, inf (a series term of 0) once m! passes the float range
+    scale = 2.0**m * math.factorial(m) if m <= 170 else np.inf
+    return np.where(small, x ** (m - 1) / scale, (bessel_j(m, safe) if jm is None else jm) / safe)
 
 
 def lundquist(f0: float, nu: float) -> SampledField:

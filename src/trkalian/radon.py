@@ -113,12 +113,12 @@ class AnalyticProfile:
             raise ValueError("atom weights must be positive and finite")
 
     def _derive(self, **arrays) -> "AnalyticProfile":
-        """This profile with the given atom arrays, which alone are checked; the
-        arrays it keeps are this profile's own, being read-only."""
+        """This profile with the given atom arrays or scalars, of which the arrays
+        alone are checked; the arrays it keeps are this profile's own, being read-only."""
         derived = object.__new__(AnalyticProfile)
         for name in (*_ATOM_ARRAYS, "nu", "mu", "g"):
             object.__setattr__(derived, name, arrays.get(name, getattr(self, name)))
-        derived._check(arrays)
+        derived._check([name for name in arrays if name in _ATOM_ARRAYS])
         return derived
 
     @classmethod
@@ -204,6 +204,15 @@ def _check_scalars(nu, mu, g) -> None:
     if mu not in (1, -1):
         raise ValueError(f"mu must be +1 or -1, got {mu!r}")
     _check_finite("positive", g=g)
+
+
+def _check_inverse_square(what: str, nu, numerator, factor=1.0) -> None:
+    """ValueError naming nu unless factor nu^2 is a finite nonzero float, and so
+    is numerator / (factor nu^2) for a nonzero numerator: nu * nu of a float nu
+    can under- or overflow, where nu**2 raises."""
+    square = factor * (float(nu) * float(nu))  # as factor * nu**2 rounds
+    if not 0 < square < np.inf or numerator and not 0 < abs(float(numerator) / square) < np.inf:
+        raise ValueError(f"nu = {nu!r} leaves {what} outside the nonzero floats")
 
 
 def validate_p_grid(p) -> np.ndarray:
@@ -467,6 +476,7 @@ def radon_mode_analytic(f: ModeField) -> AnalyticProfile:
     (2 pi)^{1/2} / (g nu^2) * s * Q_lam(kappa0).
     """
     lam, kappa0, n = f.lam, f.kappa0, len(f.amplitudes)
+    _check_inverse_square("sqrt(2 pi) / (g nu^2)", f.nu, np.sqrt(2.0 * np.pi), f.g)
     coeff = np.sqrt(2.0 * np.pi) / (f.g * f.nu**2) * f.amplitudes
     amp = coeff[:, None] * moses_frame(kappa0, frame_index_of(lam))
     profile = AnalyticProfile(
@@ -490,6 +500,7 @@ def lundquist_radon_profile(f0: float, nu: float, n_ring: int = 64) -> AnalyticP
     """
     _check_finite(f0=f0)
     _check_finite("nonzero", nu=nu)
+    _check_inverse_square("f0 / nu^2", nu, f0)
     if not (isinstance(n_ring, (int, np.integer)) and n_ring >= 4 and n_ring % 2 == 0):
         raise ValueError(f"n_ring must be an even integer >= 4, got {n_ring!r}")
     coeff = 2.0 * np.pi * 1j * f0 / nu**2
@@ -703,11 +714,13 @@ def radon_of_hemisphere_inverse(profile: AnalyticProfile,
 # ---------------------------------------------------------------------------
 
 def transform_radon_linear(profile: AnalyticProfile, t: np.ndarray) -> AnalyticProfile:
-    """Profile of x -> F(T^{-1} x) for orthogonal T: directions map to T kappa."""
+    """Profile of x -> F(T^{-1} x) for orthogonal T: directions map to T kappa,
+    and the duality sign mu to mu sign(det T), as an improper T flips the curl."""
     t = np.asarray(t, dtype=float)
     if t.shape != (3, 3) or np.max(np.abs(t.T @ t - np.eye(3))) > 1e-12:
         raise ValueError("T must be an orthogonal 3x3 matrix")
-    return profile._derive(directions=profile.directions @ t.T)
+    return profile._derive(directions=profile.directions @ t.T,
+                           mu=profile.mu if np.linalg.det(t) > 0 else -profile.mu)
 
 
 def antipodal_profile(profile: AnalyticProfile) -> AnalyticProfile:

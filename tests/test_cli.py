@@ -589,6 +589,95 @@ def test_integral_float_reads_as_the_integer(runner, tmp_path):
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("args, named", [
+    (["radon", "--field", "gaussian", "--quad", "x,8"],
+     "--quad 'x,8' is no sphere rule npolar,nazimuth: invalid literal for int()"),
+    (["radon", "--field", "gaussian", "--quad", "1,8"],
+     "--quad '1,8' is no sphere rule npolar,nazimuth: n_polar must be an integer >= 2, got 1"),
+    (["radon", "--field", "abc"],
+     "trk radon transforms --field gaussian, lundquist, modes; not 'abc'"),
+    (["radon", "--field", "ck_circular", "--params", '{"m": 2}'],
+     "trk radon transforms --field gaussian, lundquist, modes; not 'ck_circular'"),
+    (["field-eval", "--field", "nope"],
+     "unknown field name 'nope'; accepted: lundquist, gaussian, abc, ck_circular, modes"),
+    (["radon", "--field", "lundquist", "--params", '{"nu": 1e-170}'],
+     "nu = 1e-170 leaves f0 / nu^2 outside the nonzero floats"),
+    (["radon", "--field", "lundquist", "--params", '{"nu": 1e200}'],
+     "nu = 1e+200 leaves f0 / nu^2 outside the nonzero floats"),
+    (["radon", "--field", "modes", "--params", json.dumps({"modes": [dict(_ONE_MODE, nu=1e-200)]})],
+     "nu = 1e-200 leaves sqrt(2 pi) / (g nu^2) outside the nonzero floats"),
+], ids=["quad-not-integers", "quad-no-sphere-rule", "radon-abc", "radon-ck-circular",
+        "field-eval-unknown-field",
+        "radon-lundquist-underflowing-nu-square", "radon-lundquist-overflowing-nu-square",
+        "radon-modes-underflowing-nu-square"])
+def test_refusal_names_its_cause(runner, tmp_path, args, named):
+    # a bad --quad was blamed on the field, an unknown field name (abc and
+    # ck_circular too, for trk radon) exited 1, and a nu whose square is 0 or
+    # inf raised ZeroDivisionError or OverflowError, or printed numpy's warnings
+    with warnings.catch_warnings(), runner.isolated_filesystem(temp_dir=tmp_path):
+        warnings.simplefilter("error")
+        result = runner.invoke(main, args + ["--out", "out"])
+        written = Path("out").exists()
+    assert result.exit_code == 2, result.output
+    assert "Usage:" in result.output and named in result.output
+    assert not written
+
+
+def test_ck_circular_past_the_float_factorials_writes_finite_values(runner, tmp_path):
+    # float(171!) raised OverflowError in the axis term of J_m(x)/x
+    result = runner.invoke(main, ["field-eval", "--field", "ck_circular", "--params",
+                                  '{"m": 171}', "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    values = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)
+    assert values.shape == (11**3, 9) and np.isfinite(values).all()
+
+
+_MODE_KEYS = ["amplitude_im", "amplitude_re", "kappa0", "lam", "mu", "nu"]
+
+
+@pytest.mark.parametrize("args, keys", [
+    (["field-eval", "--field", "lundquist", "--params", '{"nu": 1.5}'], ["f0", "nu"]),
+    (["field-eval", "--field", "gaussian"], ["center", "polarization", "width"]),
+    (["field-eval", "--field", "abc", "--params", '{"b": 0.5}'], ["a", "b", "c", "nu"]),
+    (["field-eval", "--field", "ck_circular", "--params", '{"m": 2}'],
+     ["amplitude", "k", "m", "nu"]),
+    (["field-eval", "--field", "modes", "--params", json.dumps({"modes": [_ONE_MODE]})],
+     ["g", "modes"]),
+    (["radon", "--field", "gaussian", "--params", '{"width": 0.8}', "--quad", "2,4",
+      "--pgrid=-3:5:8"], ["center", "polarization", "width"]),
+    (["radon", "--field", "lundquist"], ["f0", "n_ring", "nu"]),
+    (["radon", "--field", "modes", "--params", json.dumps({"modes": [_ONE_MODE], "g": 2})],
+     ["g", "modes"]),
+], ids=["field-eval-lundquist", "field-eval-gaussian", "field-eval-abc",
+        "field-eval-ck-circular", "field-eval-modes", "radon-gaussian", "radon-lundquist",
+        "radon-modes"])
+def test_a_run_repeats_from_its_sidecar(runner, tmp_path, args, keys):
+    # the sidecars recorded only the keys typed, and not the sphere rule, p range or grid
+    command, field = args[0], args[2]
+    first, second = tmp_path / "first", tmp_path / "second"
+    if command == "field-eval":
+        args = args + ["--grid", "-1:1:4,-0.5:0.75:3,0:2:2"]
+    result = runner.invoke(main, args + ["--out", str(first)])
+    assert result.exit_code == 0, result.output
+    sidecar = "field_meta.json" if command == "field-eval" else "radon_meta.json"
+    meta = json.loads((first / sidecar).read_text())
+    assert sorted(meta["params"]) == keys
+    if field == "modes":
+        assert [sorted(mode) for mode in meta["params"]["modes"]] == [_MODE_KEYS]
+    replay = [command, "--field", field, "--params", json.dumps(meta["params"])]
+    if command == "field-eval":
+        replay += ["--grid", ",".join(f"{lo!r}:{hi!r}:{n}" for lo, hi, n in meta["grid"])]
+    elif field == "gaussian":
+        replay += ["--quad", f"{meta['n_polar']},{meta['n_azimuth']}",
+                   f"--pgrid={meta['p0']!r}:{meta['p1']!r}:{meta['n_p']}"]
+    result = runner.invoke(main, replay + ["--out", str(second)])
+    assert result.exit_code == 0, result.output
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
 def _radon_grid_csv(runner, tmp_path) -> Path:
     """A trk radon profile_grid.csv on a small rule."""
     result = runner.invoke(main, ["radon", "--field", "gaussian", "--quad", "2,4",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -466,6 +468,16 @@ def complex_assignment_lundquist(x, f0, nu):
     out[..., 1] = f0 * nu * ratio * px
     out[..., 2] = f0 * bessel_j(0, np.abs(nu) * r)
     return out
+
+
+def test_axis_series_term_keeps_its_bits_and_vanishes_past_the_float_factorials():
+    # float(171!) overflowed; below, the term is x^(m-1) / (2^m m!) bit for bit
+    x = np.array([0.0, 5e-324, 1e-300, 3e-150, 2e-9, 9.99e-9])
+    for m in range(1, 171):
+        expected = x ** (m - 1) / (2.0**m * math.factorial(m))
+        assert _jm_over_x(m, x).tobytes() == expected.tobytes()
+    for m in (171, 1024, 10**6):
+        assert not _jm_over_x(m, x).any()
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -7,7 +8,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from trkalian import radon, rbs
+from trkalian import radon, rbs, verify
 from trkalian.cktransform import (DebyeChoice, OmegaAtom, ScalarTone, abc_omega_atoms,
                                   ck_transform_potential, ck_transform_solution,
                                   reconstruct_physical)
@@ -958,6 +959,18 @@ class TestLinearTransform:
                      and abs(b.frequency - a.frequency) < 1e-12]
             assert len(match) == 1
             assert np.max(np.abs(match[0].amplitude - a.amplitude)) < 1e-12
+        assert (inverted.nu, inverted.mu, inverted.g) == (asd.nu, asd.mu, asd.g)
+
+    @pytest.mark.parametrize("mu", [1, -1], ids=["self-dual", "anti-self-dual"])
+    def test_antipodal_image_is_an_eigenprofile_of_its_own_mu(self, mu):
+        # the mode field of the duality_antipodal record; the image of a
+        # self-dual transform is anti-self-dual, and the reverse
+        mapped = antipodal_profile(radon_mode_analytic(
+            verify._mode_field(3, seed=verify.SEED + 28, mu=mu)))
+        assert mapped.mu == -mu
+        scale = np.max(np.abs(mapped.amplitudes))
+        assert gamma_cross_eigendefect(mapped) <= 1e-14 * scale
+        assert rbs_eigendefect(mapped) <= 1e-14 * scale
 
     def test_antipodal_map_flips_eigenvalue(self):
         prof = radon_mode_analytic(random_mode_field(3, seed=29))
@@ -1000,6 +1013,19 @@ class TestLundquistProfile:
         # a float reached np.full as a shape, and numpy raised TypeError
         with pytest.raises(ValueError, match="^n_ring must be an even integer >= 4, got"):
             lundquist_radon_profile(1.0, 1.0, n_ring=n_ring)
+
+    @pytest.mark.parametrize("f0, nu", [(1.0, 1e-170), (1.0, 1e200), (0.0, -1e-170),
+                                        (1e-300, 1e100), (1e300, 1e-10)])
+    def test_refuses_nu_whose_inverse_square_leaves_the_floats(self, f0, nu):
+        # the float nu**2 underflowed to a ZeroDivisionError, or overflowed
+        with pytest.raises(ValueError, match=re.escape(f"nu = {nu!r} leaves f0 / nu^2 outside")):
+            lundquist_radon_profile(f0, nu)
+
+    @pytest.mark.parametrize("nu", [1e-200, 1e-160, 1e200])
+    def test_mode_transform_refuses_nu_whose_square_leaves_the_floats(self, nu):
+        # numpy's divide-by-zero and overflow warnings came first at 1e-200
+        with pytest.raises(ValueError, match=re.escape(f"nu = {nu!r} leaves sqrt(2 pi)")):
+            radon_mode_analytic(single_mode(nu=nu))
 
     def test_accepts_numpy_integer_ring_size(self):
         prof = lundquist_radon_profile(1.0, 1.0, n_ring=np.int64(8))
@@ -1113,7 +1139,8 @@ class TestDerivedProfiles:
         arg = _debye_choice() if parent_of else lundquist_radon_profile(1.0, 1.3, n_ring=8)
         parent = getattr(arg, parent_of) if parent_of else arg
         derived = operator(arg)
-        assert (derived.nu, derived.mu, derived.g) == (parent.nu, parent.mu, parent.g)
+        mu = -parent.mu if name == "antipodal_profile" else parent.mu  # the map is improper
+        assert (derived.nu, derived.mu, derived.g) == (parent.nu, mu, parent.g)
         for array in ATOM_ARRAYS:
             value = getattr(derived, array)
             assert not value.flags.writeable
